@@ -10,25 +10,17 @@ def glyph_train():
 
 
 @pytest.fixture(scope="session")
-def glyph_test():
-    return make_glyph_dataset(8000, seed=2)
-
-
-@pytest.fixture(scope="session")
-def idx_files(tmp_path_factory, glyph_train, glyph_test):
-    """Synthetic digit partitions written as IDX files, so the harness runs
-    through its normal ingestion path."""
+def idx_files(tmp_path_factory):
+    """Small synthetic digit partitions written as IDX files, so the harness
+    runs through its normal ingestion path."""
     root = tmp_path_factory.mktemp("idx")
-    paths = {
-        "images": root / "train-images-idx3-ubyte",
-        "labels": root / "train-labels-idx1-ubyte",
-        "test_images": root / "t10k-images-idx3-ubyte",
-        "test_labels": root / "t10k-labels-idx1-ubyte",
-    }
-    write_idx_images(glyph_train.images, paths["images"])
-    write_idx_labels(glyph_train.labels, paths["labels"])
-    write_idx_images(glyph_test.images, paths["test_images"])
-    write_idx_labels(glyph_test.labels, paths["test_labels"])
+    paths = {}
+    for key, prefix, seed in (("", "train", 3), ("test_", "t10k", 4)):
+        data = make_glyph_dataset(600, seed=seed)
+        paths[f"{key}images"] = root / f"{prefix}-images-idx3-ubyte"
+        paths[f"{key}labels"] = root / f"{prefix}-labels-idx1-ubyte"
+        write_idx_images(data.images, paths[f"{key}images"])
+        write_idx_labels(data.labels, paths[f"{key}labels"])
     return {k: str(v) for k, v in paths.items()}
 
 
