@@ -12,8 +12,8 @@ from .optimizer import (EpochRecord, Metrics, TrainConfig, TrainResult, evaluate
                         history_to_csv, midpoint_threshold, n_mirrors, nmse,
                         propose, result_to_json, train)
 from .readout import (BooleanPlane, DetectorModel, TernaryMask, compose, decompose,
-                      detect, detect_batch, mask_from_json, mask_to_grid,
-                      mask_to_json, random_mask, readout, readout_batch)
+                      detect_batch, mask_from_json, mask_to_grid, mask_to_json,
+                      random_mask, readout_batch)
 from .substrate import (InputPattern, ReservoirState, Substrate, SubstrateConfig,
                         advance_drift, build_substrate, circle_mask, forward,
                         forward_batch, states_matrix)

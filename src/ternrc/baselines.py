@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError, UsageError
 from .optimizer import Metrics, midpoint_threshold, nmse, _positive_class
-from .substrate import ReservoirState
 
 
 @dataclass(frozen=True)
@@ -21,14 +20,10 @@ class RidgeModel:
 
 
 def _as_matrix(states) -> np.ndarray:
-    if isinstance(states, np.ndarray):
-        x = states
-    else:
-        x = np.stack([s.intensities if isinstance(s, ReservoirState) else np.asarray(s)
-                      for s in states])
+    x = np.asarray(states, dtype=float)
     if x.ndim != 2:
         raise ShapeError(f"states must form an (N, K) matrix, got shape {x.shape}")
-    return x.astype(float)
+    return x
 
 
 def ridge_fit(states, targets, lam: float = 0.0) -> RidgeModel:

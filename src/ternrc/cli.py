@@ -46,7 +46,11 @@ def _default_config(command: str) -> ExperimentConfig:
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        cfg = ExperimentConfig.from_json(text)
     else:
         cfg = _default_config(args.command)
     if args.seed is not None:
@@ -113,8 +117,11 @@ def main(argv=None) -> int:
             _print_medians(rows)
         elif args.command == "alpha-scan":
             alphas = None
-            if getattr(args, "alphas", None):
-                alphas = [float(v) for v in args.alphas.split(",")]
+            if args.alphas:
+                try:
+                    alphas = [float(v) for v in args.alphas.split(",")]
+                except ValueError as exc:
+                    raise UsageError(f"--alphas must be comma-separated numbers: {exc}") from exc
             rows = run_alpha_scan(cfg, alphas)
             for alpha in sorted({r["alpha"] for r in rows}):
                 sel = [r for r in rows if r["alpha"] == alpha]

@@ -9,6 +9,7 @@ output files byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zlib
 from dataclasses import dataclass, asdict
@@ -18,8 +19,8 @@ import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
 from .errors import ConfigError, DataError, UsageError
-from .optimizer import (Metrics, TrainConfig, TrainResult, _Normalizer, evaluate,
-                        nmse, train)
+from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, evaluate,
+                        history_to_csv, nmse, train)
 from .readout import DetectorModel, TernaryMask, mask_to_json, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift,
                         forward_batch, states_matrix)
@@ -99,35 +100,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "ExperimentConfig":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        known = {"substrate", "train", "task", "repeats", "output_dir",
-                 "off_brightness", "ridge_grid", "alphas"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        sub = SubstrateConfig.from_json(data.get("substrate", {}))
-        tr_doc = dict(data.get("train", {}))
-        unknown = set(tr_doc) - set(TrainConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown train fields: {sorted(unknown)}")
-        if "target_levels" in tr_doc:
-            tr_doc["target_levels"] = tuple(tr_doc["target_levels"])
-        tr = TrainConfig(**tr_doc)
-        task_doc = dict(data.get("task", {"type": "header"}))
-        kind = task_doc.pop("type", "header")
-        if kind == "header":
-            task = HeaderTask(**task_doc)
-        elif kind == "mnist":
-            task = MnistTask(**task_doc)
-        else:
-            raise ConfigError(f"unknown task type {kind!r}")
-        cfg = cls(substrate=sub, train=tr, task=task,
-                  repeats=int(data.get("repeats", 1)),
-                  output_dir=data.get("output_dir"),
-                  off_brightness=float(data.get("off_brightness", 0.15)),
-                  ridge_grid=tuple(data.get("ridge_grid", RIDGE_GRID)),
-                  alphas=tuple(data.get("alphas", (0.0, 5.0, 10.0, 20.0))))
-        cfg.validate()
+        """Parse and validate a config document. Omitted top-level fields
+        take the dataclass defaults; a malformed or mistyped field raises
+        :class:`ConfigError`."""
+        try:
+            data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+            unknown = set(data) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            sub = SubstrateConfig.from_json(data.get("substrate", {}))
+            tr_doc = dict(data.get("train", {}))
+            unknown = set(tr_doc) - set(TrainConfig.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown train fields: {sorted(unknown)}")
+            if "target_levels" in tr_doc:
+                tr_doc["target_levels"] = tuple(tr_doc["target_levels"])
+            tr = TrainConfig(**tr_doc)
+            task_doc = dict(data.get("task", {"type": "header"}))
+            kind = task_doc.pop("type", "header")
+            task_cls = {"header": HeaderTask, "mnist": MnistTask}.get(kind)
+            if task_cls is None:
+                raise ConfigError(f"unknown task type {kind!r}")
+            top = {name: read(data[name]) for name, read in _TOP_LEVEL.items() if name in data}
+            cfg = cls(substrate=sub, train=tr, task=task_cls(**task_doc), **top)
+            cfg.validate()
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid config: {exc}") from exc
         return cfg
 
     def to_json_dict(self) -> dict:
@@ -136,40 +136,34 @@ class ExperimentConfig:
         return doc
 
 
+#: optional top-level config fields and the type each is read as
+_TOP_LEVEL = {"repeats": int, "output_dir": lambda v: v, "off_brightness": float,
+              "ridge_grid": tuple, "alphas": tuple}
+
+
 # ---------------------------------------------------------------------------
 # Measurement rig
 
 class BatchReadout:
     """One arm's data-acquisition loop over a fixed batch.
 
-    States are computed once (the forward path is deterministic); each
-    measurement applies the live detector-path gain, the arm's brightness
-    and fresh detector noise. Calling it with a mask returns the N-vector of
-    readout outputs, which is exactly the contract the optimizer expects.
+    ``states`` are the batch's noiseless (N, K) node intensities, computed
+    once because the forward path is deterministic; each measurement applies
+    the live detector-path gain, the arm's brightness and fresh detector
+    noise. Calling it with a mask returns the N-vector of readout outputs,
+    which is exactly the contract the optimizer expects.
     """
 
-    def __init__(self, substrate: Substrate, patterns=None, detector: DetectorModel | None = None,
-                 brightness: float = 1.0, states: np.ndarray | None = None):
-        if (patterns is None) == (states is None):
-            raise UsageError("provide exactly one of patterns or states")
+    def __init__(self, substrate: Substrate, states: np.ndarray, detector: DetectorModel,
+                 brightness: float = 1.0):
         self.substrate = substrate
-        self.states = states if states is not None \
-            else states_matrix(forward_batch(substrate, list(patterns)))
-        self.detector = detector if detector is not None else DetectorModel()
+        self.states = states
+        self.detector = detector
         self.brightness = brightness
-
-    @property
-    def n_samples(self) -> int:
-        return self.states.shape[0]
 
     @property
     def n_nodes(self) -> int:
         return self.states.shape[1]
-
-    @property
-    def mean_power(self) -> float:
-        """Mean all-on detected power of the batch at unit gain."""
-        return float(self.states.sum(axis=1).mean())
 
     def measure(self, mask: TernaryMask) -> np.ndarray:
         return readout_batch(self.states, mask,
@@ -270,15 +264,50 @@ def epochs_to_convergence(result: TrainResult) -> int:
 
 # ---------------------------------------------------------------------------
 # Experiment drivers
+#
+# Every arm runs the same in-situ sequence: a frozen substrate gives the
+# noiseless states, a seeded detector measures them, the optimizer trains a
+# mask on the training rig and the mask is scored on both rigs. ``tag`` names
+# the arm in its derived detector and train seeds.
 
-def _train_and_score(rig_train: BatchReadout, rig_test: BatchReadout,
-                     targets_train, targets_test, cfg: TrainConfig) -> tuple[TrainResult, Metrics, Metrics]:
-    result = train(rig_train, targets_train, cfg, n_nodes=rig_train.n_nodes)
-    m_train = evaluate(rig_train, result.best_mask, targets_train, "midpoint",
-                       cfg.normalize, result.output_transform)
-    m_test = evaluate(rig_test, result.best_mask, targets_test, m_train.threshold,
-                      cfg.normalize, result.output_transform)
-    return result, m_train, m_test
+def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
+    seed = derive_seed(cfg.substrate.seed, "substrate", repeat)
+    return build_substrate(dataclasses.replace(cfg.substrate, seed=seed, **overrides))
+
+
+def _states(sub: Substrate, batch_tr: LabeledBatch, batch_te: LabeledBatch):
+    """Noiseless (train, test) state matrices, and the training batch's mean
+    all-on power at unit gain."""
+    s_tr = states_matrix(forward_batch(sub, batch_tr.patterns))
+    s_te = states_matrix(forward_batch(sub, batch_te.patterns))
+    return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
+
+
+def _rigs(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states,
+          noise_scale: float, brightness: float = 1.0) -> tuple[BatchReadout, BatchReadout]:
+    """(train, test) rigs sharing one seeded detector, its noise frozen to
+    ``noise_scale``."""
+    det = DetectorModel(cfg.substrate.noise_sigma, noise_scale=noise_scale,
+                        seed=derive_seed(cfg.train.seed, f"det{tag}", repeat))
+    return tuple(BatchReadout(sub, s, det, brightness) for s in states)
+
+
+def _train_arm(cfg: ExperimentConfig, repeat: int, tag: str, rigs, batch_tr: LabeledBatch,
+               batch_te: LabeledBatch, score: bool = True, **overrides):
+    """Train one arm and score its best mask on both rigs. Returns (train
+    config, result, train metrics, test metrics); ``score=False`` skips the
+    two scoring measurements and returns no metrics."""
+    tc = dataclasses.replace(cfg.train, seed=derive_seed(cfg.train.seed, f"train{tag}", repeat),
+                             **overrides)
+    rig_tr, rig_te = rigs
+    result = train(rig_tr, batch_tr.targets, tc, n_nodes=rig_tr.n_nodes)
+    if not score:
+        return tc, result, None, None
+    m_tr = evaluate(rig_tr, result.best_mask, batch_tr.targets, "midpoint",
+                    tc.normalize, result.output_transform)
+    m_te = evaluate(rig_te, result.best_mask, batch_te.targets, m_tr.threshold,
+                    tc.normalize, result.output_transform)
+    return tc, result, m_tr, m_te
 
 
 def run_comparison(cfg: ExperimentConfig, digits=None) -> list[dict]:
@@ -295,80 +324,51 @@ def run_comparison(cfg: ExperimentConfig, digits=None) -> list[dict]:
     rows: list[dict] = []
     out = _OutputSink(cfg)
     for repeat in range(cfg.repeats):
-        sub_seed = derive_seed(cfg.substrate.seed, "substrate", repeat)
-        on_cfg = SubstrateConfig(**{**asdict(cfg.substrate), "vcsel_on": True, "seed": sub_seed})
-        off_cfg = SubstrateConfig(**{**asdict(cfg.substrate), "vcsel_on": False, "seed": sub_seed})
-        sub_on = build_substrate(on_cfg)
-        sub_off = build_substrate(off_cfg)
+        sub_on = _substrate(cfg, repeat, vcsel_on=True)
+        sub_off = _substrate(cfg, repeat, vcsel_on=False)
         for digit in digits:
             task_name = "header" if digit is None else f"digit{digit}"
             batch_tr, batch_te = make_task_batches(cfg, repeat, digit, _cache=cache)
             arms = _comparison_arms(cfg, repeat, digit, sub_on, sub_off,
                                     batch_tr, batch_te)
-            for arm_name, row, result, mask in arms:
+            for arm_name, row, result in arms:
                 row.update(task=task_name, arm=arm_name, repeat=repeat)
                 rows.append(row)
-                tag = f"{arm_name}_{task_name}_s{repeat}"
                 if result is not None:
+                    tag = f"{arm_name}_{task_name}_s{repeat}"
                     out.write_history(tag, result)
-                if mask is not None:
-                    out.write_mask(tag, mask, cfg.substrate.grid_side)
+                    out.write_mask(tag, result.best_mask, cfg.substrate.grid_side)
     out.write_results(rows)
     out.write_config(cfg)
     return rows
 
 
 def _comparison_arms(cfg, repeat, digit, sub_on, sub_off, batch_tr, batch_te):
-    """Train/evaluate the four arms on shared batches; yields
-    (arm, row, result, mask) tuples."""
-    t_tr, t_te = batch_tr.targets, batch_te.targets
-    tag = "" if digit is None else f"-d{digit}"
-    produced = []
-
-    def det_for(arm):
-        return DetectorModel(cfg.substrate.noise_sigma,
-                             seed=derive_seed(cfg.train.seed, f"det-{arm}{tag}", repeat))
-
-    def train_cfg(mode, arm):
-        return TrainConfig(alpha=cfg.train.alpha, max_epochs=cfg.train.max_epochs,
-                           mode=mode, seed=derive_seed(cfg.train.seed, f"train-{arm}{tag}", repeat),
-                           target_levels=cfg.train.target_levels,
-                           patience=cfg.train.patience, normalize=cfg.train.normalize)
-
-    # states are deterministic, so each arm pair shares one computation
-    states_on_tr = states_matrix(forward_batch(sub_on, batch_tr.patterns))
-    states_on_te = states_matrix(forward_batch(sub_on, batch_te.patterns))
-    sbar = float(states_on_tr.sum(axis=1).mean())  # calibrated once, lasing config
-
-    for arm, mode in (("boolean_on", "boolean"), ("ternary_on", "ternary")):
-        det = det_for(arm)
-        det.noise_scale = sbar
-        rig_tr = BatchReadout(sub_on, detector=det, states=states_on_tr)
-        rig_te = BatchReadout(sub_on, detector=det, states=states_on_te)
-        res, m_tr, m_te = _train_and_score(rig_tr, rig_te, t_tr, t_te,
-                                           train_cfg(mode, arm))
-        produced.append((arm, _row(res, m_tr, m_te), res, res.best_mask))
-
+    """Train/evaluate the four arms on shared batches; returns (arm, row,
+    result) tuples, with no result for the ridge arm."""
+    dtag = "" if digit is None else f"-d{digit}"
+    on, sbar = _states(sub_on, batch_tr, batch_te)  # detector calibrated once, lasing config
+    off, power_off = _states(sub_off, batch_tr, batch_te)
     # laser off: same optics, faint detected signal, same detector calibration
-    det_o = det_for("ternary_off")
-    det_o.noise_scale = sbar
-    states_off_tr = states_matrix(forward_batch(sub_off, batch_tr.patterns))
-    states_off_te = states_matrix(forward_batch(sub_off, batch_te.patterns))
-    bright = cfg.off_brightness * sbar / float(states_off_tr.sum(axis=1).mean())
-    rig_o_tr = BatchReadout(sub_off, detector=det_o, states=states_off_tr, brightness=bright)
-    rig_o_te = BatchReadout(sub_off, detector=det_o, states=states_off_te, brightness=bright)
-    res, m_tr, m_te = _train_and_score(rig_o_tr, rig_o_te, t_tr, t_te,
-                                       train_cfg("ternary", "ternary_off"))
-    produced.append(("ternary_off", _row(res, m_tr, m_te), res, res.best_mask))
+    bright_off = cfg.off_brightness * sbar / power_off
+    produced = []
+    for arm, mode, sub, states, brightness in (
+            ("boolean_on", "boolean", sub_on, on, 1.0),
+            ("ternary_on", "ternary", sub_on, on, 1.0),
+            ("ternary_off", "ternary", sub_off, off, bright_off)):
+        tag = f"-{arm}{dtag}"
+        rigs = _rigs(cfg, repeat, tag, sub, states, sbar, brightness)
+        _, res, m_tr, m_te = _train_arm(cfg, repeat, tag, rigs, batch_tr, batch_te, mode=mode)
+        produced.append((arm, _row(res, m_tr, m_te), res))
 
     # digital reference: ridge regression on the noiseless lasing states
-    lam = lambda_sweep(states_on_tr, t_tr, cfg.ridge_grid)
-    model = ridge_fit(states_on_tr, t_tr, lam)
-    m_tr = ridge_eval(model, states_on_tr, t_tr, "midpoint")
-    m_te = ridge_eval(model, states_on_te, t_te, m_tr.threshold)
-    row = _row(None, m_tr, m_te)
-    row["lambda"] = lam
-    produced.append(("ridge", row, None, None))
+    s_tr, s_te = on
+    t_tr, t_te = batch_tr.targets, batch_te.targets
+    lam = lambda_sweep(s_tr, t_tr, cfg.ridge_grid)
+    model = ridge_fit(s_tr, t_tr, lam)
+    m_tr = ridge_eval(model, s_tr, t_tr, "midpoint")
+    m_te = ridge_eval(model, s_te, t_te, m_tr.threshold)
+    produced.append(("ridge", {**_row(None, m_tr, m_te), "lambda": lam}, None))
     return produced
 
 
@@ -393,22 +393,14 @@ def run_alpha_scan(cfg: ExperimentConfig, alphas=None) -> list[dict]:
     rows, curves = [], []
     out = _OutputSink(cfg)
     for repeat in range(cfg.repeats):
-        sub_seed = derive_seed(cfg.substrate.seed, "substrate", repeat)
-        sub = build_substrate(SubstrateConfig(**{**asdict(cfg.substrate), "seed": sub_seed}))
+        sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat, _cache=cache)
+        states, power = _states(sub, batch_tr, batch_te)
         for alpha in alphas:
-            det = DetectorModel(cfg.substrate.noise_sigma,
-                                seed=derive_seed(cfg.train.seed, f"det-a{alpha}", repeat))
-            rig_tr = BatchReadout(sub, batch_tr.patterns, det)
-            det.noise_scale = rig_tr.mean_power
-            rig_te = BatchReadout(sub, batch_te.patterns, det)
-            tc = TrainConfig(alpha=float(alpha), max_epochs=cfg.train.max_epochs,
-                             mode=cfg.train.mode,
-                             seed=derive_seed(cfg.train.seed, f"train-a{alpha}", repeat),
-                             target_levels=cfg.train.target_levels,
-                             patience=cfg.train.patience, normalize=cfg.train.normalize)
-            result, m_tr, m_te = _train_and_score(rig_tr, rig_te,
-                                                  batch_tr.targets, batch_te.targets, tc)
+            tag = f"-a{alpha}"
+            rigs = _rigs(cfg, repeat, tag, sub, states, power)
+            tc, result, _, m_te = _train_arm(cfg, repeat, tag, rigs, batch_tr, batch_te,
+                                             alpha=float(alpha))
             rows.append({
                 "alpha": float(alpha), "repeat": repeat,
                 "final_nmse": result.final_nmse, "initial_nmse": result.initial_nmse,
@@ -434,20 +426,11 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     out = _OutputSink(cfg)
     for repeat in range(cfg.repeats):
-        sub_seed = derive_seed(cfg.substrate.seed, "substrate", repeat)
-        sub = build_substrate(SubstrateConfig(**{**asdict(cfg.substrate), "seed": sub_seed}))
+        sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat)
-        det = DetectorModel(cfg.substrate.noise_sigma,
-                            seed=derive_seed(cfg.train.seed, "det", repeat))
-        rig_tr = BatchReadout(sub, batch_tr.patterns, det)
-        det.noise_scale = rig_tr.mean_power
-        rig_te = BatchReadout(sub, batch_te.patterns, det)
-        tc = TrainConfig(alpha=cfg.train.alpha, max_epochs=cfg.train.max_epochs,
-                         mode=cfg.train.mode, seed=derive_seed(cfg.train.seed, "train", repeat),
-                         target_levels=cfg.train.target_levels,
-                         patience=cfg.train.patience, normalize=cfg.train.normalize)
-        result, m_tr, m_te = _train_and_score(rig_tr, rig_te,
-                                              batch_tr.targets, batch_te.targets, tc)
+        states, power = _states(sub, batch_tr, batch_te)
+        rigs = _rigs(cfg, repeat, "", sub, states, power)
+        _, result, m_tr, m_te = _train_arm(cfg, repeat, "", rigs, batch_tr, batch_te)
         rows.append({"task": f"header{cfg.task.n_bits}b", "arm": cfg.train.mode,
                      "repeat": repeat, **_row(result, m_tr, m_te)})
         tag = f"header_s{repeat}"
@@ -479,25 +462,18 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         raise UsageError(f"n_checks must be >= 2, got {n_checks}")
     if drift_steps_per_check < 0:
         raise UsageError(f"drift_steps_per_check must be >= 0, got {drift_steps_per_check}")
-    sub_seed = derive_seed(cfg.substrate.seed, "substrate", 0)
-    sub = build_substrate(SubstrateConfig(**{**asdict(cfg.substrate), "seed": sub_seed}))
+    sub = _substrate(cfg, 0)
     batch_tr, batch_te = make_task_batches(cfg, 0)
-    det = DetectorModel(cfg.substrate.noise_sigma, seed=derive_seed(cfg.train.seed, "det", 0))
-    rig_tr = BatchReadout(sub, batch_tr.patterns, det)
-    det.noise_scale = rig_tr.mean_power
-    rig_te = BatchReadout(sub, batch_te.patterns, det)
-    tc = TrainConfig(alpha=cfg.train.alpha, max_epochs=cfg.train.max_epochs,
-                     mode=cfg.train.mode, seed=derive_seed(cfg.train.seed, "train", 0),
-                     target_levels=cfg.train.target_levels,
-                     patience=cfg.train.patience, normalize=cfg.train.normalize)
-    result = train(rig_tr, batch_tr.targets, tc, n_nodes=rig_tr.n_nodes)
+    states, power = _states(sub, batch_tr, batch_te)
+    rigs = _rigs(cfg, 0, "", sub, states, power)
+    _, result, _, _ = _train_arm(cfg, 0, "", rigs, batch_tr, batch_te, score=False)
     mask = result.best_mask
 
-    norm = _Normalizer(cfg.train.normalize, batch_te.targets)
+    norm = Normalizer(cfg.train.normalize, batch_te.targets)
     traces, gains, errs = [], [], []
     for _ in range(n_checks):
         advance_drift(sub, drift_steps_per_check)
-        trace = rig_te.measure(mask)
+        trace = rigs[1].measure(mask)
         if not traces and cfg.train.normalize == "first_epoch":
             norm.fit_first(trace)
         traces.append(trace)
@@ -570,7 +546,6 @@ class _OutputSink:
     def write_history(self, tag: str, result: TrainResult) -> None:
         if not self.root:
             return
-        from .optimizer import history_to_csv
         (self.root / f"history_{tag}.csv").write_text(history_to_csv(result))
 
     def write_mask(self, tag: str, mask: TernaryMask, grid_side: int) -> None:

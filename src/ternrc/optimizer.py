@@ -135,7 +135,7 @@ def propose(mask: TernaryMask, n: int, mode: str | None = None,
     return TernaryMask(weights=w, mode=mode)
 
 
-class _Normalizer:
+class Normalizer:
     """Optional affine conditioning of raw detector traces before the error.
 
     zscore: each measured trace is standardized and mapped onto the target's
@@ -197,7 +197,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
         mask = initial_mask
     k = len(mask)
 
-    norm = _Normalizer(cfg.normalize, t)
+    norm = Normalizer(cfg.normalize, t)
     y0 = _measure(forward_pass, mask, t.size)
     norm.fit_first(y0)
     best = nmse(norm(y0), t)
@@ -266,7 +266,7 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
     """
     t = np.asarray(y_target, dtype=float)
     y = _measure(forward_pass, mask, t.size)
-    norm = _Normalizer(normalize, t)
+    norm = Normalizer(normalize, t)
     if normalize == "first_epoch":
         if output_transform is None:
             norm.fit_first(y)

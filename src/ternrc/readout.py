@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidPlaneError, ShapeError, UsageError
-from .substrate import ReservoirState, circle_mask
+from .substrate import circle_mask
 
 MODES = ("boolean", "ternary")
 
@@ -102,67 +102,29 @@ class DetectorModel:
 
     ``noise_sigma`` is relative to ``noise_scale``, a fixed reference power
     calibrated once per experiment as the mean all-on detected power. One
-    noise value is drawn per measurement from the seeded stream, so
-    measurement sequences are reproducible. With ``dual_detector`` the two
-    planes of a ternary mask are measured simultaneously on separate
-    detectors and subtracted in real time, costing a single draw.
+    noise value is drawn per sample and plane sweep from the seeded stream,
+    so measurement sequences are reproducible.
     """
 
     def __init__(self, noise_sigma: float = 0.0, seed: int = 0,
-                 noise_scale: float = 1.0, dual_detector: bool = False):
+                 noise_scale: float = 1.0):
         if not math.isfinite(noise_sigma) or noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
         self.noise_sigma = noise_sigma
         self.noise_scale = noise_scale
-        self.dual_detector = dual_detector
         self._rng = np.random.default_rng(seed)
 
-    def calibrate(self, states: np.ndarray) -> float:
-        """Set the noise reference to the mean all-on power of a batch of
-        states (rows are per-sample node intensities)."""
-        self.noise_scale = float(np.asarray(states).sum(axis=1).mean())
-        return self.noise_scale
-
-    def draw(self, n: int | None = None):
+    def draw(self, n: int) -> np.ndarray:
+        """``n`` noise values, one per sample of a sweep."""
         sd = self.noise_sigma * self.noise_scale
-        if n is None:
-            return sd * self._rng.standard_normal()
         return sd * self._rng.standard_normal(n)
-
-
-def detect(state: ReservoirState, plane: BooleanPlane, substrate_gain: float,
-           det: DetectorModel) -> float:
-    """Detected power for one plane: gain * sum of selected intensities plus
-    one noise draw."""
-    x = state.intensities
-    if x.size != plane.bits.size:
-        raise ShapeError(f"state length {x.size} != plane length {plane.bits.size}")
-    return float(substrate_gain * x[plane.bits].sum() + det.draw())
-
-
-def readout(state: ReservoirState, mask: TernaryMask, substrate_gain: float,
-            det: DetectorModel) -> float:
-    """Scalar output for one input: subtraction of the two plane detections.
-
-    A ternary mask costs two sequential measurements (two noise draws); a
-    boolean mask needs only its (+1) plane (one draw); a dual-detector
-    ternary readout costs one combined draw.
-    """
-    if len(mask) != state.intensities.size:
-        raise ShapeError(f"mask length {len(mask)} != state length {state.intensities.size}")
-    plus, minus = decompose(mask)
-    if mask.mode == "boolean":
-        return detect(state, plus, substrate_gain, det)
-    if det.dual_detector:
-        x = state.intensities
-        return float(substrate_gain * (x[plus.bits].sum() - x[minus.bits].sum()) + det.draw())
-    return detect(state, plus, substrate_gain, det) - detect(state, minus, substrate_gain, det)
 
 
 def detect_batch(states: np.ndarray, plane: BooleanPlane, substrate_gain: float,
                  det: DetectorModel) -> np.ndarray:
-    """Vectorized :func:`detect` over an (N, K) state matrix: one sweep of
-    the plane across the batch, one noise draw per sample."""
+    """Detected power of one plane for each row of an (N, K) state matrix:
+    gain times the sum of the selected intensities, from one sweep of the
+    plane across the batch with one noise draw per sample."""
     if states.shape[1] != plane.bits.size:
         raise ShapeError(f"state width {states.shape[1]} != plane length {plane.bits.size}")
     return substrate_gain * (states @ plane.bits.astype(float)) + det.draw(states.shape[0])
@@ -170,17 +132,18 @@ def detect_batch(states: np.ndarray, plane: BooleanPlane, substrate_gain: float,
 
 def readout_batch(states: np.ndarray, mask: TernaryMask, substrate_gain: float,
                   det: DetectorModel) -> np.ndarray:
-    """Vectorized :func:`readout`: the (+1) plane is swept over the whole
-    batch, then the (-1) plane, mirroring how the hardware sequences its
-    measurements."""
+    """Scalar output per sample: subtraction of the two plane detections.
+
+    The (+1) plane is swept over the whole batch, then the (-1) plane,
+    mirroring how the hardware sequences its measurements: a ternary mask
+    costs two noise draws per sample, a Boolean mask only its (+1) plane,
+    one draw.
+    """
     if states.shape[1] != len(mask):
         raise ShapeError(f"state width {states.shape[1]} != mask length {len(mask)}")
     plus, minus = decompose(mask)
     if mask.mode == "boolean":
         return detect_batch(states, plus, substrate_gain, det)
-    if det.dual_detector:
-        w = np.asarray(mask.weights, dtype=float)
-        return substrate_gain * (states @ w) + det.draw(states.shape[0])
     return (detect_batch(states, plus, substrate_gain, det)
             - detect_batch(states, minus, substrate_gain, det))
 

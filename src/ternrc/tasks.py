@@ -313,6 +313,8 @@ _BATCH_VERSION = 1
 def save_batch(batch: LabeledBatch, path) -> None:
     """Write a batch to the portable binary container."""
     n = len(batch)
+    if n == 0:
+        raise UsageError("cannot save an empty batch")
     d = batch.patterns[0].side
     with open(path, "wb") as f:
         f.write(_BATCH_MAGIC)
@@ -329,9 +331,15 @@ def load_batch(path) -> LabeledBatch:
         blob = f.read()
     if blob[:4] != _BATCH_MAGIC:
         raise FormatError(f"{path}: bad batch magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise FormatError(f"{path}: truncated batch header")
     version, n, d = struct.unpack(">III", blob[4:16])
     if version != _BATCH_VERSION:
         raise FormatError(f"{path}: unsupported batch version {version}")
+    if n == 0:
+        raise FormatError(f"{path}: batch holds no patterns")
+    if d < 4:
+        raise FormatError(f"{path}: pattern side {d} is below the minimum of 4")
     per = (d * d + 7) // 8
     need = 16 + n * per + n * 8
     if len(blob) != need:

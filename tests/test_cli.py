@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ternrc import ConfigError, ExperimentConfig
 from ternrc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +149,31 @@ def test_outputs_match_golden_digests(command, idx_files, tmp_path):
 VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
 
 
+@pytest.mark.parametrize("doc", [
+    {"task": {"type": "header"}},
+    {"train": {"alpha": "x", "max_epochs": 5}},
+    {"train": VALID_TRAIN, "task": {"type": "header", "bogus": 1}},
+    {"train": VALID_TRAIN, "repeats": "many"},
+    [1, 2],
+], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
+        "non-numeric-repeats", "not-an-object"])
+def test_bad_config_exits_2(doc, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["header", "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(doc)
+
+
+def test_unreadable_config_exits_2(tmp_path):
+    assert main(["header", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+def test_non_numeric_alphas_exit_2():
+    assert main(["alpha-scan", "--alphas", "0,x"]) == 2
+
+
 def test_missing_idx_path_exits_3(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -157,3 +183,10 @@ def test_missing_idx_path_exits_3(tmp_path, capsys):
                  "labels": str(tmp_path / "missing-labels")}}))
     assert main(["compare", "--config", str(config)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_omitted_fields_take_dataclass_defaults():
+    cfg = ExperimentConfig.from_json({"substrate": {"input_side": 64}, "train": VALID_TRAIN})
+    fields = ExperimentConfig.__dataclass_fields__
+    for name in ("repeats", "output_dir", "off_brightness", "ridge_grid", "alphas"):
+        assert getattr(cfg, name) == fields[name].default

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternrc import (BooleanPlane, ConfigError, DetectorModel, InvalidPlaneError,
-                    ReservoirState, ShapeError, TernaryMask, UsageError, compose,
-                    decompose, detect, detect_batch, mask_from_json, mask_to_grid,
-                    mask_to_json, random_mask, readout, readout_batch)
+                    ShapeError, TernaryMask, UsageError, compose, decompose,
+                    detect_batch, mask_from_json, mask_to_grid, mask_to_json,
+                    random_mask, readout_batch)
 
 
 def plane(bits):
@@ -14,7 +14,20 @@ def plane(bits):
 
 
 def state(values):
-    return ReservoirState(intensities=np.asarray(values, dtype=float))
+    """A one-sample batch: a 1-row state matrix."""
+    return np.asarray(values, dtype=float)[None, :]
+
+
+def detect_one(states, plane, gain, det):
+    """The single sample's detected power."""
+    (y,) = detect_batch(states, plane, gain, det)
+    return y
+
+
+def readout_one(states, mask, gain, det):
+    """The single sample's readout output."""
+    (y,) = readout_batch(states, mask, gain, det)
+    return y
 
 
 class TestMaskType:
@@ -84,43 +97,43 @@ class TestCompose:
 class TestDetect:
     def test_empty_plane_reads_zero(self):
         det = DetectorModel(noise_sigma=0.0)
-        assert detect(state([1.0, 2.0]), plane([0, 0]), 1.0, det) == 0.0
+        assert detect_one(state([1.0, 2.0]), plane([0, 0]), 1.0, det) == 0.0
 
     def test_full_plane_reads_total(self):
         det = DetectorModel(noise_sigma=0.0)
-        assert detect(state([1.0, 2.0, 3.0]), plane([1, 1, 1]), 1.0, det) == 6.0
+        assert detect_one(state([1.0, 2.0, 3.0]), plane([1, 1, 1]), 1.0, det) == 6.0
 
     def test_selected_nodes_sum(self):
         det = DetectorModel(noise_sigma=0.0)
-        assert detect(state([1.0, 2.0, 3.0]), plane([1, 0, 1]), 1.0, det) == 4.0
+        assert detect_one(state([1.0, 2.0, 3.0]), plane([1, 0, 1]), 1.0, det) == 4.0
 
     def test_gain_scales_signal(self):
         det = DetectorModel(noise_sigma=0.0)
-        assert detect(state([1.0, 1.0]), plane([1, 1]), 1.7, det) == pytest.approx(3.4)
+        assert detect_one(state([1.0, 1.0]), plane([1, 1]), 1.7, det) == pytest.approx(3.4)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            detect(state([1.0]), plane([1, 0]), 1.0, DetectorModel())
+            detect_one(state([1.0]), plane([1, 0]), 1.0, DetectorModel())
 
     def test_noise_stream_is_seeded(self):
         a = DetectorModel(noise_sigma=0.1, seed=7, noise_scale=10.0)
         b = DetectorModel(noise_sigma=0.1, seed=7, noise_scale=10.0)
         s, pl = state([1.0, 2.0]), plane([1, 1])
-        assert detect(s, pl, 1.0, a) == detect(s, pl, 1.0, b)
+        assert detect_one(s, pl, 1.0, a) == detect_one(s, pl, 1.0, b)
         # consecutive measurements draw fresh noise
-        assert detect(s, pl, 1.0, a) != detect(s, pl, 1.0, a)
+        assert detect_one(s, pl, 1.0, a) != detect_one(s, pl, 1.0, a)
 
 
 class TestReadout:
     def test_subtractive_example(self):
         det = DetectorModel(noise_sigma=0.0)
         m = TernaryMask(weights=np.array([1, -1, 0]))
-        assert readout(state([5.0, 2.0, 7.0]), m, 1.0, det) == 3.0
+        assert readout_one(state([5.0, 2.0, 7.0]), m, 1.0, det) == 3.0
 
     def test_zero_mask_noiseless(self):
         det = DetectorModel(noise_sigma=0.0)
         m = TernaryMask(weights=np.zeros(3, dtype=int))
-        assert readout(state([5.0, 2.0, 7.0]), m, 1.0, det) == 0.0
+        assert readout_one(state([5.0, 2.0, 7.0]), m, 1.0, det) == 0.0
 
     def test_noiseless_equals_weighted_sum(self):
         rng = np.random.default_rng(3)
@@ -129,34 +142,25 @@ class TestReadout:
             k = int(rng.integers(2, 200))
             m = random_mask(k, "ternary", int(rng.integers(1 << 31)))
             x = rng.random(k) * 10
-            got = readout(state(x), m, 1.0, det)
+            got = readout_one(state(x), m, 1.0, det)
             want = float(np.dot(m.weights.astype(float), x))
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_draw_counts_via_stream_position(self):
-        # a boolean readout advances the noise stream by one draw, a ternary
-        # readout by two, a dual-detector ternary readout by one
+        # a boolean readout advances the noise stream by one draw per sample,
+        # a ternary readout by two
         x = state([1.0, 2.0, 3.0])
         bool_mask = TernaryMask(weights=np.array([1, 0, 1]), mode="boolean")
         tern_mask = TernaryMask(weights=np.array([1, 0, -1]), mode="ternary")
         probe = np.random.default_rng(5).standard_normal(4)
 
         d = DetectorModel(noise_sigma=1.0, seed=5)
-        readout(x, bool_mask, 1.0, d)
+        readout_one(x, bool_mask, 1.0, d)
         assert d._rng.standard_normal() == probe[1]
 
         d = DetectorModel(noise_sigma=1.0, seed=5)
-        readout(x, tern_mask, 1.0, d)
+        readout_one(x, tern_mask, 1.0, d)
         assert d._rng.standard_normal() == probe[2]
-
-        d = DetectorModel(noise_sigma=1.0, seed=5, dual_detector=True)
-        readout(x, tern_mask, 1.0, d)
-        assert d._rng.standard_normal() == probe[1]
-
-    def test_dual_detector_noiseless_value_unchanged(self):
-        det = DetectorModel(noise_sigma=0.0, dual_detector=True)
-        m = TernaryMask(weights=np.array([1, -1, 0]))
-        assert readout(state([5.0, 2.0, 7.0]), m, 1.0, det) == 3.0
 
 
 class TestBatchReadout:

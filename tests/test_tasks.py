@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ternrc import (ConfigError, DataError, FormatError, HeaderSpec, UsageError,
-                    binarize, circle_mask, load_batch, load_mnist,
+from ternrc import (ConfigError, DataError, FormatError, HeaderSpec, LabeledBatch,
+                    UsageError, binarize, circle_mask, load_batch, load_mnist,
                     make_glyph_dataset, make_header_batch, make_onevsall_batch,
                     render_header, save_batch, write_idx_images, write_idx_labels)
 
@@ -234,3 +238,64 @@ class TestBatchContainer:
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(FormatError):
             load_batch(p)
+
+    def test_header_only_magic(self, tmp_path):
+        p = tmp_path / "batch.bin"
+        p.write_bytes(b"TRCB")
+        with pytest.raises(FormatError):
+            load_batch(p)
+
+    def test_empty_batch_not_saved(self, tmp_path):
+        empty = LabeledBatch(patterns=[], targets=np.zeros(0), labels=np.zeros(0, dtype=int))
+        with pytest.raises(UsageError):
+            save_batch(empty, tmp_path / "batch.bin")
+
+    def test_zero_patterns_rejected(self, tmp_path):
+        p = tmp_path / "batch.bin"
+        p.write_bytes(b"TRCB" + struct.pack(">III", 1, 0, 16))
+        with pytest.raises(FormatError):
+            load_batch(p)
+
+
+def _load_bytes(blob, root):
+    p = root / "fuzz.bin"
+    p.write_bytes(blob)
+    return load_batch(p)
+
+
+class TestBatchContainerFuzz:
+    """A malformed container may raise only FormatError."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("trcb")
+
+    @pytest.fixture(scope="class")
+    def valid(self, root):
+        save_batch(make_header_batch(3, 1, 6, seed=9, image_side=8), root / "valid.bin")
+        return (root / "valid.bin").read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_truncation(self, root, valid, data):
+        cut = data.draw(st.integers(0, len(valid) - 1))
+        with pytest.raises(FormatError):
+            _load_bytes(valid[:cut], root)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_after_magic(self, root, garbage):
+        try:
+            _load_bytes(b"TRCB" + garbage, root)
+        except FormatError:
+            pass
+
+    @given(st.integers(0, 3), st.integers(0, 9), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_payload_of_declared_size(self, root, n, d, data):
+        need = n * ((d * d + 7) // 8) + n * 8
+        payload = data.draw(st.binary(min_size=need, max_size=need))
+        try:
+            _load_bytes(b"TRCB" + struct.pack(">III", 1, n, d) + payload, root)
+        except FormatError:
+            pass
