@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -171,6 +172,27 @@ class TestGlyphDataset:
         data = make_glyph_dataset(400, seed=3)
         idx = np.nonzero(data.labels == 8)[0][:2]
         assert not np.array_equal(data.images[idx[0]], data.images[idx[1]])
+
+    # sha256 of images.tobytes() and labels.tobytes(); a change to the
+    # generator that moves any byte must re-pin these on purpose
+    @pytest.mark.parametrize("n, kwargs, images_sha, labels_sha", [
+        (600, {"seed": 3},
+         "48803bd4d0f7b467d109aec55ca246011cd40867bbe4a19a7042440808e2bcca",
+         "f8540017c4aecd43745304fa88038aed3e92cbb818d8936104e99c81ce3b57f8"),
+        (600, {"seed": 4},
+         "751ff7818cbd40ae4c8b76bbeb5d719b95c710bc8c73f195f1a041f782bba48d",
+         "e7d05c23ec068858a2bf1f0a9db3965606ed6e593c00cfd942f55028c0f515b8"),
+        (200, {"seed": 1, "distortion": 0.0},
+         "d9f75a8d30594def6dad524ce6262c9b42ed8cd31ec1105e4482c2fa1350201f",
+         "23967a56b5a2f564c43ff2fb47387130ec00a40258aa798a7925d445f4f91f18"),
+        (200, {"seed": 2, "distortion": 2.0},
+         "709dde48318d03c5f819234a0d22b2945e6b053cc8d6882faee88a113d322ccb",
+         "ed521d05530e5fb7f1f0819e036c38ffcfbcc26d6f89fd12dcdf42910bd21f83"),
+    ], ids=["600-s3", "600-s4", "200-s1-clean", "200-s2-distorted"])
+    def test_pinned_bytes(self, n, kwargs, images_sha, labels_sha):
+        data = make_glyph_dataset(n, **kwargs)
+        assert hashlib.sha256(data.images.tobytes()).hexdigest() == images_sha
+        assert hashlib.sha256(data.labels.tobytes()).hexdigest() == labels_sha
 
 
 class TestOneVsAll:
