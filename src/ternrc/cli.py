@@ -19,13 +19,12 @@ from .substrate import SubstrateConfig
 
 def _default_config(command: str) -> ExperimentConfig:
     if command in ("header", "alpha-scan", "train"):
-        return ExperimentConfig(
-            substrate=SubstrateConfig(input_side=64),
-            train=TrainConfig(alpha=10.0, max_epochs=800, mode="ternary",
-                              normalize="zscore"),
-            task=HeaderTask(),
-            repeats=1,
-        )
+        # the substrate's input side follows the header task's image side
+        return ExperimentConfig.from_json({
+            "train": {"alpha": 10.0, "max_epochs": 800, "mode": "ternary",
+                      "normalize": "zscore"},
+            "task": {"type": "header"},
+        })
     if command == "compare":
         return ExperimentConfig(
             substrate=SubstrateConfig(input_side=28),

@@ -101,14 +101,14 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, doc: str | dict) -> "ExperimentConfig":
         """Parse and validate a config document. Omitted top-level fields
-        take the dataclass defaults; a malformed or mistyped field raises
-        :class:`ConfigError`."""
+        take the dataclass defaults, and a header task's omitted substrate
+        ``input_side`` is its ``image_side``; a malformed or mistyped field
+        raises :class:`ConfigError`."""
         try:
             data = json.loads(doc) if isinstance(doc, str) else dict(doc)
             unknown = set(data) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-            sub = SubstrateConfig.from_json(data.get("substrate", {}))
             tr_doc = dict(data.get("train", {}))
             unknown = set(tr_doc) - set(TrainConfig.__dataclass_fields__)
             if unknown:
@@ -121,8 +121,13 @@ class ExperimentConfig:
             task_cls = {"header": HeaderTask, "mnist": MnistTask}.get(kind)
             if task_cls is None:
                 raise ConfigError(f"unknown task type {kind!r}")
+            task = task_cls(**task_doc)
+            sub_doc = dict(data.get("substrate", {}))
+            if isinstance(task, HeaderTask):
+                sub_doc.setdefault("input_side", task.image_side)
+            sub = SubstrateConfig.from_json(sub_doc)
             top = {name: read(data[name]) for name, read in _TOP_LEVEL.items() if name in data}
-            cfg = cls(substrate=sub, train=tr, task=task_cls(**task_doc), **top)
+            cfg = cls(substrate=sub, train=tr, task=task, **top)
             cfg.validate()
         except ConfigError:
             raise

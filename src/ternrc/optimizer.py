@@ -14,7 +14,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -30,7 +29,14 @@ STD_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one optimization run."""
+    """Hyperparameters of one optimization run.
+
+    ``normalize`` conditions each measured trace before the error (see
+    :class:`Normalizer`). Under ``"off"`` the error is in raw detected-power
+    units (hundreds at the stock physics), so at the usual gains
+    ``ceil(alpha * nmse)`` saturates at the mask length K and every epoch
+    becomes a full random redraw of the mask rather than an annealing step.
+    """
 
     alpha: float
     max_epochs: int
@@ -97,10 +103,14 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float:
 
 def n_mirrors(alpha: float, nmse_k: float, cap: int | None = None) -> int:
     """Number of mirror positions to perturb this epoch: ceil(alpha * error),
-    floored at one so the search always moves. The ceiling is evaluated in
-    exact rational arithmetic; a float product can round across an integer
-    boundary. An infinite error (degenerate trace) clamps to the mask
-    length ``cap``."""
+    floored at one so the search always moves. The ceiling is evaluated
+    exactly on the integer ratios of both floats; a float product can round
+    across an integer boundary. An infinite error (degenerate trace) clamps
+    to the mask length ``cap``.
+
+    The error is taken as given. With ``normalize="off"`` it is in raw
+    detected-power units, where ceil(alpha * error) saturates at ``cap``
+    and every epoch redraws the whole mask."""
     if alpha < 0 or not math.isfinite(alpha):
         raise UsageError(f"alpha must be finite and >= 0, got {alpha}")
     if nmse_k < 0:
@@ -109,7 +119,9 @@ def n_mirrors(alpha: float, nmse_k: float, cap: int | None = None) -> int:
         if cap is None:
             raise UsageError("infinite error needs the mask length to clamp to")
         return cap
-    n = max(1, math.ceil(Fraction(alpha) * Fraction(nmse_k)))
+    na, da = float(alpha).as_integer_ratio()
+    nb, db = float(nmse_k).as_integer_ratio()
+    n = max(1, -((-na * nb) // (da * db)))
     return n if cap is None else min(n, cap)
 
 

@@ -36,7 +36,7 @@ class TernaryMask:
         w = np.asarray(self.weights)
         if w.ndim != 1 or w.size < 1:
             raise ShapeError(f"weights must be a non-empty vector, got shape {w.shape}")
-        if not np.isin(w, (-1, 0, 1)).all():
+        if not ((w == -1) | (w == 0) | (w == 1)).all():
             raise ConfigError("weights must take values in {-1, 0, +1}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -235,14 +235,22 @@ def forward(substrate: Substrate, pattern: InputPattern) -> ReservoirState:
 
 def forward_batch(substrate: Substrate, batch: list[InputPattern]) -> list[ReservoirState]:
     """Map :func:`forward` over a batch; order preserved, results identical
-    to per-pattern calls (forward is pure, so elements may be evaluated
-    concurrently by a caller)."""
+    to per-pattern calls. Forward is pure, so it runs once per distinct
+    pixel pattern and repeats share that state (header batches draw from a
+    handful of rendered images)."""
     if len(batch) == 0:
         raise UsageError("forward_batch requires a non-empty batch")
     sides = {p.side for p in batch}
     if len(sides) != 1:
         raise ShapeError(f"batch patterns must share one side, got {sorted(sides)}")
-    return [forward(substrate, p) for p in batch]
+    seen: dict[bytes, ReservoirState] = {}
+    states = []
+    for p in batch:
+        key = p.pixels.tobytes()
+        if key not in seen:
+            seen[key] = forward(substrate, p)
+        states.append(seen[key])
+    return states
 
 
 def states_matrix(states: list[ReservoirState]) -> np.ndarray:

@@ -125,6 +125,9 @@ def load_mnist(images_path, labels_path) -> DigitDataset:
         magic, count, rows, cols = struct.unpack(">iiii", head)
         if magic != IDX_IMAGES_MAGIC:
             raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
+        if count < 0 or rows < 1 or cols < 1:
+            raise FormatError(
+                f"{images_path}: bad dimensions count={count} rows={rows} cols={cols}")
         payload = np.frombuffer(f.read(), dtype=np.uint8)
     if payload.size != count * rows * cols:
         raise FormatError(
@@ -281,7 +284,7 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
     cols = (np.arange(28)[None, None, :] - offsets[:, :, None]) % 28
     canvas = np.take_along_axis(canvas, cols, axis=2)
 
-    # blur with a per-image width, quantized so each bucket is one matmul
+    # blur with a per-image width, quantized so each bucket is two matmuls
     sigma = rng.uniform(0.5, 1.1, size=n_images) * max(distortion, 1e-9)
     out = np.empty_like(canvas)
     edges = np.asarray(_SIGMA_BUCKETS) * max(distortion, 1e-9)
@@ -291,7 +294,7 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
         if not sel.any():
             continue
         op = _blur_operator(28, float(sg)) if distortion > 0 else np.eye(28)
-        out[sel] = np.einsum("ij,njk,lk->nil", op, canvas[sel], op)
+        out[sel] = op @ canvas[sel] @ op.T
 
     amp = rng.uniform(0.65, 1.0, size=n_images)[:, None, None]
     noise = rng.standard_normal((n_images, 28, 28)) * 10.0 * distortion

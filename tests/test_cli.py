@@ -185,6 +185,16 @@ def test_missing_idx_path_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_header_input_side_follows_image_side():
+    cfg = ExperimentConfig.from_json({"train": VALID_TRAIN})
+    assert cfg.substrate.input_side == cfg.task.image_side == 64
+    cfg = ExperimentConfig.from_json({"train": VALID_TRAIN,
+                                      "task": {"type": "header", "image_side": 32}})
+    assert cfg.substrate.input_side == 32
+    with pytest.raises(ConfigError, match="input_side"):
+        ExperimentConfig.from_json({"substrate": {"input_side": 28}, "train": VALID_TRAIN})
+
+
 def test_omitted_fields_take_dataclass_defaults():
     cfg = ExperimentConfig.from_json({"substrate": {"input_side": 64}, "train": VALID_TRAIN})
     fields = ExperimentConfig.__dataclass_fields__

@@ -78,11 +78,14 @@ class TestNMirrors:
             n_mirrors(1.0, -0.5)
 
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False),
-           st.floats(min_value=0, max_value=1e6, allow_nan=False))
+           st.floats(min_value=0, max_value=1e6, allow_nan=False),
+           st.none() | st.integers(1, 1000))
     @settings(max_examples=500, deadline=None)
-    def test_matches_rational_oracle(self, alpha, err):
+    def test_matches_rational_oracle(self, alpha, err, cap):
         expect = max(1, math.ceil(Fraction(alpha) * Fraction(err)))
-        assert n_mirrors(alpha, err) == expect
+        if cap is not None:
+            expect = min(expect, cap)
+        assert n_mirrors(alpha, err, cap=cap) == expect
 
 
 class TestPropose:

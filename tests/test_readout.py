@@ -34,6 +34,9 @@ class TestMaskType:
     def test_alphabet_enforced(self):
         with pytest.raises(ConfigError):
             TernaryMask(weights=np.array([0, 2, 1]))
+        for bad in (0.5, 2.0, -2.0, np.nan):
+            with pytest.raises(ConfigError):
+                TernaryMask(weights=np.array([0.0, bad, 1.0]))
 
     def test_boolean_mode_rejects_minus(self):
         with pytest.raises(ConfigError):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import ternrc.substrate as substrate_mod
 from ternrc import (ConfigError, InputPattern, ShapeError, SubstrateConfig,
                     UsageError, advance_drift, build_substrate, circle_mask,
-                    forward, forward_batch)
+                    forward, forward_batch, make_header_batch)
 
 
 def make_pattern(side=28, seed=0, density=0.3):
@@ -163,6 +164,25 @@ class TestForwardBatch:
         assert len(batch) == 3
         for got, pat in zip(batch, pats):
             assert np.array_equal(got.intensities, forward(sub, pat).intensities)
+
+    def test_repeats_computed_once_and_bit_identical(self, monkeypatch):
+        sub = build_substrate(SubstrateConfig(input_side=16))
+        pats = make_header_batch(3, 5, 60, seed=2, image_side=16).patterns
+        distinct = {p.pixels.tobytes() for p in pats}
+        assert len(distinct) < len(pats)
+        expect = [forward(sub, p).intensities for p in pats]
+        calls = []
+
+        def counting_forward(substrate, pattern):
+            calls.append(pattern.pixels.tobytes())
+            return forward(substrate, pattern)
+
+        monkeypatch.setattr(substrate_mod, "forward", counting_forward)
+        got = forward_batch(sub, pats)
+        assert sorted(calls) == sorted(distinct)
+        assert len(got) == len(pats)
+        for state, want in zip(got, expect):
+            assert state.intensities.tobytes() == want.tobytes()
 
     def test_thousand_patterns(self):
         sub = build_substrate(SubstrateConfig(grid_side=8, input_side=8))

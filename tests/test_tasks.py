@@ -138,12 +138,20 @@ class TestIdx:
             load_mnist(p, p)
 
     def test_truncated_payload(self, tmp_path):
-        import struct
         ip = tmp_path / "img"
         ip.write_bytes(struct.pack(">iiii", 0x803, 10, 28, 28) + b"\x00" * 100)
         lp = tmp_path / "lab"
         write_idx_labels(np.zeros(10, dtype=np.uint8), lp)
         with pytest.raises(FormatError, match="pixel bytes"):
+            load_mnist(ip, lp)
+
+    @pytest.mark.parametrize("count, rows, cols", [
+        (0, -3, 5), (-1, -1, 1), (-1, 28, 28), (2, 0, 28), (2, 28, 0)])
+    def test_bad_dimensions(self, tmp_path, count, rows, cols):
+        ip, lp = tmp_path / "img", tmp_path / "lab"
+        ip.write_bytes(struct.pack(">iiii", 0x803, count, rows, cols))
+        write_idx_labels(np.zeros(0, dtype=np.uint8), lp)
+        with pytest.raises(FormatError, match="bad dimensions"):
             load_mnist(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
@@ -153,6 +161,60 @@ class TestIdx:
         write_idx_labels(data.labels[:4], lp)
         with pytest.raises(FormatError, match="count"):
             load_mnist(ip, lp)
+
+
+class TestIdxFuzz:
+    """A malformed IDX file pair may raise only FormatError."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("idx-fuzz")
+
+    @pytest.fixture(scope="class")
+    def valid(self, root):
+        data = make_glyph_dataset(3, seed=9)
+        write_idx_images(data.images[:, :4, :5], root / "img")
+        write_idx_labels(data.labels, root / "lab")
+        return (root / "img").read_bytes(), (root / "lab").read_bytes()
+
+    @staticmethod
+    def _load(root, images, labels):
+        (root / "fuzz-img").write_bytes(images)
+        (root / "fuzz-lab").write_bytes(labels)
+        return load_mnist(root / "fuzz-img", root / "fuzz-lab")
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_truncation(self, root, valid, data):
+        images, labels = valid
+        which = data.draw(st.sampled_from(["images", "labels"]))
+        if which == "images":
+            images = images[:data.draw(st.integers(0, len(images) - 1))]
+        else:
+            labels = labels[:data.draw(st.integers(0, len(labels) - 1))]
+        with pytest.raises(FormatError):
+            self._load(root, images, labels)
+
+    @given(st.binary(max_size=12), st.binary(max_size=200), st.binary(max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_header_and_payload(self, root, head, payload, labels):
+        images = struct.pack(">i", 0x803) + head + payload
+        try:
+            self._load(root, images, struct.pack(">i", 0x801) + labels)
+        except FormatError:
+            pass
+
+    @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_garbage_payload_of_declared_size(self, root, count, rows, cols, data):
+        size = max(count * rows * cols, 0)
+        payload = data.draw(st.binary(min_size=size, max_size=size))
+        labels = data.draw(st.binary(min_size=max(count, 0), max_size=max(count, 0)))
+        try:
+            self._load(root, struct.pack(">iiii", 0x803, count, rows, cols) + payload,
+                       struct.pack(">ii", 0x801, count) + labels)
+        except FormatError:
+            pass
 
 
 class TestGlyphDataset:
