@@ -309,6 +309,26 @@ class TestBatchContainer:
         for x, y in zip(back.patterns, batch.patterns):
             assert np.array_equal(x.pixels, y.pixels)
 
+    # sha256 of the written file; side 30 leaves 4 padding bits per pattern,
+    # 20 crops and 32 pads the 28 px digits
+    @pytest.mark.parametrize("kind, side, sha", [
+        ("header", 30, "59a39bec17454a98dd75c221449fbb5f97726f5ba05cdcfe7bf4a6df625fec95"),
+        ("digit", 20, "546d96a98ea12b35a5baec270239f3c3a16fd1692a4eb8915ae41644ecc8cb08"),
+        ("digit", 32, "336042b26dcc26e2b0d6aa649b096e3a88575fa94d2223bc346eeabcd076337c"),
+    ], ids=["header-30", "digit-crop-20", "digit-pad-32"])
+    def test_pinned_bytes(self, tmp_path, kind, side, sha):
+        if kind == "header":
+            batch = make_header_batch(4, 5, 60, seed=21, image_side=side)
+        else:
+            batch = make_onevsall_batch(make_glyph_dataset(600, seed=3), 3, 40, seed=22,
+                                        input_side=side)
+        p = tmp_path / "batch.bin"
+        save_batch(batch, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == sha
+        back = load_batch(p)
+        save_batch(back, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == p.read_bytes()
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 32)
