@@ -14,9 +14,8 @@ from .optimizer import (EpochRecord, Metrics, TrainConfig, TrainResult, evaluate
 from .readout import (BooleanPlane, DetectorModel, TernaryMask, compose, decompose,
                       detect_batch, mask_from_json, mask_to_grid, mask_to_json,
                       random_mask, readout_batch)
-from .substrate import (InputPattern, ReservoirState, Substrate, SubstrateConfig,
-                        advance_drift, build_substrate, circle_mask, forward,
-                        forward_batch, states_matrix)
+from .substrate import (Substrate, SubstrateConfig, advance_drift, build_substrate,
+                        circle_mask, forward_batch, states_matrix)
 from .tasks import (DigitDataset, HeaderSpec, LabeledBatch, binarize, load_batch,
                     load_mnist, make_glyph_dataset, make_header_batch,
                     make_onevsall_batch, render_header, save_batch,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError, UsageError
-from .optimizer import Metrics, midpoint_threshold, nmse, _positive_class
+from .optimizer import Metrics, midpoint_threshold, nmse, score, _positive_class
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,7 @@ def ridge_eval(model: RidgeModel, states, targets,
     for trained masks."""
     t = np.asarray(targets, dtype=float)
     y = ridge_predict(model, states)
-    err = nmse(y, t)
-    if isinstance(threshold_rule, str):
-        if threshold_rule != "midpoint":
-            raise UsageError(f"unknown threshold rule {threshold_rule!r}")
-        thr = midpoint_threshold(y, t)
-    else:
-        thr = float(threshold_rule)
-    pos = _positive_class(t)
-    pred = y > thr
-    ser = float(np.mean(pred != pos))
-    return Metrics(nmse=err, accuracy=1.0 - ser, ser=ser, threshold=thr)
+    return score(y, t, nmse(y, t), threshold_rule)
 
 
 def lambda_sweep(states, targets, grid, folds: int = 5) -> float:

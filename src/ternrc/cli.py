@@ -61,6 +61,12 @@ def _load_config(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.repeats is not None:
         cfg = dataclasses.replace(cfg, repeats=args.repeats)
+    if getattr(args, "alphas", None):
+        try:
+            alphas = tuple(float(v) for v in args.alphas.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--alphas must be comma-separated numbers: {exc}") from exc
+        cfg = dataclasses.replace(cfg, alphas=alphas)
     if isinstance(cfg.task, MnistTask):
         task = cfg.task
         if args.mnist_images:
@@ -115,13 +121,7 @@ def main(argv=None) -> int:
             rows = run_comparison(cfg)
             _print_medians(rows)
         elif args.command == "alpha-scan":
-            alphas = None
-            if args.alphas:
-                try:
-                    alphas = [float(v) for v in args.alphas.split(",")]
-                except ValueError as exc:
-                    raise UsageError(f"--alphas must be comma-separated numbers: {exc}") from exc
-            rows = run_alpha_scan(cfg, alphas)
+            rows = run_alpha_scan(cfg)
             for alpha in sorted({r["alpha"] for r in rows}):
                 sel = [r for r in rows if r["alpha"] == alpha]
                 print(f"alpha={alpha:g}: median final nmse="

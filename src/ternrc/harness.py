@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import zlib
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -24,8 +26,8 @@ from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, evaluate,
 from .readout import DetectorModel, TernaryMask, mask_to_json, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift,
                         forward_batch, states_matrix)
-from .tasks import (DigitDataset, LabeledBatch, load_mnist, make_header_batch,
-                    make_onevsall_batch)
+from .tasks import (DigitDataset, HeaderSpec, LabeledBatch, load_mnist,
+                    make_header_batch, make_onevsall_batch)
 
 RESULTS_SCHEMA = "ternrc-results-v1"
 CURVES_SCHEMA = "ternrc-curves-v1"
@@ -45,6 +47,15 @@ def derive_seed(base: int, tag: str, index: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_n_samples(n) -> None:
+    if not _is_int(n) or n < 2 or n % 2:
+        raise ConfigError(f"task n_samples must be an even integer >= 2, got {n!r}")
+
+
 @dataclass(frozen=True)
 class HeaderTask:
     n_bits: int = 4
@@ -52,6 +63,12 @@ class HeaderTask:
     n_samples: int = 1000
     image_side: int = 64
     type: str = "header"
+
+    def validate(self) -> None:
+        if not all(map(_is_int, (self.n_bits, self.target_value, self.image_side))):
+            raise ConfigError(f"task n_bits, target_value and image_side must be integers: {self}")
+        _check_n_samples(self.n_samples)
+        HeaderSpec(self.n_bits, self.image_side, self.target_value).validate()
 
 
 @dataclass(frozen=True)
@@ -63,6 +80,15 @@ class MnistTask:
     digit: int | None = 0
     n_samples: int = 1000
     type: str = "mnist"
+
+    def validate(self) -> None:
+        paths = [self.images, self.labels] + [
+            p for p in (self.test_images, self.test_labels) if p is not None]
+        if not all(isinstance(p, str) for p in paths):
+            raise ConfigError(f"task image and label paths must be strings, got {paths!r}")
+        if self.digit is not None and not (_is_int(self.digit) and 0 <= self.digit <= 9):
+            raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
+        _check_n_samples(self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -89,8 +115,15 @@ class ExperimentConfig:
     def validate(self) -> None:
         self.substrate.validate()
         self.train.validate()
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        self.task.validate()
+        if not _is_int(self.repeats) or self.repeats < 1:
+            raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
+        for name in ("alphas", "ridge_grid"):
+            values = getattr(self, name)
+            if not values or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                     and math.isfinite(v) and v >= 0 for v in values):
+                raise ConfigError(
+                    f"{name} must be a non-empty list of finite numbers >= 0, got {values!r}")
         if not 0.0 < self.off_brightness <= 1.0:
             raise ConfigError(f"off_brightness must be in (0, 1], got {self.off_brightness}")
         if isinstance(self.task, HeaderTask) and self.task.image_side != self.substrate.input_side:
@@ -142,7 +175,7 @@ class ExperimentConfig:
 
 
 #: optional top-level config fields and the type each is read as
-_TOP_LEVEL = {"repeats": int, "output_dir": lambda v: v, "off_brightness": float,
+_TOP_LEVEL = {"repeats": lambda v: v, "output_dir": lambda v: v, "off_brightness": float,
               "ridge_grid": tuple, "alphas": tuple}
 
 
@@ -181,17 +214,13 @@ class BatchReadout:
 # Batch acquisition per task
 
 def _load_partitions(task: MnistTask) -> tuple[DigitDataset, DigitDataset | None]:
-    for p in (task.images, task.labels):
-        if not p or not Path(p).exists():
-            raise DataError(
-                f"digit dataset file not found: {p!r}; pass --mnist-images/--mnist-labels "
-                "or point the task config at IDX files")
+    """(train, test) partitions; load_mnist raises DataError on unreadable files."""
+    if not (task.images and task.labels):
+        raise DataError("no digit dataset given; pass --mnist-images/--mnist-labels "
+                        "or point the task config at IDX files")
     train_part = load_mnist(task.images, task.labels)
     test_part = None
     if task.test_images and task.test_labels:
-        if not (Path(task.test_images).exists() and Path(task.test_labels).exists()):
-            raise DataError(
-                f"test dataset files not found: {task.test_images!r} / {task.test_labels!r}")
         test_part = load_mnist(task.test_images, task.test_labels)
     return train_part, test_part
 
@@ -283,8 +312,8 @@ def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
 def _states(sub: Substrate, batch_tr: LabeledBatch, batch_te: LabeledBatch):
     """Noiseless (train, test) state matrices, and the training batch's mean
     all-on power at unit gain."""
-    s_tr = states_matrix(forward_batch(sub, batch_tr.patterns))
-    s_te = states_matrix(forward_batch(sub, batch_te.patterns))
+    s_tr = states_matrix(*forward_batch(sub, batch_tr.pixels))
+    s_te = states_matrix(*forward_batch(sub, batch_te.pixels))
     return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
 
 
@@ -387,13 +416,10 @@ def _row(result: TrainResult | None, m_train: Metrics, m_test: Metrics) -> dict:
     }
 
 
-def run_alpha_scan(cfg: ExperimentConfig, alphas=None) -> list[dict]:
-    """Train at each mutation gain over ``repeats`` seeds, recording full
-    learning curves and the epochs-to-convergence summary."""
+def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
+    """Train at each mutation gain of ``cfg.alphas`` over ``repeats`` seeds,
+    recording full learning curves and the epochs-to-convergence summary."""
     cfg.validate()
-    alphas = list(cfg.alphas if alphas is None else alphas)
-    if not alphas:
-        raise UsageError("alphas must be non-empty")
     cache: dict = {}
     rows, curves = [], []
     out = _OutputSink(cfg)
@@ -401,7 +427,7 @@ def run_alpha_scan(cfg: ExperimentConfig, alphas=None) -> list[dict]:
         sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat, _cache=cache)
         states, power = _states(sub, batch_tr, batch_te)
-        for alpha in alphas:
+        for alpha in cfg.alphas:
             tag = f"-a{alpha}"
             rigs = _rigs(cfg, repeat, tag, sub, states, power)
             tc, result, _, m_te = _train_arm(cfg, repeat, tag, rigs, batch_tr, batch_te,
@@ -467,6 +493,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         raise UsageError(f"n_checks must be >= 2, got {n_checks}")
     if drift_steps_per_check < 0:
         raise UsageError(f"drift_steps_per_check must be >= 0, got {drift_steps_per_check}")
+    out = _OutputSink(cfg)
     sub = _substrate(cfg, 0)
     batch_tr, batch_te = make_task_batches(cfg, 0)
     states, power = _states(sub, batch_tr, batch_te)
@@ -489,7 +516,6 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     report = StabilityReport(reference_trace=reference, traces=traces,
                              consistencies=cons, nmse_series=np.array(errs),
                              gain_series=np.array(gains))
-    out = _OutputSink(cfg)
     out.write_stability(report)
     out.write_config(cfg)
     return report
@@ -505,7 +531,10 @@ class _OutputSink:
     def __init__(self, cfg: ExperimentConfig):
         self.root = Path(cfg.output_dir) if cfg.output_dir else None
         if self.root:
-            self.root.mkdir(parents=True, exist_ok=True)
+            try:
+                self.root.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot create output directory {self.root}: {exc}") from exc
 
     def _csv(self, name: str, schema: str, columns: list[str], rows: list[dict]) -> None:
         if not self.root:

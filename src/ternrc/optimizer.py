@@ -269,13 +269,7 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
              y_target: np.ndarray, threshold_rule: float | str = "midpoint",
              normalize: str = "off",
              output_transform: tuple[float, float] | None = None) -> Metrics:
-    """Measure a mask once and score it: error, accuracy and symbol error
-    rate under the threshold decision ``y > threshold``.
-
-    ``threshold_rule`` is either the string "midpoint" (threshold computed
-    from this batch's class-conditional means) or a frozen numeric threshold
-    carried over from a training batch.
-    """
+    """Measure a mask once and :func:`score` its normalized trace."""
     t = np.asarray(y_target, dtype=float)
     y = _measure(forward_pass, mask, t.size)
     norm = Normalizer(normalize, t)
@@ -285,16 +279,23 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
         else:
             norm.transform = output_transform
     y_n = norm(y)
-    err = nmse(y_n, t)
+    return score(y_n, t, nmse(y_n, t), threshold_rule)
+
+
+def score(y_out: np.ndarray, y_target: np.ndarray, err: float,
+          threshold_rule: float | str = "midpoint") -> Metrics:
+    """Metrics of one output trace with error ``err``: accuracy and symbol
+    error rate under the decision ``y > threshold``, where ``threshold_rule``
+    is "midpoint" (this trace's class-conditional means) or a frozen numeric
+    threshold carried over from a training batch."""
+    t = np.asarray(y_target, dtype=float)
     if isinstance(threshold_rule, str):
         if threshold_rule != "midpoint":
             raise UsageError(f"unknown threshold rule {threshold_rule!r}")
-        thr = midpoint_threshold(y_n, t)
+        thr = midpoint_threshold(y_out, t)
     else:
         thr = float(threshold_rule)
-    pos = _positive_class(t)
-    pred = y_n > thr
-    ser = float(np.mean(pred != pos))
+    ser = float(np.mean((y_out > thr) != _positive_class(t)))
     return Metrics(nmse=err, accuracy=1.0 - ser, ser=ser, threshold=thr)
 
 

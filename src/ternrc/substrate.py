@@ -6,6 +6,12 @@ random transmission matrix models the multimode-fibre speckle, a static
 saturable map models the laser operated in its steady state, and a gaussian
 coupling over the node grid models carrier diffusion. A linear mode
 (``vcsel_on=False``) bypasses the laser and returns raw detected intensities.
+
+Shapes: a batch is an (N, d, d) Boolean frame stack, d = ``input_side``.
+The transmission is (K, D) complex for the K active nodes and the D pixels
+of the input aperture. :func:`forward_batch` returns the (U, K) states of
+the U distinct frames and an (N,) row index into them; :func:`states_matrix`
+gathers the (N, K) batch matrix.
 """
 
 from __future__ import annotations
@@ -26,57 +32,6 @@ def circle_mask(side: int) -> np.ndarray:
     centers = np.arange(side) + 0.5
     d2 = (centers - c)[:, None] ** 2 + (centers - c)[None, :] ** 2
     return d2 <= c * c
-
-
-@dataclass(frozen=True)
-class InputPattern:
-    """Boolean d x d image displayed on the input mirror array.
-
-    ``aperture`` marks the illuminated disk; pixels outside it are dark by
-    construction and the constructor rejects patterns violating that.
-    """
-
-    pixels: np.ndarray
-    aperture: np.ndarray
-
-    def __post_init__(self):
-        px, ap = np.asarray(self.pixels), np.asarray(self.aperture)
-        if px.ndim != 2 or px.shape != ap.shape or px.shape[0] != px.shape[1]:
-            raise ShapeError(f"pattern must be square with matching aperture, got {px.shape} / {ap.shape}")
-        if px.shape[0] < 4:
-            raise ConfigError(f"pattern side must be >= 4, got {px.shape[0]}")
-        if px.dtype != bool or ap.dtype != bool:
-            raise ConfigError("pixels and aperture must be boolean arrays")
-        if np.any(px & ~ap):
-            raise ConfigError("pixels outside the aperture must be off")
-
-    @property
-    def side(self) -> int:
-        return self.pixels.shape[0]
-
-    @classmethod
-    def from_pixels(cls, pixels, side: int | None = None) -> "InputPattern":
-        """Build a pattern from any truthy 2-D array; values are thresholded
-        to on/off, the image is center-cropped/padded to ``side`` when given,
-        and the inscribed-circle aperture is applied."""
-        px = np.asarray(pixels).astype(bool)
-        if side is not None and px.shape != (side, side):
-            px = _center_fit(px, side)
-        ap = circle_mask(px.shape[0])
-        return cls(pixels=px & ap, aperture=ap)
-
-
-def _center_fit(img: np.ndarray, side: int) -> np.ndarray:
-    """Center-crop or zero-pad a square boolean image to side x side."""
-    out = np.zeros((side, side), dtype=bool)
-    s = img.shape[0]
-    if s >= side:
-        o = (s - side) // 2
-        out[:, :] = img[o:o + side, o:o + side]
-    else:
-        o = (side - s) // 2
-        out[o:o + s, o:o + s] = img
-    return out
 
 
 @dataclass(frozen=True)
@@ -194,22 +149,14 @@ def _coupling_matrix(node_mask: np.ndarray, sigma: float) -> np.ndarray:
     return w / w.sum(axis=0, keepdims=True)
 
 
-@dataclass(frozen=True)
-class ReservoirState:
-    """Non-negative detected intensity per active node."""
+def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic forward pass of an (N, d, d) Boolean frame stack.
 
-    intensities: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.intensities)
-        if x.ndim != 1:
-            raise ShapeError(f"state must be a flat vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)) or np.any(x < 0):
-            raise ConfigError("intensities must be finite and >= 0")
-
-
-def forward(substrate: Substrate, pattern: InputPattern) -> ReservoirState:
-    """One deterministic forward pass: pattern -> node intensities.
+    Returns ``(states, index)``: ``states`` holds the (U, K) node intensities
+    of the U distinct frames and ``index`` (N,) maps each frame to its row,
+    so repeated frames (header batches draw from a handful of rendered
+    images) are computed once; :func:`states_matrix` gathers the (N, K)
+    batch matrix.
 
     The field at node j is the transmission row applied to the active input
     pixels; intensity is its squared modulus. With the laser on, intensities
@@ -217,45 +164,39 @@ def forward(substrate: Substrate, pattern: InputPattern) -> ReservoirState:
     with the laser off they are returned as detected, unmodified.
     Measurement noise is applied later, at detection.
     """
-    if pattern.side != substrate.config.input_side:
-        raise ShapeError(
-            f"pattern side {pattern.side} != substrate input side {substrate.config.input_side}")
-    u = pattern.pixels[substrate.input_mask].astype(float)
-    a = substrate.transmission @ u
-    p = np.abs(a) ** 2
+    px = np.asarray(batch)
+    side = substrate.config.input_side
+    if px.ndim != 3 or px.shape[1:] != (side, side):
+        raise ShapeError(f"batch must be an (N, {side}, {side}) frame stack, got {px.shape}")
+    if len(px) == 0:
+        raise UsageError("forward_batch requires a non-empty batch")
+    if px.dtype != bool:
+        raise ConfigError(f"frames must be boolean, got {px.dtype}")
+    flat = px.reshape(len(px), -1)
+    # each bit-packed row compared as one opaque value: np.unique(axis=0)
+    # compares Boolean columns one by one, ~300x slower on 64 px frames
+    packed = np.packbits(flat, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    u = flat[first][:, substrate.input_mask.ravel()].astype(float)
+    # one matvec per frame, not one GEMM over the stack: a GEMM sums in
+    # another order and moves the last bits of every state
+    p = np.abs(np.stack([substrate.transmission @ v for v in u])) ** 2
+    x = p
     if substrate.config.vcsel_on:
         s = substrate.config.saturation
-        x = p / (1.0 + s * p) if s > 0 else p
+        if s > 0:
+            x = p / (1.0 + s * p)
         if substrate._coupling is not None:
-            x = substrate._coupling @ x
-    else:
-        x = p
-    return ReservoirState(intensities=x)
+            x = np.stack([substrate._coupling @ v for v in x])
+    if not np.all(np.isfinite(x)) or np.any(x < 0):
+        raise ConfigError("intensities must be finite and >= 0")
+    return x, index
 
 
-def forward_batch(substrate: Substrate, batch: list[InputPattern]) -> list[ReservoirState]:
-    """Map :func:`forward` over a batch; order preserved, results identical
-    to per-pattern calls. Forward is pure, so it runs once per distinct
-    pixel pattern and repeats share that state (header batches draw from a
-    handful of rendered images)."""
-    if len(batch) == 0:
-        raise UsageError("forward_batch requires a non-empty batch")
-    sides = {p.side for p in batch}
-    if len(sides) != 1:
-        raise ShapeError(f"batch patterns must share one side, got {sorted(sides)}")
-    seen: dict[bytes, ReservoirState] = {}
-    states = []
-    for p in batch:
-        key = p.pixels.tobytes()
-        if key not in seen:
-            seen[key] = forward(substrate, p)
-        states.append(seen[key])
-    return states
-
-
-def states_matrix(states: list[ReservoirState]) -> np.ndarray:
-    """Stack states into an (N, K) array for vectorized detection."""
-    return np.stack([s.intensities for s in states])
+def states_matrix(states: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The (N, K) batch matrix of :func:`forward_batch`'s distinct states."""
+    return states[index]
 
 
 def advance_drift(substrate: Substrate, steps: int) -> Substrate:

@@ -5,6 +5,11 @@ Both generators follow the balanced-batch protocol: half the batch is the
 positive class, half is drawn uniformly from the alternatives, shuffled by
 seed. A deterministic synthetic handwritten-digit generator is included as a
 stand-in when the canonical digit files are not on disk.
+
+Shapes: a batch holds an (N, d, d) Boolean frame stack, dark outside the
+inscribed-circle aperture of side d, with (N,) targets and (N,) labels; a
+rendered header or binarized image is one (d, d) frame; a digit dataset
+holds (N, rows, cols) uint8 grayscale images.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, FormatError, ShapeError, UsageError
-from .substrate import InputPattern, circle_mask
+from .substrate import circle_mask
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -23,19 +28,35 @@ IDX_LABELS_MAGIC = 0x00000801
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Patterns with regression targets and raw class labels."""
+    """Boolean (N, d, d) frames for the input mirror array, with regression
+    targets and raw class labels. Pixels outside the inscribed-circle
+    aperture are dark by construction; the constructor rejects frames
+    violating that."""
 
-    patterns: list[InputPattern]
+    pixels: np.ndarray
     targets: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        n = len(self.patterns)
+        _check_frames(self.pixels)
+        n = len(self.pixels)
         if len(self.targets) != n or len(self.labels) != n:
-            raise ShapeError("patterns, targets and labels must have equal length")
+            raise ShapeError("pixels, targets and labels must have equal length")
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.pixels)
+
+
+def _check_frames(pixels: np.ndarray) -> None:
+    px = np.asarray(pixels)
+    if px.ndim != 3 or px.shape[1] != px.shape[2]:
+        raise ShapeError(f"frames must form an (N, d, d) stack, got shape {px.shape}")
+    if px.shape[1] < 4:
+        raise ConfigError(f"frame side must be >= 4, got {px.shape[1]}")
+    if px.dtype != bool:
+        raise ConfigError(f"frames must be boolean, got {px.dtype}")
+    if np.any(px & ~circle_mask(px.shape[1])):
+        raise ConfigError("pixels outside the aperture must be off")
 
 
 @dataclass(frozen=True)
@@ -58,7 +79,7 @@ class HeaderSpec:
                 f"header_value must be in [0, {2 ** self.n_bits}), got {self.header_value}")
 
 
-def render_header(spec: HeaderSpec) -> InputPattern:
+def render_header(spec: HeaderSpec) -> np.ndarray:
     """Render one header. Sector k spans angles [2*pi*k/n, 2*pi*(k+1)/n)
     measured counter-clockwise from the +x axis, with +y pointing up."""
     spec.validate()
@@ -70,8 +91,7 @@ def render_header(spec: HeaderSpec) -> InputPattern:
     angle = np.mod(np.arctan2(y, x), 2.0 * np.pi)
     sector = np.minimum((angle / (2.0 * np.pi) * spec.n_bits).astype(int), spec.n_bits - 1)
     lit = ((spec.header_value >> sector) & 1).astype(bool)
-    aperture = circle_mask(side)
-    return InputPattern(pixels=lit & aperture, aperture=aperture)
+    return lit & circle_mask(side)
 
 
 def make_header_batch(n_bits: int, target_value: int, n_samples: int, seed: int,
@@ -92,10 +112,10 @@ def make_header_batch(n_bits: int, target_value: int, n_samples: int, seed: int,
     order = rng.permutation(n_samples)
     values, targets = values[order], targets[order]
     # headers come from a small alphabet; render each distinct value once
-    cache = {int(v): render_header(HeaderSpec(n_bits, image_side, int(v)))
-             for v in np.unique(values)}
-    patterns = [cache[int(v)] for v in values]
-    return LabeledBatch(patterns=patterns, targets=targets, labels=values.astype(int))
+    distinct, which = np.unique(values, return_inverse=True)
+    renders = np.stack([render_header(HeaderSpec(n_bits, image_side, int(v)))
+                        for v in distinct])
+    return LabeledBatch(pixels=renders[which], targets=targets, labels=values.astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -116,32 +136,38 @@ class DigitDataset:
         return self.images.shape[0]
 
 
+def _read(path) -> bytes:
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def load_mnist(images_path, labels_path) -> DigitDataset:
     """Load an IDX image/label file pair (big-endian, ubyte payload)."""
-    with open(images_path, "rb") as f:
-        head = f.read(16)
-        if len(head) < 16:
-            raise FormatError(f"{images_path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">iiii", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
-        if count < 0 or rows < 1 or cols < 1:
-            raise FormatError(
-                f"{images_path}: bad dimensions count={count} rows={rows} cols={cols}")
-        payload = np.frombuffer(f.read(), dtype=np.uint8)
+    blob = _read(images_path)
+    if len(blob) < 16:
+        raise FormatError(f"{images_path}: truncated IDX header")
+    magic, count, rows, cols = struct.unpack(">iiii", blob[:16])
+    if magic != IDX_IMAGES_MAGIC:
+        raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
+    if count < 0 or rows < 1 or cols < 1:
+        raise FormatError(
+            f"{images_path}: bad dimensions count={count} rows={rows} cols={cols}")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=16)
     if payload.size != count * rows * cols:
         raise FormatError(
             f"{images_path}: expected {count * rows * cols} pixel bytes, got {payload.size}")
     images = payload.reshape(count, rows, cols)
 
-    with open(labels_path, "rb") as f:
-        head = f.read(8)
-        if len(head) < 8:
-            raise FormatError(f"{labels_path}: truncated IDX header")
-        magic, n_labels = struct.unpack(">ii", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}")
-        labels = np.frombuffer(f.read(), dtype=np.uint8)
+    blob = _read(labels_path)
+    if len(blob) < 8:
+        raise FormatError(f"{labels_path}: truncated IDX header")
+    magic, n_labels = struct.unpack(">ii", blob[:8])
+    if magic != IDX_LABELS_MAGIC:
+        raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}")
+    labels = np.frombuffer(blob, dtype=np.uint8, offset=8)
     if labels.size != n_labels:
         raise FormatError(f"{labels_path}: expected {n_labels} labels, got {labels.size}")
     if n_labels != count:
@@ -167,15 +193,35 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
         f.write(labels.tobytes())
 
 
-def binarize(image: np.ndarray, threshold_fraction: float = 0.5) -> InputPattern:
-    """Boolean pattern for the input mirror array: a pixel is on iff its
-    intensity exceeds threshold_fraction * 255."""
+def binarize(image: np.ndarray, threshold_fraction: float = 0.5) -> np.ndarray:
+    """Boolean (d, d) frame for the input mirror array: a pixel is on iff it
+    lies in the aperture and its intensity exceeds threshold_fraction * 255."""
     if not 0.0 < threshold_fraction < 1.0:
         raise UsageError(f"threshold_fraction must be in (0, 1), got {threshold_fraction}")
     img = np.asarray(image)
     if img.ndim != 2:
         raise ShapeError(f"expected a 2-D grayscale image, got shape {img.shape}")
-    return InputPattern.from_pixels(img > threshold_fraction * 255.0)
+    frame = _frames(img[None] > threshold_fraction * 255.0)
+    _check_frames(frame)
+    return frame[0]
+
+
+def _frames(on: np.ndarray, side: int | None = None) -> np.ndarray:
+    """Boolean (N, s, s) stack -> (N, side, side) frames: center-cropped or
+    zero-padded to ``side`` when given, then cut to the inscribed-circle
+    aperture. Fitting goes first: a padded image's aperture is the larger
+    one."""
+    s = on.shape[1]
+    if side is not None and on.shape[1:] != (side, side):
+        if s >= side:
+            o = (s - side) // 2
+            on = on[:, o:o + side, o:o + side]
+        else:
+            o = (side - s) // 2
+            padded = np.zeros((len(on), side, side), dtype=bool)
+            padded[:, o:o + s, o:o + s] = on
+            on = padded
+    return on & circle_mask(on.shape[1])
 
 
 def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed: int,
@@ -210,10 +256,8 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
     targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
     order = np.random.default_rng(seed + 0x5EED * (draw + 1)).permutation(n_samples)
     chosen, targets = chosen[order], targets[order]
-    patterns = [InputPattern.from_pixels(
-        np.asarray(dataset.images[i]) > threshold_fraction * 255.0, side=input_side)
-        for i in chosen]
-    return LabeledBatch(patterns=patterns, targets=targets,
+    pixels = _frames(dataset.images[chosen] > threshold_fraction * 255.0, input_side)
+    return LabeledBatch(pixels=pixels, targets=targets,
                         labels=dataset.labels[chosen].astype(int))
 
 
@@ -306,7 +350,7 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
 # Portable batch container
 #
 # Layout (big-endian): magic "TRCB", u32 version, u32 N, u32 d, then N
-# bit-packed patterns (ceil(d*d/8) bytes each, pixels row-major), then N
+# bit-packed frames (ceil(d*d/8) bytes each, pixels row-major), then N
 # float64 targets.
 
 _BATCH_MAGIC = b"TRCB"
@@ -318,20 +362,18 @@ def save_batch(batch: LabeledBatch, path) -> None:
     n = len(batch)
     if n == 0:
         raise UsageError("cannot save an empty batch")
-    d = batch.patterns[0].side
+    d = batch.pixels.shape[1]
     with open(path, "wb") as f:
         f.write(_BATCH_MAGIC)
         f.write(struct.pack(">III", _BATCH_VERSION, n, d))
-        for p in batch.patterns:
-            f.write(np.packbits(p.pixels.ravel()).tobytes())
+        f.write(np.packbits(batch.pixels.reshape(n, d * d), axis=1).tobytes())
         f.write(np.asarray(batch.targets, dtype=">f8").tobytes())
 
 
 def load_batch(path) -> LabeledBatch:
     """Read the portable container back. Raw class labels are not part of
     the layout; they are reconstructed as 0/1 class indicators."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    blob = _read(path)
     if blob[:4] != _BATCH_MAGIC:
         raise FormatError(f"{path}: bad batch magic {blob[:4]!r}")
     if len(blob) < 16:
@@ -347,13 +389,9 @@ def load_batch(path) -> LabeledBatch:
     need = 16 + n * per + n * 8
     if len(blob) != need:
         raise FormatError(f"{path}: expected {need} bytes, got {len(blob)}")
-    patterns = []
-    off = 16
-    for _ in range(n):
-        bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, count=per, offset=off))
-        patterns.append(InputPattern.from_pixels(bits[:d * d].reshape(d, d)))
-        off += per
-    targets = np.frombuffer(blob, dtype=">f8", count=n, offset=off).astype(float)
+    packed = np.frombuffer(blob, dtype=np.uint8, count=n * per, offset=16).reshape(n, per)
+    bits = np.unpackbits(packed, axis=1, count=d * d).reshape(n, d, d)
+    targets = np.frombuffer(blob, dtype=">f8", count=n, offset=16 + n * per).astype(float)
     mid = (targets.min() + targets.max()) / 2.0
     labels = (targets > mid).astype(int)
-    return LabeledBatch(patterns=patterns, targets=targets, labels=labels)
+    return LabeledBatch(pixels=_frames(bits.astype(bool)), targets=targets, labels=labels)

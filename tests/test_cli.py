@@ -155,8 +155,17 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": VALID_TRAIN, "task": {"type": "header", "bogus": 1}},
     {"train": VALID_TRAIN, "repeats": "many"},
     [1, 2],
+    {"train": VALID_TRAIN, "alphas": ["x"]},
+    {"train": VALID_TRAIN, "alphas": []},
+    {"train": VALID_TRAIN, "ridge_grid": ["x"]},
+    {"train": VALID_TRAIN, "ridge_grid": [-1]},
+    {"train": VALID_TRAIN, "task": {"type": "header", "n_samples": "20"}},
+    {"train": VALID_TRAIN, "task": {"type": "mnist", "digit": "3"}},
+    {"train": VALID_TRAIN, "repeats": 1.7},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
-        "non-numeric-repeats", "not-an-object"])
+        "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
+        "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
+        "string-digit", "fractional-repeats"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -181,6 +190,28 @@ def test_missing_idx_path_exits_3(tmp_path, capsys):
         "task": {"type": "mnist", "digit": 0, "n_samples": 40,
                  "images": str(tmp_path / "missing-images"),
                  "labels": str(tmp_path / "missing-labels")}}))
+    assert main(["compare", "--config", str(config)]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["header", "stability"])
+def test_out_naming_a_file_exits_2(command, idx_files, tmp_path, capsys):
+    doc, flags = _case(command, idx_files)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+    assert "output directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_idx_path_directory_exits_3(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": VALID_TRAIN,
+        "task": {"type": "mnist", "digit": 0, "n_samples": 40,
+                 "images": str(tmp_path), "labels": str(tmp_path)}}))
     assert main(["compare", "--config", str(config)]) == 3
     assert "data error" in capsys.readouterr().err
 

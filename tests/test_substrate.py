@@ -3,15 +3,15 @@ import json
 import numpy as np
 import pytest
 
-import ternrc.substrate as substrate_mod
-from ternrc import (ConfigError, InputPattern, ShapeError, SubstrateConfig,
-                    UsageError, advance_drift, build_substrate, circle_mask,
-                    forward, forward_batch, make_header_batch)
+from ternrc import (ConfigError, DigitDataset, LabeledBatch, ShapeError, SubstrateConfig,
+                    UsageError, advance_drift, binarize, build_substrate, circle_mask,
+                    forward_batch, make_header_batch, make_onevsall_batch, states_matrix)
 
 
-def make_pattern(side=28, seed=0, density=0.3):
+def make_frames(side=28, seed=0, density=0.3, n=1):
+    """(n, side, side) random frames, dark outside the aperture."""
     rng = np.random.default_rng(seed)
-    return InputPattern.from_pixels(rng.random((side, side)) < density)
+    return (rng.random((n, side, side)) < density) & circle_mask(side)
 
 
 class TestGeometry:
@@ -91,31 +91,44 @@ class TestConfigJson:
                             "vcsel_on", "seed"}
 
 
+def forward(sub, frames):
+    """(N, K) states of an (N, d, d) frame stack."""
+    return states_matrix(*forward_batch(sub, frames))
+
+
+def reference_forward(sub, frame):
+    """Node intensities of one (d, d) frame, one matvec at a time."""
+    p = np.abs(sub.transmission @ frame[sub.input_mask].astype(float)) ** 2
+    if not sub.config.vcsel_on:
+        return p
+    s = sub.config.saturation
+    x = p / (1.0 + s * p) if s > 0 else p
+    return x if sub._coupling is None else sub._coupling @ x
+
+
 class TestForward:
     def test_all_off_gives_zero_state(self):
         sub = build_substrate(SubstrateConfig())
-        dark = InputPattern.from_pixels(np.zeros((28, 28)))
-        assert np.all(forward(sub, dark).intensities == 0.0)
+        dark = np.zeros((1, 28, 28), dtype=bool)
+        assert np.all(forward(sub, dark) == 0.0)
 
     def test_single_pixel_off_mode_selects_column(self):
         # laser off: the state is exactly the squared moduli of one column
         cfg = SubstrateConfig(input_side=8, vcsel_on=False)
         sub = build_substrate(cfg)
-        aperture = circle_mask(8)
-        rows, cols = np.nonzero(aperture)
+        rows, cols = np.nonzero(circle_mask(8))
         for k in (0, 7, 20):
-            px = np.zeros((8, 8), dtype=bool)
-            px[rows[k], cols[k]] = True
-            state = forward(sub, InputPattern(pixels=px, aperture=aperture))
+            px = np.zeros((1, 8, 8), dtype=bool)
+            px[0, rows[k], cols[k]] = True
             expected = np.abs(sub.transmission[:, k]) ** 2
-            assert np.array_equal(state.intensities, expected)
+            assert np.array_equal(forward(sub, px)[0], expected)
 
     def test_off_mode_ignores_saturation_and_smoothing(self):
         on = build_substrate(SubstrateConfig(seed=5, vcsel_on=True))
         off = build_substrate(SubstrateConfig(seed=5, vcsel_on=False))
-        pat = make_pattern(seed=5)
-        p = forward(off, pat).intensities
-        x = forward(on, pat).intensities
+        pat = make_frames(seed=5)
+        p = forward(off, pat)
+        x = forward(on, pat)
         assert not np.allclose(p, x)
 
     def test_saturation_bound_before_smoothing(self):
@@ -123,81 +136,92 @@ class TestForward:
         cfg = SubstrateConfig(saturation=s, diffusion_sigma=0.0, vcsel_on=True)
         sub = build_substrate(cfg)
         for seed in range(5):
-            x = forward(sub, make_pattern(seed=seed)).intensities
+            x = forward(sub, make_frames(seed=seed))
             assert np.all(x < 1.0 / s)
 
     def test_saturable_map_values(self):
         cfg = SubstrateConfig(saturation=0.5, diffusion_sigma=0.0, vcsel_on=True)
         sub = build_substrate(cfg)
         off = build_substrate(SubstrateConfig(saturation=0.5, vcsel_on=False))
-        pat = make_pattern(seed=1)
-        p = forward(off, pat).intensities
-        x = forward(sub, pat).intensities
+        pat = make_frames(seed=1)
+        p = forward(off, pat)
+        x = forward(sub, pat)
         assert np.allclose(x, p / (1 + 0.5 * p), rtol=1e-12)
 
     def test_smoothing_conserves_total_intensity(self):
         base = SubstrateConfig(saturation=0.01, diffusion_sigma=0.0, vcsel_on=True)
         smooth = SubstrateConfig(saturation=0.01, diffusion_sigma=2.0, vcsel_on=True)
-        pat = make_pattern(seed=2)
-        a = forward(build_substrate(base), pat).intensities
-        b = forward(build_substrate(smooth), pat).intensities
+        pat = make_frames(seed=2)
+        a = forward(build_substrate(base), pat)
+        b = forward(build_substrate(smooth), pat)
         assert not np.allclose(a, b)
         assert abs(a.sum() - b.sum()) <= 1e-9 * a.sum()
 
     def test_forward_is_pure(self):
         sub = build_substrate(SubstrateConfig())
-        pat = make_pattern(seed=3)
-        assert np.array_equal(forward(sub, pat).intensities,
-                              forward(sub, pat).intensities)
+        pat = make_frames(seed=3)
+        assert np.array_equal(forward(sub, pat), forward(sub, pat))
 
     def test_dimension_mismatch(self):
         sub = build_substrate(SubstrateConfig(input_side=28))
         with pytest.raises(ShapeError):
-            forward(sub, make_pattern(side=16))
+            forward(sub, make_frames(side=16))
 
 
 class TestForwardBatch:
     def test_matches_elementwise_forward(self):
         sub = build_substrate(SubstrateConfig(input_side=8))
-        pats = [make_pattern(side=8, seed=s) for s in range(3)]
-        batch = forward_batch(sub, pats)
+        pats = make_frames(side=8, n=3)
+        batch = forward(sub, pats)
         assert len(batch) == 3
         for got, pat in zip(batch, pats):
-            assert np.array_equal(got.intensities, forward(sub, pat).intensities)
+            assert np.array_equal(got, forward(sub, pat[None])[0])
 
-    def test_repeats_computed_once_and_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("cfg", [
+        SubstrateConfig(input_side=8), SubstrateConfig(input_side=8, vcsel_on=False),
+        SubstrateConfig(input_side=8, saturation=0.0),
+        SubstrateConfig(input_side=8, diffusion_sigma=0.0)],
+        ids=["on", "off", "no-saturation", "no-diffusion"])
+    def test_bit_identical_to_one_frame_matvec(self, cfg):
+        sub = build_substrate(cfg)
+        pats = make_frames(side=8, n=20)
+        for got, pat in zip(forward(sub, pats), pats):
+            assert got.tobytes() == reference_forward(sub, pat).tobytes()
+
+    def test_repeats_computed_once_and_bit_identical(self):
         sub = build_substrate(SubstrateConfig(input_side=16))
-        pats = make_header_batch(3, 5, 60, seed=2, image_side=16).patterns
-        distinct = {p.pixels.tobytes() for p in pats}
+        pats = make_header_batch(3, 5, 60, seed=2, image_side=16).pixels
+        distinct = {p.tobytes() for p in pats}
         assert len(distinct) < len(pats)
-        expect = [forward(sub, p).intensities for p in pats]
-        calls = []
-
-        def counting_forward(substrate, pattern):
-            calls.append(pattern.pixels.tobytes())
-            return forward(substrate, pattern)
-
-        monkeypatch.setattr(substrate_mod, "forward", counting_forward)
-        got = forward_batch(sub, pats)
-        assert sorted(calls) == sorted(distinct)
-        assert len(got) == len(pats)
-        for state, want in zip(got, expect):
-            assert state.intensities.tobytes() == want.tobytes()
+        states, index = forward_batch(sub, pats)
+        assert states.shape == (len(distinct), sub.n_nodes)
+        assert index.shape == (len(pats),)
+        got = states_matrix(states, index)
+        for state, pat in zip(got, pats):
+            assert state.tobytes() == forward(sub, pat[None])[0].tobytes()
 
     def test_thousand_patterns(self):
         sub = build_substrate(SubstrateConfig(grid_side=8, input_side=8))
-        pats = [make_pattern(side=8, seed=s) for s in range(50)] * 20
-        assert len(forward_batch(sub, pats)) == 1000
+        pats = np.tile(make_frames(side=8, n=50), (20, 1, 1))
+        assert len(forward(sub, pats)) == 1000
 
     def test_empty_batch_rejected(self):
         sub = build_substrate(SubstrateConfig())
         with pytest.raises(UsageError):
-            forward_batch(sub, [])
+            forward_batch(sub, np.zeros((0, 28, 28), dtype=bool))
 
     def test_mixed_sides_rejected(self):
+        # frames whose two sides differ, and a single frame that is no stack
         sub = build_substrate(SubstrateConfig(input_side=8))
         with pytest.raises(ShapeError):
-            forward_batch(sub, [make_pattern(side=8), make_pattern(side=16)])
+            forward_batch(sub, np.zeros((2, 8, 16), dtype=bool))
+        with pytest.raises(ShapeError):
+            forward_batch(sub, make_frames(side=8)[0])
+
+    def test_non_boolean_frames_rejected(self):
+        sub = build_substrate(SubstrateConfig(input_side=8))
+        with pytest.raises(ConfigError):
+            forward_batch(sub, make_frames(side=8).astype(float))
 
 
 class TestDrift:
@@ -237,26 +261,47 @@ class TestDrift:
 
 
 class TestInputPattern:
+    """Frame checks of :class:`LabeledBatch` and the aperture/fit rules of the
+    batch builders."""
+
+    @staticmethod
+    def _batch(pixels):
+        n = len(pixels)
+        return LabeledBatch(pixels=pixels, targets=np.zeros(n), labels=np.zeros(n, dtype=int))
+
     def test_pixels_outside_aperture_rejected(self):
-        ap = circle_mask(8)
-        px = np.ones((8, 8), dtype=bool)
+        px = np.ones((1, 8, 8), dtype=bool)
         with pytest.raises(ConfigError):
-            InputPattern(pixels=px, aperture=ap)
+            self._batch(px)
 
     def test_from_pixels_applies_aperture(self):
-        pat = InputPattern.from_pixels(np.ones((8, 8)))
-        assert np.array_equal(pat.pixels, circle_mask(8))
+        assert np.array_equal(binarize(np.full((8, 8), 255)), circle_mask(8))
 
     def test_small_side_rejected(self):
         with pytest.raises(ConfigError):
-            InputPattern.from_pixels(np.zeros((3, 3)))
+            self._batch(np.zeros((1, 3, 3), dtype=bool))
+        with pytest.raises(ConfigError):
+            binarize(np.zeros((3, 3)))
+
+    def test_non_boolean_or_non_square_rejected(self):
+        with pytest.raises(ConfigError):
+            self._batch(np.zeros((1, 8, 8), dtype=np.uint8))
+        with pytest.raises(ShapeError):
+            self._batch(np.zeros((1, 8, 6), dtype=bool))
+        with pytest.raises(ShapeError):
+            LabeledBatch(np.zeros((2, 8, 8), dtype=bool), np.zeros(3), np.zeros(2))
 
     def test_center_crop_and_pad(self):
-        big = np.ones((12, 12))
-        pat = InputPattern.from_pixels(big, side=8)
-        assert pat.side == 8
-        small = np.ones((6, 6))
-        pat = InputPattern.from_pixels(small, side=10)
-        assert pat.side == 10
+        def fitted(side_in, side):
+            data = DigitDataset(images=np.full((2, side_in, side_in), 255, dtype=np.uint8),
+                                labels=np.array([0, 1], dtype=np.uint8))
+            return make_onevsall_batch(data, 0, 2, seed=0, input_side=side).pixels[0]
+
+        pat = fitted(12, 8)
+        assert pat.shape == (8, 8)
+        assert np.array_equal(pat, circle_mask(8))
+        pat = fitted(6, 10)
+        assert pat.shape == (10, 10)
         # the padded border stays dark
-        assert not pat.pixels[0].any() and not pat.pixels[-1].any()
+        assert not pat[0].any() and not pat[-1].any()
+        assert np.array_equal(pat[2:8, 2:8], circle_mask(10)[2:8, 2:8])

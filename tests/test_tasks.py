@@ -15,11 +15,11 @@ from ternrc import (ConfigError, DataError, FormatError, HeaderSpec, LabeledBatc
 class TestRenderHeader:
     def test_zero_value_all_dark(self):
         pat = render_header(HeaderSpec(n_bits=4, image_side=32, header_value=0))
-        assert not pat.pixels.any()
+        assert not pat.any()
 
     def test_full_value_full_disk(self):
         pat = render_header(HeaderSpec(n_bits=4, image_side=32, header_value=15))
-        assert np.array_equal(pat.pixels, pat.aperture)
+        assert np.array_equal(pat, circle_mask(32))
 
     def test_two_bit_half_disk(self):
         side = 64
@@ -27,10 +27,11 @@ class TestRenderHeader:
         # sector 0 covers angles [0, pi): the upper half of the disk
         c = side / 2.0
         y_up = (c - (np.arange(side) + 0.5))[:, None] > 0
-        expected = pat.aperture & np.broadcast_to(y_up, (side, side))
-        assert np.array_equal(pat.pixels, expected)
-        on = pat.pixels.sum()
-        assert abs(on - pat.aperture.sum() / 2) <= 0.02 * pat.aperture.sum()
+        aperture = circle_mask(side)
+        expected = aperture & np.broadcast_to(y_up, (side, side))
+        assert np.array_equal(pat, expected)
+        on = pat.sum()
+        assert abs(on - aperture.sum() / 2) <= 0.02 * aperture.sum()
 
     def test_distinct_headers_differ_on_full_sector(self):
         side = 48
@@ -43,10 +44,10 @@ class TestRenderHeader:
         y = c - centers[:, None]
         ang = np.mod(np.arctan2(y, x), 2 * np.pi)
         sector = np.minimum((ang / (2 * np.pi) * n_bits).astype(int), n_bits - 1)
-        aperture = specs[0].aperture
+        aperture = circle_mask(side)
         for v1 in range(8):
             for v2 in range(v1 + 1, 8):
-                diff = specs[v1].pixels ^ specs[v2].pixels
+                diff = specs[v1] ^ specs[v2]
                 k = (v1 ^ v2).bit_length() - 1  # one differing bit
                 sector_pixels = aperture & (sector == k)
                 assert sector_pixels.any()
@@ -83,8 +84,7 @@ class TestHeaderBatch:
         a = make_header_batch(4, 5, 100, seed=3)
         b = make_header_batch(4, 5, 100, seed=3)
         assert np.array_equal(a.labels, b.labels)
-        assert all(np.array_equal(x.pixels, y.pixels)
-                   for x, y in zip(a.patterns, b.patterns))
+        assert np.array_equal(a.pixels, b.pixels)
 
     def test_target_levels_applied(self):
         batch = make_header_batch(4, 5, 100, seed=0, target_levels=(-1.0, 1.0))
@@ -93,22 +93,22 @@ class TestHeaderBatch:
 
 class TestBinarize:
     def test_zero_image_dark(self):
-        assert not binarize(np.zeros((28, 28))).pixels.any()
+        assert not binarize(np.zeros((28, 28))).any()
 
     def test_full_image_lights_disk(self):
         pat = binarize(np.full((28, 28), 255))
-        assert np.array_equal(pat.pixels, pat.aperture)
+        assert np.array_equal(pat, circle_mask(28))
 
     def test_mid_gray_above_half_threshold(self):
         pat = binarize(np.full((28, 28), 128), threshold_fraction=0.5)
-        assert np.array_equal(pat.pixels, pat.aperture)
+        assert np.array_equal(pat, circle_mask(28))
 
     def test_idempotent_under_requantization(self):
         rng = np.random.default_rng(0)
         img = rng.integers(0, 256, size=(28, 28))
         once = binarize(img)
-        twice = binarize(once.pixels.astype(np.uint8) * 255)
-        assert np.array_equal(once.pixels, twice.pixels)
+        twice = binarize(once.astype(np.uint8) * 255)
+        assert np.array_equal(once, twice)
 
     def test_threshold_fraction_range(self):
         with pytest.raises(UsageError):
@@ -273,14 +273,13 @@ class TestOneVsAll:
         a = make_onevsall_batch(glyph_train, 0, 100, seed=4)
         b = make_onevsall_batch(glyph_train, 0, 100, seed=4)
         assert np.array_equal(a.labels, b.labels)
-        assert all(np.array_equal(x.pixels, y.pixels)
-                   for x, y in zip(a.patterns, b.patterns))
+        assert np.array_equal(a.pixels, b.pixels)
 
     def test_draws_are_disjoint(self, glyph_train):
         a = make_onevsall_batch(glyph_train, 1, 200, seed=5, draw=0)
         b = make_onevsall_batch(glyph_train, 1, 200, seed=5, draw=1)
-        seen = {p.pixels.tobytes() for p in a.patterns}
-        overlap = sum(p.pixels.tobytes() in seen for p in b.patterns)
+        seen = {p.tobytes() for p in a.pixels}
+        overlap = sum(p.tobytes() in seen for p in b.pixels)
         # distinct source images; rare collisions only from binarization
         assert overlap <= 2
 
@@ -295,7 +294,7 @@ class TestOneVsAll:
 
     def test_input_side_fitting(self, glyph_train):
         batch = make_onevsall_batch(glyph_train, 0, 10, seed=0, input_side=32)
-        assert batch.patterns[0].side == 32
+        assert batch.pixels.shape == (10, 32, 32)
 
 
 class TestBatchContainer:
@@ -306,8 +305,7 @@ class TestBatchContainer:
         back = load_batch(p)
         assert len(back) == 50
         assert np.array_equal(back.targets, batch.targets)
-        for x, y in zip(back.patterns, batch.patterns):
-            assert np.array_equal(x.pixels, y.pixels)
+        assert np.array_equal(back.pixels, batch.pixels)
 
     # sha256 of the written file; side 30 leaves 4 padding bits per pattern,
     # 20 crops and 32 pads the 28 px digits
@@ -350,7 +348,8 @@ class TestBatchContainer:
             load_batch(p)
 
     def test_empty_batch_not_saved(self, tmp_path):
-        empty = LabeledBatch(patterns=[], targets=np.zeros(0), labels=np.zeros(0, dtype=int))
+        empty = LabeledBatch(pixels=np.zeros((0, 16, 16), dtype=bool), targets=np.zeros(0),
+                             labels=np.zeros(0, dtype=int))
         with pytest.raises(UsageError):
             save_batch(empty, tmp_path / "batch.bin")
 
