@@ -10,48 +10,34 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, NumericalError, UsageError
 from .harness import (ExperimentConfig, HeaderTask, MnistTask, run_alpha_scan,
                       run_comparison, run_header_task, run_stability)
-from .optimizer import TrainConfig
-from .substrate import SubstrateConfig
 
 
-def _default_config(command: str) -> ExperimentConfig:
-    if command in ("header", "alpha-scan", "train"):
-        # the substrate's input side follows the header task's image side
-        return ExperimentConfig.from_json({
-            "train": {"alpha": 10.0, "max_epochs": 800, "mode": "ternary",
-                      "normalize": "zscore"},
-            "task": {"type": "header"},
-        })
+def _default_doc(command: str) -> dict:
+    """Config document of a command run without ``--config``."""
+    train = {"alpha": 10.0, "max_epochs": 800, "mode": "ternary", "normalize": "zscore"}
     if command == "compare":
-        return ExperimentConfig(
-            substrate=SubstrateConfig(input_side=28),
-            train=TrainConfig(alpha=10.0, max_epochs=2000, mode="ternary",
-                              normalize="zscore"),
-            task=MnistTask(digit=None),
-            repeats=3,
-        )
-    # stability: the long-run protocol trains digit 0 for 100 epochs
-    return ExperimentConfig(
-        substrate=SubstrateConfig(input_side=28),
-        train=TrainConfig(alpha=10.0, max_epochs=100, mode="ternary",
-                          normalize="zscore"),
-        task=MnistTask(digit=0),
-        repeats=1,
-    )
+        return {"substrate": {"input_side": 28}, "train": {**train, "max_epochs": 2000},
+                "task": {"type": "mnist", "digit": None}, "repeats": 3}
+    if command == "stability":
+        # the long-run protocol trains digit 0 for 100 epochs
+        return {"substrate": {"input_side": 28}, "train": {**train, "max_epochs": 100},
+                "task": {"type": "mnist", "digit": 0}}
+    # header, alpha-scan and train: the substrate's input side follows the
+    # header task's image side
+    return {"train": train, "task": {"type": "header"}}
 
 
 def _load_config(args) -> ExperimentConfig:
+    doc = _default_doc(args.command)
     if args.config:
         try:
-            text = Path(args.config).read_text()
+            doc = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        cfg = ExperimentConfig.from_json(text)
-    else:
-        cfg = _default_config(args.command)
+    cfg = ExperimentConfig.from_json(doc)
     if args.seed is not None:
         cfg = dataclasses.replace(
             cfg,
@@ -143,7 +129,9 @@ def main(argv=None) -> int:
             rows = run_header_task(cfg) if isinstance(cfg.task, HeaderTask) \
                 else run_comparison(cfg)
             print(json.dumps(rows[:4], indent=2, default=str))
-    except (ConfigError, UsageError) as exc:
+    except (ConfigError, UsageError, NumericalError) as exc:
+        # an unregularised ridge lambda is the only numerical failure a
+        # config can reach
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DataError as exc:

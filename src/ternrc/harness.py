@@ -133,50 +133,58 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "ExperimentConfig":
-        """Parse and validate a config document. Omitted top-level fields
-        take the dataclass defaults, and a header task's omitted substrate
-        ``input_side`` is its ``image_side``; a malformed or mistyped field
-        raises :class:`ConfigError`."""
+        """Parse and validate a config document, the exact inverse of
+        :meth:`to_json_dict`. Omitted fields take the dataclass defaults, and
+        a header task's omitted substrate ``input_side`` is its
+        ``image_side``; an unknown, malformed or mistyped field, or a
+        ``derived_seeds`` record this config does not derive, raises
+        :class:`ConfigError`."""
         try:
-            data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-            unknown = set(data) - set(cls.__dataclass_fields__)
-            if unknown:
-                raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-            tr_doc = dict(data.get("train", {}))
-            unknown = set(tr_doc) - set(TrainConfig.__dataclass_fields__)
-            if unknown:
-                raise ConfigError(f"unknown train fields: {sorted(unknown)}")
-            if "target_levels" in tr_doc:
-                tr_doc["target_levels"] = tuple(tr_doc["target_levels"])
-            tr = TrainConfig(**tr_doc)
-            task_doc = dict(data.get("task", {"type": "header"}))
-            kind = task_doc.pop("type", "header")
+            top = _section(cls, json.loads(doc) if isinstance(doc, str) else doc, "config",
+                           "derived_seeds")
+            task_doc = top.pop("task", {})
+            kind = task_doc.get("type", "header") if isinstance(task_doc, dict) else "header"
             task_cls = {"header": HeaderTask, "mnist": MnistTask}.get(kind)
             if task_cls is None:
                 raise ConfigError(f"unknown task type {kind!r}")
-            task = task_cls(**task_doc)
-            sub_doc = dict(data.get("substrate", {}))
+            task = task_cls(**_section(task_cls, task_doc, "task"))
+            sub = _section(SubstrateConfig, top.pop("substrate", {}), "substrate")
             if isinstance(task, HeaderTask):
-                sub_doc.setdefault("input_side", task.image_side)
-            sub = SubstrateConfig.from_json(sub_doc)
-            top = {name: read(data[name]) for name, read in _TOP_LEVEL.items() if name in data}
-            cfg = cls(substrate=sub, train=tr, task=task, **top)
+                sub.setdefault("input_side", task.image_side)
+            seeds = top.pop("derived_seeds", None)
+            cfg = cls(substrate=SubstrateConfig(**sub),
+                      train=TrainConfig(**_section(TrainConfig, top.pop("train", {}), "train")),
+                      task=task, **top)
             cfg.validate()
+            if seeds is not None and seeds != cfg.derived_seeds():
+                raise ConfigError(f"derived_seeds {seeds!r} differ from the seeds this "
+                                  f"config derives, {cfg.derived_seeds()!r}")
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cfg
 
+    def derived_seeds(self) -> dict:
+        """Record of the seeds derived from the config seeds, per repeat."""
+        return {f"repeat{r}": {"substrate": derive_seed(self.substrate.seed, "substrate", r)}
+                for r in range(self.repeats)}
+
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
-        doc["task"]["type"] = self.task.type
-        return doc
+        """The config as a JSON-ready document, with its derived seeds."""
+        return {**asdict(self), "derived_seeds": self.derived_seeds()}
 
 
-#: optional top-level config fields and the type each is read as
-_TOP_LEVEL = {"repeats": lambda v: v, "output_dir": lambda v: v, "off_brightness": float,
-              "ridge_grid": tuple, "alphas": tuple}
+def _section(cls, doc, name: str, *extra: str) -> dict:
+    """One config section as constructor keywords of ``cls`` (plus the
+    ``extra`` keys): unknown fields are rejected by name and JSON arrays
+    become tuples."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
+    unknown = set(doc) - set(cls.__dataclass_fields__) - set(extra)
+    if unknown:
+        raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +514,6 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     for _ in range(n_checks):
         advance_drift(sub, drift_steps_per_check)
         trace = rigs[1].measure(mask)
-        if not traces and cfg.train.normalize == "first_epoch":
-            norm.fit_first(trace)
         traces.append(trace)
         gains.append(sub.gain)
         errs.append(nmse(norm(trace), batch_te.targets))
@@ -590,12 +596,8 @@ class _OutputSink:
     def write_config(self, cfg: ExperimentConfig) -> None:
         if not self.root:
             return
-        doc = cfg.to_json_dict()
-        doc["derived_seeds"] = {
-            f"repeat{r}": {"substrate": derive_seed(cfg.substrate.seed, "substrate", r)}
-            for r in range(cfg.repeats)}
         (self.root / "config.resolved.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n")
+            json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _cell(v) -> str:

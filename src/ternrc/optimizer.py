@@ -152,30 +152,28 @@ class Normalizer:
 
     zscore: each measured trace is standardized and mapped onto the target's
     mean and spread, so the error compares shapes regardless of the raw
-    detection scale. first_epoch: an affine map is frozen from the first
-    measured trace (min -> low level, max -> high level) and applied to all
-    later traces. off: raw traces.
+    detection scale. first_epoch: an affine map ``transform = (low, span)``,
+    unless given, is frozen from the first trace the normalizer is called on
+    (min -> low level, max -> high level) and applied to all later traces.
+    off: raw traces.
     """
 
-    def __init__(self, mode: str, y_target: np.ndarray):
+    def __init__(self, mode: str, y_target: np.ndarray,
+                 transform: tuple[float, float] | None = None):
         self.mode = mode
         self._t_mean = float(np.mean(y_target))
         self._t_std = float(np.std(y_target))
         self._lo_level = float(np.min(y_target))
         self._hi_level = float(np.max(y_target))
-        self.transform: tuple[float, float] | None = None
-
-    def fit_first(self, y: np.ndarray) -> None:
-        if self.mode != "first_epoch":
-            return
-        lo, hi = float(np.min(y)), float(np.max(y))
-        span = hi - lo if hi > lo else 1.0
-        self.transform = (lo, span)
+        self.transform = transform
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         if self.mode == "off":
             return y
         if self.mode == "first_epoch":
+            if self.transform is None:
+                lo, hi = float(np.min(y)), float(np.max(y))
+                self.transform = (lo, hi - lo if hi > lo else 1.0)
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
         sd = float(np.std(y))
@@ -210,9 +208,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     k = len(mask)
 
     norm = Normalizer(cfg.normalize, t)
-    y0 = _measure(forward_pass, mask, t.size)
-    norm.fit_first(y0)
-    best = nmse(norm(y0), t)
+    best = nmse(norm(_measure(forward_pass, mask, t.size)), t)
     initial = best
 
     history: list[EpochRecord] = []
@@ -271,14 +267,7 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
              output_transform: tuple[float, float] | None = None) -> Metrics:
     """Measure a mask once and :func:`score` its normalized trace."""
     t = np.asarray(y_target, dtype=float)
-    y = _measure(forward_pass, mask, t.size)
-    norm = Normalizer(normalize, t)
-    if normalize == "first_epoch":
-        if output_transform is None:
-            norm.fit_first(y)
-        else:
-            norm.transform = output_transform
-    y_n = norm(y)
+    y_n = Normalizer(normalize, t, output_transform)(_measure(forward_pass, mask, t.size))
     return score(y_n, t, nmse(y_n, t), threshold_rule)
 
 

@@ -16,9 +16,8 @@ gathers the (N, K) batch matrix.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,20 +63,6 @@ class SubstrateConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         if not math.isfinite(self.drift_timescale) or self.drift_timescale <= 0:
             raise ConfigError(f"drift_timescale must be finite and > 0, got {self.drift_timescale}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "SubstrateConfig":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown SubstrateConfig fields: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
 
 @dataclass

@@ -199,8 +199,8 @@ def binarize(image: np.ndarray, threshold_fraction: float = 0.5) -> np.ndarray:
     if not 0.0 < threshold_fraction < 1.0:
         raise UsageError(f"threshold_fraction must be in (0, 1), got {threshold_fraction}")
     img = np.asarray(image)
-    if img.ndim != 2:
-        raise ShapeError(f"expected a 2-D grayscale image, got shape {img.shape}")
+    if img.ndim != 2 or img.shape[0] != img.shape[1]:
+        raise ShapeError(f"expected a square 2-D grayscale image, got shape {img.shape}")
     frame = _frames(img[None] > threshold_fraction * 255.0)
     _check_frames(frame)
     return frame[0]
@@ -241,6 +241,9 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
         raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
     if draw < 0:
         raise UsageError(f"draw must be >= 0, got {draw}")
+    _, rows, cols = dataset.images.shape
+    if rows != cols:
+        raise DataError(f"digit images must be square, got {rows}x{cols}")
     half = n_samples // 2
     rng = np.random.default_rng(seed)
     pos_pool = rng.permutation(np.nonzero(dataset.labels == digit)[0])
@@ -392,6 +395,9 @@ def load_batch(path) -> LabeledBatch:
     packed = np.frombuffer(blob, dtype=np.uint8, count=n * per, offset=16).reshape(n, per)
     bits = np.unpackbits(packed, axis=1, count=d * d).reshape(n, d, d)
     targets = np.frombuffer(blob, dtype=">f8", count=n, offset=16 + n * per).astype(float)
-    mid = (targets.min() + targets.max()) / 2.0
+    if not np.isfinite(targets).all():
+        raise FormatError(f"{path}: batch targets must be finite")
+    # halve first: the sum of two large finite targets overflows
+    mid = targets.min() / 2.0 + targets.max() / 2.0
     labels = (targets > mid).astype(int)
     return LabeledBatch(pixels=_frames(bits.astype(bool)), targets=targets, labels=labels)

@@ -1,5 +1,6 @@
 """End-to-end runs of ``python -m ternrc.cli`` at tiny sizes, with the sha256
-of every output file pinned, plus the CLI's exit codes on bad input.
+of every output file pinned, reruns from each run's ``config.resolved.json``,
+plus the CLI's exit codes on bad input.
 
 A change that means to move the numbers re-pins ``GOLDEN`` and says why.
 """
@@ -11,10 +12,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ternrc import ConfigError, ExperimentConfig
-from ternrc.cli import main
+from ternrc import (ConfigError, ExperimentConfig, HeaderTask, MnistTask, SubstrateConfig,
+                    TrainConfig, write_idx_images, write_idx_labels)
+from ternrc.cli import _default_doc, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,23 +130,81 @@ def _run_cli(*args):
                           capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_outputs_match_golden_digests(command, idx_files, tmp_path):
-    doc, flags = _case(command, idx_files)
+def _golden_run(command, idx, tmp_path):
+    """Run one command's tiny case into ``tmp_path / "out"``; returns (out, flags)."""
+    doc, flags = _case(command, idx)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     proc = _run_cli(command, "--config", str(config), "--out", str(out), *flags)
     assert proc.returncode == 0, proc.stderr
+    return out, flags
 
+
+def _digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name not in UNDIGESTED}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_outputs_match_golden_digests(command, idx_files, tmp_path):
+    out, _ = _golden_run(command, idx_files, tmp_path)
     files = {p.name for p in out.iterdir()}
     assert files == set(GOLDEN[command]) | UNDIGESTED
     for name, schema in SCHEMAS.items():
         if name in files:
             assert (out / name).read_text().splitlines()[0] == f"# schema: {schema}"
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in sorted(files - UNDIGESTED)}
-    assert got == GOLDEN[command]
+    assert _digests(out) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_rerun_from_resolved_config(command, idx_files, tmp_path):
+    out, flags = _golden_run(command, idx_files, tmp_path)
+    resolved = out / "config.resolved.json"
+    again = tmp_path / "again"
+    proc = _run_cli(command, "--config", str(resolved), "--out", str(again), *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert _digests(again) == GOLDEN[command]
+    record = json.loads(resolved.read_text())
+    assert json.loads((again / "config.resolved.json").read_text()) == \
+        {**record, "output_dir": str(again)}
+    cfg = ExperimentConfig.from_json(resolved.read_text())
+    assert ExperimentConfig.from_json(cfg.to_json_dict()) == cfg
+
+
+def _reference_default(command):
+    """The CLI defaults written as dataclass expressions: an independent
+    reference for the documents of ``_default_doc``."""
+    if command in ("header", "alpha-scan", "train"):
+        return ExperimentConfig(
+            substrate=SubstrateConfig(input_side=64),
+            train=TrainConfig(alpha=10.0, max_epochs=800, mode="ternary",
+                              normalize="zscore"),
+            task=HeaderTask(),
+        )
+    if command == "compare":
+        return ExperimentConfig(
+            substrate=SubstrateConfig(input_side=28),
+            train=TrainConfig(alpha=10.0, max_epochs=2000, mode="ternary",
+                              normalize="zscore"),
+            task=MnistTask(digit=None),
+            repeats=3,
+        )
+    return ExperimentConfig(
+        substrate=SubstrateConfig(input_side=28),
+        train=TrainConfig(alpha=10.0, max_epochs=100, mode="ternary",
+                          normalize="zscore"),
+        task=MnistTask(digit=0),
+        repeats=1,
+    )
+
+
+@pytest.mark.parametrize("command", ["alpha-scan", "compare", "header", "stability", "train"])
+def test_default_doc_matches_reference(command):
+    cfg = ExperimentConfig.from_json(_default_doc(command))
+    assert cfg == _reference_default(command)
+    assert ExperimentConfig.from_json(cfg.to_json_dict()) == cfg
+    assert ExperimentConfig.from_json(json.dumps(cfg.to_json_dict())) == cfg
 
 
 VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
@@ -162,10 +223,13 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": VALID_TRAIN, "task": {"type": "header", "n_samples": "20"}},
     {"train": VALID_TRAIN, "task": {"type": "mnist", "digit": "3"}},
     {"train": VALID_TRAIN, "repeats": 1.7},
+    {"train": VALID_TRAIN, "off_brightness": "0.5"},
+    {"train": VALID_TRAIN, "derived_seeds": {"repeat0": {"substrate": 1}}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
-        "string-digit", "fractional-repeats"])
+        "string-digit", "fractional-repeats", "string-off-brightness",
+        "tampered-derived-seeds"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -214,6 +278,30 @@ def test_idx_path_directory_exits_3(tmp_path, capsys):
                  "images": str(tmp_path), "labels": str(tmp_path)}}))
     assert main(["compare", "--config", str(config)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", [32, 12], ids=["pad", "crop"])
+def test_non_square_digit_images_exit_3(side, tmp_path, capsys):
+    images, labels = tmp_path / "images", tmp_path / "labels"
+    write_idx_images(np.random.default_rng(0).integers(0, 256, (400, 28, 20)), images)
+    write_idx_labels(np.arange(400) % 10, labels)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "substrate": {"input_side": side}, "train": VALID_TRAIN,
+        "task": {"type": "mnist", "digit": 0, "n_samples": 40,
+                 "images": str(images), "labels": str(labels)}}))
+    assert main(["compare", "--config", str(config)]) == 3
+    assert "28x20" in capsys.readouterr().err
+
+
+def test_unregularised_ridge_on_rank_deficient_states_exits_2(idx_files, tmp_path, capsys):
+    # 40 samples cannot span the 448 node states, so lambda = 0 is singular
+    doc, _ = _case("compare", idx_files)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, "ridge_grid": [0]}))
+    assert main(["compare", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "rank-deficient" in err
 
 
 def test_header_input_side_follows_image_side():

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ternrc import (ConfigError, DigitDataset, LabeledBatch, ShapeError, SubstrateConfig,
-                    UsageError, advance_drift, binarize, build_substrate, circle_mask,
-                    forward_batch, make_header_batch, make_onevsall_batch, states_matrix)
+from ternrc import (ConfigError, DigitDataset, ExperimentConfig, LabeledBatch, MnistTask,
+                    ShapeError, SubstrateConfig, TrainConfig, UsageError, advance_drift,
+                    binarize, build_substrate, circle_mask, forward_batch, make_header_batch,
+                    make_onevsall_batch, states_matrix)
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -74,21 +75,30 @@ class TestBuild:
 
 
 class TestConfigJson:
+    """The substrate section of the one config path, ExperimentConfig.from_json."""
+
+    @staticmethod
+    def config(substrate: SubstrateConfig) -> ExperimentConfig:
+        return ExperimentConfig(substrate=substrate, train=TrainConfig(alpha=10.0, max_epochs=5),
+                                task=MnistTask())
+
     def test_round_trip(self):
-        cfg = SubstrateConfig(grid_side=16, input_side=8, saturation=0.01, seed=9)
-        assert SubstrateConfig.from_json(cfg.to_json()) == cfg
+        sub = SubstrateConfig(grid_side=16, input_side=8, saturation=0.01, seed=9)
+        cfg = self.config(sub)
+        assert ExperimentConfig.from_json(cfg.to_json_dict()) == cfg
+        assert ExperimentConfig.from_json(json.dumps(cfg.to_json_dict())).substrate == sub
 
     def test_unknown_field_rejected(self):
-        doc = json.loads(SubstrateConfig().to_json())
-        doc["wavelength"] = 919
+        doc = self.config(SubstrateConfig()).to_json_dict()
+        doc["substrate"]["wavelength"] = 919
         with pytest.raises(ConfigError, match="wavelength"):
-            SubstrateConfig.from_json(json.dumps(doc))
+            ExperimentConfig.from_json(json.dumps(doc))
 
     def test_field_names_are_exact(self):
-        doc = json.loads(SubstrateConfig().to_json())
-        assert set(doc) == {"grid_side", "input_side", "saturation", "diffusion_sigma",
-                            "noise_sigma", "drift_amplitude", "drift_timescale",
-                            "vcsel_on", "seed"}
+        doc = self.config(SubstrateConfig()).to_json_dict()
+        assert set(doc["substrate"]) == {"grid_side", "input_side", "saturation",
+                                         "diffusion_sigma", "noise_sigma", "drift_amplitude",
+                                         "drift_timescale", "vcsel_on", "seed"}
 
 
 def forward(sub, frames):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternrc import (ConfigError, DataError, FormatError, HeaderSpec, LabeledBatch,
-                    UsageError, binarize, circle_mask, load_batch, load_mnist,
+                    ShapeError, UsageError, binarize, circle_mask, load_batch, load_mnist,
                     make_glyph_dataset, make_header_batch, make_onevsall_batch,
                     render_header, save_batch, write_idx_images, write_idx_labels)
 
@@ -113,6 +114,11 @@ class TestBinarize:
     def test_threshold_fraction_range(self):
         with pytest.raises(UsageError):
             binarize(np.zeros((28, 28)), threshold_fraction=1.0)
+
+    @pytest.mark.parametrize("shape", [(28, 20), (20, 28), (28,)])
+    def test_non_square_or_flat_rejected(self, shape):
+        with pytest.raises(ShapeError, match="square"):
+            binarize(np.zeros(shape))
 
 
 class TestIdx:
@@ -358,6 +364,24 @@ class TestBatchContainer:
         p.write_bytes(b"TRCB" + struct.pack(">III", 1, 0, 16))
         with pytest.raises(FormatError):
             load_batch(p)
+
+    def _with_targets(self, path, targets):
+        frames = bytes(2 * len(targets))  # two bytes per dark 4 x 4 frame
+        path.write_bytes(b"TRCB" + struct.pack(">III", 1, len(targets), 4) + frames
+                         + np.asarray(targets, dtype=">f8").tobytes())
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_targets_rejected(self, tmp_path, bad):
+        p = tmp_path / "batch.bin"
+        self._with_targets(p, [0.0, bad])
+        with pytest.raises(FormatError, match="finite"):
+            load_batch(p)
+
+    def test_largest_finite_targets_split_without_overflow(self, tmp_path):
+        p = tmp_path / "batch.bin"
+        big = np.finfo(float).max
+        self._with_targets(p, [big, big / 4, big])
+        assert load_batch(p).labels.tolist() == [1, 0, 1]
 
 
 def _load_bytes(blob, root):
