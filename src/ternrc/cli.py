@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, UsageError
-from .harness import (ExperimentConfig, HeaderTask, MnistTask, run_alpha_scan,
-                      run_comparison, run_header_task, run_stability)
+from .harness import (ExperimentConfig, MnistTask, run_alpha_scan, run_comparison,
+                      run_header_task, run_stability)
 
 
 def _default_doc(command: str) -> dict:
@@ -25,8 +24,8 @@ def _default_doc(command: str) -> dict:
         # the long-run protocol trains digit 0 for 100 epochs
         return {"substrate": {"input_side": 28}, "train": {**train, "max_epochs": 100},
                 "task": {"type": "mnist", "digit": 0}}
-    # header, alpha-scan and train: the substrate's input side follows the
-    # header task's image side
+    # header and alpha-scan: the substrate's input side follows the header
+    # task's image side
     return {"train": train, "task": {"type": "header"}}
 
 
@@ -78,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("alpha-scan", "learning curves across mutation gains"),
         ("header", "train and score a pie-header recognition task"),
         ("stability", "freeze a trained mask and re-measure it under drift"),
-        ("train", "single training run on the configured task"),
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="experiment config JSON")
@@ -119,16 +117,12 @@ def main(argv=None) -> int:
             for r in rows:
                 print(f"repeat {r['repeat']}: test SER={r['test_ser']:.4f} "
                       f"accuracy={r['test_accuracy']:.4f} nmse={r['test_nmse']:.4f}")
-        elif args.command == "stability":
+        else:
             report = run_stability(cfg, args.checks, args.drift_steps)
             print(f"checks={args.checks}: median consistency="
                   f"{np.median(report.consistencies):.5f}, "
                   f"nmse mean={report.nmse_series.mean():.4f} "
                   f"std={report.nmse_series.std():.5f}")
-        else:
-            rows = run_header_task(cfg) if isinstance(cfg.task, HeaderTask) \
-                else run_comparison(cfg)
-            print(json.dumps(rows[:4], indent=2, default=str))
     except (ConfigError, UsageError, NumericalError) as exc:
         # an unregularised ridge lambda is the only numerical failure a
         # config can reach

@@ -13,10 +13,6 @@ class UsageError(ValueError):
     """Operation called with arguments outside its contract."""
 
 
-class InvalidPlaneError(ValueError):
-    """Boolean readout planes overlap; a node cannot feed both detector paths."""
-
-
 class NumericalError(ArithmeticError):
     """Numerical failure, e.g. a singular unregularized system."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 import zlib
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -35,8 +34,6 @@ CURVES_SCHEMA = "ternrc-curves-v1"
 #: lambda grid for the ridge baseline's cross-validated selection
 RIDGE_GRID = tuple(float(v) for v in np.logspace(-6, 2, 9))
 
-COMPARISON_ARMS = ("boolean_on", "ternary_on", "ternary_off", "ridge")
-
 
 def derive_seed(base: int, tag: str, index: int = 0) -> int:
     """Deterministic child seed for one component of one repeat."""
@@ -51,8 +48,31 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_n_samples(n) -> None:
-    if not _is_int(n) or n < 2 or n % 2:
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: value check per field annotation; a "T | None" field also takes None
+_FIELD_TYPES = {"int": _is_int, "float": _is_real, "bool": lambda v: isinstance(v, bool),
+                "str": lambda v: isinstance(v, str),
+                "tuple[float, float]": lambda v: len(v) == 2 and all(map(_is_real, v)),
+                "tuple[float, ...]": lambda v: all(map(_is_real, v))}
+
+
+def _check_types(section, name: str) -> None:
+    """Reject a field of the dataclass ``section`` whose value does not have
+    its annotated type. The nested sections have no check here; they are
+    checked on their own."""
+    for f in dataclasses.fields(section):
+        v = getattr(section, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        check = _FIELD_TYPES.get(kind)
+        if check and not (optional == "None" and v is None) and not check(v):
+            raise ConfigError(f"{name} {f.name} must be of type {f.type}, got {v!r}")
+
+
+def _check_n_samples(n: int) -> None:
+    if n < 2 or n % 2:
         raise ConfigError(f"task n_samples must be an even integer >= 2, got {n!r}")
 
 
@@ -65,8 +85,6 @@ class HeaderTask:
     type: str = "header"
 
     def validate(self) -> None:
-        if not all(map(_is_int, (self.n_bits, self.target_value, self.image_side))):
-            raise ConfigError(f"task n_bits, target_value and image_side must be integers: {self}")
         _check_n_samples(self.n_samples)
         HeaderSpec(self.n_bits, self.image_side, self.target_value).validate()
 
@@ -82,11 +100,7 @@ class MnistTask:
     type: str = "mnist"
 
     def validate(self) -> None:
-        paths = [self.images, self.labels] + [
-            p for p in (self.test_images, self.test_labels) if p is not None]
-        if not all(isinstance(p, str) for p in paths):
-            raise ConfigError(f"task image and label paths must be strings, got {paths!r}")
-        if self.digit is not None and not (_is_int(self.digit) and 0 <= self.digit <= 9):
+        if self.digit is not None and not 0 <= self.digit <= 9:
             raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
         _check_n_samples(self.n_samples)
 
@@ -113,15 +127,17 @@ class ExperimentConfig:
     alphas: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0)
 
     def validate(self) -> None:
+        for section, name in ((self.substrate, "substrate"), (self.train, "train"),
+                              (self.task, "task"), (self, "config")):
+            _check_types(section, name)
         self.substrate.validate()
         self.train.validate()
         self.task.validate()
-        if not _is_int(self.repeats) or self.repeats < 1:
+        if self.repeats < 1:
             raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         for name in ("alphas", "ridge_grid"):
             values = getattr(self, name)
-            if not values or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                     and math.isfinite(v) and v >= 0 for v in values):
+            if not values or not all(math.isfinite(v) and v >= 0 for v in values):
                 raise ConfigError(
                     f"{name} must be a non-empty list of finite numbers >= 0, got {values!r}")
         if not 0.0 < self.off_brightness <= 1.0:
@@ -352,16 +368,16 @@ def _train_arm(cfg: ExperimentConfig, repeat: int, tag: str, rigs, batch_tr: Lab
     return tc, result, m_tr, m_te
 
 
-def run_comparison(cfg: ExperimentConfig, digits=None) -> list[dict]:
+def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     """Four-arm comparison: Boolean mask + laser on, ternary + on, ternary +
     off, and the ridge baseline, all on the same frozen substrate and
-    batches per repeat. Returns one result row per (task, arm, repeat)."""
+    batches per repeat. Returns one result row per (task, arm, repeat); a
+    digit task with ``digit`` null runs all ten digits."""
     cfg.validate()
-    if digits is None:
-        if isinstance(cfg.task, MnistTask):
-            digits = list(range(10)) if cfg.task.digit is None else [cfg.task.digit]
-        else:
-            digits = [None]
+    if isinstance(cfg.task, MnistTask):
+        digits = list(range(10)) if cfg.task.digit is None else [cfg.task.digit]
+    else:
+        digits = [None]
     cache: dict = {}
     rows: list[dict] = []
     out = _OutputSink(cfg)
@@ -482,10 +498,9 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Re-measurement record of a frozen mask under drift and noise."""
+    """Re-measurement record of a frozen mask under drift and noise, one
+    entry per check."""
 
-    reference_trace: np.ndarray
-    traces: list[np.ndarray]
     consistencies: np.ndarray
     nmse_series: np.ndarray
     gain_series: np.ndarray
@@ -510,17 +525,17 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     mask = result.best_mask
 
     norm = Normalizer(cfg.train.normalize, batch_te.targets)
-    traces, gains, errs = [], [], []
+    reference = None
+    cons, gains, errs = [], [], []
     for _ in range(n_checks):
         advance_drift(sub, drift_steps_per_check)
         trace = rigs[1].measure(mask)
-        traces.append(trace)
+        if reference is None:
+            reference = trace
+        cons.append(consistency(reference, trace))
         gains.append(sub.gain)
         errs.append(nmse(norm(trace), batch_te.targets))
-    reference = traces[0]
-    cons = np.array([consistency(reference, tr) for tr in traces])
-    report = StabilityReport(reference_trace=reference, traces=traces,
-                             consistencies=cons, nmse_series=np.array(errs),
+    report = StabilityReport(consistencies=np.array(cons), nmse_series=np.array(errs),
                              gain_series=np.array(gains))
     out.write_stability(report)
     out.write_config(cfg)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -125,26 +124,21 @@ def n_mirrors(alpha: float, nmse_k: float, cap: int | None = None) -> int:
     return n if cap is None else min(n, cap)
 
 
-def propose(mask: TernaryMask, n: int, mode: str | None = None,
-            rng: np.random.Generator | None = None) -> TernaryMask:
+def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
     """Candidate mask: ``n`` positions drawn uniformly with replacement, each
-    reassigned a uniform symbol from the mode's alphabet. The input mask is
-    left untouched. A redrawn symbol may equal the old one, so the candidate
-    differs from the original in at most ``n`` positions."""
+    reassigned a uniform symbol from the mask's own alphabet. The input mask
+    is left untouched. A redrawn symbol may equal the old one, so the
+    candidate differs from the original in at most ``n`` positions."""
     k = len(mask)
     if not 1 <= n <= k:
         raise UsageError(f"n must be in [1, {k}], got {n}")
-    mode = mask.mode if mode is None else mode
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    rng = np.random.default_rng() if rng is None else rng
-    alphabet = np.array([0, 1], dtype=np.int8) if mode == "boolean" else np.array([-1, 0, 1], dtype=np.int8)
+    alphabet = np.array([0, 1], dtype=np.int8) if mask.mode == "boolean" else np.array([-1, 0, 1], dtype=np.int8)
     positions = rng.integers(0, k, size=n)
     values = rng.choice(alphabet, size=n)
     w = np.array(mask.weights, dtype=np.int8, copy=True)
     # duplicate positions resolve to the last drawn value, as in a sequential loop
     w[positions] = values
-    return TernaryMask(weights=w, mode=mode)
+    return TernaryMask(weights=w, mode=mask.mode)
 
 
 class Normalizer:
@@ -183,29 +177,19 @@ class Normalizer:
 
 
 def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarray,
-          cfg: TrainConfig, n_nodes: int | None = None,
-          initial_mask: TernaryMask | None = None) -> TrainResult:
-    """Run the adaptive accept-if-better search.
+          cfg: TrainConfig, n_nodes: int) -> TrainResult:
+    """Run the adaptive accept-if-better search over masks of ``n_nodes``
+    entries, starting from a seeded random mask.
 
     ``forward_pass`` measures one candidate mask on the fixed training batch
     and returns the N-vector of readout outputs (it owns the substrate, the
-    detector and its noise). The mask length comes from ``initial_mask`` or
-    ``n_nodes``. Identical config, seed and a deterministic forward pass
-    reproduce the identical result.
+    detector and its noise). Identical config, seed and a deterministic
+    forward pass reproduce the identical result.
     """
     cfg.validate()
     t = np.asarray(y_target, dtype=float)
-    if initial_mask is None:
-        if n_nodes is None:
-            raise UsageError("provide n_nodes or initial_mask to size the search")
-        rng = np.random.default_rng(cfg.seed)
-        mask = random_mask(n_nodes, cfg.mode, rng)
-    else:
-        if initial_mask.mode != cfg.mode:
-            raise UsageError(f"initial mask mode {initial_mask.mode!r} != cfg mode {cfg.mode!r}")
-        rng = np.random.default_rng(cfg.seed)
-        mask = initial_mask
-    k = len(mask)
+    rng = np.random.default_rng(cfg.seed)
+    mask = random_mask(n_nodes, cfg.mode, rng)
 
     norm = Normalizer(cfg.normalize, t)
     best = nmse(norm(_measure(forward_pass, mask, t.size)), t)
@@ -214,8 +198,8 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     history: list[EpochRecord] = []
     since_improve = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        n = n_mirrors(cfg.alpha, best, cap=k)
-        cand = propose(mask, n, cfg.mode, rng)
+        n = n_mirrors(cfg.alpha, best, cap=n_nodes)
+        cand = propose(mask, n, rng)
         e = nmse(norm(_measure(forward_pass, cand, t.size)), t)
         accepted = e < best
         if accepted:
@@ -286,20 +270,6 @@ def score(y_out: np.ndarray, y_target: np.ndarray, err: float,
         thr = float(threshold_rule)
     ser = float(np.mean((y_out > thr) != _positive_class(t)))
     return Metrics(nmse=err, accuracy=1.0 - ser, ser=ser, threshold=thr)
-
-
-def result_to_json(result: TrainResult) -> str:
-    """TrainResult as a JSON document (mask, history, error summary)."""
-    doc = {
-        "mask": {"weights": [int(v) for v in result.best_mask.weights],
-                 "mode": result.best_mask.mode},
-        "history": [{"epoch": r.epoch, "nmse_best": r.nmse_best,
-                     "n_mirrors": r.n_mirrors, "accepted": r.accepted}
-                    for r in result.history],
-        "final_nmse": result.final_nmse,
-        "initial_nmse": result.initial_nmse,
-    }
-    return json.dumps(doc)
 
 
 def history_to_csv(result: TrainResult) -> str:

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPlaneError, ShapeError, UsageError
-from .substrate import circle_mask
+from .errors import ConfigError, ShapeError, UsageError
 
 MODES = ("boolean", "ternary")
 
@@ -51,39 +50,15 @@ class TernaryMask:
                 and np.array_equal(self.weights, other.weights))
 
 
-@dataclass(frozen=True)
-class BooleanPlane:
-    """One displayable mirror plane: which nodes reach the detector."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.bits)
-        if b.ndim != 1 or b.dtype != bool:
-            raise ShapeError("bits must be a flat boolean vector")
-
-
-def decompose(mask: TernaryMask) -> tuple[BooleanPlane, BooleanPlane]:
-    """Split a ternary mask into its (+1) plane and (-1) plane.
+def decompose(mask: TernaryMask) -> tuple[np.ndarray, np.ndarray]:
+    """Split a ternary mask into its (+1) plane and (-1) plane: two Boolean
+    vectors naming the nodes each detector configuration collects.
 
     The planes are disjoint by construction: no node can be routed to both
     detector configurations.
     """
     w = np.asarray(mask.weights)
-    return BooleanPlane(bits=w == 1), BooleanPlane(bits=w == -1)
-
-
-def compose(plus: BooleanPlane, minus: BooleanPlane, mode: str = "ternary") -> TernaryMask:
-    """Inverse of :func:`decompose`; rejects overlapping planes."""
-    p, m = plus.bits, minus.bits
-    if p.size != m.size:
-        raise ShapeError(f"plane lengths differ: {p.size} != {m.size}")
-    if np.any(p & m):
-        raise InvalidPlaneError("planes overlap: a node cannot feed both detector paths")
-    w = np.zeros(p.size, dtype=np.int8)
-    w[p] = 1
-    w[m] = -1
-    return TernaryMask(weights=w, mode=mode)
+    return w == 1, w == -1
 
 
 def random_mask(length: int, mode: str = "ternary", seed: int | np.random.Generator = 0) -> TernaryMask:
@@ -120,14 +95,14 @@ class DetectorModel:
         return sd * self._rng.standard_normal(n)
 
 
-def detect_batch(states: np.ndarray, plane: BooleanPlane, substrate_gain: float,
+def detect_batch(states: np.ndarray, plane: np.ndarray, substrate_gain: float,
                  det: DetectorModel) -> np.ndarray:
-    """Detected power of one plane for each row of an (N, K) state matrix:
-    gain times the sum of the selected intensities, from one sweep of the
-    plane across the batch with one noise draw per sample."""
-    if states.shape[1] != plane.bits.size:
-        raise ShapeError(f"state width {states.shape[1]} != plane length {plane.bits.size}")
-    return substrate_gain * (states @ plane.bits.astype(float)) + det.draw(states.shape[0])
+    """Detected power of one Boolean (K,) plane for each row of an (N, K)
+    state matrix: gain times the sum of the selected intensities, from one
+    sweep of the plane across the batch with one noise draw per sample."""
+    if states.shape[1] != plane.size:
+        raise ShapeError(f"state width {states.shape[1]} != plane length {plane.size}")
+    return substrate_gain * (states @ plane.astype(float)) + det.draw(states.shape[0])
 
 
 def readout_batch(states: np.ndarray, mask: TernaryMask, substrate_gain: float,
@@ -148,31 +123,8 @@ def readout_batch(states: np.ndarray, mask: TernaryMask, substrate_gain: float,
             - detect_batch(states, minus, substrate_gain, det))
 
 
-def mask_to_json(mask: TernaryMask, grid_side: int | None = None) -> str:
+def mask_to_json(mask: TernaryMask, grid_side: int) -> str:
     """Serialize to a flat JSON weight array plus mode; ``grid_side``
     records the display geometry (row-major over the active disk)."""
-    doc = {"weights": [int(v) for v in mask.weights], "mode": mask.mode}
-    if grid_side is not None:
-        doc["grid_side"] = int(grid_side)
-    return json.dumps(doc)
-
-
-def mask_from_json(doc: str | dict) -> TernaryMask:
-    data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-    unknown = set(data) - {"weights", "mode", "grid_side"}
-    if unknown:
-        raise ConfigError(f"unknown mask fields: {sorted(unknown)}")
-    return TernaryMask(weights=np.asarray(data["weights"], dtype=np.int8),
-                       mode=data.get("mode", "ternary"))
-
-
-def mask_to_grid(mask: TernaryMask, grid_side: int) -> np.ndarray:
-    """Reshape the flat mask onto its grid for display: active cells filled
-    row-major, inactive cells zero."""
-    node_mask = circle_mask(grid_side)
-    if int(node_mask.sum()) != len(mask):
-        raise ShapeError(
-            f"mask length {len(mask)} does not match the {grid_side}x{grid_side} disk")
-    grid = np.zeros((grid_side, grid_side), dtype=int)
-    grid[node_mask] = mask.weights
-    return grid
+    return json.dumps({"weights": [int(v) for v in mask.weights], "mode": mask.mode,
+                       "grid_side": int(grid_side)})

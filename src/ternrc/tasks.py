@@ -1,5 +1,5 @@
 """Benchmark workloads: pie-shaped Boolean headers and one-vs-all digit
-batches, plus IDX file ingestion and a portable batch container.
+batches, plus IDX file ingestion.
 
 Both generators follow the balanced-batch protocol: half the batch is the
 positive class, half is drawn uniformly from the alternatives, shuffled by
@@ -8,8 +8,8 @@ stand-in when the canonical digit files are not on disk.
 
 Shapes: a batch holds an (N, d, d) Boolean frame stack, dark outside the
 inscribed-circle aperture of side d, with (N,) targets and (N,) labels; a
-rendered header or binarized image is one (d, d) frame; a digit dataset
-holds (N, rows, cols) uint8 grayscale images.
+rendered header is one (d, d) frame; a digit dataset holds (N, rows, cols)
+uint8 grayscale images.
 """
 
 from __future__ import annotations
@@ -193,19 +193,6 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
         f.write(labels.tobytes())
 
 
-def binarize(image: np.ndarray, threshold_fraction: float = 0.5) -> np.ndarray:
-    """Boolean (d, d) frame for the input mirror array: a pixel is on iff it
-    lies in the aperture and its intensity exceeds threshold_fraction * 255."""
-    if not 0.0 < threshold_fraction < 1.0:
-        raise UsageError(f"threshold_fraction must be in (0, 1), got {threshold_fraction}")
-    img = np.asarray(image)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ShapeError(f"expected a square 2-D grayscale image, got shape {img.shape}")
-    frame = _frames(img[None] > threshold_fraction * 255.0)
-    _check_frames(frame)
-    return frame[0]
-
-
 def _frames(on: np.ndarray, side: int | None = None) -> np.ndarray:
     """Boolean (N, s, s) stack -> (N, side, side) frames: center-cropped or
     zero-padded to ``side`` when given, then cut to the inscribed-circle
@@ -225,11 +212,11 @@ def _frames(on: np.ndarray, side: int | None = None) -> np.ndarray:
 
 
 def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed: int,
-                        draw: int = 0, threshold_fraction: float = 0.5,
-                        input_side: int | None = None,
+                        draw: int = 0, input_side: int | None = None,
                         target_levels: tuple[float, float] = (0.0, 1.0)) -> LabeledBatch:
     """Balanced one-vs-all digit batch: half images of ``digit``, half drawn
-    uniformly from the other classes, binarized and shuffled by seed.
+    uniformly from the other classes, shuffled by seed. A pixel is on iff it
+    is brighter than half of full scale (127.5) and lies in the aperture.
 
     ``draw`` indexes consecutive disjoint batches under the same seed: the
     eligible images are put in one seeded order and draw k consumes slice k,
@@ -259,7 +246,7 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
     targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
     order = np.random.default_rng(seed + 0x5EED * (draw + 1)).permutation(n_samples)
     chosen, targets = chosen[order], targets[order]
-    pixels = _frames(dataset.images[chosen] > threshold_fraction * 255.0, input_side)
+    pixels = _frames(dataset.images[chosen] > 127.5, input_side)
     return LabeledBatch(pixels=pixels, targets=targets,
                         labels=dataset.labels[chosen].astype(int))
 
@@ -347,57 +334,3 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
     noise = rng.standard_normal((n_images, 28, 28)) * 10.0 * distortion
     images = np.clip(out * amp * 255.0 + noise, 0.0, 255.0).astype(np.uint8)
     return DigitDataset(images=images, labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# Portable batch container
-#
-# Layout (big-endian): magic "TRCB", u32 version, u32 N, u32 d, then N
-# bit-packed frames (ceil(d*d/8) bytes each, pixels row-major), then N
-# float64 targets.
-
-_BATCH_MAGIC = b"TRCB"
-_BATCH_VERSION = 1
-
-
-def save_batch(batch: LabeledBatch, path) -> None:
-    """Write a batch to the portable binary container."""
-    n = len(batch)
-    if n == 0:
-        raise UsageError("cannot save an empty batch")
-    d = batch.pixels.shape[1]
-    with open(path, "wb") as f:
-        f.write(_BATCH_MAGIC)
-        f.write(struct.pack(">III", _BATCH_VERSION, n, d))
-        f.write(np.packbits(batch.pixels.reshape(n, d * d), axis=1).tobytes())
-        f.write(np.asarray(batch.targets, dtype=">f8").tobytes())
-
-
-def load_batch(path) -> LabeledBatch:
-    """Read the portable container back. Raw class labels are not part of
-    the layout; they are reconstructed as 0/1 class indicators."""
-    blob = _read(path)
-    if blob[:4] != _BATCH_MAGIC:
-        raise FormatError(f"{path}: bad batch magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise FormatError(f"{path}: truncated batch header")
-    version, n, d = struct.unpack(">III", blob[4:16])
-    if version != _BATCH_VERSION:
-        raise FormatError(f"{path}: unsupported batch version {version}")
-    if n == 0:
-        raise FormatError(f"{path}: batch holds no patterns")
-    if d < 4:
-        raise FormatError(f"{path}: pattern side {d} is below the minimum of 4")
-    per = (d * d + 7) // 8
-    need = 16 + n * per + n * 8
-    if len(blob) != need:
-        raise FormatError(f"{path}: expected {need} bytes, got {len(blob)}")
-    packed = np.frombuffer(blob, dtype=np.uint8, count=n * per, offset=16).reshape(n, per)
-    bits = np.unpackbits(packed, axis=1, count=d * d).reshape(n, d, d)
-    targets = np.frombuffer(blob, dtype=">f8", count=n, offset=16 + n * per).astype(float)
-    if not np.isfinite(targets).all():
-        raise FormatError(f"{path}: batch targets must be finite")
-    # halve first: the sum of two large finite targets overflows
-    mid = targets.min() / 2.0 + targets.max() / 2.0
-    labels = (targets > mid).astype(int)
-    return LabeledBatch(pixels=_frames(bits.astype(bool)), targets=targets, labels=labels)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ternrc import make_glyph_dataset, write_idx_images, write_idx_labels
+from ternrc.tasks import make_glyph_dataset, write_idx_images, write_idx_labels
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ternrc import (NumericalError, UsageError, lambda_sweep, ridge_eval,
-                    ridge_fit, ridge_predict)
+from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit, ridge_predict
+from ternrc.errors import NumericalError, UsageError
 
 
 class TestRidgeFit:
@@ -71,7 +71,6 @@ class TestRidgeEval:
     def test_zero_weight_model_is_chance_on_balanced_data(self):
         x = np.random.default_rng(5).random((20, 3))
         y = np.array([0.0, 1.0] * 10)
-        from ternrc.baselines import RidgeModel
         model = RidgeModel(weights=np.zeros(3), bias=0.7, lam=1.0)
         m = ridge_eval(model, x, y)
         # constant predictor, midpoint rule, ties predict negative

@@ -15,9 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternrc import (ConfigError, ExperimentConfig, HeaderTask, MnistTask, SubstrateConfig,
-                    TrainConfig, write_idx_images, write_idx_labels)
 from ternrc.cli import _default_doc, main
+from ternrc.errors import ConfigError
+from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask
+from ternrc.optimizer import TrainConfig
+from ternrc.substrate import SubstrateConfig
+from ternrc.tasks import write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,33 +42,34 @@ def _mnist_task(idx, digit, test_partition):
     return task
 
 
-def _case(command, idx):
-    """(config document, extra CLI flags) of one command's tiny run."""
-    if command == "header":
-        return {"substrate": {"input_side": 32, "seed": 11},
-                "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
-                          "normalize": "zscore", "seed": 11},
-                "task": HEADER_TASK}, []
-    if command == "train":
-        return {"substrate": {"input_side": 32, "seed": 12},
-                "train": {"alpha": 5.0, "max_epochs": 20, "mode": "boolean",
-                          "normalize": "first_epoch", "patience": 8, "seed": 12},
-                "task": HEADER_TASK, "repeats": 2}, []
-    if command == "alpha-scan":
+def _case(case, idx):
+    """(command, config document, extra CLI flags) of one tiny run."""
+    if case == "header":
+        return "header", {"substrate": {"input_side": 32, "seed": 11},
+                          "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
+                                    "normalize": "zscore", "seed": 11},
+                          "task": HEADER_TASK}, []
+    if case == "header-boolean":
+        # the one case with a boolean mask, first_epoch, patience and repeats
+        return "header", {"substrate": {"input_side": 32, "seed": 12},
+                          "train": {"alpha": 5.0, "max_epochs": 20, "mode": "boolean",
+                                    "normalize": "first_epoch", "patience": 8, "seed": 12},
+                          "task": HEADER_TASK, "repeats": 2}, []
+    if case == "alpha-scan":
         # integer and float alphas: the seed tags spell each as written
-        return {"substrate": {"input_side": 32, "seed": 13},
-                "train": {"alpha": 10.0, "max_epochs": 15, "mode": "ternary",
-                          "normalize": "off", "seed": 13},
-                "task": HEADER_TASK, "alphas": [0, 5.0, 20]}, []
-    if command == "compare":
-        return {"substrate": {"input_side": 28, "seed": 14},
-                "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
-                          "normalize": "zscore", "seed": 14},
-                "task": _mnist_task(idx, 3, test_partition=True)}, []
-    return {"substrate": {"input_side": 28, "seed": 15},
-            "train": {"alpha": 10.0, "max_epochs": 10, "mode": "ternary",
-                      "normalize": "first_epoch", "seed": 15},
-            "task": _mnist_task(idx, 0, test_partition=False)}, \
+        return "alpha-scan", {"substrate": {"input_side": 32, "seed": 13},
+                              "train": {"alpha": 10.0, "max_epochs": 15, "mode": "ternary",
+                                        "normalize": "off", "seed": 13},
+                              "task": HEADER_TASK, "alphas": [0, 5.0, 20]}, []
+    if case == "compare":
+        return "compare", {"substrate": {"input_side": 28, "seed": 14},
+                           "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
+                                     "normalize": "zscore", "seed": 14},
+                           "task": _mnist_task(idx, 3, test_partition=True)}, []
+    return "stability", {"substrate": {"input_side": 28, "seed": 15},
+                         "train": {"alpha": 10.0, "max_epochs": 10, "mode": "ternary",
+                                   "normalize": "first_epoch", "seed": 15},
+                         "task": _mnist_task(idx, 0, test_partition=False)}, \
         ["--checks", "30", "--drift-steps", "2"]
 
 
@@ -79,7 +83,7 @@ GOLDEN = {
         "results.csv":
             "48504cc8cb9f47034f2e05e1ed6641ef11f1d11e2d57473cdcb21272fefa393a",
     },
-    "train": {
+    "header-boolean": {
         "history_header_s0.csv":
             "eda64fa9447229bdc945550301a0c322307f2d795dd2af01a5cefd4715bf605c",
         "history_header_s1.csv":
@@ -130,15 +134,15 @@ def _run_cli(*args):
                           capture_output=True, text=True, timeout=300)
 
 
-def _golden_run(command, idx, tmp_path):
-    """Run one command's tiny case into ``tmp_path / "out"``; returns (out, flags)."""
-    doc, flags = _case(command, idx)
+def _golden_run(case, idx, tmp_path):
+    """Run one tiny case into ``tmp_path / "out"``; returns (command, out, flags)."""
+    command, doc, flags = _case(case, idx)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     proc = _run_cli(command, "--config", str(config), "--out", str(out), *flags)
     assert proc.returncode == 0, proc.stderr
-    return out, flags
+    return command, out, flags
 
 
 def _digests(out):
@@ -146,25 +150,25 @@ def _digests(out):
             for p in sorted(out.iterdir()) if p.name not in UNDIGESTED}
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_outputs_match_golden_digests(command, idx_files, tmp_path):
-    out, _ = _golden_run(command, idx_files, tmp_path)
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_outputs_match_golden_digests(case, idx_files, tmp_path):
+    _, out, _ = _golden_run(case, idx_files, tmp_path)
     files = {p.name for p in out.iterdir()}
-    assert files == set(GOLDEN[command]) | UNDIGESTED
+    assert files == set(GOLDEN[case]) | UNDIGESTED
     for name, schema in SCHEMAS.items():
         if name in files:
             assert (out / name).read_text().splitlines()[0] == f"# schema: {schema}"
-    assert _digests(out) == GOLDEN[command]
+    assert _digests(out) == GOLDEN[case]
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_rerun_from_resolved_config(command, idx_files, tmp_path):
-    out, flags = _golden_run(command, idx_files, tmp_path)
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_rerun_from_resolved_config(case, idx_files, tmp_path):
+    command, out, flags = _golden_run(case, idx_files, tmp_path)
     resolved = out / "config.resolved.json"
     again = tmp_path / "again"
     proc = _run_cli(command, "--config", str(resolved), "--out", str(again), *flags)
     assert proc.returncode == 0, proc.stderr
-    assert _digests(again) == GOLDEN[command]
+    assert _digests(again) == GOLDEN[case]
     record = json.loads(resolved.read_text())
     assert json.loads((again / "config.resolved.json").read_text()) == \
         {**record, "output_dir": str(again)}
@@ -175,7 +179,7 @@ def test_rerun_from_resolved_config(command, idx_files, tmp_path):
 def _reference_default(command):
     """The CLI defaults written as dataclass expressions: an independent
     reference for the documents of ``_default_doc``."""
-    if command in ("header", "alpha-scan", "train"):
+    if command in ("header", "alpha-scan"):
         return ExperimentConfig(
             substrate=SubstrateConfig(input_side=64),
             train=TrainConfig(alpha=10.0, max_epochs=800, mode="ternary",
@@ -199,7 +203,7 @@ def _reference_default(command):
     )
 
 
-@pytest.mark.parametrize("command", ["alpha-scan", "compare", "header", "stability", "train"])
+@pytest.mark.parametrize("command", ["alpha-scan", "compare", "header", "stability"])
 def test_default_doc_matches_reference(command):
     cfg = ExperimentConfig.from_json(_default_doc(command))
     assert cfg == _reference_default(command)
@@ -225,11 +229,20 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": VALID_TRAIN, "repeats": 1.7},
     {"train": VALID_TRAIN, "off_brightness": "0.5"},
     {"train": VALID_TRAIN, "derived_seeds": {"repeat0": {"substrate": 1}}},
+    {"train": {"alpha": 10.0, "max_epochs": 5.5}},
+    {"train": {**VALID_TRAIN, "patience": 1.5}},
+    {"substrate": {"grid_side": 24.5}, "train": VALID_TRAIN},
+    {"train": {**VALID_TRAIN, "seed": 1.5}},
+    {"train": {"alpha": True, "max_epochs": 5}},
+    {"substrate": {"vcsel_on": "no"}, "train": VALID_TRAIN},
+    {"train": {**VALID_TRAIN, "target_levels": ["a", "b"]}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
         "string-digit", "fractional-repeats", "string-off-brightness",
-        "tampered-derived-seeds"])
+        "tampered-derived-seeds", "fractional-max-epochs", "fractional-patience",
+        "fractional-grid-side", "fractional-train-seed", "boolean-alpha",
+        "string-vcsel-on", "string-target-levels"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -260,7 +273,7 @@ def test_missing_idx_path_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["header", "stability"])
 def test_out_naming_a_file_exits_2(command, idx_files, tmp_path, capsys):
-    doc, flags = _case(command, idx_files)
+    _, doc, flags = _case(command, idx_files)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "taken"
@@ -296,7 +309,7 @@ def test_non_square_digit_images_exit_3(side, tmp_path, capsys):
 
 def test_unregularised_ridge_on_rank_deficient_states_exits_2(idx_files, tmp_path, capsys):
     # 40 samples cannot span the 448 node states, so lambda = 0 is singular
-    doc, _ = _case("compare", idx_files)
+    _, doc, _ = _case("compare", idx_files)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**doc, "ridge_grid": [0]}))
     assert main(["compare", "--config", str(config)]) == 2
@@ -319,3 +332,8 @@ def test_omitted_fields_take_dataclass_defaults():
     fields = ExperimentConfig.__dataclass_fields__
     for name in ("repeats", "output_dir", "off_brightness", "ridge_grid", "alphas"):
         assert getattr(cfg, name) == fields[name].default
+
+
+def test_integer_alpha_kept_as_written():
+    cfg = ExperimentConfig.from_json({"train": {"alpha": 10, "max_epochs": 5}})
+    assert type(cfg.train.alpha) is int and cfg.train.alpha == 10

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc import (ConfigError, TernaryMask, TrainConfig, UsageError, evaluate,
-                    history_to_csv, midpoint_threshold, n_mirrors, nmse, propose,
-                    random_mask, result_to_json, train)
+from ternrc.errors import ConfigError, UsageError
+from ternrc.optimizer import (TrainConfig, evaluate, history_to_csv, midpoint_threshold,
+                              n_mirrors, nmse, propose, train)
+from ternrc.readout import random_mask
 
 
 class TestNmse:
@@ -234,19 +235,6 @@ class TestTrain:
         with pytest.raises(UsageError):
             train(lambda m: np.zeros(3), np.zeros(4), cfg, n_nodes=4)
 
-    def test_needs_size_or_mask(self):
-        cfg = TrainConfig(alpha=1.0, max_epochs=5, mode="ternary", seed=0)
-        with pytest.raises(UsageError):
-            train(lambda m: np.zeros(4), np.zeros(4), cfg)
-
-    def test_initial_mask_respected(self):
-        states = np.eye(3)
-        targets = np.array([1.0, -1.0, 0.0])
-        start = TernaryMask(weights=np.array([1, -1, 0], dtype=np.int8))
-        cfg = TrainConfig(alpha=1.0, max_epochs=3, mode="ternary", seed=1)
-        result = train(linear_forward(states), targets, cfg, initial_mask=start)
-        assert result.initial_nmse == 0.0
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(alpha=-1.0, max_epochs=10).validate()
@@ -326,13 +314,3 @@ class TestSerialization:
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,nmse_best,n_mirrors,accepted"
         assert len(lines) == 5
-
-    def test_result_json_shape(self):
-        import json
-        states = np.eye(3)
-        targets = np.array([1.0, 0.0, 0.0])
-        cfg = TrainConfig(alpha=1.0, max_epochs=4, mode="ternary", seed=0)
-        result = train(linear_forward(states), targets, cfg, n_nodes=3)
-        doc = json.loads(result_to_json(result))
-        assert set(doc) == {"mask", "history", "final_nmse", "initial_nmse"}
-        assert doc["history"][0]["epoch"] == 1

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from ternrc import (ConfigError, DigitDataset, ExperimentConfig, LabeledBatch, MnistTask,
-                    ShapeError, SubstrateConfig, TrainConfig, UsageError, advance_drift,
-                    binarize, build_substrate, circle_mask, forward_batch, make_header_batch,
-                    make_onevsall_batch, states_matrix)
+from ternrc.errors import ConfigError, ShapeError, UsageError
+from ternrc.harness import ExperimentConfig, MnistTask
+from ternrc.optimizer import TrainConfig
+from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
+                              forward_batch, states_matrix)
+from ternrc.tasks import DigitDataset, LabeledBatch, make_header_batch, make_onevsall_batch
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -279,19 +281,27 @@ class TestInputPattern:
         n = len(pixels)
         return LabeledBatch(pixels=pixels, targets=np.zeros(n), labels=np.zeros(n, dtype=int))
 
+    @staticmethod
+    def _digit_frames(side_in, value=255, side=None):
+        """Frames of a two-image one-vs-all batch of uniform grayscale images."""
+        data = DigitDataset(images=np.full((2, side_in, side_in), value, dtype=np.uint8),
+                            labels=np.array([0, 1], dtype=np.uint8))
+        return make_onevsall_batch(data, 0, 2, seed=0, input_side=side).pixels
+
     def test_pixels_outside_aperture_rejected(self):
         px = np.ones((1, 8, 8), dtype=bool)
         with pytest.raises(ConfigError):
             self._batch(px)
 
     def test_from_pixels_applies_aperture(self):
-        assert np.array_equal(binarize(np.full((8, 8), 255)), circle_mask(8))
+        for pat in self._digit_frames(8):
+            assert np.array_equal(pat, circle_mask(8))
 
     def test_small_side_rejected(self):
         with pytest.raises(ConfigError):
             self._batch(np.zeros((1, 3, 3), dtype=bool))
         with pytest.raises(ConfigError):
-            binarize(np.zeros((3, 3)))
+            self._digit_frames(3, value=0)
 
     def test_non_boolean_or_non_square_rejected(self):
         with pytest.raises(ConfigError):
@@ -302,15 +312,10 @@ class TestInputPattern:
             LabeledBatch(np.zeros((2, 8, 8), dtype=bool), np.zeros(3), np.zeros(2))
 
     def test_center_crop_and_pad(self):
-        def fitted(side_in, side):
-            data = DigitDataset(images=np.full((2, side_in, side_in), 255, dtype=np.uint8),
-                                labels=np.array([0, 1], dtype=np.uint8))
-            return make_onevsall_batch(data, 0, 2, seed=0, input_side=side).pixels[0]
-
-        pat = fitted(12, 8)
+        pat = self._digit_frames(12, side=8)[0]
         assert pat.shape == (8, 8)
         assert np.array_equal(pat, circle_mask(8))
-        pat = fitted(6, 10)
+        pat = self._digit_frames(6, side=10)[0]
         assert pat.shape == (10, 10)
         # the padded border stays dark
         assert not pat[0].any() and not pat[-1].any()

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import struct
 
 import numpy as np
@@ -7,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc import (ConfigError, DataError, FormatError, HeaderSpec, LabeledBatch,
-                    ShapeError, UsageError, binarize, circle_mask, load_batch, load_mnist,
-                    make_glyph_dataset, make_header_batch, make_onevsall_batch,
-                    render_header, save_batch, write_idx_images, write_idx_labels)
+from ternrc.errors import ConfigError, DataError, FormatError, UsageError
+from ternrc.substrate import circle_mask
+from ternrc.tasks import (DigitDataset, HeaderSpec, load_mnist, make_glyph_dataset,
+                          make_header_batch, make_onevsall_batch, render_header,
+                          write_idx_images, write_idx_labels)
 
 
 class TestRenderHeader:
@@ -93,32 +93,34 @@ class TestHeaderBatch:
 
 
 class TestBinarize:
+    """The grayscale threshold of :func:`make_onevsall_batch`: a pixel is on
+    iff it lies in the aperture and is brighter than half of full scale."""
+
+    @staticmethod
+    def _frames(images, seed=0):
+        """Frames of a one-vs-all batch holding every image: half digit 0,
+        half digit 1."""
+        n = len(images)
+        data = DigitDataset(images=np.asarray(images, dtype=np.uint8),
+                            labels=np.arange(n, dtype=np.uint8) % 2)
+        return make_onevsall_batch(data, 0, n, seed=seed).pixels
+
     def test_zero_image_dark(self):
-        assert not binarize(np.zeros((28, 28))).any()
+        assert not self._frames(np.zeros((2, 28, 28))).any()
 
     def test_full_image_lights_disk(self):
-        pat = binarize(np.full((28, 28), 255))
-        assert np.array_equal(pat, circle_mask(28))
+        for pat in self._frames(np.full((2, 28, 28), 255)):
+            assert np.array_equal(pat, circle_mask(28))
 
     def test_mid_gray_above_half_threshold(self):
-        pat = binarize(np.full((28, 28), 128), threshold_fraction=0.5)
-        assert np.array_equal(pat, circle_mask(28))
+        for pat in self._frames(np.full((2, 28, 28), 128)):
+            assert np.array_equal(pat, circle_mask(28))
 
     def test_idempotent_under_requantization(self):
         rng = np.random.default_rng(0)
-        img = rng.integers(0, 256, size=(28, 28))
-        once = binarize(img)
-        twice = binarize(once.astype(np.uint8) * 255)
-        assert np.array_equal(once, twice)
-
-    def test_threshold_fraction_range(self):
-        with pytest.raises(UsageError):
-            binarize(np.zeros((28, 28)), threshold_fraction=1.0)
-
-    @pytest.mark.parametrize("shape", [(28, 20), (20, 28), (28,)])
-    def test_non_square_or_flat_rejected(self, shape):
-        with pytest.raises(ShapeError, match="square"):
-            binarize(np.zeros(shape))
+        once = self._frames(rng.integers(0, 256, size=(20, 28, 28)))
+        twice = self._frames(once.astype(np.uint8) * 255, seed=1)
+        assert sorted(p.tobytes() for p in once) == sorted(p.tobytes() for p in twice)
 
 
 class TestIdx:
@@ -301,128 +303,3 @@ class TestOneVsAll:
     def test_input_side_fitting(self, glyph_train):
         batch = make_onevsall_batch(glyph_train, 0, 10, seed=0, input_side=32)
         assert batch.pixels.shape == (10, 32, 32)
-
-
-class TestBatchContainer:
-    def test_round_trip(self, tmp_path):
-        batch = make_header_batch(3, 1, 50, seed=7, image_side=16)
-        p = tmp_path / "batch.bin"
-        save_batch(batch, p)
-        back = load_batch(p)
-        assert len(back) == 50
-        assert np.array_equal(back.targets, batch.targets)
-        assert np.array_equal(back.pixels, batch.pixels)
-
-    # sha256 of the written file; side 30 leaves 4 padding bits per pattern,
-    # 20 crops and 32 pads the 28 px digits
-    @pytest.mark.parametrize("kind, side, sha", [
-        ("header", 30, "59a39bec17454a98dd75c221449fbb5f97726f5ba05cdcfe7bf4a6df625fec95"),
-        ("digit", 20, "546d96a98ea12b35a5baec270239f3c3a16fd1692a4eb8915ae41644ecc8cb08"),
-        ("digit", 32, "336042b26dcc26e2b0d6aa649b096e3a88575fa94d2223bc346eeabcd076337c"),
-    ], ids=["header-30", "digit-crop-20", "digit-pad-32"])
-    def test_pinned_bytes(self, tmp_path, kind, side, sha):
-        if kind == "header":
-            batch = make_header_batch(4, 5, 60, seed=21, image_side=side)
-        else:
-            batch = make_onevsall_batch(make_glyph_dataset(600, seed=3), 3, 40, seed=22,
-                                        input_side=side)
-        p = tmp_path / "batch.bin"
-        save_batch(batch, p)
-        assert hashlib.sha256(p.read_bytes()).hexdigest() == sha
-        back = load_batch(p)
-        save_batch(back, tmp_path / "again.bin")
-        assert (tmp_path / "again.bin").read_bytes() == p.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "junk.bin"
-        p.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError):
-            load_batch(p)
-
-    def test_truncation_detected(self, tmp_path):
-        batch = make_header_batch(3, 1, 10, seed=8, image_side=16)
-        p = tmp_path / "batch.bin"
-        save_batch(batch, p)
-        p.write_bytes(p.read_bytes()[:-4])
-        with pytest.raises(FormatError):
-            load_batch(p)
-
-    def test_header_only_magic(self, tmp_path):
-        p = tmp_path / "batch.bin"
-        p.write_bytes(b"TRCB")
-        with pytest.raises(FormatError):
-            load_batch(p)
-
-    def test_empty_batch_not_saved(self, tmp_path):
-        empty = LabeledBatch(pixels=np.zeros((0, 16, 16), dtype=bool), targets=np.zeros(0),
-                             labels=np.zeros(0, dtype=int))
-        with pytest.raises(UsageError):
-            save_batch(empty, tmp_path / "batch.bin")
-
-    def test_zero_patterns_rejected(self, tmp_path):
-        p = tmp_path / "batch.bin"
-        p.write_bytes(b"TRCB" + struct.pack(">III", 1, 0, 16))
-        with pytest.raises(FormatError):
-            load_batch(p)
-
-    def _with_targets(self, path, targets):
-        frames = bytes(2 * len(targets))  # two bytes per dark 4 x 4 frame
-        path.write_bytes(b"TRCB" + struct.pack(">III", 1, len(targets), 4) + frames
-                         + np.asarray(targets, dtype=">f8").tobytes())
-
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_non_finite_targets_rejected(self, tmp_path, bad):
-        p = tmp_path / "batch.bin"
-        self._with_targets(p, [0.0, bad])
-        with pytest.raises(FormatError, match="finite"):
-            load_batch(p)
-
-    def test_largest_finite_targets_split_without_overflow(self, tmp_path):
-        p = tmp_path / "batch.bin"
-        big = np.finfo(float).max
-        self._with_targets(p, [big, big / 4, big])
-        assert load_batch(p).labels.tolist() == [1, 0, 1]
-
-
-def _load_bytes(blob, root):
-    p = root / "fuzz.bin"
-    p.write_bytes(blob)
-    return load_batch(p)
-
-
-class TestBatchContainerFuzz:
-    """A malformed container may raise only FormatError."""
-
-    @pytest.fixture(scope="class")
-    def root(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("trcb")
-
-    @pytest.fixture(scope="class")
-    def valid(self, root):
-        save_batch(make_header_batch(3, 1, 6, seed=9, image_side=8), root / "valid.bin")
-        return (root / "valid.bin").read_bytes()
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_any_truncation(self, root, valid, data):
-        cut = data.draw(st.integers(0, len(valid) - 1))
-        with pytest.raises(FormatError):
-            _load_bytes(valid[:cut], root)
-
-    @given(st.binary(max_size=300))
-    @settings(max_examples=200, deadline=None)
-    def test_garbage_after_magic(self, root, garbage):
-        try:
-            _load_bytes(b"TRCB" + garbage, root)
-        except FormatError:
-            pass
-
-    @given(st.integers(0, 3), st.integers(0, 9), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_garbage_payload_of_declared_size(self, root, n, d, data):
-        need = n * ((d * d + 7) // 8) + n * 8
-        payload = data.draw(st.binary(min_size=need, max_size=need))
-        try:
-            _load_bytes(b"TRCB" + struct.pack(">III", 1, n, d) + payload, root)
-        except FormatError:
-            pass
