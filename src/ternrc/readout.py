@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
+from .substrate import circle_mask
 
 MODES = ("boolean", "ternary")
 
@@ -125,6 +126,11 @@ def readout_batch(states: np.ndarray, mask: TernaryMask, substrate_gain: float,
 
 def mask_to_json(mask: TernaryMask, grid_side: int) -> str:
     """Serialize to a flat JSON weight array plus mode; ``grid_side``
-    records the display geometry (row-major over the active disk)."""
+    records the display geometry (row-major over the active disk), so the
+    mask must fill that disk exactly."""
+    n_active = int(circle_mask(grid_side).sum())
+    if len(mask) != n_active:
+        raise ShapeError(f"mask length {len(mask)} != {n_active} active cells of a "
+                         f"{grid_side}-side grid")
     return json.dumps({"weights": [int(v) for v in mask.weights], "mode": mask.mode,
                        "grid_side": int(grid_side)})

@@ -228,9 +228,9 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
         raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
     if draw < 0:
         raise UsageError(f"draw must be >= 0, got {draw}")
-    _, rows, cols = dataset.images.shape
-    if rows != cols:
-        raise DataError(f"digit images must be square, got {rows}x{cols}")
+    shape = dataset.images.shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DataError(f"digit images must be square, got {'x'.join(map(str, shape))}")
     half = n_samples // 2
     rng = np.random.default_rng(seed)
     pos_pool = rng.permutation(np.nonzero(dataset.labels == digit)[0])

@@ -235,6 +235,11 @@ class TestTrain:
         with pytest.raises(UsageError):
             train(lambda m: np.zeros(3), np.zeros(4), cfg, n_nodes=4)
 
+    def test_needs_size_or_mask(self):
+        cfg = TrainConfig(alpha=1.0, max_epochs=5, mode="ternary", seed=0)
+        with pytest.raises(TypeError, match="n_nodes"):
+            train(lambda m: np.zeros(4), np.zeros(4), cfg)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(alpha=-1.0, max_epochs=10).validate()

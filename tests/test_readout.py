@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ternrc.errors import ConfigError, ShapeError, UsageError
 from ternrc.readout import (DetectorModel, TernaryMask, decompose, detect_batch, mask_to_json,
                             random_mask, readout_batch)
+from ternrc.substrate import SubstrateConfig, build_substrate, circle_mask
 
 
 def plane(bits):
@@ -78,6 +79,35 @@ class TestDecompose:
     def test_round_trip_property(self, weights):
         m = TernaryMask(weights=np.asarray(weights, dtype=np.int8))
         assert np.array_equal(recombined(*decompose(m)), m.weights)
+
+
+class TestCompose:
+    """:func:`readout_batch` composes the two plane detections back into one
+    signed output per sample."""
+
+    def test_inverse_of_decompose_example(self):
+        m = TernaryMask(weights=np.array([1, 0, -1]))
+        y = readout_batch(np.eye(3), m, 1.0, DetectorModel(noise_sigma=0.0))
+        assert y.tolist() == [1.0, 0.0, -1.0]
+
+    def test_zero_planes(self):
+        m = TernaryMask(weights=np.zeros(3, dtype=int))
+        states = np.random.default_rng(2).random((4, 3))
+        assert readout_batch(states, m, 1.0, DetectorModel(noise_sigma=0.0)).tolist() == [0.0] * 4
+
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            readout_batch(np.zeros((4, 3)), random_mask(2, "ternary", 0), 1.0, DetectorModel())
+
+    def test_boolean_mode_requires_empty_minus(self):
+        # a boolean mask has no (-1) plane: its output is the (+1) detection alone
+        m = TernaryMask(weights=np.array([1, 0, 1]), mode="boolean")
+        plus, minus = decompose(m)
+        assert not minus.any()
+        states = np.random.default_rng(3).random((5, 3))
+        got = readout_batch(states, m, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
+        want = detect_batch(states, plus, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
+        assert np.array_equal(got, want)
 
 
 class TestDetect:
@@ -197,7 +227,20 @@ class TestRandomMask:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        m = random_mask(30, "ternary", 4)
-        doc = json.loads(mask_to_json(m, grid_side=24))
-        assert doc == {"weights": m.weights.tolist(), "mode": "ternary", "grid_side": 24}
+        m = random_mask(32, "ternary", 4)  # the 32 active cells of a 6-side grid
+        doc = json.loads(mask_to_json(m, grid_side=6))
+        assert doc == {"weights": m.weights.tolist(), "mode": "ternary", "grid_side": 6}
         assert TernaryMask(weights=np.asarray(doc["weights"]), mode=doc["mode"]) == m
+
+    def test_grid_display_layout(self):
+        # a substrate's mask fills the active disk of its own grid side
+        sub = build_substrate(SubstrateConfig(grid_side=24, input_side=16))
+        m = random_mask(sub.n_nodes, "ternary", 0)
+        doc = json.loads(mask_to_json(m, grid_side=24))
+        grid = np.zeros((24, 24), dtype=int)
+        grid[circle_mask(doc["grid_side"])] = doc["weights"]
+        assert np.count_nonzero(grid) == np.count_nonzero(m.weights)
+
+    def test_grid_length_mismatch(self):
+        with pytest.raises(ShapeError):
+            mask_to_json(random_mask(10, "ternary", 0), grid_side=24)

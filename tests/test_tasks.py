@@ -122,6 +122,11 @@ class TestBinarize:
         twice = self._frames(once.astype(np.uint8) * 255, seed=1)
         assert sorted(p.tobytes() for p in once) == sorted(p.tobytes() for p in twice)
 
+    @pytest.mark.parametrize("shape", [(28, 20), (20, 28), (28,)])
+    def test_non_square_or_flat_rejected(self, shape):
+        with pytest.raises(DataError, match="square"):
+            self._frames(np.zeros((2, *shape)))
+
 
 class TestIdx:
     def test_round_trip_bytes(self, tmp_path):
