@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -22,9 +23,9 @@ from .baselines import lambda_sweep, ridge_eval, ridge_fit
 from .errors import ConfigError, DataError, UsageError
 from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, evaluate,
                         history_to_csv, nmse, train)
-from .readout import DetectorModel, TernaryMask, mask_to_json, readout_batch
+from .readout import DetectorModel, TernaryMask, mask_to_json, plane_power, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift,
-                        forward_batch, states_matrix)
+                        forward_batch, laser_response, states_matrix)
 from .tasks import (DigitDataset, HeaderSpec, LabeledBatch, load_mnist,
                     make_header_batch, make_onevsall_batch)
 
@@ -206,29 +207,52 @@ def _section(cls, doc, name: str, *extra: str) -> dict:
 # ---------------------------------------------------------------------------
 # Measurement rig
 
+#: plane powers one rig keeps: 64 entries of N floats is 512 KB at N = 1000
+POWER_CACHE_SIZE = 64
+
+
 class BatchReadout:
     """One arm's data-acquisition loop over a fixed batch.
 
     ``states`` are the batch's noiseless (N, K) node intensities, computed
-    once because the forward path is deterministic; each measurement applies
-    the live detector-path gain, the arm's brightness and fresh detector
-    noise. Calling it with a mask returns the N-vector of readout outputs,
-    which is exactly the contract the optimizer expects.
+    once because the forward path is deterministic, and frozen read-only.
+    The noiseless power of each plane is kept in a small LRU cache, keyed by
+    the plane's bytes, so re-measuring a plane skips its matrix product;
+    each measurement applies the live detector-path gain, the arm's
+    brightness and fresh detector noise after the lookup. Calling it with a
+    mask returns the N-vector of readout outputs, which is exactly the
+    contract the optimizer expects.
     """
 
     def __init__(self, substrate: Substrate, states: np.ndarray, detector: DetectorModel,
                  brightness: float = 1.0):
+        states.setflags(write=False)
         self.substrate = substrate
         self.states = states
         self.detector = detector
         self.brightness = brightness
+        self._powers: OrderedDict[bytes, np.ndarray] = OrderedDict()
 
     @property
     def n_nodes(self) -> int:
         return self.states.shape[1]
 
+    def power(self, plane: np.ndarray) -> np.ndarray:
+        """The cached noiseless (N,) power of one Boolean plane."""
+        key = plane.tobytes()
+        p = self._powers.get(key)
+        if p is None:
+            p = plane_power(self.states, plane)
+            p.setflags(write=False)
+            self._powers[key] = p
+            if len(self._powers) > POWER_CACHE_SIZE:
+                self._powers.popitem(last=False)
+        else:
+            self._powers.move_to_end(key)
+        return p
+
     def measure(self, mask: TernaryMask) -> np.ndarray:
-        return readout_batch(self.states, mask,
+        return readout_batch(self.power, mask,
                              self.substrate.gain * self.brightness, self.detector)
 
     __call__ = measure
@@ -336,8 +360,13 @@ def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
 def _states(sub: Substrate, batch_tr: LabeledBatch, batch_te: LabeledBatch):
     """Noiseless (train, test) state matrices, and the training batch's mean
     all-on power at unit gain."""
-    s_tr = states_matrix(*forward_batch(sub, batch_tr.pixels))
-    s_te = states_matrix(*forward_batch(sub, batch_te.pixels))
+    return _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
+
+
+def _gathered(passes):
+    """(train, test) state matrices of two forward passes, and the training
+    batch's mean all-on power at unit gain."""
+    s_tr, s_te = (states_matrix(*fp) for fp in passes)
     return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
 
 
@@ -405,8 +434,14 @@ def _comparison_arms(cfg, repeat, digit, sub_on, sub_off, batch_tr, batch_te):
     """Train/evaluate the four arms on shared batches; returns (arm, row,
     result) tuples, with no result for the ridge arm."""
     dtag = "" if digit is None else f"-d{digit}"
-    on, sbar = _states(sub_on, batch_tr, batch_te)  # detector calibrated once, lasing config
-    off, power_off = _states(sub_off, batch_tr, batch_te)
+    # one transmission pass for both arms: the lasing states are the laser
+    # response to the laser-off intensities, which needs the same speckle
+    if not np.array_equal(sub_on.transmission, sub_off.transmission):
+        raise UsageError("the laser-on and laser-off arms must share one transmission")
+    passes = [forward_batch(sub_off, b.pixels) for b in (batch_tr, batch_te)]
+    off, power_off = _gathered(passes)
+    # detector calibrated once, lasing config
+    on, sbar = _gathered([(laser_response(sub_on, p), index) for p, index in passes])
     # laser off: same optics, faint detected signal, same detector calibration
     bright_off = cfg.off_brightness * sbar / power_off
     produced = []

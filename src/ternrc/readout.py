@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,32 +97,36 @@ class DetectorModel:
         return sd * self._rng.standard_normal(n)
 
 
-def detect_batch(states: np.ndarray, plane: np.ndarray, substrate_gain: float,
-                 det: DetectorModel) -> np.ndarray:
-    """Detected power of one Boolean (K,) plane for each row of an (N, K)
-    state matrix: gain times the sum of the selected intensities, from one
-    sweep of the plane across the batch with one noise draw per sample."""
+def plane_power(states: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """Noiseless power one Boolean (K,) plane collects from each row of an
+    (N, K) state matrix: the sum of the selected intensities, at unit gain."""
     if states.shape[1] != plane.size:
         raise ShapeError(f"state width {states.shape[1]} != plane length {plane.size}")
-    return substrate_gain * (states @ plane.astype(float)) + det.draw(states.shape[0])
+    return states @ plane.astype(float)
 
 
-def readout_batch(states: np.ndarray, mask: TernaryMask, substrate_gain: float,
-                  det: DetectorModel) -> np.ndarray:
+def detect_batch(power: np.ndarray, substrate_gain: float, det: DetectorModel) -> np.ndarray:
+    """Detected power of one plane sweep across the batch: gain times the
+    (N,) noiseless plane power, plus one noise draw per sample."""
+    return substrate_gain * power + det.draw(power.shape[0])
+
+
+def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
+                  substrate_gain: float, det: DetectorModel) -> np.ndarray:
     """Scalar output per sample: subtraction of the two plane detections.
 
+    ``power`` maps a Boolean plane to its (N,) noiseless power, e.g.
+    ``functools.partial(plane_power, states)`` or a rig's cached lookup.
     The (+1) plane is swept over the whole batch, then the (-1) plane,
     mirroring how the hardware sequences its measurements: a ternary mask
     costs two noise draws per sample, a Boolean mask only its (+1) plane,
     one draw.
     """
-    if states.shape[1] != len(mask):
-        raise ShapeError(f"state width {states.shape[1]} != mask length {len(mask)}")
     plus, minus = decompose(mask)
     if mask.mode == "boolean":
-        return detect_batch(states, plus, substrate_gain, det)
-    return (detect_batch(states, plus, substrate_gain, det)
-            - detect_batch(states, minus, substrate_gain, det))
+        return detect_batch(power(plus), substrate_gain, det)
+    return (detect_batch(power(plus), substrate_gain, det)
+            - detect_batch(power(minus), substrate_gain, det))
 
 
 def mask_to_json(mask: TernaryMask, grid_side: int) -> str:

@@ -11,7 +11,10 @@ Shapes: a batch is an (N, d, d) Boolean frame stack, d = ``input_side``.
 The transmission is (K, D) complex for the K active nodes and the D pixels
 of the input aperture. :func:`forward_batch` returns the (U, K) states of
 the U distinct frames and an (N,) row index into them; :func:`states_matrix`
-gathers the (N, K) batch matrix.
+gathers the (N, K) batch matrix. Its last step is :func:`laser_response`;
+with the laser off that step is the identity, so the laser-off states of a
+batch are its speckle intensities, and the laser-on states of the same
+transmission are the response to them.
 """
 
 from __future__ import annotations
@@ -144,10 +147,9 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     batch matrix.
 
     The field at node j is the transmission row applied to the active input
-    pixels; intensity is its squared modulus. With the laser on, intensities
-    pass through the saturable map p / (1 + s p) and the diffusion coupling;
-    with the laser off they are returned as detected, unmodified.
-    Measurement noise is applied later, at detection.
+    pixels; intensity is its squared modulus. The states are the
+    :func:`laser_response` to these intensities. Measurement noise is
+    applied later, at detection.
     """
     px = np.asarray(batch)
     side = substrate.config.input_side
@@ -167,6 +169,15 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     # one matvec per frame, not one GEMM over the stack: a GEMM sums in
     # another order and moves the last bits of every state
     p = np.abs(np.stack([substrate.transmission @ v for v in u])) ** 2
+    return laser_response(substrate, p), index
+
+
+def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
+    """Node states for (U, K) speckle intensities ``p``. With the laser on,
+    intensities pass through the saturable map p / (1 + s p) and the
+    diffusion coupling; with the laser off they are returned as detected,
+    unmodified. Each row is mapped on its own, so the laser-on states of a
+    batch are this response to its laser-off states."""
     x = p
     if substrate.config.vcsel_on:
         s = substrate.config.saturation
@@ -176,7 +187,7 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
             x = np.stack([substrate._coupling @ v for v in x])
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ConfigError("intensities must be finite and >= 0")
-    return x, index
+    return x
 
 
 def states_matrix(states: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -25,6 +25,9 @@ from .substrate import circle_mask
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
+#: widest header whose values an int64 header draw still holds
+MAX_HEADER_BITS = 62
+
 
 @dataclass(frozen=True)
 class LabeledBatch:
@@ -70,8 +73,8 @@ class HeaderSpec:
     header_value: int = 0
 
     def validate(self) -> None:
-        if self.n_bits < 2:
-            raise ConfigError(f"n_bits must be >= 2, got {self.n_bits}")
+        if not 2 <= self.n_bits <= MAX_HEADER_BITS:
+            raise ConfigError(f"n_bits must be in [2, {MAX_HEADER_BITS}], got {self.n_bits}")
         if self.image_side < 4:
             raise ConfigError(f"image_side must be >= 4, got {self.image_side}")
         if not 0 <= self.header_value < 2 ** self.n_bits:
@@ -104,9 +107,11 @@ def make_header_batch(n_bits: int, target_value: int, n_samples: int, seed: int,
     if n_samples % 2 != 0 or n_samples < 2:
         raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
-    others = np.array([v for v in range(2 ** n_bits) if v != target_value])
     half = n_samples // 2
-    values = np.concatenate([np.full(half, target_value), rng.choice(others, size=half)])
+    # a uniform index into the other headers in ascending order, the draw
+    # rng.choice makes over their list, without building that list
+    i = rng.integers(0, 2 ** n_bits - 1, size=half)
+    values = np.concatenate([np.full(half, target_value), i + (i >= target_value)])
     lo, hi = target_levels
     targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
     order = rng.permutation(n_samples)
@@ -269,6 +274,9 @@ _GLYPHS = {
 
 _SIGMA_BUCKETS = (0.5, 0.7, 0.9, 1.1)
 
+#: images built at once by make_glyph_dataset
+_GLYPH_BLOCK = 512
+
 
 def _blur_operator(side: int, sigma: float) -> np.ndarray:
     idx = np.arange(side)
@@ -299,38 +307,42 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
                 glyph = np.maximum(big, np.roll(big, 1, axis=1))
             variants[d, v, 3:24, 6:21] = glyph
 
+    # every per-image parameter is drawn up front, in a fixed order; the
+    # pixel noise is the last draw, so the blocks below can draw it in turn
     variant_idx = np.where(rng.random(n_images) < 0.5 * distortion,
                            rng.integers(1, 3, size=n_images), 0)
-    canvas = variants[labels, variant_idx]
-
-    # jittered placement: glyph margins keep these rolls from wrapping
     dy = rng.integers(-3, 4, size=n_images)
     dx = rng.integers(-4, 5, size=n_images)
-    rows = (np.arange(28)[None, :, None] - dy[:, None, None]) % 28
-    canvas = np.take_along_axis(canvas, np.broadcast_to(rows, canvas.shape), axis=1)
-    cols = (np.arange(28)[None, None, :] - dx[:, None, None]) % 28
-    canvas = np.take_along_axis(canvas, np.broadcast_to(cols, canvas.shape), axis=2)
-
     # smooth per-row horizontal warp
     warp_blur = _blur_operator(28, 1.5)
     offsets = np.rint((rng.standard_normal((n_images, 28)) * 1.6 * distortion)
                       @ warp_blur.T).astype(int)
-    cols = (np.arange(28)[None, None, :] - offsets[:, :, None]) % 28
-    canvas = np.take_along_axis(canvas, cols, axis=2)
-
     # blur with a per-image width, quantized so each bucket is two matmuls
     sigma = rng.uniform(0.5, 1.1, size=n_images) * max(distortion, 1e-9)
-    out = np.empty_like(canvas)
     edges = np.asarray(_SIGMA_BUCKETS) * max(distortion, 1e-9)
     bucket = np.argmin(np.abs(sigma[:, None] - edges[None, :]), axis=1)
-    for b, sg in enumerate(edges):
-        sel = bucket == b
-        if not sel.any():
-            continue
-        op = _blur_operator(28, float(sg)) if distortion > 0 else np.eye(28)
-        out[sel] = op @ canvas[sel] @ op.T
-
+    ops = [_blur_operator(28, float(sg)) if distortion > 0 else np.eye(28) for sg in edges]
     amp = rng.uniform(0.65, 1.0, size=n_images)[:, None, None]
-    noise = rng.standard_normal((n_images, 28, 28)) * 10.0 * distortion
-    images = np.clip(out * amp * 255.0 + noise, 0.0, 255.0).astype(np.uint8)
+
+    # images are built in blocks, so the float64 work arrays stay a few MB
+    images = np.empty((n_images, 28, 28), dtype=np.uint8)
+    for lo in range(0, n_images, _GLYPH_BLOCK):
+        blk = slice(lo, lo + _GLYPH_BLOCK)
+        canvas = variants[labels[blk], variant_idx[blk]]
+        # jittered placement: glyph margins keep these rolls from wrapping
+        rows = (np.arange(28)[None, :, None] - dy[blk, None, None]) % 28
+        canvas = np.take_along_axis(canvas, np.broadcast_to(rows, canvas.shape), axis=1)
+        cols = (np.arange(28)[None, None, :] - dx[blk, None, None]) % 28
+        canvas = np.take_along_axis(canvas, np.broadcast_to(cols, canvas.shape), axis=2)
+        cols = (np.arange(28)[None, None, :] - offsets[blk, :, None]) % 28
+        canvas = np.take_along_axis(canvas, cols, axis=2)
+
+        out = np.empty_like(canvas)
+        for b, op in enumerate(ops):
+            sel = bucket[blk] == b
+            if sel.any():
+                out[sel] = op @ canvas[sel] @ op.T
+
+        noise = rng.standard_normal(canvas.shape) * 10.0 * distortion
+        images[blk] = np.clip(out * amp[blk] * 255.0 + noise, 0.0, 255.0).astype(np.uint8)
     return DigitDataset(images=images, labels=labels)

@@ -236,13 +236,15 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": {"alpha": True, "max_epochs": 5}},
     {"substrate": {"vcsel_on": "no"}, "train": VALID_TRAIN},
     {"train": {**VALID_TRAIN, "target_levels": ["a", "b"]}},
+    {"train": VALID_TRAIN, "task": {"type": "header", "n_bits": 63}},
+    {"train": VALID_TRAIN, "task": {"type": "header", "n_bits": 64}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
         "string-digit", "fractional-repeats", "string-off-brightness",
         "tampered-derived-seeds", "fractional-max-epochs", "fractional-patience",
         "fractional-grid-side", "fractional-train-seed", "boolean-alpha",
-        "string-vcsel-on", "string-target-levels"])
+        "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))

@@ -1,14 +1,17 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ternrc import harness
 from ternrc.errors import ConfigError, ShapeError, UsageError
+from ternrc.harness import POWER_CACHE_SIZE, BatchReadout
 from ternrc.readout import (DetectorModel, TernaryMask, decompose, detect_batch, mask_to_json,
-                            random_mask, readout_batch)
-from ternrc.substrate import SubstrateConfig, build_substrate, circle_mask
+                            plane_power, random_mask, readout_batch)
+from ternrc.substrate import SubstrateConfig, advance_drift, build_substrate, circle_mask
 
 
 def plane(bits):
@@ -25,15 +28,20 @@ def state(values):
     return np.asarray(values, dtype=float)[None, :]
 
 
+def powers(states):
+    """The uncached plane-power lookup of a state matrix."""
+    return partial(plane_power, states)
+
+
 def detect_one(states, plane, gain, det):
     """The single sample's detected power."""
-    (y,) = detect_batch(states, plane, gain, det)
+    (y,) = detect_batch(plane_power(states, plane), gain, det)
     return y
 
 
 def readout_one(states, mask, gain, det):
     """The single sample's readout output."""
-    (y,) = readout_batch(states, mask, gain, det)
+    (y,) = readout_batch(powers(states), mask, gain, det)
     return y
 
 
@@ -87,17 +95,19 @@ class TestCompose:
 
     def test_inverse_of_decompose_example(self):
         m = TernaryMask(weights=np.array([1, 0, -1]))
-        y = readout_batch(np.eye(3), m, 1.0, DetectorModel(noise_sigma=0.0))
+        y = readout_batch(powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
         assert y.tolist() == [1.0, 0.0, -1.0]
 
     def test_zero_planes(self):
         m = TernaryMask(weights=np.zeros(3, dtype=int))
         states = np.random.default_rng(2).random((4, 3))
-        assert readout_batch(states, m, 1.0, DetectorModel(noise_sigma=0.0)).tolist() == [0.0] * 4
+        y = readout_batch(powers(states), m, 1.0, DetectorModel(noise_sigma=0.0))
+        assert y.tolist() == [0.0] * 4
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            readout_batch(np.zeros((4, 3)), random_mask(2, "ternary", 0), 1.0, DetectorModel())
+            readout_batch(powers(np.zeros((4, 3))), random_mask(2, "ternary", 0), 1.0,
+                          DetectorModel())
 
     def test_boolean_mode_requires_empty_minus(self):
         # a boolean mask has no (-1) plane: its output is the (+1) detection alone
@@ -105,8 +115,8 @@ class TestCompose:
         plus, minus = decompose(m)
         assert not minus.any()
         states = np.random.default_rng(3).random((5, 3))
-        got = readout_batch(states, m, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
-        want = detect_batch(states, plus, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
+        got = readout_batch(powers(states), m, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
+        want = detect_batch(plane_power(states, plus), 1.0, DetectorModel(noise_sigma=0.2, seed=4))
         assert np.array_equal(got, want)
 
 
@@ -185,19 +195,73 @@ class TestBatchReadout:
         states = rng.random((10, 6))
         m = random_mask(6, "ternary", 3)
         det = DetectorModel(noise_sigma=0.0)
-        got = readout_batch(states, m, 1.0, det)
+        got = readout_batch(powers(states), m, 1.0, det)
         want = states @ m.weights.astype(float)
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_detect_batch_shape_checked(self):
         with pytest.raises(ShapeError):
-            detect_batch(np.zeros((4, 3)), plane([1, 0]), 1.0, DetectorModel())
+            detect_batch(plane_power(np.zeros((4, 3)), plane([1, 0])), 1.0, DetectorModel())
 
     def test_noise_is_per_sample(self):
         states = np.ones((8, 2))
         det = DetectorModel(noise_sigma=0.5, seed=0, noise_scale=1.0)
-        y = detect_batch(states, plane([1, 1]), 1.0, det)
+        y = detect_batch(plane_power(states, plane([1, 1])), 1.0, det)
         assert len(np.unique(y)) == 8
+
+
+class TestPowerCache:
+    """:class:`BatchReadout` keeps plane powers in an LRU cache; its traces
+    and its noise stream match the uncached readout bit for bit."""
+
+    def rig(self, seed=3):
+        sub = build_substrate(SubstrateConfig(grid_side=6, input_side=8,
+                                              drift_amplitude=0.05, seed=seed))
+        states = np.random.default_rng(seed).random((20, sub.n_nodes)) * 50
+        det = DetectorModel(noise_sigma=0.01, seed=seed, noise_scale=10.0)
+        return BatchReadout(sub, states, det, brightness=0.7)
+
+    def test_mixed_sequence_matches_uncached(self, monkeypatch):
+        rig = self.rig()
+        computed = []
+        monkeypatch.setattr(harness, "plane_power",
+                            lambda states, plane: computed.append(1) or plane_power(states, plane))
+        ref_states = rig.states.copy()
+        ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
+        k = rig.n_nodes
+        m1 = random_mask(k, "ternary", 1)
+        # shares the (-1) plane with m1; only its (+1) plane is new
+        w = m1.weights.copy()
+        w[np.nonzero(w == 1)[0][:3]] = 0
+        m2 = TernaryMask(weights=w)
+        m3 = random_mask(k, "boolean", 2)
+        sequence = [m1, m1, m2, m3, m1, m3, m2]
+        for i, m in enumerate(sequence):
+            advance_drift(rig.substrate, i % 3)  # gain drifts between reads
+            got = rig.measure(m)
+            want = readout_batch(powers(ref_states), m, rig.substrate.gain * 0.7, ref_det)
+            assert got.tobytes() == want.tobytes()
+        # m1 +, m1 -, m2 +, m3 +: each distinct plane computed once
+        assert len(computed) == 4
+        assert rig.detector._rng.bit_generator.state == ref_det._rng.bit_generator.state
+
+    def test_states_read_only(self):
+        rig = self.rig()
+        with pytest.raises(ValueError):
+            rig.states[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rig.power(decompose(random_mask(rig.n_nodes, "ternary", 0))[0])[0] = 1.0
+
+    def test_bounded_and_still_exact(self):
+        rig = self.rig()
+        ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
+        masks = [random_mask(rig.n_nodes, "boolean", s) for s in range(POWER_CACHE_SIZE + 10)]
+        for m in masks + masks[:5]:  # the first planes were evicted; recomputed
+            got = rig(m)
+            want = readout_batch(powers(rig.states), m, rig.substrate.gain * 0.7, ref_det)
+            assert got.tobytes() == want.tobytes()
+            assert len(rig._powers) <= POWER_CACHE_SIZE
+        assert len(rig._powers) == POWER_CACHE_SIZE
 
 
 class TestRandomMask:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from ternrc.errors import ConfigError, ShapeError, UsageError
-from ternrc.harness import ExperimentConfig, MnistTask
+from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask, _comparison_arms
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
-                              forward_batch, states_matrix)
-from ternrc.tasks import DigitDataset, LabeledBatch, make_header_batch, make_onevsall_batch
+                              forward_batch, laser_response, states_matrix)
+from ternrc.tasks import (DigitDataset, LabeledBatch, make_glyph_dataset, make_header_batch,
+                          make_onevsall_batch)
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -234,6 +235,36 @@ class TestForwardBatch:
         sub = build_substrate(SubstrateConfig(input_side=8))
         with pytest.raises(ConfigError):
             forward_batch(sub, make_frames(side=8).astype(float))
+
+
+class TestSharedPass:
+    """The laser-on states are the laser response to the laser-off states of
+    the same transmission, so the comparison computes |T u|^2 once."""
+
+    @pytest.mark.parametrize("kind", ["header", "digit"])
+    def test_response_to_off_states_is_on_forward(self, kind):
+        if kind == "header":
+            side = 16
+            frames = make_header_batch(3, 5, 60, seed=2, image_side=side).pixels
+        else:
+            side = 28
+            frames = make_onevsall_batch(make_glyph_dataset(400, seed=1), 3, 40, seed=0).pixels
+        sub_on = build_substrate(SubstrateConfig(input_side=side, seed=4))
+        sub_off = build_substrate(SubstrateConfig(input_side=side, seed=4, vcsel_on=False))
+        off, index_off = forward_batch(sub_off, frames)
+        on, index_on = forward_batch(sub_on, frames)
+        assert np.array_equal(index_off, index_on)
+        assert laser_response(sub_on, off).tobytes() == on.tobytes()
+
+    def test_comparison_refuses_two_transmissions(self):
+        cfg = ExperimentConfig(substrate=SubstrateConfig(input_side=16),
+                               train=TrainConfig(alpha=5.0, max_epochs=2),
+                               task=HeaderTask(n_samples=20, image_side=16))
+        batch = make_header_batch(4, 5, 20, seed=0, image_side=16)
+        sub_on = build_substrate(SubstrateConfig(input_side=16, seed=1))
+        sub_off = build_substrate(SubstrateConfig(input_side=16, seed=2, vcsel_on=False))
+        with pytest.raises(UsageError, match="transmission"):
+            _comparison_arms(cfg, 0, None, sub_on, sub_off, batch, batch)
 
 
 class TestDrift:

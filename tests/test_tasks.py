@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +92,26 @@ class TestHeaderBatch:
     def test_target_levels_applied(self):
         batch = make_header_batch(4, 5, 100, seed=0, target_levels=(-1.0, 1.0))
         assert set(np.unique(batch.targets)) == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("n_bits", [2, 3, 5, 8])
+    def test_negatives_drawn_as_choice_over_others(self, n_bits):
+        # the same draws, and the same stream position, as rng.choice over
+        # the list of the other headers
+        for seed in range(10):
+            target = seed % 2 ** n_bits
+            batch = make_header_batch(n_bits, target, 40, seed=seed, image_side=16)
+            rng = np.random.default_rng(seed)
+            others = np.array([v for v in range(2 ** n_bits) if v != target])
+            values = np.concatenate([np.full(20, target), rng.choice(others, size=20)])
+            order = rng.permutation(40)
+            assert np.array_equal(batch.labels, values[order])
+
+    def test_wide_header_without_enumerating(self):
+        t0 = time.perf_counter()
+        batch = make_header_batch(40, 2 ** 39, 40, seed=0)
+        assert time.perf_counter() - t0 < 0.5
+        neg = batch.labels[batch.targets == 0.0]
+        assert np.all((neg >= 0) & (neg < 2 ** 40) & (neg != 2 ** 39))
 
 
 class TestBinarize:
@@ -263,11 +285,25 @@ class TestGlyphDataset:
         (200, {"seed": 2, "distortion": 2.0},
          "709dde48318d03c5f819234a0d22b2945e6b053cc8d6882faee88a113d322ccb",
          "ed521d05530e5fb7f1f0819e036c38ffcfbcc26d6f89fd12dcdf42910bd21f83"),
-    ], ids=["600-s3", "600-s4", "200-s1-clean", "200-s2-distorted"])
+        # benchmark size: 11 full blocks of 512 images and one of 368
+        (6000, {"seed": 5},
+         "2c47384df2bdf65ce168631edae0defec2aa42bb55939a6b1bd685b80fdeaa54",
+         "ae2ed5c14e78c7af2ec2e2307ae3d66054e83802edbf9ac6c889b28f78634367"),
+    ], ids=["600-s3", "600-s4", "200-s1-clean", "200-s2-distorted", "6000-s5"])
     def test_pinned_bytes(self, n, kwargs, images_sha, labels_sha):
         data = make_glyph_dataset(n, **kwargs)
         assert hashlib.sha256(data.images.tobytes()).hexdigest() == images_sha
         assert hashlib.sha256(data.labels.tobytes()).hexdigest() == labels_sha
+
+    def test_peak_memory_at_benchmark_size(self):
+        # blocks keep the float64 work arrays small next to the 4.7 MB result
+        tracemalloc.start()
+        try:
+            make_glyph_dataset(6000, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
 
 class TestOneVsAll:
