@@ -16,7 +16,6 @@ from .optimizer import Metrics, midpoint_threshold, nmse, score, _positive_class
 class RidgeModel:
     weights: np.ndarray
     bias: float
-    lam: float
 
 
 def _as_matrix(states) -> np.ndarray:
@@ -60,7 +59,7 @@ def ridge_fit(states, targets, lam: float = 0.0) -> RidgeModel:
         raise NumericalError(
             f"normal equations are numerically singular with lambda={lam}; use lambda > 0")
     bias = y_mean - float(x_mean @ w)
-    return RidgeModel(weights=w, bias=bias, lam=lam)
+    return RidgeModel(weights=w, bias=bias)
 
 
 def ridge_predict(model: RidgeModel, states) -> np.ndarray:

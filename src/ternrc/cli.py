@@ -53,17 +53,10 @@ def _load_config(args) -> ExperimentConfig:
             raise UsageError(f"--alphas must be comma-separated numbers: {exc}") from exc
         cfg = dataclasses.replace(cfg, alphas=alphas)
     if isinstance(cfg.task, MnistTask):
-        task = cfg.task
-        if args.mnist_images:
-            task = dataclasses.replace(task, images=args.mnist_images)
-        if args.mnist_labels:
-            task = dataclasses.replace(task, labels=args.mnist_labels)
-        if args.mnist_test_images:
-            task = dataclasses.replace(task, test_images=args.mnist_test_images)
-        if args.mnist_test_labels:
-            task = dataclasses.replace(task, test_labels=args.mnist_test_labels)
-        cfg = dataclasses.replace(cfg, task=task)
-    cfg.validate()
+        paths = {name: getattr(args, f"mnist_{name}") for name in
+                 ("images", "labels", "test_images", "test_labels")}
+        cfg = dataclasses.replace(cfg, task=dataclasses.replace(
+            cfg.task, **{name: path for name, path in paths.items() if path}))
     return cfg
 
 
@@ -118,11 +111,11 @@ def main(argv=None) -> int:
                 print(f"repeat {r['repeat']}: test SER={r['test_ser']:.4f} "
                       f"accuracy={r['test_accuracy']:.4f} nmse={r['test_nmse']:.4f}")
         else:
-            report = run_stability(cfg, args.checks, args.drift_steps)
+            rows = run_stability(cfg, args.checks, args.drift_steps)
+            errs = np.array([r["nmse"] for r in rows])
             print(f"checks={args.checks}: median consistency="
-                  f"{np.median(report.consistencies):.5f}, "
-                  f"nmse mean={report.nmse_series.mean():.4f} "
-                  f"std={report.nmse_series.std():.5f}")
+                  f"{np.median([r['consistency'] for r in rows]):.5f}, "
+                  f"nmse mean={errs.mean():.4f} std={errs.std():.5f}")
     except (ConfigError, UsageError, NumericalError) as exc:
         # an unregularised ridge lambda is the only numerical failure a
         # config can reach

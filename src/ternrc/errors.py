@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the annotation type check
+every config section runs when it is built."""
+
+import dataclasses
 
 
 class ConfigError(ValueError):
@@ -23,3 +26,30 @@ class DataError(RuntimeError):
 
 class FormatError(DataError):
     """Malformed binary file (bad magic, truncated payload)."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: value check per field annotation; a "T | None" field also takes None
+_FIELD_TYPES = {"int": _is_int, "float": _is_real, "bool": lambda v: isinstance(v, bool),
+                "str": lambda v: isinstance(v, str),
+                "tuple[float, float]": lambda v: len(v) == 2 and all(map(_is_real, v)),
+                "tuple[float, ...]": lambda v: all(map(_is_real, v))}
+
+
+def _check_types(section, name: str) -> None:
+    """Reject a field of the dataclass ``section`` whose value does not have
+    its annotated type. A field whose annotation has no entry here, such as a
+    nested section, is not checked; a section checks itself when built."""
+    for f in dataclasses.fields(section):
+        v = getattr(section, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        check = _FIELD_TYPES.get(kind)
+        if check and not (optional == "None" and v is None) and not check(v):
+            raise ConfigError(f"{name} {f.name} must be of type {f.type}, got {v!r}")

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
-from .errors import ConfigError, DataError, UsageError
+from .errors import ConfigError, DataError, UsageError, _check_types
 from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, evaluate,
                         history_to_csv, nmse, train)
 from .readout import DetectorModel, TernaryMask, mask_to_json, plane_power, readout_batch
@@ -38,39 +38,12 @@ RIDGE_GRID = tuple(float(v) for v in np.logspace(-6, 2, 9))
 
 def derive_seed(base: int, tag: str, index: int = 0) -> int:
     """Deterministic child seed for one component of one repeat."""
-    ss = np.random.SeedSequence([int(base) & 0xFFFFFFFF, zlib.crc32(tag.encode()), int(index)])
+    ss = np.random.SeedSequence([int(base), zlib.crc32(tag.encode()), int(index)])
     return int(ss.generate_state(1, np.uint32)[0])
 
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-#: value check per field annotation; a "T | None" field also takes None
-_FIELD_TYPES = {"int": _is_int, "float": _is_real, "bool": lambda v: isinstance(v, bool),
-                "str": lambda v: isinstance(v, str),
-                "tuple[float, float]": lambda v: len(v) == 2 and all(map(_is_real, v)),
-                "tuple[float, ...]": lambda v: all(map(_is_real, v))}
-
-
-def _check_types(section, name: str) -> None:
-    """Reject a field of the dataclass ``section`` whose value does not have
-    its annotated type. The nested sections have no check here; they are
-    checked on their own."""
-    for f in dataclasses.fields(section):
-        v = getattr(section, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        check = _FIELD_TYPES.get(kind)
-        if check and not (optional == "None" and v is None) and not check(v):
-            raise ConfigError(f"{name} {f.name} must be of type {f.type}, got {v!r}")
-
 
 def _check_n_samples(n: int) -> None:
     if n < 2 or n % 2:
@@ -85,9 +58,10 @@ class HeaderTask:
     image_side: int = 64
     type: str = "header"
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_types(self, "task")
         _check_n_samples(self.n_samples)
-        HeaderSpec(self.n_bits, self.image_side, self.target_value).validate()
+        HeaderSpec(self.n_bits, self.image_side, self.target_value)
 
 
 @dataclass(frozen=True)
@@ -100,7 +74,8 @@ class MnistTask:
     n_samples: int = 1000
     type: str = "mnist"
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_types(self, "task")
         if self.digit is not None and not 0 <= self.digit <= 9:
             raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
         _check_n_samples(self.n_samples)
@@ -127,13 +102,9 @@ class ExperimentConfig:
     ridge_grid: tuple[float, ...] = RIDGE_GRID
     alphas: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0)
 
-    def validate(self) -> None:
-        for section, name in ((self.substrate, "substrate"), (self.train, "train"),
-                              (self.task, "task"), (self, "config")):
-            _check_types(section, name)
-        self.substrate.validate()
-        self.train.validate()
-        self.task.validate()
+    def __post_init__(self):
+        # the nested sections checked themselves when they were built
+        _check_types(self, "config")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
         for name in ("alphas", "ridge_grid"):
@@ -150,7 +121,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "ExperimentConfig":
-        """Parse and validate a config document, the exact inverse of
+        """Parse and check a config document, the exact inverse of
         :meth:`to_json_dict`. Omitted fields take the dataclass defaults, and
         a header task's omitted substrate ``input_side`` is its
         ``image_side``; an unknown, malformed or mistyped field, or a
@@ -172,7 +143,6 @@ class ExperimentConfig:
             cfg = cls(substrate=SubstrateConfig(**sub),
                       train=TrainConfig(**_section(TrainConfig, top.pop("train", {}), "train")),
                       task=task, **top)
-            cfg.validate()
             if seeds is not None and seeds != cfg.derived_seeds():
                 raise ConfigError(f"derived_seeds {seeds!r} differ from the seeds this "
                                   f"config derives, {cfg.derived_seeds()!r}")
@@ -273,8 +243,8 @@ def _load_partitions(task: MnistTask) -> tuple[DigitDataset, DigitDataset | None
     return train_part, test_part
 
 
-def make_task_batches(cfg: ExperimentConfig, repeat: int, digit: int | None = None,
-                      _cache: dict | None = None) -> tuple[LabeledBatch, LabeledBatch]:
+def make_task_batches(cfg: ExperimentConfig, repeat: int,
+                      digit: int | None = None) -> tuple[LabeledBatch, LabeledBatch]:
     """Build the (train, test) batches for one repeat. Test batches are
     disjoint from training: headers use an independent seed, digit batches
     come from the test partition when available and otherwise from a
@@ -291,12 +261,7 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int, digit: int | None = No
     t = cfg.task
     if digit is None:
         digit = t.digit if t.digit is not None else 0
-    if _cache is not None and "parts" in _cache:
-        train_part, test_part = _cache["parts"]
-    else:
-        train_part, test_part = _load_partitions(t)
-        if _cache is not None:
-            _cache["parts"] = (train_part, test_part)
+    train_part, test_part = _load_partitions(t)
     seed = derive_seed(cfg.train.seed, f"batch-d{digit}", repeat)
     side = cfg.substrate.input_side
     train_batch = make_onevsall_batch(train_part, digit, t.n_samples, seed, draw=0,
@@ -402,22 +367,18 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     off, and the ridge baseline, all on the same frozen substrate and
     batches per repeat. Returns one result row per (task, arm, repeat); a
     digit task with ``digit`` null runs all ten digits."""
-    cfg.validate()
     if isinstance(cfg.task, MnistTask):
         digits = list(range(10)) if cfg.task.digit is None else [cfg.task.digit]
     else:
         digits = [None]
-    cache: dict = {}
     rows: list[dict] = []
     out = _OutputSink(cfg)
     for repeat in range(cfg.repeats):
         sub_on = _substrate(cfg, repeat, vcsel_on=True)
-        sub_off = _substrate(cfg, repeat, vcsel_on=False)
         for digit in digits:
             task_name = "header" if digit is None else f"digit{digit}"
-            batch_tr, batch_te = make_task_batches(cfg, repeat, digit, _cache=cache)
-            arms = _comparison_arms(cfg, repeat, digit, sub_on, sub_off,
-                                    batch_tr, batch_te)
+            batch_tr, batch_te = make_task_batches(cfg, repeat, digit)
+            arms = _comparison_arms(cfg, repeat, digit, sub_on, batch_tr, batch_te)
             for arm_name, row, result in arms:
                 row.update(task=task_name, arm=arm_name, repeat=repeat)
                 rows.append(row)
@@ -430,14 +391,16 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _comparison_arms(cfg, repeat, digit, sub_on, sub_off, batch_tr, batch_te):
+def _comparison_arms(cfg, repeat, digit, sub_on, batch_tr, batch_te):
     """Train/evaluate the four arms on shared batches; returns (arm, row,
     result) tuples, with no result for the ridge arm."""
     dtag = "" if digit is None else f"-d{digit}"
-    # one transmission pass for both arms: the lasing states are the laser
-    # response to the laser-off intensities, which needs the same speckle
-    if not np.array_equal(sub_on.transmission, sub_off.transmission):
-        raise UsageError("the laser-on and laser-off arms must share one transmission")
+    # the laser-off view shares the lasing transmission, so one pass serves
+    # both arms: the lasing states are the laser response to the laser-off
+    # intensities. It also shares the drift stream, which is safe only
+    # because the comparison never advances drift.
+    sub_off = dataclasses.replace(
+        sub_on, config=dataclasses.replace(sub_on.config, vcsel_on=False))
     passes = [forward_batch(sub_off, b.pixels) for b in (batch_tr, batch_te)]
     off, power_off = _gathered(passes)
     # detector calibrated once, lasing config
@@ -478,13 +441,11 @@ def _row(result: TrainResult | None, m_train: Metrics, m_test: Metrics) -> dict:
 def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     """Train at each mutation gain of ``cfg.alphas`` over ``repeats`` seeds,
     recording full learning curves and the epochs-to-convergence summary."""
-    cfg.validate()
-    cache: dict = {}
     rows, curves = [], []
     out = _OutputSink(cfg)
     for repeat in range(cfg.repeats):
         sub = _substrate(cfg, repeat)
-        batch_tr, batch_te = make_task_batches(cfg, repeat, _cache=cache)
+        batch_tr, batch_te = make_task_batches(cfg, repeat)
         states, power = _states(sub, batch_tr, batch_te)
         for alpha in cfg.alphas:
             tag = f"-a{alpha}"
@@ -510,7 +471,6 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
 def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     """Train on the header batch and report the symbol error rate on a
     disjoint test batch, once per repeat."""
-    cfg.validate()
     if not isinstance(cfg.task, HeaderTask):
         raise ConfigError("run_header_task needs a header task config")
     rows = []
@@ -531,22 +491,12 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Re-measurement record of a frozen mask under drift and noise, one
-    entry per check."""
-
-    consistencies: np.ndarray
-    nmse_series: np.ndarray
-    gain_series: np.ndarray
-
-
 def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
-                  drift_steps_per_check: int = 1) -> StabilityReport:
+                  drift_steps_per_check: int = 1) -> list[dict]:
     """Train to convergence, freeze the mask, then repeatedly advance the
     substrate drift and re-measure the full test-batch trace; consistency is
-    each trace's Pearson correlation with the first."""
-    cfg.validate()
+    each trace's Pearson correlation with the first. Returns one row per
+    check: its consistency, nmse and detector-path gain."""
     if n_checks < 2:
         raise UsageError(f"n_checks must be >= 2, got {n_checks}")
     if drift_steps_per_check < 0:
@@ -561,20 +511,17 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
 
     norm = Normalizer(cfg.train.normalize, batch_te.targets)
     reference = None
-    cons, gains, errs = [], [], []
-    for _ in range(n_checks):
+    rows = []
+    for check in range(n_checks):
         advance_drift(sub, drift_steps_per_check)
         trace = rigs[1].measure(mask)
         if reference is None:
             reference = trace
-        cons.append(consistency(reference, trace))
-        gains.append(sub.gain)
-        errs.append(nmse(norm(trace), batch_te.targets))
-    report = StabilityReport(consistencies=np.array(cons), nmse_series=np.array(errs),
-                             gain_series=np.array(gains))
-    out.write_stability(report)
+        rows.append({"check": check, "consistency": consistency(reference, trace),
+                     "nmse": nmse(norm(trace), batch_te.targets), "gain": sub.gain})
+    out.write_stability(rows)
     out.write_config(cfg)
-    return report
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +573,7 @@ class _OutputSink:
                    "epochs_to_convergence", "test_accuracy", "test_ser",
                    "mean_n_mirrors"], rows)
 
-    def write_stability(self, report: StabilityReport) -> None:
-        rows = [{"check": i, "consistency": float(c), "nmse": float(e), "gain": float(g)}
-                for i, (c, e, g) in enumerate(zip(report.consistencies,
-                                                  report.nmse_series, report.gain_series))]
+    def write_stability(self, rows: list[dict]) -> None:
         self._csv("stability.csv", RESULTS_SCHEMA,
                   ["check", "consistency", "nmse", "gain"], rows)
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, _check_types
 from .readout import MODES, TernaryMask, random_mask
 
 NORMALIZE_MODES = ("off", "zscore", "first_epoch")
@@ -35,6 +35,7 @@ class TrainConfig:
     units (hundreds at the stock physics), so at the usual gains
     ``ceil(alpha * nmse)`` saturates at the mask length K and every epoch
     becomes a full random redraw of the mask rather than an annealing step.
+    The config checks itself when built.
     """
 
     alpha: float
@@ -45,7 +46,8 @@ class TrainConfig:
     patience: int | None = None
     normalize: str = "off"
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_types(self, "train")
         if not math.isfinite(self.alpha) or self.alpha < 0:
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.max_epochs < 1:
@@ -59,6 +61,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
         if self.normalize not in NORMALIZE_MODES:
             raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"train seed must be in [0, 2**32), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,6 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     detector and its noise). Identical config, seed and a deterministic
     forward pass reproduce the identical result.
     """
-    cfg.validate()
     t = np.asarray(y_target, dtype=float)
     rng = np.random.default_rng(cfg.seed)
     mask = random_mask(n_nodes, cfg.mode, rng)

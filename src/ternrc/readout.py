@@ -64,11 +64,10 @@ def decompose(mask: TernaryMask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_mask(length: int, mode: str = "ternary", seed: int | np.random.Generator = 0) -> TernaryMask:
-    """Uniform random mask over the mode's alphabet, deterministic per seed."""
+    """Uniform random mask over the mode's alphabet, deterministic per seed;
+    the mask itself rejects an unknown mode."""
     if length < 1:
         raise UsageError(f"length must be >= 1, got {length}")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     alphabet = np.array([0, 1], dtype=np.int8) if mode == "boolean" else np.array([-1, 0, 1], dtype=np.int8)
     return TernaryMask(weights=rng.choice(alphabet, size=length), mode=mode)

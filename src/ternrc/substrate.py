@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, UsageError, _check_types
 
 
 def circle_mask(side: int) -> np.ndarray:
@@ -42,7 +42,7 @@ class SubstrateConfig:
 
     Defaults are calibrated so the stock benchmark protocols land in the
     regime the hardware reports (nonlinearity active, detection noise small,
-    slow gain drift).
+    slow gain drift). The config checks itself when built.
     """
 
     grid_side: int = 24
@@ -55,7 +55,8 @@ class SubstrateConfig:
     vcsel_on: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        _check_types(self, "substrate")
         if self.grid_side < 2:
             raise ConfigError(f"grid_side must be >= 2, got {self.grid_side}")
         if self.input_side < 4:
@@ -66,19 +67,20 @@ class SubstrateConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
         if not math.isfinite(self.drift_timescale) or self.drift_timescale <= 0:
             raise ConfigError(f"drift_timescale must be finite and > 0, got {self.drift_timescale}")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"substrate seed must be in [0, 2**32), got {self.seed}")
 
 
 @dataclass
 class Substrate:
     """Frozen optical path plus the slowly drifting detector-path gain.
 
-    ``transmission`` (K x D complex) and ``node_mask`` are immutable after
-    construction; only ``gain`` and the private random stream mutate, via
-    :func:`advance_drift`. Forward evaluation is pure.
+    ``transmission`` (K x D complex) is immutable after construction; only
+    ``gain`` and the private random stream mutate, via :func:`advance_drift`.
+    Forward evaluation is pure.
     """
 
     transmission: np.ndarray
-    node_mask: np.ndarray
     input_mask: np.ndarray
     gain: float
     config: SubstrateConfig
@@ -101,7 +103,6 @@ def build_substrate(config: SubstrateConfig) -> Substrate:
     (standard speckle statistics for a multimode fibre). The same config and
     seed always reproduce the same substrate bit for bit.
     """
-    config.validate()
     node_mask = circle_mask(config.grid_side)
     input_mask = circle_mask(config.input_side)
     n_nodes = int(node_mask.sum())
@@ -116,7 +117,6 @@ def build_substrate(config: SubstrateConfig) -> Substrate:
         coupling = _coupling_matrix(node_mask, config.diffusion_sigma)
     return Substrate(
         transmission=transmission,
-        node_mask=node_mask,
         input_mask=input_mask,
         gain=1.0,
         config=config,

@@ -66,13 +66,13 @@ def _check_frames(pixels: np.ndarray) -> None:
 class HeaderSpec:
     """One pie-shaped header: the illuminated disk is cut into ``n_bits``
     equal angular sectors and sector k lights up iff bit k of
-    ``header_value`` is set."""
+    ``header_value`` is set. The spec checks itself when built."""
 
     n_bits: int
     image_side: int = 64
     header_value: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 2 <= self.n_bits <= MAX_HEADER_BITS:
             raise ConfigError(f"n_bits must be in [2, {MAX_HEADER_BITS}], got {self.n_bits}")
         if self.image_side < 4:
@@ -85,7 +85,6 @@ class HeaderSpec:
 def render_header(spec: HeaderSpec) -> np.ndarray:
     """Render one header. Sector k spans angles [2*pi*k/n, 2*pi*(k+1)/n)
     measured counter-clockwise from the +x axis, with +y pointing up."""
-    spec.validate()
     side = spec.image_side
     c = side / 2.0
     centers = np.arange(side) + 0.5
@@ -102,8 +101,8 @@ def make_header_batch(n_bits: int, target_value: int, n_samples: int, seed: int,
                       target_levels: tuple[float, float] = (0.0, 1.0)) -> LabeledBatch:
     """Balanced one-vs-all header batch: half the target header, half drawn
     uniformly from the other headers."""
-    spec = HeaderSpec(n_bits=n_bits, image_side=image_side, header_value=target_value)
-    spec.validate()
+    # the target's spec rejects a bad bit count before the draw below uses it
+    HeaderSpec(n_bits=n_bits, image_side=image_side, header_value=target_value)
     if n_samples % 2 != 0 or n_samples < 2:
         raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)

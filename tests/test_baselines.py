@@ -71,7 +71,7 @@ class TestRidgeEval:
     def test_zero_weight_model_is_chance_on_balanced_data(self):
         x = np.random.default_rng(5).random((20, 3))
         y = np.array([0.0, 1.0] * 10)
-        model = RidgeModel(weights=np.zeros(3), bias=0.7, lam=1.0)
+        model = RidgeModel(weights=np.zeros(3), bias=0.7)
         m = ridge_eval(model, x, y)
         # constant predictor, midpoint rule, ties predict negative
         assert m.accuracy == 0.5

@@ -5,6 +5,7 @@ plus the CLI's exit codes on bad input.
 A change that means to move the numbers re-pins ``GOLDEN`` and says why.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,12 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternrc.cli import _default_doc, main
+from ternrc.cli import _default_doc, _load_config, build_parser, main
 from ternrc.errors import ConfigError
 from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import SubstrateConfig
-from ternrc.tasks import write_idx_images, write_idx_labels
+from ternrc.tasks import HeaderSpec, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -238,13 +239,16 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": {**VALID_TRAIN, "target_levels": ["a", "b"]}},
     {"train": VALID_TRAIN, "task": {"type": "header", "n_bits": 63}},
     {"train": VALID_TRAIN, "task": {"type": "header", "n_bits": 64}},
+    {"substrate": {"seed": -1}, "train": VALID_TRAIN},
+    {"train": {**VALID_TRAIN, "seed": 2 ** 32}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
         "string-digit", "fractional-repeats", "string-off-brightness",
         "tampered-derived-seeds", "fractional-max-epochs", "fractional-patience",
         "fractional-grid-side", "fractional-train-seed", "boolean-alpha",
-        "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits"])
+        "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits",
+        "negative-substrate-seed", "train-seed-2-pow-32"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -252,6 +256,35 @@ def test_bad_config_exits_2(doc, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(doc)
+
+
+_CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SubstrateConfig(grid_side=1),
+    lambda: SubstrateConfig(grid_side=24.5),
+    lambda: TrainConfig(alpha=1.0, max_epochs=0),
+    lambda: HeaderSpec(n_bits=1),
+    lambda: dataclasses.replace(_CHECKED, repeats=0),
+    lambda: dataclasses.replace(_CHECKED.train, patience=1.5),
+], ids=["grid-side-1", "fractional-grid-side", "zero-max-epochs", "one-bit-header",
+        "replace-zero-repeats", "replace-fractional-patience"])
+def test_config_checked_on_construction(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+def test_seed_outside_uint32_exits_2(capsys):
+    # a seed of -1 or 2**32 would otherwise alias 2**32 - 1 or 0
+    assert main(["header", "--seed", "-1"]) == 2
+    assert "seed must be in [0, 2**32)" in capsys.readouterr().err
+
+
+def test_idx_flags_override_task_paths():
+    args = build_parser().parse_args(["compare", "--mnist-images", "a", "--mnist-test-labels", "d"])
+    task = _load_config(args).task
+    assert (task.images, task.labels, task.test_images, task.test_labels) == ("a", "", None, "d")
 
 
 def test_unreadable_config_exits_2(tmp_path):

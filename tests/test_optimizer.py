@@ -242,13 +242,13 @@ class TestTrain:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(alpha=-1.0, max_epochs=10).validate()
+            TrainConfig(alpha=-1.0, max_epochs=10)
         with pytest.raises(ConfigError):
-            TrainConfig(alpha=1.0, max_epochs=0).validate()
+            TrainConfig(alpha=1.0, max_epochs=0)
         with pytest.raises(ConfigError):
-            TrainConfig(alpha=1.0, max_epochs=10, target_levels=(1.0, 0.0)).validate()
+            TrainConfig(alpha=1.0, max_epochs=10, target_levels=(1.0, 0.0))
         with pytest.raises(ConfigError):
-            TrainConfig(alpha=1.0, max_epochs=10, normalize="minmax").validate()
+            TrainConfig(alpha=1.0, max_epochs=10, normalize="minmax")
 
 
 class TestNormalization:

@@ -1,6 +1,6 @@
-"""Every top-level name in ``src/ternrc`` is used by the package or the
-benchmark, not only by tests: API that nothing runs is deleted, not kept
-for its tests."""
+"""Every top-level name in ``src/ternrc`` is used, and every dataclass field
+is read outside its class, by the package or the benchmark, not only by
+tests: API that nothing runs is deleted, not kept for its tests."""
 
 import ast
 import re
@@ -30,10 +30,9 @@ def _definitions(path):
             yield name, node.lineno, node.end_lineno
 
 
-def _referenced(name, path, first, last):
-    """Whether ``name`` occurs as a word in a package or benchmark module,
+def _referenced(word, path, first, last):
+    """Whether the regex ``word`` matches in a package or benchmark module,
     outside lines ``first``-``last`` of ``path``, its own definition."""
-    word = re.compile(rf"\b{re.escape(name)}\b")
     for user in USERS:
         lines = user.read_text().splitlines()
         if user == path:
@@ -46,5 +45,24 @@ def _referenced(name, path, first, last):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_top_level_name_is_used_outside_tests(path):
     unused = [name for name, first, last in _definitions(path)
-              if not _referenced(name, path, first, last)]
+              if not _referenced(re.compile(rf"\b{re.escape(name)}\b"), path, first, last)]
     assert not unused, f"{path.name}: nothing outside tests uses {unused}"
+
+
+def _dataclass_fields(path):
+    """(class, field, first line, last line) of each field of each top-level
+    dataclass in ``path``, with the class's own line span."""
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, node.lineno, node.end_lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_dataclass_field_is_read_outside_its_class(path):
+    unread = [f"{cls}.{name}" for cls, name, first, last in _dataclass_fields(path)
+              if not _referenced(re.compile(rf"\.{re.escape(name)}\b"), path, first, last)]
+    assert not unread, f"{path.name}: nothing outside tests reads {unread}"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ternrc.errors import ConfigError, ShapeError, UsageError
-from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask, _comparison_arms
+from ternrc import harness
+from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
                               forward_batch, laser_response, states_matrix)
@@ -70,11 +71,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             build_substrate(SubstrateConfig(grid_side=1))
         with pytest.raises(ConfigError):
-            SubstrateConfig(saturation=-1.0).validate()
+            SubstrateConfig(saturation=-1.0)
         with pytest.raises(ConfigError):
-            SubstrateConfig(saturation=float("nan")).validate()
+            SubstrateConfig(saturation=float("nan"))
         with pytest.raises(ConfigError):
-            SubstrateConfig(drift_timescale=0.0).validate()
+            SubstrateConfig(drift_timescale=0.0)
 
 
 class TestConfigJson:
@@ -256,15 +257,21 @@ class TestSharedPass:
         assert np.array_equal(index_off, index_on)
         assert laser_response(sub_on, off).tobytes() == on.tobytes()
 
-    def test_comparison_refuses_two_transmissions(self):
+    def test_comparison_builds_one_substrate_per_repeat(self, monkeypatch):
+        # the laser-off arm is a view of the lasing substrate, not a second draw
+        built = []
+
+        def counting(config):
+            built.append(config)
+            return build_substrate(config)
+
+        monkeypatch.setattr(harness, "build_substrate", counting)
         cfg = ExperimentConfig(substrate=SubstrateConfig(input_side=16),
                                train=TrainConfig(alpha=5.0, max_epochs=2),
-                               task=HeaderTask(n_samples=20, image_side=16))
-        batch = make_header_batch(4, 5, 20, seed=0, image_side=16)
-        sub_on = build_substrate(SubstrateConfig(input_side=16, seed=1))
-        sub_off = build_substrate(SubstrateConfig(input_side=16, seed=2, vcsel_on=False))
-        with pytest.raises(UsageError, match="transmission"):
-            _comparison_arms(cfg, 0, None, sub_on, sub_off, batch, batch)
+                               task=HeaderTask(n_samples=20, image_side=16), repeats=2)
+        rows = harness.run_comparison(cfg)
+        assert len(rows) == 8
+        assert len(built) == 2 and all(c.vcsel_on for c in built)
 
 
 class TestDrift:
