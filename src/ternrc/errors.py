@@ -39,8 +39,8 @@ def _is_real(v) -> bool:
 #: value check per field annotation; a "T | None" field also takes None
 _FIELD_TYPES = {"int": _is_int, "float": _is_real, "bool": lambda v: isinstance(v, bool),
                 "str": lambda v: isinstance(v, str),
-                "tuple[float, float]": lambda v: len(v) == 2 and all(map(_is_real, v)),
-                "tuple[float, ...]": lambda v: all(map(_is_real, v))}
+                "tuple[float, float]": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
+                "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(_is_real, v))}
 
 
 def _check_types(section, name: str) -> None:

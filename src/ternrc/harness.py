@@ -13,14 +13,13 @@ import dataclasses
 import json
 import math
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
-from .errors import ConfigError, DataError, UsageError, _check_types
+from .errors import ConfigError, DataError, ShapeError, UsageError, _check_types
 from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, evaluate,
                         history_to_csv, nmse, train)
 from .readout import DetectorModel, TernaryMask, mask_to_json, plane_power, readout_batch
@@ -177,21 +176,20 @@ def _section(cls, doc, name: str, *extra: str) -> dict:
 # ---------------------------------------------------------------------------
 # Measurement rig
 
-#: plane powers one rig keeps: 64 entries of N floats is 512 KB at N = 1000
-POWER_CACHE_SIZE = 64
-
-
 class BatchReadout:
     """One arm's data-acquisition loop over a fixed batch.
 
     ``states`` are the batch's noiseless (N, K) node intensities, computed
     once because the forward path is deterministic, and frozen read-only.
-    The noiseless power of each plane is kept in a small LRU cache, keyed by
-    the plane's bytes, so re-measuring a plane skips its matrix product;
-    each measurement applies the live detector-path gain, the arm's
-    brightness and fresh detector noise after the lookup. Calling it with a
-    mask returns the N-vector of readout outputs, which is exactly the
-    contract the optimizer expects.
+    Up to two base planes keep their full products ``states @ plane``; a
+    base re-reads its own power bit for bit. A plane a few positions from
+    its nearest base reads that power plus the signed sum of the differing
+    columns, as local search evaluates a move. A plane read again after such
+    a correction (the search's incumbent), or far from every base, gets a
+    full product that replaces the nearest base, so corrections never chain.
+    Each measurement then applies the live detector-path gain, the arm's
+    brightness and fresh detector noise. Calling it with a mask returns the
+    N-vector of readout outputs: the optimizer's ``forward_pass`` contract.
     """
 
     def __init__(self, substrate: Substrate, states: np.ndarray, detector: DetectorModel,
@@ -201,24 +199,32 @@ class BatchReadout:
         self.states = states
         self.detector = detector
         self.brightness = brightness
-        self._powers: OrderedDict[bytes, np.ndarray] = OrderedDict()
+        self._bases: list[list] = []  # [plane, full product, last corrected plane's bytes]
 
     @property
     def n_nodes(self) -> int:
         return self.states.shape[1]
 
     def power(self, plane: np.ndarray) -> np.ndarray:
-        """The cached noiseless (N,) power of one Boolean plane."""
+        """The noiseless (N,) power of one Boolean plane."""
+        if plane.shape != (self.n_nodes,):
+            raise ShapeError(f"state width {self.n_nodes} != plane shape {plane.shape}")
         key = plane.tobytes()
-        p = self._powers.get(key)
-        if p is None:
-            p = plane_power(self.states, plane)
-            p.setflags(write=False)
-            self._powers[key] = p
-            if len(self._powers) > POWER_CACHE_SIZE:
-                self._powers.popitem(last=False)
-        else:
-            self._powers.move_to_end(key)
+        for base, p, _ in self._bases:
+            if base.tobytes() == key:
+                return p
+        h = [np.count_nonzero(plane != base) for base, _, _ in self._bases]
+        near = h.index(min(h)) if h else 0
+        # h gathered columns cost about as much as 8h columns of a product
+        if h and 8 * h[near] < self.n_nodes and self._bases[near][2] != key:
+            diff = (plane != self._bases[near][0]).nonzero()[0]
+            self._bases[near][2] = key
+            return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
+        p = plane_power(self.states, plane)
+        p.setflags(write=False)
+        if len(self._bases) == 2:
+            del self._bases[near]
+        self._bases.append([plane.copy(), p, None])
         return p
 
     def measure(self, mask: TernaryMask) -> np.ndarray:

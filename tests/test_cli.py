@@ -74,41 +74,43 @@ def _case(case, idx):
         ["--checks", "30", "--drift-steps", "2"]
 
 
-#: sha256 of every digested output file, pinned before the harness refactor
+#: sha256 of every digested output file, pinned before the harness refactor;
+#: the numeric files were re-pinned when the forward pass became one GEMM and
+#: the readout incremental (every mask file kept its digest)
 GOLDEN = {
     "header": {
         "history_header_s0.csv":
-            "177940028f0dd4fd8ed9d9df74128d02243bed9208bd85d8700a7bc9744080df",
+            "e2b76a7830c4690c5b38233a1eb909cd01d642213edddf099c509ac3549e8177",
         "mask_header_s0.json":
             "6558b11912e80f2ffe0199d18a4062dad65d643e61ee621af3ddf1bff5ce4ab6",
         "results.csv":
-            "48504cc8cb9f47034f2e05e1ed6641ef11f1d11e2d57473cdcb21272fefa393a",
+            "8740962db760361e0cd1bc6d1e1a6b77565ad76fd347661a49d5eb00f0c1fd85",
     },
     "header-boolean": {
         "history_header_s0.csv":
-            "eda64fa9447229bdc945550301a0c322307f2d795dd2af01a5cefd4715bf605c",
+            "69dafb4004b4ee1c45fa51112722709cb58afb77d9acf2bbb8ced13bcfe88b09",
         "history_header_s1.csv":
-            "50d923f6aa127dddf75aeab89c3cb18870ecad9d33bea4f77ac177c4849c371f",
+            "9879aa7466e1654029b752c4bd06c0c4136c7c50fa693ff87cf5c018fdfa342c",
         "mask_header_s0.json":
             "fe4661a667c17445d1f5bd98f9d2adf33fb3cd1776c2c5ab07c3600ae39f10b5",
         "mask_header_s1.json":
             "841874b91c4e026e2e67552f1e15000cf1664506776a074bce6c7312dba01782",
         "results.csv":
-            "44e2f6e372e583c772ee30815e4566f4627ac47aadd66cce6fabf092ab14c97b",
+            "c2097fda938a7da4e5538a6a35055f1c3141aa429e25898753cf82af3c4b3b98",
     },
     "alpha-scan": {
         "alpha_summary.csv":
-            "bbb57c84285e7930c2bf415134aef228769e971797bd6b4e8e45d87830de628c",
+            "4d8b857a8e0a53f45b745a06ed2b09ae309e86291c8b372a1a1676ff1765cd47",
         "curves.csv":
-            "8f2109cd55dfdbb10b35cd678da7dcb27f065edbbf207c977984814bf684fd75",
+            "67bf4521b1f86133a4ab628c64f07dc00b8036ebe369c0bc007231e679ded7ad",
     },
     "compare": {
         "history_boolean_on_digit3_s0.csv":
-            "2713a5277c5ac835df3b60b813249bb40187c58ce7ff227f3a5ebb9577fbedd0",
+            "3e0f6445ba7489de174c9e6393afd34c9963544b2b4d125b7d732fdc28f4ebfc",
         "history_ternary_off_digit3_s0.csv":
-            "8f9ab34dd78c0cce88a872882285d8eca8771440d6e8ca72aedf6a07e1a63f7d",
+            "78372383656c081e994155a8069fa43bff434f8da8d02930d5a6bd7edfc2143e",
         "history_ternary_on_digit3_s0.csv":
-            "4de57802fc28feefc13c5155f88b74b75678f0da0a018f17bb6715fbcb0a175f",
+            "d371bde417393429d229413e41ee56d33f31efb0facb9986c7bd0ea504c5086b",
         "mask_boolean_on_digit3_s0.json":
             "e35844025fabcdc188e44467a8cd1bd8656c101fce1eabf65e2230b1f51d1fbc",
         "mask_ternary_off_digit3_s0.json":
@@ -116,11 +118,11 @@ GOLDEN = {
         "mask_ternary_on_digit3_s0.json":
             "319f98d5253322cc674d7d45609ae45982873d26fc709d6a8404875d31403340",
         "results.csv":
-            "fb03bc373ed3f2aa0e02b8774dca5adfb5ecb2b2cc38abbdcf0dec4bdb1b0c75",
+            "2c6add99e8c4cdc50443c3d7678c96364b9d5d107c7f28cf5dcd674eb1f6ec1c",
     },
     "stability": {
         "stability.csv":
-            "64f028a05779cb68749a03248b3b99f10f35be6715eae58ea227641beaa9439c",
+            "eb03d43317c09de45d16c5b070da7b84bc80ddff7379a4eca16e1ab9801584e5",
     },
 }
 
@@ -241,6 +243,8 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": VALID_TRAIN, "task": {"type": "header", "n_bits": 64}},
     {"substrate": {"seed": -1}, "train": VALID_TRAIN},
     {"train": {**VALID_TRAIN, "seed": 2 ** 32}},
+    {"train": {**VALID_TRAIN, "target_levels": 1.0}},
+    {"train": VALID_TRAIN, "alphas": 5},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
@@ -248,7 +252,8 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "tampered-derived-seeds", "fractional-max-epochs", "fractional-patience",
         "fractional-grid-side", "fractional-train-seed", "boolean-alpha",
         "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits",
-        "negative-substrate-seed", "train-seed-2-pow-32"])
+        "negative-substrate-seed", "train-seed-2-pow-32", "scalar-target-levels",
+        "scalar-alphas"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -268,11 +273,20 @@ _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
     lambda: HeaderSpec(n_bits=1),
     lambda: dataclasses.replace(_CHECKED, repeats=0),
     lambda: dataclasses.replace(_CHECKED.train, patience=1.5),
+    lambda: TrainConfig(alpha=1.0, max_epochs=2, target_levels=1.0),
 ], ids=["grid-side-1", "fractional-grid-side", "zero-max-epochs", "one-bit-header",
-        "replace-zero-repeats", "replace-fractional-patience"])
+        "replace-zero-repeats", "replace-fractional-patience", "scalar-target-levels"])
 def test_config_checked_on_construction(build):
     with pytest.raises(ConfigError):
         build()
+
+
+def test_scalar_for_tuple_field_names_its_type():
+    # a tuple field is checked to be a tuple before its length or items
+    with pytest.raises(ConfigError, match=r"target_levels must be of type tuple\[float, float\]"):
+        TrainConfig(alpha=1.0, max_epochs=2, target_levels=1.0)
+    with pytest.raises(ConfigError, match=r"alphas must be of type tuple\[float, \.\.\.\]"):
+        ExperimentConfig.from_json({"train": VALID_TRAIN, "alphas": 5})
 
 
 def test_seed_outside_uint32_exits_2(capsys):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc import harness
+from ternrc import harness, readout
 from ternrc.errors import ConfigError, ShapeError, UsageError
-from ternrc.harness import POWER_CACHE_SIZE, BatchReadout
+from ternrc.harness import BatchReadout
+from ternrc.optimizer import propose
 from ternrc.readout import (DetectorModel, TernaryMask, decompose, detect_batch, mask_to_json,
                             plane_power, random_mask, readout_batch)
-from ternrc.substrate import SubstrateConfig, advance_drift, build_substrate, circle_mask
+from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
+                              states_matrix)
 
 
 def plane(bits):
@@ -210,27 +212,35 @@ class TestBatchReadout:
         assert len(np.unique(y)) == 8
 
 
-class TestPowerCache:
-    """:class:`BatchReadout` keeps plane powers in an LRU cache; its traces
-    and its noise stream match the uncached readout bit for bit."""
+class TestDeltaReadout:
+    """:class:`BatchReadout` reads a plane from its nearest base plane, with a
+    correction for the few positions where they differ; its traces match the
+    full-product readout to rounding and its noise stream exactly."""
 
-    def rig(self, seed=3):
-        sub = build_substrate(SubstrateConfig(grid_side=6, input_side=8,
+    def rig(self, seed=3, grid_side=6, n=20):
+        sub = build_substrate(SubstrateConfig(grid_side=grid_side, input_side=8,
                                               drift_amplitude=0.05, seed=seed))
-        states = np.random.default_rng(seed).random((20, sub.n_nodes)) * 50
+        rng = np.random.default_rng(seed)
+        # gathered like the harness's states: repeated rows, column-major
+        states = states_matrix(rng.random((n, sub.n_nodes)) * 50, rng.permutation(n))
         det = DetectorModel(noise_sigma=0.01, seed=seed, noise_scale=10.0)
         return BatchReadout(sub, states, det, brightness=0.7)
 
-    def test_mixed_sequence_matches_uncached(self, monkeypatch):
-        rig = self.rig()
+    @staticmethod
+    def count_full_products(monkeypatch):
         computed = []
         monkeypatch.setattr(harness, "plane_power",
                             lambda states, plane: computed.append(1) or plane_power(states, plane))
-        ref_states = rig.states.copy()
+        return computed
+
+    def test_mixed_sequence_matches_uncached(self, monkeypatch):
+        rig = self.rig(grid_side=24)
+        computed = self.count_full_products(monkeypatch)
+        ref_states = np.ascontiguousarray(rig.states)
         ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
         k = rig.n_nodes
         m1 = random_mask(k, "ternary", 1)
-        # shares the (-1) plane with m1; only its (+1) plane is new
+        # three of m1's (+1) positions set to 0: a delta from m1's (+1) plane
         w = m1.weights.copy()
         w[np.nonzero(w == 1)[0][:3]] = 0
         m2 = TernaryMask(weights=w)
@@ -240,13 +250,19 @@ class TestPowerCache:
             advance_drift(rig.substrate, i % 3)  # gain drifts between reads
             got = rig.measure(m)
             want = readout_batch(powers(ref_states), m, rig.substrate.gain * 0.7, ref_det)
-            assert got.tobytes() == want.tobytes()
-        # m1 +, m1 -, m2 +, m3 +: each distinct plane computed once
-        assert len(computed) == 4
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        # m1's planes become the two bases; m1 again and m2 (a correction of
+        # m1's (+1) plane, and m1's own (-1) plane) cost no product. m3's (+1)
+        # plane, far from both, replaces the nearer m1 (-1) base; the next m1
+        # and m3 each swap the far plane back in (3). The last m2 reads its
+        # corrected (+1) plane again, which gets a product of its own, and the
+        # (-1) plane m3 had displaced (2).
+        assert len(computed) == 7
         assert rig.detector._rng.bit_generator.state == ref_det._rng.bit_generator.state
 
     def test_states_read_only(self):
         rig = self.rig()
+        assert rig.states.flags.f_contiguous
         with pytest.raises(ValueError):
             rig.states[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -255,13 +271,85 @@ class TestPowerCache:
     def test_bounded_and_still_exact(self):
         rig = self.rig()
         ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
-        masks = [random_mask(rig.n_nodes, "boolean", s) for s in range(POWER_CACHE_SIZE + 10)]
-        for m in masks + masks[:5]:  # the first planes were evicted; recomputed
+        masks = [random_mask(rig.n_nodes, "boolean", s) for s in range(20)]
+        for m in masks + masks[:5]:
             got = rig(m)
             want = readout_batch(powers(rig.states), m, rig.substrate.gain * 0.7, ref_det)
-            assert got.tobytes() == want.tobytes()
-            assert len(rig._powers) <= POWER_CACHE_SIZE
-        assert len(rig._powers) == POWER_CACHE_SIZE
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert len(rig._bases) <= 2
+        assert len(rig._bases) == 2
+        with pytest.raises(ShapeError):
+            rig(random_mask(rig.n_nodes + 1, "boolean", 0))
+
+    def test_optimizer_walk_matches_full_product(self, monkeypatch):
+        # proposals of a few mirrors, about one in ten accepted, as in training
+        rig = self.rig(grid_side=24, n=100)
+        computed = self.count_full_products(monkeypatch)
+        rng = np.random.default_rng(7)
+        mask = random_mask(rig.n_nodes, "ternary", rng)
+        accepted = 0
+        for _ in range(2000):
+            cand = propose(mask, int(rng.integers(1, 12)), rng)
+            for pl in decompose(cand):
+                np.testing.assert_allclose(rig.power(pl), plane_power(rig.states, pl),
+                                           rtol=1e-12, atol=0)
+            # each base holds its own full product: corrections never chain
+            for base, p, _ in rig._bases:
+                assert p.tobytes() == plane_power(rig.states, base).tobytes()
+            if rng.random() < 0.1:
+                mask, accepted = cand, accepted + 1
+        assert 150 < accepted < 250
+        # most planes were corrections, not full products
+        assert len(computed) < 200
+
+    def test_frozen_mask_costs_two_full_products(self, monkeypatch):
+        rig = self.rig(grid_side=24)
+        computed = self.count_full_products(monkeypatch)
+        mask = random_mask(rig.n_nodes, "ternary", 5)
+        plus, minus = decompose(mask)
+        rig.measure(mask)
+        p_plus, p_minus = rig.power(plus), rig.power(minus)
+        for _ in range(50):
+            advance_drift(rig.substrate, 1)
+            assert rig.power(plus) is p_plus and rig.power(minus) is p_minus
+            rig.measure(mask)
+        assert len(computed) == 2
+        assert p_plus.tobytes() == plane_power(rig.states, plus).tobytes()
+
+    def test_corrected_plane_read_again_becomes_a_base(self, monkeypatch):
+        # the search's incumbent is the plane read again after its correction
+        rig = self.rig(grid_side=24)
+        computed = self.count_full_products(monkeypatch)
+        plus, minus = decompose(random_mask(rig.n_nodes, "ternary", 5))
+        rig.power(plus)
+        rig.power(minus)
+        moved = plus.copy()
+        moved[np.flatnonzero(~plus)[:3]] = True
+        first = rig.power(moved)
+        assert len(computed) == 2
+        again = rig.power(moved)
+        assert len(computed) == 3
+        assert again.tobytes() == plane_power(rig.states, moved).tobytes()
+        np.testing.assert_allclose(first, again, rtol=1e-12, atol=0)
+        # it replaced the (+1) base, its nearest; the (-1) base stays
+        assert rig.power(moved) is again and rig.power(minus) is rig._bases[0][1]
+        assert len(computed) == 3
+
+    def test_stream_position_and_sweeps_match_full_readout(self, monkeypatch):
+        rig = self.rig(grid_side=24)
+        ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
+        sweeps = []
+        monkeypatch.setattr(readout, "detect_batch",
+                            lambda power, gain, det: sweeps.append(det) or detect_batch(power, gain, det))
+        rng = np.random.default_rng(1)
+        mask = random_mask(rig.n_nodes, "ternary", rng)
+        masks = [mask := propose(mask, 3, rng) for _ in range(40)]
+        masks += [random_mask(rig.n_nodes, "boolean", s) for s in range(5)]
+        for m in masks:
+            rig.measure(m)
+            readout_batch(powers(rig.states), m, 1.0, ref_det)
+        assert sweeps.count(rig.detector) == sweeps.count(ref_det) == 2 * 40 + 5
+        assert rig.detector._rng.bit_generator.state == ref_det._rng.bit_generator.state
 
 
 class TestRandomMask:
