@@ -20,13 +20,11 @@ import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
 from .errors import ConfigError, DataError, ShapeError, UsageError, _check_types
-from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, evaluate,
-                        history_to_csv, nmse, train)
-from .readout import DetectorModel, TernaryMask, mask_to_json, plane_power, readout_batch
-from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift,
+from .optimizer import Metrics, Normalizer, TrainConfig, TrainResult, evaluate, nmse, train
+from .readout import DetectorModel, TernaryMask, plane_power, readout_batch
+from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift, circle_mask,
                         forward_batch, laser_response, states_matrix)
-from .tasks import (DigitDataset, HeaderSpec, LabeledBatch, load_mnist,
-                    make_header_batch, make_onevsall_batch)
+from .tasks import HeaderSpec, LabeledBatch, load_mnist, make_header_batch, make_onevsall_batch
 
 RESULTS_SCHEMA = "ternrc-results-v1"
 CURVES_SCHEMA = "ternrc-curves-v1"
@@ -44,9 +42,12 @@ def derive_seed(base: int, tag: str, index: int = 0) -> int:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 
-def _check_n_samples(n: int) -> None:
-    if n < 2 or n % 2:
-        raise ConfigError(f"task n_samples must be an even integer >= 2, got {n!r}")
+def _check_task(task, kind: str) -> None:
+    _check_types(task, "task")
+    if task.type != kind:
+        raise ConfigError(f"a {kind} task has type {kind!r}, got {task.type!r}")
+    if task.n_samples < 2 or task.n_samples % 2:
+        raise ConfigError(f"task n_samples must be an even integer >= 2, got {task.n_samples!r}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,7 @@ class HeaderTask:
     type: str = "header"
 
     def __post_init__(self):
-        _check_types(self, "task")
-        _check_n_samples(self.n_samples)
+        _check_task(self, "header")
         HeaderSpec(self.n_bits, self.image_side, self.target_value)
 
 
@@ -74,10 +74,9 @@ class MnistTask:
     type: str = "mnist"
 
     def __post_init__(self):
-        _check_types(self, "task")
+        _check_task(self, "mnist")
         if self.digit is not None and not 0 <= self.digit <= 9:
             raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
-        _check_n_samples(self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,11 @@ class ExperimentConfig:
     alphas: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0)
 
     def __post_init__(self):
-        # the nested sections checked themselves when they were built
+        # each nested section checked itself when it was built
+        for name, kind in (("substrate", SubstrateConfig), ("train", TrainConfig),
+                           ("task", (HeaderTask, MnistTask))):
+            if not isinstance(section := getattr(self, name), kind):
+                raise ConfigError(f"config {name} must be a config section, got {section!r}")
         _check_types(self, "config")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
@@ -237,37 +240,28 @@ class BatchReadout:
 # ---------------------------------------------------------------------------
 # Batch acquisition per task
 
-def _load_partitions(task: MnistTask) -> tuple[DigitDataset, DigitDataset | None]:
-    """(train, test) partitions; load_mnist raises DataError on unreadable files."""
-    if not (task.images and task.labels):
-        raise DataError("no digit dataset given; pass --mnist-images/--mnist-labels "
-                        "or point the task config at IDX files")
-    train_part = load_mnist(task.images, task.labels)
-    test_part = None
-    if task.test_images and task.test_labels:
-        test_part = load_mnist(task.test_images, task.test_labels)
-    return train_part, test_part
-
-
 def make_task_batches(cfg: ExperimentConfig, repeat: int,
                       digit: int | None = None) -> tuple[LabeledBatch, LabeledBatch]:
     """Build the (train, test) batches for one repeat. Test batches are
     disjoint from training: headers use an independent seed, digit batches
     come from the test partition when available and otherwise from a
     disjoint draw of the training partition."""
-    levels = cfg.train.target_levels
-    if isinstance(cfg.task, HeaderTask):
-        t = cfg.task
+    levels, t = cfg.train.target_levels, cfg.task
+    if isinstance(t, HeaderTask):
         tr_seed = derive_seed(cfg.train.seed, "batch-train", repeat)
         te_seed = derive_seed(cfg.train.seed, "batch-test", repeat)
         return (make_header_batch(t.n_bits, t.target_value, t.n_samples, tr_seed,
                                   t.image_side, levels),
                 make_header_batch(t.n_bits, t.target_value, t.n_samples, te_seed,
                                   t.image_side, levels))
-    t = cfg.task
     if digit is None:
         digit = t.digit if t.digit is not None else 0
-    train_part, test_part = _load_partitions(t)
+    if not (t.images and t.labels):
+        raise DataError("no digit dataset given; pass --mnist-images/--mnist-labels "
+                        "or point the task config at IDX files")
+    # load_mnist raises DataError on an unreadable file
+    train_part = load_mnist(t.images, t.labels)
+    test_part = load_mnist(t.test_images, t.test_labels) if t.test_images and t.test_labels else None
     seed = derive_seed(cfg.train.seed, f"batch-d{digit}", repeat)
     side = cfg.substrate.input_side
     train_batch = make_onevsall_batch(train_part, digit, t.n_samples, seed, draw=0,
@@ -328,12 +322,6 @@ def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
     return build_substrate(dataclasses.replace(cfg.substrate, seed=seed, **overrides))
 
 
-def _states(sub: Substrate, batch_tr: LabeledBatch, batch_te: LabeledBatch):
-    """Noiseless (train, test) state matrices, and the training batch's mean
-    all-on power at unit gain."""
-    return _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
-
-
 def _gathered(passes):
     """(train, test) state matrices of two forward passes, and the training
     batch's mean all-on power at unit gain."""
@@ -378,7 +366,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     else:
         digits = [None]
     rows: list[dict] = []
-    out = _OutputSink(cfg)
+    out = _OutputSink(cfg.output_dir)
     for repeat in range(cfg.repeats):
         sub_on = _substrate(cfg, repeat, vcsel_on=True)
         for digit in digits:
@@ -389,11 +377,9 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
                 row.update(task=task_name, arm=arm_name, repeat=repeat)
                 rows.append(row)
                 if result is not None:
-                    tag = f"{arm_name}_{task_name}_s{repeat}"
-                    out.write_history(tag, result)
-                    out.write_mask(tag, result.best_mask, cfg.substrate.grid_side)
-    out.write_results(rows)
-    out.write_config(cfg)
+                    out.arm(f"{arm_name}_{task_name}_s{repeat}", result, cfg.substrate.grid_side)
+    out.results(rows)
+    out.config(cfg)
     return rows
 
 
@@ -448,11 +434,11 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     """Train at each mutation gain of ``cfg.alphas`` over ``repeats`` seeds,
     recording full learning curves and the epochs-to-convergence summary."""
     rows, curves = [], []
-    out = _OutputSink(cfg)
+    out = _OutputSink(cfg.output_dir)
     for repeat in range(cfg.repeats):
         sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat)
-        states, power = _states(sub, batch_tr, batch_te)
+        states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
         for alpha in cfg.alphas:
             tag = f"-a{alpha}"
             rigs = _rigs(cfg, repeat, tag, sub, states, power)
@@ -468,9 +454,9 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
             for rec in result.history:
                 curves.append({"alpha": float(alpha), "seed": tc.seed,
                                "epoch": rec.epoch, "nmse_best": rec.nmse_best})
-    out.write_curves(curves)
-    out.write_alpha_summary(rows)
-    out.write_config(cfg)
+    out.csv("curves.csv", list(curves[0]), curves, CURVES_SCHEMA)
+    out.csv("alpha_summary.csv", list(rows[0]), rows, RESULTS_SCHEMA)
+    out.config(cfg)
     return rows
 
 
@@ -480,20 +466,18 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     if not isinstance(cfg.task, HeaderTask):
         raise ConfigError("run_header_task needs a header task config")
     rows = []
-    out = _OutputSink(cfg)
+    out = _OutputSink(cfg.output_dir)
     for repeat in range(cfg.repeats):
         sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat)
-        states, power = _states(sub, batch_tr, batch_te)
+        states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
         rigs = _rigs(cfg, repeat, "", sub, states, power)
         _, result, m_tr, m_te = _train_arm(cfg, repeat, "", rigs, batch_tr, batch_te)
         rows.append({"task": f"header{cfg.task.n_bits}b", "arm": cfg.train.mode,
                      "repeat": repeat, **_row(result, m_tr, m_te)})
-        tag = f"header_s{repeat}"
-        out.write_history(tag, result)
-        out.write_mask(tag, result.best_mask, cfg.substrate.grid_side)
-    out.write_results(rows)
-    out.write_config(cfg)
+        out.arm(f"header_s{repeat}", result, cfg.substrate.grid_side)
+    out.results(rows)
+    out.config(cfg)
     return rows
 
 
@@ -503,14 +487,16 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     substrate drift and re-measure the full test-batch trace; consistency is
     each trace's Pearson correlation with the first. Returns one row per
     check: its consistency, nmse and detector-path gain."""
+    if cfg.repeats != 1:
+        raise UsageError(f"stability runs one repeat, got repeats={cfg.repeats}")
     if n_checks < 2:
         raise UsageError(f"n_checks must be >= 2, got {n_checks}")
     if drift_steps_per_check < 0:
         raise UsageError(f"drift_steps_per_check must be >= 0, got {drift_steps_per_check}")
-    out = _OutputSink(cfg)
+    out = _OutputSink(cfg.output_dir)
     sub = _substrate(cfg, 0)
     batch_tr, batch_te = make_task_batches(cfg, 0)
-    states, power = _states(sub, batch_tr, batch_te)
+    states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
     rigs = _rigs(cfg, 0, "", sub, states, power)
     _, result, _, _ = _train_arm(cfg, 0, "", rigs, batch_tr, batch_te, score=False)
     mask = result.best_mask
@@ -525,8 +511,8 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
             reference = trace
         rows.append({"check": check, "consistency": consistency(reference, trace),
                      "nmse": nmse(norm(trace), batch_te.targets), "gain": sub.gain})
-    out.write_stability(rows)
-    out.write_config(cfg)
+    out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
+    out.config(cfg)
     return rows
 
 
@@ -534,75 +520,80 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
 # Persistence
 
 class _OutputSink:
-    """Writes result files under the config's output directory; inert when
-    no directory is configured."""
+    """The one writer of result files: every file format of a run is defined
+    here. Files go under ``output_dir``; the sink is inert without one."""
 
-    def __init__(self, cfg: ExperimentConfig):
-        self.root = Path(cfg.output_dir) if cfg.output_dir else None
+    def __init__(self, output_dir: str | Path | None):
+        self.root = Path(output_dir) if output_dir else None
         if self.root:
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise UsageError(f"cannot create output directory {self.root}: {exc}") from exc
 
-    def _csv(self, name: str, schema: str, columns: list[str], rows: list[dict]) -> None:
+    def write(self, name: str, text: str) -> None:
         if not self.root:
             return
-        lines = [f"# schema: {schema}", ",".join(columns)]
-        for r in rows:
-            lines.append(",".join(_cell(r.get(c)) for c in columns))
-        (self.root / name).write_text("\n".join(lines) + "\n")
+        try:
+            (self.root / name).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write result file {self.root / name}: {exc}") from exc
 
-    def write_results(self, rows: list[dict]) -> None:
+    def csv(self, name: str, columns, rows, schema: str | None = None) -> None:
+        """``rows`` (dicts) as CSV under an optional ``# schema:`` line; a
+        key a row lacks is an empty cell."""
+        if not self.root:
+            return
+        lines = [f"# schema: {schema}"] if schema else []
+        lines.append(",".join(columns))
+        lines.extend(",".join(_cell(r.get(c)) for c in columns) for r in rows)
+        self.write(name, "\n".join(lines) + "\n")
+
+    def results(self, rows: list[dict]) -> None:
+        """One row per task, arm and repeat, then each task and arm's mean
+        and median test accuracy."""
         if not self.root or not rows:
             return
-        columns = ["task", "arm", "repeat", "train_nmse", "test_nmse",
-                   "train_accuracy", "test_accuracy", "test_ser", "threshold",
-                   "epochs_run", "n_accepted", "lambda"]
         summary = []
-        for task in sorted({r["task"] for r in rows}):
-            for arm in sorted({r["arm"] for r in rows if r["task"] == task}):
-                sel = [r["test_accuracy"] for r in rows
-                       if r["task"] == task and r["arm"] == arm]
-                summary.append({"task": task, "arm": arm, "repeat": "mean",
-                                "test_accuracy": float(np.mean(sel))})
-                summary.append({"task": task, "arm": arm, "repeat": "median",
-                                "test_accuracy": float(np.median(sel))})
-        self._csv("results.csv", RESULTS_SCHEMA, columns, rows + summary)
+        for task, arm in sorted({(r["task"], r["arm"]) for r in rows}):
+            sel = [r["test_accuracy"] for r in rows if (r["task"], r["arm"]) == (task, arm)]
+            summary += [{"task": task, "arm": arm, "repeat": stat, "test_accuracy": float(f(sel))}
+                        for stat, f in (("mean", np.mean), ("median", np.median))]
+        self.csv("results.csv", ["task", "arm", "repeat", "train_nmse", "test_nmse",
+                                 "train_accuracy", "test_accuracy", "test_ser", "threshold",
+                                 "epochs_run", "n_accepted", "lambda"],
+                 rows + summary, RESULTS_SCHEMA)
 
-    def write_curves(self, curves: list[dict]) -> None:
-        self._csv("curves.csv", CURVES_SCHEMA, ["alpha", "seed", "epoch", "nmse_best"], curves)
-
-    def write_alpha_summary(self, rows: list[dict]) -> None:
-        self._csv("alpha_summary.csv", RESULTS_SCHEMA,
-                  ["alpha", "repeat", "final_nmse", "initial_nmse",
-                   "epochs_to_convergence", "test_accuracy", "test_ser",
-                   "mean_n_mirrors"], rows)
-
-    def write_stability(self, rows: list[dict]) -> None:
-        self._csv("stability.csv", RESULTS_SCHEMA,
-                  ["check", "consistency", "nmse", "gain"], rows)
-
-    def write_history(self, tag: str, result: TrainResult) -> None:
+    def arm(self, tag: str, result: TrainResult, grid_side: int) -> None:
+        """Learning curve and best mask of one trained arm. The mask file is
+        the flat weights plus mode; ``grid_side`` records the display
+        geometry (row-major over the active disk), so the mask must fill
+        that disk exactly."""
         if not self.root:
             return
-        (self.root / f"history_{tag}.csv").write_text(history_to_csv(result))
+        mask = result.best_mask
+        n_active = int(circle_mask(grid_side).sum())
+        if len(mask) != n_active:
+            raise ShapeError(f"mask length {len(mask)} != {n_active} active cells of a "
+                             f"{grid_side}-side grid")
+        # rows spelled out: vars() would give each record its own __dict__
+        self.csv(f"history_{tag}.csv", ["epoch", "nmse_best", "n_mirrors", "accepted"],
+                 ({"epoch": r.epoch, "nmse_best": r.nmse_best, "n_mirrors": r.n_mirrors,
+                   "accepted": r.accepted} for r in result.history))
+        self.write(f"mask_{tag}.json", json.dumps(
+            {"weights": [int(v) for v in mask.weights], "mode": mask.mode,
+             "grid_side": int(grid_side)}))
 
-    def write_mask(self, tag: str, mask: TernaryMask, grid_side: int) -> None:
-        if not self.root:
-            return
-        (self.root / f"mask_{tag}.json").write_text(mask_to_json(mask, grid_side))
-
-    def write_config(self, cfg: ExperimentConfig) -> None:
-        if not self.root:
-            return
-        (self.root / "config.resolved.json").write_text(
-            json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    def config(self, cfg: ExperimentConfig) -> None:
+        self.write("config.resolved.json",
+                   json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _cell(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, bool):
+        return str(int(v))
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -9,8 +9,6 @@ small error means fine single-mirror moves.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, UsageError, _check_types
-from .readout import MODES, TernaryMask, random_mask
+from .readout import ALPHABETS, MODES, TernaryMask, random_mask
 
 NORMALIZE_MODES = ("off", "zscore", "first_epoch")
 
@@ -136,9 +134,8 @@ def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
     k = len(mask)
     if not 1 <= n <= k:
         raise UsageError(f"n must be in [1, {k}], got {n}")
-    alphabet = np.array([0, 1], dtype=np.int8) if mask.mode == "boolean" else np.array([-1, 0, 1], dtype=np.int8)
     positions = rng.integers(0, k, size=n)
-    values = rng.choice(alphabet, size=n)
+    values = rng.choice(ALPHABETS[mask.mode], size=n)
     w = np.array(mask.weights, dtype=np.int8, copy=True)
     # duplicate positions resolve to the last drawn value, as in a sequential loop
     w[positions] = values
@@ -273,13 +270,3 @@ def score(y_out: np.ndarray, y_target: np.ndarray, err: float,
         thr = float(threshold_rule)
     ser = float(np.mean((y_out > thr) != _positive_class(t)))
     return Metrics(nmse=err, accuracy=1.0 - ser, ser=ser, threshold=thr)
-
-
-def history_to_csv(result: TrainResult) -> str:
-    """Learning curve as CSV with columns epoch,nmse_best,n_mirrors,accepted."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["epoch", "nmse_best", "n_mirrors", "accepted"])
-    for r in result.history:
-        w.writerow([r.epoch, repr(r.nmse_best), r.n_mirrors, int(r.accepted)])
-    return buf.getvalue()

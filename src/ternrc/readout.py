@@ -9,7 +9,6 @@ signals electronically.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -17,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UsageError
-from .substrate import circle_mask
 
-MODES = ("boolean", "ternary")
+ALPHABETS = {"boolean": np.array([0, 1], dtype=np.int8),
+             "ternary": np.array([-1, 0, 1], dtype=np.int8)}
+MODES = tuple(ALPHABETS)
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,13 @@ def decompose(mask: TernaryMask) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_mask(length: int, mode: str = "ternary", seed: int | np.random.Generator = 0) -> TernaryMask:
-    """Uniform random mask over the mode's alphabet, deterministic per seed;
-    the mask itself rejects an unknown mode."""
+    """Uniform random mask over the mode's alphabet, deterministic per seed."""
     if length < 1:
         raise UsageError(f"length must be >= 1, got {length}")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    alphabet = np.array([0, 1], dtype=np.int8) if mode == "boolean" else np.array([-1, 0, 1], dtype=np.int8)
-    return TernaryMask(weights=rng.choice(alphabet, size=length), mode=mode)
+    return TernaryMask(weights=rng.choice(ALPHABETS[mode], size=length), mode=mode)
 
 
 class DetectorModel:
@@ -126,15 +126,3 @@ def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
         return detect_batch(power(plus), substrate_gain, det)
     return (detect_batch(power(plus), substrate_gain, det)
             - detect_batch(power(minus), substrate_gain, det))
-
-
-def mask_to_json(mask: TernaryMask, grid_side: int) -> str:
-    """Serialize to a flat JSON weight array plus mode; ``grid_side``
-    records the display geometry (row-major over the active disk), so the
-    mask must fill that disk exactly."""
-    n_active = int(circle_mask(grid_side).sum())
-    if len(mask) != n_active:
-        raise ShapeError(f"mask length {len(mask)} != {n_active} active cells of a "
-                         f"{grid_side}-side grid")
-    return json.dumps({"weights": [int(v) for v in mask.weights], "mode": mask.mode,
-                       "grid_side": int(grid_side)})

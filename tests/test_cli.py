@@ -274,8 +274,15 @@ _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
     lambda: dataclasses.replace(_CHECKED, repeats=0),
     lambda: dataclasses.replace(_CHECKED.train, patience=1.5),
     lambda: TrainConfig(alpha=1.0, max_epochs=2, target_levels=1.0),
+    lambda: ExperimentConfig(substrate={}, train={}, task={}),
+    lambda: dataclasses.replace(_CHECKED, task=None),
+    lambda: dataclasses.replace(_CHECKED, train=dataclasses.asdict(_CHECKED.train)),
+    lambda: HeaderTask(type="mnist"),
+    lambda: MnistTask(type="header"),
 ], ids=["grid-side-1", "fractional-grid-side", "zero-max-epochs", "one-bit-header",
-        "replace-zero-repeats", "replace-fractional-patience", "scalar-target-levels"])
+        "replace-zero-repeats", "replace-fractional-patience", "scalar-target-levels",
+        "dict-sections", "no-task", "dict-train", "header-task-typed-mnist",
+        "mnist-task-typed-header"])
 def test_config_checked_on_construction(build):
     with pytest.raises(ConfigError):
         build()
@@ -330,6 +337,34 @@ def test_out_naming_a_file_exits_2(command, idx_files, tmp_path, capsys):
     assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
     assert "output directory" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["header", "stability"])
+def test_unwritable_result_file_exits_2(command, idx_files, tmp_path, capsys):
+    # a directory where the run's result file goes fails after training,
+    # with the file named and no traceback
+    _, doc, flags = _case(command, idx_files)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    name = "results.csv" if command == "header" else "stability.csv"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write result file" in err and name in err
+    assert (out / name).is_dir()
+
+
+def test_stability_with_repeats_exits_2(idx_files, tmp_path, capsys):
+    # the protocol runs one repeat; a config claiming three is refused
+    _, doc, flags = _case("stability", idx_files)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(config), "--out", str(out), "--repeats", "3",
+                 *flags]) == 2
+    assert "one repeat" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_idx_path_directory_exits_3(tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, UsageError
-from ternrc.optimizer import (TrainConfig, evaluate, history_to_csv, midpoint_threshold,
-                              n_mirrors, nmse, propose, train)
+from ternrc.harness import _OutputSink
+from ternrc.optimizer import (TrainConfig, evaluate, midpoint_threshold, n_mirrors, nmse,
+                              propose, train)
 from ternrc.readout import random_mask
 
 
@@ -310,12 +311,18 @@ class TestEvaluate:
 
 
 class TestSerialization:
-    def test_history_csv_columns(self):
-        states = np.eye(3)
-        targets = np.array([1.0, 0.0, 0.0])
+    def test_history_csv_columns(self, tmp_path):
+        # four nodes: the active disk of a 2-side grid, so the sink takes the mask
+        states = np.eye(4)
+        targets = np.array([1.0, 0.0, 0.0, 0.0])
         cfg = TrainConfig(alpha=1.0, max_epochs=4, mode="ternary", seed=0)
-        result = train(linear_forward(states), targets, cfg, n_nodes=3)
-        text = history_to_csv(result)
+        result = train(linear_forward(states), targets, cfg, n_nodes=4)
+        _OutputSink(tmp_path).arm("t", result, grid_side=2)
+        text = (tmp_path / "history_t.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "epoch,nmse_best,n_mirrors,accepted"
         assert len(lines) == 5
+        # floats round-trip through repr, the accepted flag is written 0/1
+        assert lines[1:] == [f"{r.epoch},{r.nmse_best!r},{r.n_mirrors},{int(r.accepted)}"
+                             for r in result.history]
+        assert text.endswith("\n") and not text.endswith("\n\n")

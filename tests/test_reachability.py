@@ -1,9 +1,14 @@
 """Every top-level name in ``src/ternrc`` is used, and every dataclass field
 is read outside its class, by the package or the benchmark, not only by
-tests: API that nothing runs is deleted, not kept for its tests."""
+tests: API that nothing runs is deleted, not kept for its tests. The
+benchmark tracer's lookup sites and the parameters its counters bind still
+exist, and only the output sink and the IDX writers write files."""
 
 import ast
+import importlib.util
+import inspect
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +17,23 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ternrc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _load_tracer():
+    """``perfbench/tracer.py``, loaded read-only: no bytecode cache is
+    written next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+TRACER = _load_tracer()
 
 
 def _definitions(path):
@@ -66,3 +88,55 @@ def test_every_dataclass_field_is_read_outside_its_class(path):
     unread = [f"{cls}.{name}" for cls, name, first, last in _dataclass_fields(path)
               if not _referenced(re.compile(rf"\.{re.escape(name)}\b"), path, first, last)]
     assert not unread, f"{path.name}: nothing outside tests reads {unread}"
+
+
+#: parameters the tracer's counters bind by name, per layer
+COUNTED = {"substrate.forward_batch": ("substrate", "batch"),
+           "substrate.advance_drift": ("steps",), "optimizer.propose": ("n",),
+           "baselines.lambda_sweep": ("grid", "folds")}
+
+
+@pytest.mark.parametrize("site", TRACER.SITES, ids=[f"{m}.{a}" for m, a, _, _ in TRACER.SITES])
+def test_tracer_site_resolves_with_its_counted_parameters(site):
+    module, attr, layer, _ = site
+    _, _, fn = TRACER._resolve(module, attr)
+    params = list(inspect.signature(fn).parameters)
+    assert set(COUNTED.get(layer, ())) <= set(params), f"{module}.{attr}{params}"
+    if layer == "harness.BatchReadout.measure":
+        # the sweep counter reads the mask as args[1] without binding
+        assert params[:2] == ["self", "mask"]
+
+
+#: (module, enclosing function) of every call that may write a file
+WRITERS = {("harness.py", "_OutputSink.write"), ("tasks.py", "write_idx_images"),
+           ("tasks.py", "write_idx_labels")}
+
+_WRITE_CALLS = {"write_text", "write_bytes", "tofile", "save", "savez", "savez_compressed",
+                "savetxt", "dump"}
+
+
+def _writes_file(call):
+    f = call.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+    if name != "open":
+        return name in _WRITE_CALLS
+    # builtin open(file, mode) or Path.open(mode): a mode other than a
+    # constant read mode counts as a write
+    args = call.args[1:] if isinstance(f, ast.Name) else call.args
+    mode = args[0] if args else next((k.value for k in call.keywords if k.arg == "mode"), None)
+    return not (mode is None or isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def _file_writes(node, scope=()):
+    """Qualified scope of each file-writing call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _writes_file(child):
+            yield ".".join(scope)
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _file_writes(child, scope + (child.name,) if named else scope)
+
+
+def test_only_the_output_sink_and_idx_writers_write_files():
+    found = {(path.name, scope) for path in MODULES
+             for scope in _file_writes(ast.parse(path.read_text()))}
+    assert found == WRITERS

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from ternrc import harness, readout
 from ternrc.errors import ConfigError, ShapeError, UsageError
-from ternrc.harness import BatchReadout
-from ternrc.optimizer import propose
-from ternrc.readout import (DetectorModel, TernaryMask, decompose, detect_batch, mask_to_json,
-                            plane_power, random_mask, readout_batch)
+from ternrc.harness import BatchReadout, _OutputSink
+from ternrc.optimizer import TrainResult, propose
+from ternrc.readout import (DetectorModel, TernaryMask, decompose, detect_batch, plane_power,
+                            random_mask, readout_batch)
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
                               states_matrix)
 
@@ -62,6 +62,10 @@ class TestMaskType:
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
             TernaryMask(weights=np.array([0, 1]), mode="analog")
+
+    def test_random_mask_unknown_mode(self):
+        with pytest.raises(ConfigError):
+            random_mask(4, "analog")
 
 
 class TestDecompose:
@@ -377,22 +381,31 @@ class TestRandomMask:
             random_mask(0, "ternary", 0)
 
 
+def mask_file(m, grid_side, root):
+    """The mask document the output sink writes for an arm that trained ``m``."""
+    result = TrainResult(best_mask=m, history=(), final_nmse=0.0, initial_nmse=0.0)
+    _OutputSink(root).arm("t", result, grid_side)
+    return json.loads((root / "mask_t.json").read_text())
+
+
 class TestSerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         m = random_mask(32, "ternary", 4)  # the 32 active cells of a 6-side grid
-        doc = json.loads(mask_to_json(m, grid_side=6))
+        doc = mask_file(m, 6, tmp_path)
         assert doc == {"weights": m.weights.tolist(), "mode": "ternary", "grid_side": 6}
         assert TernaryMask(weights=np.asarray(doc["weights"]), mode=doc["mode"]) == m
 
-    def test_grid_display_layout(self):
+    def test_grid_display_layout(self, tmp_path):
         # a substrate's mask fills the active disk of its own grid side
         sub = build_substrate(SubstrateConfig(grid_side=24, input_side=16))
         m = random_mask(sub.n_nodes, "ternary", 0)
-        doc = json.loads(mask_to_json(m, grid_side=24))
+        doc = mask_file(m, 24, tmp_path)
         grid = np.zeros((24, 24), dtype=int)
         grid[circle_mask(doc["grid_side"])] = doc["weights"]
         assert np.count_nonzero(grid) == np.count_nonzero(m.weights)
 
-    def test_grid_length_mismatch(self):
+    def test_grid_length_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
-            mask_to_json(random_mask(10, "ternary", 0), grid_side=24)
+            mask_file(random_mask(10, "ternary", 0), 24, tmp_path)
+        # the arm is rejected before any of its files is written
+        assert not any(tmp_path.iterdir())
