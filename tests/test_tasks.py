@@ -113,6 +113,19 @@ class TestHeaderBatch:
         neg = batch.labels[batch.targets == 0.0]
         assert np.all((neg >= 0) & (neg < 2 ** 40) & (neg != 2 ** 39))
 
+    @pytest.mark.parametrize("n_bits, target, side, seed, digests", [
+        (4, 5, 64, 0, ("2ed8160ba0559ae8", "61d3f9223520d9a3", "50db6536c8fbe01b")),
+        (3, 2, 16, 7, ("204a8d5c7d1cfc2f", "edab50152f7f3fec", "3b4bba6ba14f58a7")),
+        (40, 2 ** 39, 32, 1, ("6312fc211803d714", "ec83dfdac1a76881", "a99c601ea11fe854")),
+        (62, 1, 20, 3, ("5afceda21a46beb9", "52fa1b9e8a46efe4", "52abda64ea0de8ed")),
+    ], ids=["4-bit", "3-bit", "40-bit", "62-bit"])
+    def test_batch_bytes_pinned(self, n_bits, target, side, seed, digests):
+        # sha256 prefixes of the pixels, targets and labels of a 40-sample batch
+        batch = make_header_batch(n_bits, target, 40, seed=seed, image_side=side)
+        got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
+                    for a in (batch.pixels, batch.targets, batch.labels))
+        assert got == digests
+
 
 class TestBinarize:
     """The grayscale threshold of :func:`make_onevsall_batch`: a pixel is on
