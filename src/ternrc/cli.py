@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, UsageError
-from .harness import (ExperimentConfig, MnistTask, run_alpha_scan, run_comparison,
-                      run_header_task, run_stability)
+from .harness import (ExperimentConfig, run_alpha_scan, run_comparison, run_header_task,
+                      run_stability)
 
 
 def _default_doc(command: str) -> dict:
@@ -52,7 +52,7 @@ def _load_config(args) -> ExperimentConfig:
         except ValueError as exc:
             raise UsageError(f"--alphas must be comma-separated numbers: {exc}") from exc
         cfg = dataclasses.replace(cfg, alphas=alphas)
-    if isinstance(cfg.task, MnistTask):
+    if cfg.task.type == "mnist":
         paths = {name: getattr(args, f"mnist_{name}") for name in
                  ("images", "labels", "test_images", "test_labels")}
         cfg = dataclasses.replace(cfg, task=dataclasses.replace(
@@ -117,9 +117,9 @@ def main(argv=None) -> int:
                   f"{np.median([r['consistency'] for r in rows]):.5f}, "
                   f"nmse mean={errs.mean():.4f} std={errs.std():.5f}")
     except (ConfigError, UsageError, NumericalError) as exc:
-        # an unregularised ridge lambda is the only numerical failure a
-        # config can reach
-        print(f"config error: {exc}", file=sys.stderr)
+        # an unregularised ridge lambda is the only numerical failure a config can reach
+        print(f"{'error' if isinstance(exc, UsageError) else 'config error'}: {exc}",
+              file=sys.stderr)
         return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

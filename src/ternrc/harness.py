@@ -24,7 +24,8 @@ from .optimizer import Metrics, Normalizer, TrainConfig, TrainResult, evaluate, 
 from .readout import DetectorModel, TernaryMask, plane_power, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift, circle_mask,
                         forward_batch, laser_response, states_matrix)
-from .tasks import HeaderSpec, LabeledBatch, load_mnist, make_header_batch, make_onevsall_batch
+from .tasks import (HeaderTask, LabeledBatch, MnistTask, load_mnist, make_header_batch,
+                    make_onevsall_batch)
 
 RESULTS_SCHEMA = "ternrc-results-v1"
 CURVES_SCHEMA = "ternrc-curves-v1"
@@ -41,43 +42,6 @@ def derive_seed(base: int, tag: str, index: int = 0) -> int:
 
 # ---------------------------------------------------------------------------
 # Experiment configuration
-
-def _check_task(task, kind: str) -> None:
-    _check_types(task, "task")
-    if task.type != kind:
-        raise ConfigError(f"a {kind} task has type {kind!r}, got {task.type!r}")
-    if task.n_samples < 2 or task.n_samples % 2:
-        raise ConfigError(f"task n_samples must be an even integer >= 2, got {task.n_samples!r}")
-
-
-@dataclass(frozen=True)
-class HeaderTask:
-    n_bits: int = 4
-    target_value: int = 5
-    n_samples: int = 1000
-    image_side: int = 64
-    type: str = "header"
-
-    def __post_init__(self):
-        _check_task(self, "header")
-        HeaderSpec(self.n_bits, self.image_side, self.target_value)
-
-
-@dataclass(frozen=True)
-class MnistTask:
-    images: str = ""
-    labels: str = ""
-    test_images: str | None = None
-    test_labels: str | None = None
-    digit: int | None = 0
-    n_samples: int = 1000
-    type: str = "mnist"
-
-    def __post_init__(self):
-        _check_task(self, "mnist")
-        if self.digit is not None and not 0 <= self.digit <= 9:
-            raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -250,12 +214,8 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int,
     if isinstance(t, HeaderTask):
         tr_seed = derive_seed(cfg.train.seed, "batch-train", repeat)
         te_seed = derive_seed(cfg.train.seed, "batch-test", repeat)
-        return (make_header_batch(t.n_bits, t.target_value, t.n_samples, tr_seed,
-                                  t.image_side, levels),
-                make_header_batch(t.n_bits, t.target_value, t.n_samples, te_seed,
-                                  t.image_side, levels))
-    if digit is None:
-        digit = t.digit if t.digit is not None else 0
+        return make_header_batch(t, tr_seed, levels), make_header_batch(t, te_seed, levels)
+    digit = t.digit if digit is None else digit
     if not (t.images and t.labels):
         raise DataError("no digit dataset given; pass --mnist-images/--mnist-labels "
                         "or point the task config at IDX files")
@@ -274,6 +234,11 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int,
         test_batch = make_onevsall_batch(train_part, digit, t.n_samples, seed, draw=1,
                                          input_side=side, target_levels=levels)
     return train_batch, test_batch
+
+
+def _check_one_digit(cfg: ExperimentConfig) -> None:
+    if isinstance(cfg.task, MnistTask) and cfg.task.digit is None:
+        raise ConfigError("task digit null (all ten digits) runs only in the comparison")
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +332,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
         digits = [None]
     rows: list[dict] = []
     out = _OutputSink(cfg.output_dir)
+    out.config(cfg)
     for repeat in range(cfg.repeats):
         sub_on = _substrate(cfg, repeat, vcsel_on=True)
         for digit in digits:
@@ -379,7 +345,6 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
                 if result is not None:
                     out.arm(f"{arm_name}_{task_name}_s{repeat}", result, cfg.substrate.grid_side)
     out.results(rows)
-    out.config(cfg)
     return rows
 
 
@@ -433,8 +398,10 @@ def _row(result: TrainResult | None, m_train: Metrics, m_test: Metrics) -> dict:
 def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     """Train at each mutation gain of ``cfg.alphas`` over ``repeats`` seeds,
     recording full learning curves and the epochs-to-convergence summary."""
+    _check_one_digit(cfg)
     rows, curves = [], []
     out = _OutputSink(cfg.output_dir)
+    out.config(cfg)
     for repeat in range(cfg.repeats):
         sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat)
@@ -456,7 +423,6 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
                                "epoch": rec.epoch, "nmse_best": rec.nmse_best})
     out.csv("curves.csv", list(curves[0]), curves, CURVES_SCHEMA)
     out.csv("alpha_summary.csv", list(rows[0]), rows, RESULTS_SCHEMA)
-    out.config(cfg)
     return rows
 
 
@@ -467,6 +433,7 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
         raise ConfigError("run_header_task needs a header task config")
     rows = []
     out = _OutputSink(cfg.output_dir)
+    out.config(cfg)
     for repeat in range(cfg.repeats):
         sub = _substrate(cfg, repeat)
         batch_tr, batch_te = make_task_batches(cfg, repeat)
@@ -477,7 +444,6 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
                      "repeat": repeat, **_row(result, m_tr, m_te)})
         out.arm(f"header_s{repeat}", result, cfg.substrate.grid_side)
     out.results(rows)
-    out.config(cfg)
     return rows
 
 
@@ -493,7 +459,9 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         raise UsageError(f"n_checks must be >= 2, got {n_checks}")
     if drift_steps_per_check < 0:
         raise UsageError(f"drift_steps_per_check must be >= 0, got {drift_steps_per_check}")
+    _check_one_digit(cfg)
     out = _OutputSink(cfg.output_dir)
+    out.config(cfg)
     sub = _substrate(cfg, 0)
     batch_tr, batch_te = make_task_batches(cfg, 0)
     states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
@@ -512,7 +480,6 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         rows.append({"check": check, "consistency": consistency(reference, trace),
                      "nmse": nmse(norm(trace), batch_te.targets), "gain": sub.gain})
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
-    out.config(cfg)
     return rows
 
 

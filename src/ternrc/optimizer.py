@@ -102,12 +102,12 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float:
     return float(np.sum((y - t) ** 2) / (n * sd))
 
 
-def n_mirrors(alpha: float, nmse_k: float, cap: int | None = None) -> int:
+def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
     """Number of mirror positions to perturb this epoch: ceil(alpha * error),
     floored at one so the search always moves. The ceiling is evaluated
     exactly on the integer ratios of both floats; a float product can round
-    across an integer boundary. An infinite error (degenerate trace) clamps
-    to the mask length ``cap``.
+    across an integer boundary. The count is capped at the mask length
+    ``cap``, which an infinite error (degenerate trace) takes.
 
     The error is taken as given. With ``normalize="off"`` it is in raw
     detected-power units, where ceil(alpha * error) saturates at ``cap``
@@ -117,13 +117,11 @@ def n_mirrors(alpha: float, nmse_k: float, cap: int | None = None) -> int:
     if nmse_k < 0:
         raise UsageError(f"nmse must be >= 0, got {nmse_k}")
     if math.isinf(nmse_k):
-        if cap is None:
-            raise UsageError("infinite error needs the mask length to clamp to")
         return cap
     na, da = float(alpha).as_integer_ratio()
     nb, db = float(nmse_k).as_integer_ratio()
     n = max(1, -((-na * nb) // (da * db)))
-    return n if cap is None else min(n, cap)
+    return min(n, cap)
 
 
 def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:

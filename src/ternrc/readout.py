@@ -90,10 +90,11 @@ class DetectorModel:
         self.noise_scale = noise_scale
         self._rng = np.random.default_rng(seed)
 
-    def draw(self, n: int) -> np.ndarray:
-        """``n`` noise values, one per sample of a sweep."""
+    def detect(self, power: np.ndarray, gain: float) -> np.ndarray:
+        """Detected power of one plane sweep across the batch: ``gain`` times
+        the (N,) noiseless plane power, plus one noise draw per sample."""
         sd = self.noise_sigma * self.noise_scale
-        return sd * self._rng.standard_normal(n)
+        return gain * power + sd * self._rng.standard_normal(power.shape[0])
 
 
 def plane_power(states: np.ndarray, plane: np.ndarray) -> np.ndarray:
@@ -102,12 +103,6 @@ def plane_power(states: np.ndarray, plane: np.ndarray) -> np.ndarray:
     if states.shape[1] != plane.size:
         raise ShapeError(f"state width {states.shape[1]} != plane length {plane.size}")
     return states @ plane.astype(float)
-
-
-def detect_batch(power: np.ndarray, substrate_gain: float, det: DetectorModel) -> np.ndarray:
-    """Detected power of one plane sweep across the batch: gain times the
-    (N,) noiseless plane power, plus one noise draw per sample."""
-    return substrate_gain * power + det.draw(power.shape[0])
 
 
 def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
@@ -123,6 +118,5 @@ def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
     """
     plus, minus = decompose(mask)
     if mask.mode == "boolean":
-        return detect_batch(power(plus), substrate_gain, det)
-    return (detect_batch(power(plus), substrate_gain, det)
-            - detect_batch(power(minus), substrate_gain, det))
+        return det.detect(power(plus), substrate_gain)
+    return det.detect(power(plus), substrate_gain) - det.detect(power(minus), substrate_gain)

@@ -1,5 +1,5 @@
-"""Benchmark workloads: pie-shaped Boolean headers and one-vs-all digit
-batches, plus IDX file ingestion.
+"""Benchmark workloads: the header and digit task configs, pie-shaped
+Boolean header batches and one-vs-all digit batches, plus IDX file ingestion.
 
 Both generators follow the balanced-batch protocol: half the batch is the
 positive class, half is drawn uniformly from the alternatives, shuffled by
@@ -8,8 +8,7 @@ stand-in when the canonical digit files are not on disk.
 
 Shapes: a batch holds an (N, d, d) Boolean frame stack, dark outside the
 inscribed-circle aperture of side d, with (N,) targets and (N,) labels; a
-rendered header is one (d, d) frame; a digit dataset holds (N, rows, cols)
-uint8 grayscale images.
+digit dataset holds (N, rows, cols) uint8 grayscale images.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError, UsageError
+from .errors import ConfigError, DataError, FormatError, ShapeError, UsageError, _check_types
 from .substrate import circle_mask
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -62,64 +61,85 @@ def _check_frames(pixels: np.ndarray) -> None:
         raise ConfigError("pixels outside the aperture must be off")
 
 
-@dataclass(frozen=True)
-class HeaderSpec:
-    """One pie-shaped header: the illuminated disk is cut into ``n_bits``
-    equal angular sectors and sector k lights up iff bit k of
-    ``header_value`` is set. The spec checks itself when built."""
+def _check_task(task, kind: str) -> None:
+    _check_types(task, "task")
+    if task.type != kind:
+        raise ConfigError(f"a {kind} task has type {kind!r}, got {task.type!r}")
+    if task.n_samples < 2 or task.n_samples % 2:
+        raise ConfigError(f"task n_samples must be an even integer >= 2, got {task.n_samples!r}")
 
-    n_bits: int
+
+@dataclass(frozen=True)
+class HeaderTask:
+    """Pie-shaped headers: the disk is cut into ``n_bits`` equal sectors and
+    sector k of a header lights up iff bit k of its value is set. The task
+    tells ``target_value`` from the other headers."""
+
+    n_bits: int = 4
+    target_value: int = 5
+    n_samples: int = 1000
     image_side: int = 64
-    header_value: int = 0
+    type: str = "header"
 
     def __post_init__(self):
+        _check_task(self, "header")
         if not 2 <= self.n_bits <= MAX_HEADER_BITS:
             raise ConfigError(f"n_bits must be in [2, {MAX_HEADER_BITS}], got {self.n_bits}")
         if self.image_side < 4:
             raise ConfigError(f"image_side must be >= 4, got {self.image_side}")
-        if not 0 <= self.header_value < 2 ** self.n_bits:
+        if not 0 <= self.target_value < 2 ** self.n_bits:
             raise ConfigError(
-                f"header_value must be in [0, {2 ** self.n_bits}), got {self.header_value}")
+                f"target_value must be in [0, {2 ** self.n_bits}), got {self.target_value}")
 
 
-def render_header(spec: HeaderSpec) -> np.ndarray:
-    """Render one header. Sector k spans angles [2*pi*k/n, 2*pi*(k+1)/n)
-    measured counter-clockwise from the +x axis, with +y pointing up."""
-    side = spec.image_side
-    c = side / 2.0
-    centers = np.arange(side) + 0.5
-    x = centers[None, :] - c
-    y = c - centers[:, None]
-    angle = np.mod(np.arctan2(y, x), 2.0 * np.pi)
-    sector = np.minimum((angle / (2.0 * np.pi) * spec.n_bits).astype(int), spec.n_bits - 1)
-    lit = ((spec.header_value >> sector) & 1).astype(bool)
-    return lit & circle_mask(side)
+@dataclass(frozen=True)
+class MnistTask:
+    """One-vs-all digits from IDX files; ``digit`` null runs all ten."""
+
+    images: str = ""
+    labels: str = ""
+    test_images: str | None = None
+    test_labels: str | None = None
+    digit: int | None = 0
+    n_samples: int = 1000
+    type: str = "mnist"
+
+    def __post_init__(self):
+        _check_task(self, "mnist")
+        if self.digit is not None and not 0 <= self.digit <= 9:
+            raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
 
 
-def make_header_batch(n_bits: int, target_value: int, n_samples: int, seed: int,
-                      image_side: int = 64,
+def render_headers(n_bits: int, side: int, values: np.ndarray) -> np.ndarray:
+    """(U, side, side) headers of the U ``values``. Sector k spans angles
+    [2*pi*k/n, 2*pi*(k+1)/n) measured counter-clockwise from the +x axis,
+    with +y pointing up."""
+    d = np.arange(side) + 0.5 - side / 2.0  # pixel centres from the disk centre
+    angle = np.mod(np.arctan2(-d[:, None], d[None, :]), 2.0 * np.pi)
+    sector = np.minimum((angle / (2.0 * np.pi) * n_bits).astype(int), n_bits - 1)
+    # (U, n_bits) bit table indexed by the one sector map
+    bits = ((values[:, None] >> np.arange(n_bits)) & 1).astype(bool)
+    return bits[:, sector] & circle_mask(side)
+
+
+def make_header_batch(task: HeaderTask, seed: int,
                       target_levels: tuple[float, float] = (0.0, 1.0)) -> LabeledBatch:
     """Balanced one-vs-all header batch: half the target header, half drawn
     uniformly from the other headers."""
-    # the target's spec rejects a bad bit count before the draw below uses it
-    HeaderSpec(n_bits=n_bits, image_side=image_side, header_value=target_value)
-    if n_samples % 2 != 0 or n_samples < 2:
-        raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
     rng = np.random.default_rng(seed)
-    half = n_samples // 2
+    half = task.n_samples // 2
     # a uniform index into the other headers in ascending order, the draw
     # rng.choice makes over their list, without building that list
-    i = rng.integers(0, 2 ** n_bits - 1, size=half)
-    values = np.concatenate([np.full(half, target_value), i + (i >= target_value)])
+    i = rng.integers(0, 2 ** task.n_bits - 1, size=half)
+    values = np.concatenate([np.full(half, task.target_value), i + (i >= task.target_value)])
     lo, hi = target_levels
     targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
-    order = rng.permutation(n_samples)
+    order = rng.permutation(task.n_samples)
     values, targets = values[order], targets[order]
     # headers come from a small alphabet; render each distinct value once
     distinct, which = np.unique(values, return_inverse=True)
-    renders = np.stack([render_header(HeaderSpec(n_bits, image_side, int(v)))
-                        for v in distinct])
-    return LabeledBatch(pixels=renders[which], targets=targets, labels=values.astype(int))
+    return LabeledBatch(pixels=render_headers(task.n_bits, task.image_side, distinct)[which],
+                        targets=targets, labels=values.astype(int))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ import pytest
 
 from ternrc.cli import _default_doc, _load_config, build_parser, main
 from ternrc.errors import ConfigError
-from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask
+from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import SubstrateConfig
-from ternrc.tasks import HeaderSpec, write_idx_images, write_idx_labels
+from ternrc.tasks import HeaderTask, MnistTask, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -270,7 +270,7 @@ _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
     lambda: SubstrateConfig(grid_side=1),
     lambda: SubstrateConfig(grid_side=24.5),
     lambda: TrainConfig(alpha=1.0, max_epochs=0),
-    lambda: HeaderSpec(n_bits=1),
+    lambda: HeaderTask(n_bits=1),
     lambda: dataclasses.replace(_CHECKED, repeats=0),
     lambda: dataclasses.replace(_CHECKED.train, patience=1.5),
     lambda: TrainConfig(alpha=1.0, max_epochs=2, target_levels=1.0),
@@ -351,8 +351,10 @@ def test_unwritable_result_file_exits_2(command, idx_files, tmp_path, capsys):
     (out / name).mkdir(parents=True)
     assert main([command, "--config", str(config), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
-    assert "cannot write result file" in err and name in err
+    assert err.startswith("error:") and "cannot write result file" in err and name in err
     assert (out / name).is_dir()
+    # the config was recorded before the run began, so the files it left are traceable
+    assert json.loads((out / "config.resolved.json").read_text())["output_dir"] == str(out)
 
 
 def test_stability_with_repeats_exits_2(idx_files, tmp_path, capsys):
@@ -364,6 +366,21 @@ def test_stability_with_repeats_exits_2(idx_files, tmp_path, capsys):
     assert main(["stability", "--config", str(config), "--out", str(out), "--repeats", "3",
                  *flags]) == 2
     assert "one repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["alpha-scan", "stability"])
+def test_null_digit_outside_compare_exits_2(command, idx_files, tmp_path, capsys):
+    # a null digit means all ten, which only the comparison runs; these
+    # drivers must not train one digit under a record that says null
+    _, doc, _ = _case("stability", idx_files)
+    doc["task"]["digit"] = None
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "digit null" in err
     assert not out.exists()
 
 

@@ -53,40 +53,36 @@ class TestNmse:
 
 class TestNMirrors:
     def test_alpha_zero_flips_exactly_one(self):
-        assert n_mirrors(0.0, 0.9) == 1
-        assert n_mirrors(0.0, 123.4) == 1
+        assert n_mirrors(0.0, 0.9, cap=448) == 1
+        assert n_mirrors(0.0, 123.4, cap=448) == 1
 
     def test_quarter_error_at_gain_ten(self):
-        assert n_mirrors(10.0, 0.25) == 3
+        assert n_mirrors(10.0, 0.25, cap=448) == 3
 
     def test_exact_integer_product(self):
-        assert n_mirrors(10.0, 0.3) == 3
+        assert n_mirrors(10.0, 0.3, cap=448) == 3
 
     def test_floor_of_one(self):
-        assert n_mirrors(2.0, 1e-9) == 1
+        assert n_mirrors(2.0, 1e-9, cap=448) == 1
 
     def test_infinite_error_clamps_to_cap(self):
         assert n_mirrors(5.0, math.inf, cap=448) == 448
-        with pytest.raises(UsageError):
-            n_mirrors(5.0, math.inf)
 
     def test_cap_applies_to_finite_values(self):
         assert n_mirrors(100.0, 10.0, cap=7) == 7
 
     def test_invalid_inputs(self):
         with pytest.raises(UsageError):
-            n_mirrors(-1.0, 0.5)
+            n_mirrors(-1.0, 0.5, cap=448)
         with pytest.raises(UsageError):
-            n_mirrors(1.0, -0.5)
+            n_mirrors(1.0, -0.5, cap=448)
 
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False),
            st.floats(min_value=0, max_value=1e6, allow_nan=False),
-           st.none() | st.integers(1, 1000))
+           st.integers(1, 2 ** 62))
     @settings(max_examples=500, deadline=None)
     def test_matches_rational_oracle(self, alpha, err, cap):
-        expect = max(1, math.ceil(Fraction(alpha) * Fraction(err)))
-        if cap is not None:
-            expect = min(expect, cap)
+        expect = min(max(1, math.ceil(Fraction(alpha) * Fraction(err))), cap)
         assert n_mirrors(alpha, err, cap=cap) == expect
 
 

@@ -2,7 +2,8 @@
 is read outside its class, by the package or the benchmark, not only by
 tests: API that nothing runs is deleted, not kept for its tests. The
 benchmark tracer's lookup sites and the parameters its counters bind still
-exist, and only the output sink and the IDX writers write files."""
+exist, only the output sink and the IDX writers write files, and every name
+a module imports is used in that module."""
 
 import ast
 import importlib.util
@@ -140,3 +141,20 @@ def test_only_the_output_sink_and_idx_writers_write_files():
     found = {(path.name, scope) for path in MODULES
              for scope in _file_writes(ast.parse(path.read_text()))}
     assert found == WRITERS
+
+
+def _imported(tree):
+    """(name, line) of each name an import binds at any level of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

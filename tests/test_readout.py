@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc import harness, readout
+from ternrc import harness
 from ternrc.errors import ConfigError, ShapeError, UsageError
 from ternrc.harness import BatchReadout, _OutputSink
 from ternrc.optimizer import TrainResult, propose
-from ternrc.readout import (DetectorModel, TernaryMask, decompose, detect_batch, plane_power,
-                            random_mask, readout_batch)
+from ternrc.readout import (DetectorModel, TernaryMask, decompose, plane_power, random_mask,
+                            readout_batch)
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
                               states_matrix)
 
@@ -37,7 +37,7 @@ def powers(states):
 
 def detect_one(states, plane, gain, det):
     """The single sample's detected power."""
-    (y,) = detect_batch(plane_power(states, plane), gain, det)
+    (y,) = det.detect(plane_power(states, plane), gain)
     return y
 
 
@@ -122,7 +122,7 @@ class TestCompose:
         assert not minus.any()
         states = np.random.default_rng(3).random((5, 3))
         got = readout_batch(powers(states), m, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
-        want = detect_batch(plane_power(states, plus), 1.0, DetectorModel(noise_sigma=0.2, seed=4))
+        want = DetectorModel(noise_sigma=0.2, seed=4).detect(plane_power(states, plus), 1.0)
         assert np.array_equal(got, want)
 
 
@@ -207,12 +207,12 @@ class TestBatchReadout:
 
     def test_detect_batch_shape_checked(self):
         with pytest.raises(ShapeError):
-            detect_batch(plane_power(np.zeros((4, 3)), plane([1, 0])), 1.0, DetectorModel())
+            DetectorModel().detect(plane_power(np.zeros((4, 3)), plane([1, 0])), 1.0)
 
     def test_noise_is_per_sample(self):
         states = np.ones((8, 2))
         det = DetectorModel(noise_sigma=0.5, seed=0, noise_scale=1.0)
-        y = detect_batch(plane_power(states, plane([1, 1])), 1.0, det)
+        y = det.detect(plane_power(states, plane([1, 1])), 1.0)
         assert len(np.unique(y)) == 8
 
 
@@ -343,8 +343,9 @@ class TestDeltaReadout:
         rig = self.rig(grid_side=24)
         ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
         sweeps = []
-        monkeypatch.setattr(readout, "detect_batch",
-                            lambda power, gain, det: sweeps.append(det) or detect_batch(power, gain, det))
+        detect = DetectorModel.detect
+        monkeypatch.setattr(DetectorModel, "detect",
+                            lambda det, power, gain: sweeps.append(det) or detect(det, power, gain))
         rng = np.random.default_rng(1)
         mask = random_mask(rig.n_nodes, "ternary", rng)
         masks = [mask := propose(mask, 3, rng) for _ in range(40)]

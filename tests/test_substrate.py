@@ -5,12 +5,12 @@ import pytest
 
 from ternrc.errors import ConfigError, ShapeError, UsageError
 from ternrc import harness
-from ternrc.harness import ExperimentConfig, HeaderTask, MnistTask
+from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
                               forward_batch, laser_response, states_matrix)
-from ternrc.tasks import (DigitDataset, LabeledBatch, make_glyph_dataset, make_header_batch,
-                          make_onevsall_batch)
+from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
+                          make_header_batch, make_onevsall_batch)
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -207,7 +207,7 @@ class TestForwardBatch:
 
     def test_repeats_computed_once_and_bit_identical(self):
         sub = build_substrate(SubstrateConfig(input_side=16))
-        pats = make_header_batch(3, 5, 60, seed=2, image_side=16).pixels
+        pats = make_header_batch(HeaderTask(3, 5, 60, image_side=16), seed=2).pixels
         distinct = {p.tobytes() for p in pats}
         assert len(distinct) < len(pats)
         states, index = forward_batch(sub, pats)
@@ -251,7 +251,7 @@ class TestSharedPass:
     def test_response_to_off_states_is_on_forward(self, kind):
         if kind == "header":
             side = 16
-            frames = make_header_batch(3, 5, 60, seed=2, image_side=side).pixels
+            frames = make_header_batch(HeaderTask(3, 5, 60, image_side=side), seed=2).pixels
         else:
             side = 28
             frames = make_onevsall_batch(make_glyph_dataset(400, seed=1), 3, 40, seed=0).pixels

@@ -10,23 +10,29 @@ from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, DataError, FormatError, UsageError
 from ternrc.substrate import circle_mask
-from ternrc.tasks import (DigitDataset, HeaderSpec, load_mnist, make_glyph_dataset,
-                          make_header_batch, make_onevsall_batch, render_header,
+from ternrc.tasks import (DigitDataset, HeaderTask, load_mnist, make_glyph_dataset,
+                          make_header_batch, make_onevsall_batch, render_headers,
                           write_idx_images, write_idx_labels)
+
+
+def render_header(n_bits, side, value):
+    """The one header of ``value``."""
+    (pat,) = render_headers(n_bits, side, np.array([value]))
+    return pat
 
 
 class TestRenderHeader:
     def test_zero_value_all_dark(self):
-        pat = render_header(HeaderSpec(n_bits=4, image_side=32, header_value=0))
+        pat = render_header(4, 32, 0)
         assert not pat.any()
 
     def test_full_value_full_disk(self):
-        pat = render_header(HeaderSpec(n_bits=4, image_side=32, header_value=15))
+        pat = render_header(4, 32, 15)
         assert np.array_equal(pat, circle_mask(32))
 
     def test_two_bit_half_disk(self):
         side = 64
-        pat = render_header(HeaderSpec(n_bits=2, image_side=side, header_value=1))
+        pat = render_header(2, side, 1)
         # sector 0 covers angles [0, pi): the upper half of the disk
         c = side / 2.0
         y_up = (c - (np.arange(side) + 0.5))[:, None] > 0
@@ -39,7 +45,7 @@ class TestRenderHeader:
     def test_distinct_headers_differ_on_full_sector(self):
         side = 48
         n_bits = 3
-        specs = {v: render_header(HeaderSpec(n_bits, side, v)) for v in range(8)}
+        specs = {v: render_header(n_bits, side, v) for v in range(8)}
         # sector index of every aperture pixel, matching the renderer's geometry
         c = side / 2.0
         centers = np.arange(side) + 0.5
@@ -56,41 +62,59 @@ class TestRenderHeader:
                 assert sector_pixels.any()
                 assert np.all(diff[sector_pixels])
 
+    @pytest.mark.parametrize("n_bits", [2, 3, 4, 7, 16, 31, 62])
+    @pytest.mark.parametrize("side", [4, 7, 20, 32, 64])
+    def test_matches_per_value_render(self, n_bits, side):
+        # every header drawn at once equals the one drawn alone from the
+        # value's bits, pixel by pixel
+        c = side / 2.0
+        centers = np.arange(side) + 0.5
+        ang = np.mod(np.arctan2(c - centers[:, None], centers[None, :] - c), 2 * np.pi)
+        sector = np.minimum((ang / (2 * np.pi) * n_bits).astype(int), n_bits - 1)
+        rng = np.random.default_rng(n_bits * side)
+        values = np.unique(np.r_[0, 2 ** n_bits - 1, rng.integers(0, 2 ** n_bits, 14)])
+        got = render_headers(n_bits, side, values)
+        for v, pat in zip(values.tolist(), got):
+            want = np.array([[(v >> int(k)) & 1 for k in row] for row in sector], dtype=bool)
+            assert np.array_equal(pat, want & circle_mask(side))
+
     def test_invalid_specs(self):
-        with pytest.raises(ConfigError):
-            render_header(HeaderSpec(n_bits=1, image_side=32, header_value=0))
-        with pytest.raises(ConfigError):
-            render_header(HeaderSpec(n_bits=3, image_side=32, header_value=8))
+        with pytest.raises(ConfigError, match="n_bits"):
+            HeaderTask(n_bits=1, target_value=0, image_side=32)
+        with pytest.raises(ConfigError, match="target_value"):
+            HeaderTask(n_bits=3, target_value=8, image_side=32)
+        with pytest.raises(ConfigError, match="image_side"):
+            HeaderTask(image_side=3)
 
 
 class TestHeaderBatch:
     def test_balanced_thousand(self):
-        batch = make_header_batch(4, 5, 1000, seed=0)
+        batch = make_header_batch(HeaderTask(4, 5, 1000), seed=0)
         assert len(batch) == 1000
         assert (batch.labels == 5).sum() == 500
         assert (batch.targets == 1.0).sum() == 500
 
     def test_negatives_exclude_target(self):
-        batch = make_header_batch(3, 2, 200, seed=1)
+        batch = make_header_batch(HeaderTask(3, 2, 200), seed=1)
         neg = batch.labels[batch.targets == 0.0]
         assert not np.any(neg == 2)
 
     def test_single_bit_rejected(self):
         with pytest.raises(ConfigError):
-            make_header_batch(1, 0, 100, seed=0)
+            HeaderTask(1, 0, 100)
 
     def test_odd_batch_rejected(self):
-        with pytest.raises(UsageError):
-            make_header_batch(4, 5, 999, seed=0)
+        with pytest.raises(ConfigError, match="n_samples"):
+            HeaderTask(n_samples=999)
 
     def test_seed_determinism(self):
-        a = make_header_batch(4, 5, 100, seed=3)
-        b = make_header_batch(4, 5, 100, seed=3)
+        a = make_header_batch(HeaderTask(4, 5, 100), seed=3)
+        b = make_header_batch(HeaderTask(4, 5, 100), seed=3)
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_target_levels_applied(self):
-        batch = make_header_batch(4, 5, 100, seed=0, target_levels=(-1.0, 1.0))
+        batch = make_header_batch(HeaderTask(4, 5, 100), seed=0, target_levels=(-1.0, 1.0))
         assert set(np.unique(batch.targets)) == {-1.0, 1.0}
 
     @pytest.mark.parametrize("n_bits", [2, 3, 5, 8])
@@ -99,7 +123,7 @@ class TestHeaderBatch:
         # the list of the other headers
         for seed in range(10):
             target = seed % 2 ** n_bits
-            batch = make_header_batch(n_bits, target, 40, seed=seed, image_side=16)
+            batch = make_header_batch(HeaderTask(n_bits, target, 40, image_side=16), seed=seed)
             rng = np.random.default_rng(seed)
             others = np.array([v for v in range(2 ** n_bits) if v != target])
             values = np.concatenate([np.full(20, target), rng.choice(others, size=20)])
@@ -108,7 +132,7 @@ class TestHeaderBatch:
 
     def test_wide_header_without_enumerating(self):
         t0 = time.perf_counter()
-        batch = make_header_batch(40, 2 ** 39, 40, seed=0)
+        batch = make_header_batch(HeaderTask(40, 2 ** 39, 40), seed=0)
         assert time.perf_counter() - t0 < 0.5
         neg = batch.labels[batch.targets == 0.0]
         assert np.all((neg >= 0) & (neg < 2 ** 40) & (neg != 2 ** 39))
@@ -121,7 +145,7 @@ class TestHeaderBatch:
     ], ids=["4-bit", "3-bit", "40-bit", "62-bit"])
     def test_batch_bytes_pinned(self, n_bits, target, side, seed, digests):
         # sha256 prefixes of the pixels, targets and labels of a 40-sample batch
-        batch = make_header_batch(n_bits, target, 40, seed=seed, image_side=side)
+        batch = make_header_batch(HeaderTask(n_bits, target, 40, image_side=side), seed=seed)
         got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
                     for a in (batch.pixels, batch.targets, batch.labels))
         assert got == digests
