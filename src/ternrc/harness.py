@@ -20,7 +20,8 @@ import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
 from .errors import ConfigError, DataError, ShapeError, UsageError, _check_types
-from .optimizer import Metrics, Normalizer, TrainConfig, TrainResult, evaluate, nmse, train
+from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, _centred, evaluate, nmse,
+                        train)
 from .readout import DetectorModel, TernaryMask, plane_power, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift, circle_mask,
                         forward_batch, laser_response, states_matrix)
@@ -166,7 +167,7 @@ class BatchReadout:
         self.states = states
         self.detector = detector
         self.brightness = brightness
-        self._bases: list[list] = []  # [plane, full product, last corrected plane's bytes]
+        self._bases: list[list] = []  # [plane, full product, its bytes, last corrected bytes]
 
     @property
     def n_nodes(self) -> int:
@@ -177,21 +178,22 @@ class BatchReadout:
         if plane.shape != (self.n_nodes,):
             raise ShapeError(f"state width {self.n_nodes} != plane shape {plane.shape}")
         key = plane.tobytes()
-        for base, p, _ in self._bases:
-            if base.tobytes() == key:
-                return p
-        h = [np.count_nonzero(plane != base) for base, _, _ in self._bases]
+        for base in self._bases:
+            if base[2] == key:
+                return base[1]
+        moved = [plane != base[0] for base in self._bases]
+        h = [np.count_nonzero(m) for m in moved]
         near = h.index(min(h)) if h else 0
         # h gathered columns cost about as much as 8h columns of a product
-        if h and 8 * h[near] < self.n_nodes and self._bases[near][2] != key:
-            diff = (plane != self._bases[near][0]).nonzero()[0]
-            self._bases[near][2] = key
+        if h and 8 * h[near] < self.n_nodes and self._bases[near][3] != key:
+            diff = moved[near].nonzero()[0]
+            self._bases[near][3] = key
             return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
         p = plane_power(self.states, plane)
         p.setflags(write=False)
         if len(self._bases) == 2:
             del self._bases[near]
-        self._bases.append([plane.copy(), p, None])
+        self._bases.append([plane.copy(), p, key, None])
         return p
 
     def measure(self, mask: TernaryMask) -> np.ndarray:
@@ -254,11 +256,10 @@ def consistency(reference, trace) -> float:
                          f"got {a.shape} / {b.shape}")
     if np.array_equal(a, b):
         return 1.0
-    sa, sb = a.std(), b.std()
+    (ac, sa), (bc, sb) = _centred(a), _centred(b)
     if sa == 0.0 or sb == 0.0:
         raise UsageError("consistency is undefined for a constant trace")
-    ac, bc = a - a.mean(), b - b.mean()
-    return float((ac @ bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
+    return float((ac @ bc) / (np.sqrt(ac @ ac) * np.sqrt(bc @ bc)))
 
 
 def epochs_to_convergence(result: TrainResult) -> int:

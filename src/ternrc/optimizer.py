@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, UsageError, _check_types
+from .errors import ConfigError, NumericalError, UsageError, _check_types
 from .readout import ALPHABETS, MODES, TernaryMask, random_mask
 
 NORMALIZE_MODES = ("off", "zscore", "first_epoch")
@@ -96,10 +96,18 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float:
     n = y.size
     if n < 2:
         raise UsageError(f"need at least 2 samples, got {n}")
-    sd = float(np.std(y))
+    sd = _centred(y)[1]
     if sd < STD_FLOOR:
         return math.inf
-    return float(np.sum((y - t) ** 2) / (n * sd))
+    r = y - t
+    return float(np.add.reduce(r * r) / (n * sd))
+
+
+def _centred(y: np.ndarray) -> tuple[np.ndarray, float]:
+    """``y - np.mean(y)`` and ``np.std(y)`` of a float vector, bit for bit:
+    numpy's operations in numpy's order, without its per-call dispatch."""
+    d = y - np.add.reduce(y) / y.size
+    return d, math.sqrt(np.add.reduce(d * d) / y.size)
 
 
 def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
@@ -133,11 +141,14 @@ def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
     if not 1 <= n <= k:
         raise UsageError(f"n must be in [1, {k}], got {n}")
     positions = rng.integers(0, k, size=n)
-    values = rng.choice(ALPHABETS[mask.mode], size=n)
+    alphabet = ALPHABETS[mask.mode]
+    # rng.choice(alphabet, size=n)'s values and stream position, without its overhead
+    values = alphabet[rng.integers(0, alphabet.size, size=n)]
     w = np.array(mask.weights, dtype=np.int8, copy=True)
     # duplicate positions resolve to the last drawn value, as in a sequential loop
     w[positions] = values
-    return TernaryMask(weights=w, mode=mask.mode)
+    # a valid mask with symbols of its own alphabet needs no re-check
+    return TernaryMask._trusted(w, mask.mode)
 
 
 class Normalizer:
@@ -169,10 +180,10 @@ class Normalizer:
                 self.transform = (lo, hi - lo if hi > lo else 1.0)
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
-        sd = float(np.std(y))
+        d, sd = _centred(y)
         if sd < STD_FLOOR:
             return np.full_like(y, self._t_mean)
-        return (y - np.mean(y)) / sd * self._t_std + self._t_mean
+        return d / sd * self._t_std + self._t_mean
 
 
 def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarray,
@@ -190,7 +201,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     mask = random_mask(n_nodes, cfg.mode, rng)
 
     norm = Normalizer(cfg.normalize, t)
-    best = nmse(norm(_measure(forward_pass, mask, t.size)), t)
+    best = _measured(forward_pass, mask, norm, t, 0)[1]
     initial = best
 
     history: list[EpochRecord] = []
@@ -198,7 +209,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     for epoch in range(1, cfg.max_epochs + 1):
         n = n_mirrors(cfg.alpha, best, cap=n_nodes)
         cand = propose(mask, n, rng)
-        e = nmse(norm(_measure(forward_pass, cand, t.size)), t)
+        e = _measured(forward_pass, cand, norm, t, epoch)[1]
         accepted = e < best
         if accepted:
             mask, best = cand, e
@@ -212,12 +223,19 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
                        initial_nmse=initial, output_transform=norm.transform)
 
 
-def _measure(forward_pass, mask, n_expected):
+def _measured(forward_pass, mask, norm, t, epoch=None):
+    """A normalised measurement of ``mask`` and its error, named by ``epoch``
+    (0: the initial one) if it fails. A non-finite sample makes the error NaN
+    under every normalisation, so one scalar test checks the whole trace."""
     y = np.asarray(forward_pass(mask), dtype=float)
-    if y.shape != (n_expected,):
-        raise UsageError(
-            f"forward_pass returned shape {y.shape}, expected ({n_expected},)")
-    return y
+    if y.shape != (t.size,):
+        raise UsageError(f"forward_pass returned shape {y.shape}, expected ({t.size},)")
+    y = norm(y)
+    e = nmse(y, t)
+    if math.isnan(e):
+        at = "" if epoch is None else f" at epoch {epoch}"
+        raise NumericalError(f"forward_pass returned a non-finite trace{at}")
+    return y, e
 
 
 @dataclass(frozen=True)
@@ -249,8 +267,8 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
              output_transform: tuple[float, float] | None = None) -> Metrics:
     """Measure a mask once and :func:`score` its normalized trace."""
     t = np.asarray(y_target, dtype=float)
-    y_n = Normalizer(normalize, t, output_transform)(_measure(forward_pass, mask, t.size))
-    return score(y_n, t, nmse(y_n, t), threshold_rule)
+    y_n, err = _measured(forward_pass, mask, Normalizer(normalize, t, output_transform), t)
+    return score(y_n, t, err, threshold_rule)
 
 
 def score(y_out: np.ndarray, y_target: np.ndarray, err: float,

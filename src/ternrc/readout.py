@@ -44,6 +44,13 @@ class TernaryMask:
         if self.mode == "boolean" and np.any(w == -1):
             raise ConfigError("boolean-mode masks cannot contain -1")
 
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, mode: str) -> "TernaryMask":
+        """A mask built without the checks, for weights valid by construction."""
+        mask = object.__new__(cls)
+        mask.__dict__.update(weights=weights, mode=mode)
+        return mask
+
     def __len__(self) -> int:
         return self.weights.size
 

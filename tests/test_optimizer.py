@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc.errors import ConfigError, UsageError
-from ternrc.harness import _OutputSink
-from ternrc.optimizer import (TrainConfig, evaluate, midpoint_threshold, n_mirrors, nmse,
-                              propose, train)
-from ternrc.readout import random_mask
+from ternrc.errors import ConfigError, NumericalError, UsageError
+from ternrc.harness import BatchReadout, _OutputSink
+from ternrc.optimizer import (NORMALIZE_MODES, STD_FLOOR, TrainConfig, _centred, evaluate,
+                              midpoint_threshold, n_mirrors, nmse, propose, train)
+from ternrc.readout import ALPHABETS, MODES, DetectorModel, TernaryMask, random_mask
+from ternrc.substrate import SubstrateConfig, build_substrate, states_matrix
 
 
 class TestNmse:
@@ -126,6 +127,18 @@ class TestPropose:
         with pytest.raises(UsageError):
             propose(m, 11, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_walk_candidates_pass_public_checks(self, mode):
+        # candidates skip the constructor's checks; each must still pass them
+        rng = np.random.default_rng(17)
+        mask = random_mask(448, mode, rng)
+        for _ in range(2000):
+            cand = propose(mask, int(rng.integers(1, 449)), rng)
+            assert cand.weights.dtype == np.int8 and cand.mode == mode
+            assert TernaryMask(weights=cand.weights, mode=mode) == cand
+            if rng.random() < 0.1:
+                mask = cand
+
 
 def linear_forward(states):
     def fp(mask):
@@ -227,6 +240,29 @@ class TestTrain:
         result = train(linear_forward(states), targets, cfg, n_nodes=4)
         assert result.final_nmse == result.history[-1].nmse_best
 
+    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("epoch", [0, 3])
+    # numpy warns of inf - inf before the error turns NaN and the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_trace_names_its_epoch(self, normalize, bad, epoch):
+        rng = np.random.default_rng(18)
+        states = rng.random((10, 6))
+        targets = (rng.random(10) > 0.5).astype(float)
+        calls = []
+
+        def fp(mask):
+            y = states @ mask.weights.astype(float)
+            if len(calls) == epoch:
+                y[4] = bad
+            calls.append(mask)
+            return y
+
+        cfg = TrainConfig(alpha=5.0, max_epochs=10, seed=1, normalize=normalize)
+        with pytest.raises(NumericalError, match=rf"non-finite trace at epoch {epoch}$"):
+            train(fp, targets, cfg, n_nodes=6)
+        assert len(calls) == epoch + 1
+
     def test_forward_pass_length_contract(self):
         cfg = TrainConfig(alpha=1.0, max_epochs=5, mode="ternary", seed=9)
         with pytest.raises(UsageError):
@@ -246,6 +282,150 @@ class TestTrain:
             TrainConfig(alpha=1.0, max_epochs=10, target_levels=(1.0, 0.0))
         with pytest.raises(ConfigError):
             TrainConfig(alpha=1.0, max_epochs=10, normalize="minmax")
+
+
+class TestNumpyEquivalences:
+    """The byte-identical shortcuts of the epoch loop rest on these numpy
+    behaviours; the package allows numpy >= 1.24, so each is pinned."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", [1, 6, 55, 448])
+    def test_indexed_integers_match_choice(self, mode, n):
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.choice(ALPHABETS[mode], size=n)
+            alphabet = ALPHABETS[mode]
+            got = alphabet[b.integers(0, alphabet.size, size=n)]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert b.bit_generator.state == a.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 7, 250, 1000])
+    def test_centred_matches_mean_and_std(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 37.5, 1e6):
+            contiguous = rng.standard_normal(n) * scale + 2 * scale
+            strided = (rng.random(3 * n) * scale)[::3]
+            for y in (contiguous, strided):
+                d, sd = _centred(y)
+                assert d.tobytes() == (y - np.mean(y)).tobytes()
+                assert np.float64(sd).tobytes() == np.std(y).tobytes()
+
+    def test_sqrt_of_dot_matches_norm(self):
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            x = rng.standard_normal(int(rng.integers(2, 1200))) * rng.uniform(1e-3, 1e3)
+            assert np.sqrt(x @ x).tobytes() == np.linalg.norm(x).tobytes()
+
+
+def old_nmse(y, t):
+    """nmse as written with np.std and np.sum."""
+    sd = float(np.std(y))
+    if sd < STD_FLOOR:
+        return math.inf
+    return float(np.sum((y - t) ** 2) / (y.size * sd))
+
+
+class OldNormalizer:
+    """The normalizer as written with np.mean and np.std."""
+
+    def __init__(self, mode, t):
+        self.mode, self.t, self.transform = mode, t, None
+
+    def __call__(self, y):
+        t = self.t
+        if self.mode == "off":
+            return y
+        if self.mode == "first_epoch":
+            if self.transform is None:
+                lo, hi = float(np.min(y)), float(np.max(y))
+                self.transform = (lo, hi - lo if hi > lo else 1.0)
+            lo, span = self.transform
+            return (y - lo) / span * (float(np.max(t)) - float(np.min(t))) + float(np.min(t))
+        sd = float(np.std(y))
+        if sd < STD_FLOOR:
+            return np.full_like(y, float(np.mean(t)))
+        return (y - np.mean(y)) / sd * float(np.std(t)) + float(np.mean(t))
+
+
+class OldDetector(DetectorModel):
+    def detect(self, power, gain):
+        sd = self.noise_sigma * self.noise_scale
+        return gain * power + sd * self._rng.standard_normal(power.shape[0])
+
+
+class OldRig(BatchReadout):
+    """The rig's plane lookup as written before each base kept its key."""
+
+    def power(self, plane):
+        key = plane.tobytes()
+        for base, p, *_ in self._bases:
+            if base.tobytes() == key:
+                return p
+        h = [np.count_nonzero(plane != base) for base, *_ in self._bases]
+        near = h.index(min(h)) if h else 0
+        if h and 8 * h[near] < self.n_nodes and self._bases[near][-1] != key:
+            diff = (plane != self._bases[near][0]).nonzero()[0]
+            self._bases[near][-1] = key
+            return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
+        p = self.states @ plane.astype(float)
+        if len(self._bases) == 2:
+            del self._bases[near]
+        self._bases.append([plane.copy(), p, None])
+        return p
+
+
+def reference_train(rig, t, cfg, k):
+    """The search loop as written with rng.choice, the checked mask
+    constructor, np.std and np.mean: the oracle of the optimized loop."""
+    rng = np.random.default_rng(cfg.seed)
+    alphabet = ALPHABETS[cfg.mode]
+    mask = TernaryMask(weights=rng.choice(alphabet, size=k), mode=cfg.mode)
+    norm = OldNormalizer(cfg.normalize, t)
+    best = old_nmse(norm(rig(mask)), t)
+    history = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        n = n_mirrors(cfg.alpha, best, cap=k)
+        positions = rng.integers(0, k, size=n)
+        values = rng.choice(alphabet, size=n)
+        w = np.array(mask.weights, dtype=np.int8, copy=True)
+        w[positions] = values
+        cand = TernaryMask(weights=w, mode=cfg.mode)
+        e = old_nmse(norm(rig(cand)), t)
+        accepted = e < best
+        if accepted:
+            mask, best = cand, e
+        history.append((epoch, best, n, accepted))
+    return mask, history
+
+
+class TestOldPathOracle:
+    """At stock size (N = 1000 samples, K = 448 nodes) the optimized loop
+    reproduces the plain numpy loop bit for bit."""
+
+    @staticmethod
+    def rigs(rig_cls, det_cls):
+        sub = build_substrate(SubstrateConfig(grid_side=24, input_side=8, seed=20))
+        rng = np.random.default_rng(20)
+        states = states_matrix(rng.random((1000, sub.n_nodes)) * 50, rng.permutation(1000))
+        det = det_cls(noise_sigma=0.02, seed=21, noise_scale=float(states.sum(axis=1).mean()))
+        return rig_cls(sub, states, det), rng.random(1000) > 0.5
+
+    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_history_and_mask_bytes_match(self, mode, normalize):
+        rig, labels = self.rigs(BatchReadout, DetectorModel)
+        ref_rig, _ = self.rigs(OldRig, OldDetector)
+        assert rig.n_nodes == 448
+        t = labels.astype(float)
+        cfg = TrainConfig(alpha=10.0, max_epochs=300, mode=mode, seed=22, normalize=normalize)
+        result = train(rig, t, cfg, n_nodes=448)
+        mask, history = reference_train(ref_rig, t, cfg, 448)
+        assert result.best_mask.weights.tobytes() == mask.weights.tobytes()
+        assert result.best_mask.mode == mask.mode
+        got = [(r.epoch, np.float64(r.nmse_best).tobytes(), r.n_mirrors, r.accepted)
+               for r in result.history]
+        assert got == [(ep, np.float64(b).tobytes(), n, acc) for ep, b, n, acc in history]
+        assert rig.detector._rng.bit_generator.state == ref_rig.detector._rng.bit_generator.state
 
 
 class TestNormalization:
@@ -299,6 +479,11 @@ class TestEvaluate:
         m = evaluate(lambda mask: y, random_mask(4), t, threshold_rule=0.95)
         # everything below 0.95 predicts negative: half the batch is wrong
         assert m.accuracy == 0.5
+
+    def test_non_finite_trace_rejected(self):
+        t = np.array([0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(NumericalError, match="non-finite trace$"):
+            evaluate(lambda mask: np.array([0.1, np.nan, 0.4, 0.6]), random_mask(4), t)
 
     def test_single_class_rejected(self):
         t = np.ones(4)

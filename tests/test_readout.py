@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ternrc import harness
 from ternrc.errors import ConfigError, ShapeError, UsageError
-from ternrc.harness import BatchReadout, _OutputSink
+from ternrc.harness import BatchReadout, _OutputSink, consistency
 from ternrc.optimizer import TrainResult, propose
 from ternrc.readout import (DetectorModel, TernaryMask, decompose, plane_power, random_mask,
                             readout_batch)
@@ -298,7 +298,7 @@ class TestDeltaReadout:
                 np.testing.assert_allclose(rig.power(pl), plane_power(rig.states, pl),
                                            rtol=1e-12, atol=0)
             # each base holds its own full product: corrections never chain
-            for base, p, _ in rig._bases:
+            for base, p, *_ in rig._bases:
                 assert p.tobytes() == plane_power(rig.states, base).tobytes()
             if rng.random() < 0.1:
                 mask, accepted = cand, accepted + 1
@@ -355,6 +355,60 @@ class TestDeltaReadout:
             readout_batch(powers(rig.states), m, 1.0, ref_det)
         assert sweeps.count(rig.detector) == sweeps.count(ref_det) == 2 * 40 + 5
         assert rig.detector._rng.bit_generator.state == ref_det._rng.bit_generator.state
+
+
+class TestConsistency:
+    @staticmethod
+    def old_consistency(a, b):
+        """Pearson correlation as written with np.std and np.linalg.norm."""
+        if np.array_equal(a, b):
+            return 1.0
+        if a.std() == 0.0 or b.std() == 0.0:
+            raise UsageError("constant trace")
+        ac, bc = a - a.mean(), b - b.mean()
+        return float((ac @ bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
+
+    def test_matches_old_formula_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for n in (2, 3, 250, 1000):
+            for _ in range(50):
+                a = rng.random(n) * rng.uniform(1e-3, 1e3)
+                b = a + rng.standard_normal(n) * rng.uniform(1e-6, 1.0)
+                assert consistency(a, b).hex() == self.old_consistency(a, b).hex()
+
+    def test_zero_spread_exactly_where_np_std_is_zero(self):
+        # one tiny sample in a zero trace: the variance underflows to zero
+        # somewhere in this range, and the rejection must switch there too
+        b = np.random.default_rng(26).random(1000)
+        outcomes = set()
+        for x in np.geomspace(1e-150, 1e-170, 81):
+            a = np.zeros(1000)
+            a[0] = x
+            outcomes.add(a.std() == 0.0)
+            if a.std() == 0.0:
+                with pytest.raises(UsageError):
+                    consistency(a, b)
+            else:
+                assert consistency(a, b).hex() == self.old_consistency(a, b).hex()
+        assert outcomes == {True, False}
+
+    def test_identical_traces_are_exactly_one(self):
+        a = np.random.default_rng(24).random(100)
+        assert consistency(a, a.copy()) == 1.0
+
+    def test_constant_trace_rejected(self):
+        a = np.random.default_rng(25).random(100)
+        for const in (np.zeros(100), np.full(100, 3.0)):
+            with pytest.raises(UsageError, match="constant trace"):
+                consistency(a, const)
+            with pytest.raises(UsageError, match="constant trace"):
+                consistency(const, a)
+
+    def test_shape_contract(self):
+        with pytest.raises(UsageError):
+            consistency(np.ones(3), np.ones(4))
+        with pytest.raises(UsageError):
+            consistency(np.ones(1), np.ones(1))
 
 
 class TestRandomMask:
