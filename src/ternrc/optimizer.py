@@ -122,7 +122,7 @@ def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
     and every epoch redraws the whole mask."""
     if alpha < 0 or not math.isfinite(alpha):
         raise UsageError(f"alpha must be finite and >= 0, got {alpha}")
-    if nmse_k < 0:
+    if not nmse_k >= 0:
         raise UsageError(f"nmse must be >= 0, got {nmse_k}")
     if math.isinf(nmse_k):
         return cap

@@ -77,6 +77,8 @@ class TestNMirrors:
             n_mirrors(-1.0, 0.5, cap=448)
         with pytest.raises(UsageError):
             n_mirrors(1.0, -0.5, cap=448)
+        with pytest.raises(UsageError):
+            n_mirrors(1.0, math.nan, cap=448)
 
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False),
            st.floats(min_value=0, max_value=1e6, allow_nan=False),
