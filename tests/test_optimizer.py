@@ -293,10 +293,10 @@ class TestNumpyEquivalences:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n", [1, 6, 55, 448])
     def test_indexed_integers_match_choice(self, mode, n):
+        alphabet = ALPHABETS[mode]
         for seed in range(200):
             a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            want = a.choice(ALPHABETS[mode], size=n)
-            alphabet = ALPHABETS[mode]
+            want = a.choice(alphabet, size=n)
             got = alphabet[b.integers(0, alphabet.size, size=n)]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert b.bit_generator.state == a.bit_generator.state
