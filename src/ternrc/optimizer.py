@@ -225,17 +225,16 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
 
 def _measured(forward_pass, mask, norm, t, epoch=None):
     """A normalised measurement of ``mask`` and its error, named by ``epoch``
-    (0: the initial one) if it fails. A non-finite sample makes the error NaN
-    under every normalisation, so one scalar test checks the whole trace."""
+    (0: the initial one) if it fails. The raw trace is checked first, so numpy
+    never warns of inf - inf inside the normalisation."""
     y = np.asarray(forward_pass(mask), dtype=float)
     if y.shape != (t.size,):
         raise UsageError(f"forward_pass returned shape {y.shape}, expected ({t.size},)")
-    y = norm(y)
-    e = nmse(y, t)
-    if math.isnan(e):
+    if not np.isfinite(y).all():
         at = "" if epoch is None else f" at epoch {epoch}"
         raise NumericalError(f"forward_pass returned a non-finite trace{at}")
-    return y, e
+    y = norm(y)
+    return y, nmse(y, t)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ digit dataset holds (N, rows, cols) uint8 grayscale images.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -297,6 +298,10 @@ _SIGMA_BUCKETS = (0.5, 0.7, 0.9, 1.1)
 _GLYPH_BLOCK = 512
 
 
+def _is_number(v, kind) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _blur_operator(side: int, sigma: float) -> np.ndarray:
     idx = np.arange(side)
     k = np.exp(-((idx[:, None] - idx[None, :]) ** 2) / (2.0 * sigma * sigma))
@@ -307,24 +312,25 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
     """Deterministic handwritten-digit-like images, 28x28 grayscale, labels
     0-9. Each image is a dot-matrix glyph with random shift, stroke
     thickening, row warping, blur, brightness and pixel noise; ``distortion``
-    scales how far images stray from the clean glyph."""
-    if n_images < 1:
-        raise UsageError(f"n_images must be >= 1, got {n_images}")
+    scales how far images stray from the clean glyph (0: clean and unblurred).
+    ``n_images`` is an integer >= 1, ``seed`` an integer in [0, 2**32) and
+    ``distortion`` a finite real >= 0; anything else raises ``UsageError``.
+    The work arrays are bounded per block of ``_GLYPH_BLOCK`` images."""
+    if not (_is_number(n_images, numbers.Integral) and n_images >= 1):
+        raise UsageError(f"n_images must be an integer >= 1, got {n_images!r}")
+    if not (_is_number(seed, numbers.Integral) and 0 <= seed < 2 ** 32):
+        raise UsageError(f"seed must be an integer in [0, 2**32), got {seed!r}")
+    if not (_is_number(distortion, numbers.Real) and 0 <= distortion < np.inf):
+        raise UsageError(f"distortion must be a finite real >= 0, got {distortion!r}")
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 10, size=n_images).astype(np.uint8)
 
     # glyph variants per digit: plain and two stroke-thickened versions
     variants = np.zeros((10, 3, 28, 28))
     for d in range(10):
-        g = np.array([[int(ch) for ch in row] for row in _GLYPHS[d]], dtype=float)
-        big = np.kron(g, np.ones((3, 3)))  # 21 x 15
-        for v in range(3):
-            glyph = big
-            if v == 1:
-                glyph = np.maximum(big, np.roll(big, 1, axis=0))
-            elif v == 2:
-                glyph = np.maximum(big, np.roll(big, 1, axis=1))
-            variants[d, v, 3:24, 6:21] = glyph
+        big = np.kron([[int(ch) for ch in row] for row in _GLYPHS[d]], np.ones((3, 3)))  # 21 x 15
+        variants[d, :, 3:24, 6:21] = (big, np.maximum(big, np.roll(big, 1, axis=0)),
+                                      np.maximum(big, np.roll(big, 1, axis=1)))
 
     # every per-image parameter is drawn up front, in a fixed order; the
     # pixel noise is the last draw, so the blocks below can draw it in turn
@@ -333,9 +339,8 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
     dy = rng.integers(-3, 4, size=n_images)
     dx = rng.integers(-4, 5, size=n_images)
     # smooth per-row horizontal warp
-    warp_blur = _blur_operator(28, 1.5)
     offsets = np.rint((rng.standard_normal((n_images, 28)) * 1.6 * distortion)
-                      @ warp_blur.T).astype(int)
+                      @ _blur_operator(28, 1.5).T).astype(int)
     # blur with a per-image width, quantized so each bucket is two matmuls
     sigma = rng.uniform(0.5, 1.1, size=n_images) * max(distortion, 1e-9)
     edges = np.asarray(_SIGMA_BUCKETS) * max(distortion, 1e-9)
@@ -343,25 +348,29 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
     ops = [_blur_operator(28, float(sg)) if distortion > 0 else np.eye(28) for sg in edges]
     amp = rng.uniform(0.65, 1.0, size=n_images)[:, None, None]
 
-    # images are built in blocks, so the float64 work arrays stay a few MB
+    # placement and row warp are one cyclic shift, pixel (r, c) read from
+    # variant row (r - dy) % 28, column (c - offsets[r] - dx) % 28, both looked
+    # up in shift[t, c] = (c - t) % 28; glyph margins keep it from wrapping
+    shift = (np.arange(28)[None, :] - np.arange(28)[:, None]) % 28
+    first_row = (labels.astype(np.intp) * 3 + variant_idx) * 28
+    col_shift = (offsets + dx[:, None]) % 28
+
     images = np.empty((n_images, 28, 28), dtype=np.uint8)
+    noise = np.empty((min(n_images, _GLYPH_BLOCK), 28, 28))
     for lo in range(0, n_images, _GLYPH_BLOCK):
         blk = slice(lo, lo + _GLYPH_BLOCK)
-        canvas = variants[labels[blk], variant_idx[blk]]
-        # jittered placement: glyph margins keep these rolls from wrapping
-        rows = (np.arange(28)[None, :, None] - dy[blk, None, None]) % 28
-        canvas = np.take_along_axis(canvas, np.broadcast_to(rows, canvas.shape), axis=1)
-        cols = (np.arange(28)[None, None, :] - dx[blk, None, None]) % 28
-        canvas = np.take_along_axis(canvas, np.broadcast_to(cols, canvas.shape), axis=2)
-        cols = (np.arange(28)[None, None, :] - offsets[blk, :, None]) % 28
-        canvas = np.take_along_axis(canvas, cols, axis=2)
-
+        rows = first_row[blk, None] + shift[dy[blk] % 28]
+        canvas = variants.reshape(-1)[rows[:, :, None] * 28 + shift[col_shift[blk]]]
         out = np.empty_like(canvas)
         for b, op in enumerate(ops):
             sel = bucket[blk] == b
             if sel.any():
-                out[sel] = op @ canvas[sel] @ op.T
-
-        noise = rng.standard_normal(canvas.shape) * 10.0 * distortion
-        images[blk] = np.clip(out * amp[blk] * 255.0 + noise, 0.0, 255.0).astype(np.uint8)
+                out[sel] = ((op @ canvas[sel]).reshape(-1, 28) @ op.T).reshape(-1, 28, 28)
+        z = rng.standard_normal(out=noise[:len(out)])
+        z *= 10.0
+        z *= distortion
+        out *= amp[blk]
+        out *= 255.0
+        out += z
+        images[blk] = np.clip(out, 0.0, 255.0, out=out)
     return DigitDataset(images=images, labels=labels)

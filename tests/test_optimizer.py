@@ -245,8 +245,6 @@ class TestTrain:
     @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("epoch", [0, 3])
-    # numpy warns of inf - inf before the error turns NaN and the check raises
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_trace_names_its_epoch(self, normalize, bad, epoch):
         rng = np.random.default_rng(18)
         states = rng.random((10, 6))

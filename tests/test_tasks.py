@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import time
 import tracemalloc
@@ -10,15 +11,61 @@ from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, DataError, FormatError, UsageError
 from ternrc.substrate import circle_mask
-from ternrc.tasks import (DigitDataset, HeaderTask, load_mnist, make_glyph_dataset,
-                          make_header_batch, make_onevsall_batch, render_headers,
-                          write_idx_images, write_idx_labels)
+from ternrc.tasks import (_GLYPH_BLOCK, _GLYPHS, _SIGMA_BUCKETS, DigitDataset, HeaderTask,
+                          _blur_operator, load_mnist, make_glyph_dataset, make_header_batch,
+                          make_onevsall_batch, render_headers, write_idx_images,
+                          write_idx_labels)
 
 
 def render_header(n_bits, side, value):
     """The one header of ``value``."""
     (pat,) = render_headers(n_bits, side, np.array([value]))
     return pat
+
+
+def three_roll_glyphs(n_images, seed, distortion):
+    """The glyph generator as first written: the same draws, placed by three
+    take_along_axis rolls and blurred by a stacked op @ x @ op.T per block.
+    Returns (images, labels)."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 10, size=n_images).astype(np.uint8)
+    variants = np.zeros((10, 3, 28, 28))
+    for d in range(10):
+        g = np.array([[int(ch) for ch in row] for row in _GLYPHS[d]], dtype=float)
+        big = np.kron(g, np.ones((3, 3)))
+        variants[d, 0, 3:24, 6:21] = big
+        variants[d, 1, 3:24, 6:21] = np.maximum(big, np.roll(big, 1, axis=0))
+        variants[d, 2, 3:24, 6:21] = np.maximum(big, np.roll(big, 1, axis=1))
+    variant_idx = np.where(rng.random(n_images) < 0.5 * distortion,
+                           rng.integers(1, 3, size=n_images), 0)
+    dy = rng.integers(-3, 4, size=n_images)
+    dx = rng.integers(-4, 5, size=n_images)
+    offsets = np.rint((rng.standard_normal((n_images, 28)) * 1.6 * distortion)
+                      @ _blur_operator(28, 1.5).T).astype(int)
+    sigma = rng.uniform(0.5, 1.1, size=n_images) * max(distortion, 1e-9)
+    edges = np.asarray(_SIGMA_BUCKETS) * max(distortion, 1e-9)
+    bucket = np.argmin(np.abs(sigma[:, None] - edges[None, :]), axis=1)
+    ops = [_blur_operator(28, float(sg)) if distortion > 0 else np.eye(28) for sg in edges]
+    amp = rng.uniform(0.65, 1.0, size=n_images)[:, None, None]
+
+    images = np.empty((n_images, 28, 28), dtype=np.uint8)
+    for lo in range(0, n_images, _GLYPH_BLOCK):
+        blk = slice(lo, lo + _GLYPH_BLOCK)
+        canvas = variants[labels[blk], variant_idx[blk]]
+        rows = (np.arange(28)[None, :, None] - dy[blk, None, None]) % 28
+        canvas = np.take_along_axis(canvas, np.broadcast_to(rows, canvas.shape), axis=1)
+        cols = (np.arange(28)[None, None, :] - dx[blk, None, None]) % 28
+        canvas = np.take_along_axis(canvas, np.broadcast_to(cols, canvas.shape), axis=2)
+        cols = (np.arange(28)[None, None, :] - offsets[blk, :, None]) % 28
+        canvas = np.take_along_axis(canvas, cols, axis=2)
+        out = np.empty_like(canvas)
+        for b, op in enumerate(ops):
+            sel = bucket[blk] == b
+            if sel.any():
+                out[sel] = op @ canvas[sel] @ op.T
+        noise = rng.standard_normal(canvas.shape) * 10.0 * distortion
+        images[blk] = np.clip(out * amp[blk] * 255.0 + noise, 0.0, 255.0).astype(np.uint8)
+    return images, labels
 
 
 class TestRenderHeader:
@@ -331,6 +378,33 @@ class TestGlyphDataset:
         data = make_glyph_dataset(n, **kwargs)
         assert hashlib.sha256(data.images.tobytes()).hexdigest() == images_sha
         assert hashlib.sha256(data.labels.tobytes()).hexdigest() == labels_sha
+
+    # block edges (511, 512, 513), a short last block (1100), and a clean,
+    # a mild, the stock and a heavy distortion
+    @pytest.mark.parametrize("distortion", [0.0, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 5, 151])
+    @pytest.mark.parametrize("n", [1, 7, 511, 512, 513, 1100])
+    def test_matches_three_roll_generator(self, n, seed, distortion):
+        data = make_glyph_dataset(n, seed, distortion)
+        images, labels = three_roll_glyphs(n, seed, distortion)
+        assert data.images.tobytes() == images.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"distortion": math.nan}, {"distortion": math.inf}, {"distortion": -1.0},
+        {"distortion": "1"}, {"distortion": True}, {"n_images": 6000.0},
+        {"n_images": 0}, {"n_images": True}, {"seed": -1}, {"seed": 2 ** 32},
+        {"seed": 1.0}, {"seed": None},
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_bad_inputs_rejected(self, kwargs):
+        args = {"n_images": 10, "seed": 0, "distortion": 1.0, **kwargs}
+        with pytest.raises(UsageError, match=next(iter(kwargs))):
+            make_glyph_dataset(**args)
+
+    def test_numpy_scalar_inputs_accepted(self):
+        a = make_glyph_dataset(np.int64(20), np.uint32(3), np.float32(0.5))
+        b = make_glyph_dataset(20, 3, float(np.float32(0.5)))
+        assert a.images.tobytes() == b.images.tobytes()
 
     def test_peak_memory_at_benchmark_size(self):
         # blocks keep the float64 work arrays small next to the 4.7 MB result
