@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the annotation type check
-every config section runs when it is built."""
+"""Exception types shared across the package, the annotation type check
+every config section runs when it is built, and the check of a count
+argument."""
 
 import dataclasses
+import numbers
 
 
 class ConfigError(ValueError):
@@ -30,6 +32,15 @@ class FormatError(DataError):
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_count(value, name: str, low: int) -> None:
+    """Raise :class:`UsageError` unless ``value`` is an integer >= ``low``.
+    numpy integers count; bool does not, nor does an integral float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}, got {value}")
 
 
 def _is_real(v) -> bool:

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
-from .errors import ConfigError, DataError, ShapeError, UsageError, _check_types
+from .errors import (ConfigError, DataError, NumericalError, ShapeError, UsageError,
+                     _check_count, _check_types)
 from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, _centred, evaluate, nmse,
                         train)
 from .readout import DetectorModel, TernaryMask, plane_power, readout_batch
@@ -33,6 +34,10 @@ CURVES_SCHEMA = "ternrc-curves-v1"
 
 #: lambda grid for the ridge baseline's cross-validated selection
 RIDGE_GRID = tuple(float(v) for v in np.logspace(-6, 2, 9))
+
+#: stability checks measured before their statistics are taken: about 0.5 MB
+#: of traces at 1000 samples
+STABILITY_BLOCK = 64
 
 
 def derive_seed(base: int, tag: str, index: int = 0) -> int:
@@ -246,20 +251,28 @@ def _check_one_digit(cfg: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 # Metrics helpers
 
-def consistency(reference, trace) -> float:
+def consistency(reference, trace) -> float | np.ndarray:
     """Pearson correlation between an output trace and the reference trace
-    of the same inputs. Identical traces are exactly 1.0."""
+    of the same inputs. Identical traces are exactly 1.0. Given a (C, N)
+    stack of traces, it returns the (C,) correlations of its rows, each bit
+    for bit the row's own: the dot products stay one vector product per row,
+    since a matrix-vector product sums in another order."""
     a = np.asarray(reference, dtype=float)
     b = np.asarray(trace, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise UsageError(f"traces must be equal-length vectors of >= 2 samples, "
-                         f"got {a.shape} / {b.shape}")
-    if np.array_equal(a, b):
-        return 1.0
-    (ac, sa), (bc, sb) = _centred(a), _centred(b)
-    if sa == 0.0 or sb == 0.0:
-        raise UsageError("consistency is undefined for a constant trace")
-    return float((ac @ bc) / (np.sqrt(ac @ ac) * np.sqrt(bc @ bc)))
+    if a.ndim != 1 or a.size < 2 or b.ndim not in (1, 2) or b.shape[-1:] != a.shape:
+        raise UsageError(f"traces must be equal-length vectors of >= 2 samples, or a stack "
+                         f"of traces as wide as the reference, got {a.shape} / {b.shape}")
+    rows = b.reshape(-1, a.size)
+    r = np.ones(len(rows))
+    moved = np.flatnonzero(~(rows == a).all(axis=1))
+    if moved.size:
+        (ac, sa), (bc, sb) = _centred(a), _centred(rows)
+        if sa == 0.0 or (sb[moved] == 0.0).any():
+            raise UsageError("consistency is undefined for a constant trace")
+        norm_a = np.sqrt(ac @ ac)
+        for i in moved:
+            r[i] = (ac @ bc[i]) / (norm_a * np.sqrt(bc[i] @ bc[i]))
+    return r if b.ndim == 2 else float(r[0])
 
 
 def epochs_to_convergence(result: TrainResult) -> int:
@@ -453,13 +466,16 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     """Train to convergence, freeze the mask, then repeatedly advance the
     substrate drift and re-measure the full test-batch trace; consistency is
     each trace's Pearson correlation with the first. Returns one row per
-    check: its consistency, nmse and detector-path gain."""
+    check: its consistency, nmse and detector-path gain.
+
+    The traces of up to :data:`STABILITY_BLOCK` checks are measured one by
+    one into a block, whose statistics are then taken row by row, so the work
+    arrays stay bounded whatever ``n_checks``. A non-finite trace raises
+    :class:`NumericalError` naming its check."""
     if cfg.repeats != 1:
         raise UsageError(f"stability runs one repeat, got repeats={cfg.repeats}")
-    if n_checks < 2:
-        raise UsageError(f"n_checks must be >= 2, got {n_checks}")
-    if drift_steps_per_check < 0:
-        raise UsageError(f"drift_steps_per_check must be >= 0, got {drift_steps_per_check}")
+    _check_count(n_checks, "n_checks", 2)
+    _check_count(drift_steps_per_check, "drift_steps_per_check", 0)
     _check_one_digit(cfg)
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
@@ -470,16 +486,25 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     _, result, _, _ = _train_arm(cfg, 0, "", rigs, batch_tr, batch_te, score=False)
     mask = result.best_mask
 
-    norm = Normalizer(cfg.train.normalize, batch_te.targets)
-    reference = None
+    t = batch_te.targets
+    norm = Normalizer(cfg.train.normalize, t)
+    buf = np.empty((min(n_checks, STABILITY_BLOCK), t.size))
     rows = []
-    for check in range(n_checks):
-        advance_drift(sub, drift_steps_per_check)
-        trace = rigs[1].measure(mask)
-        if reference is None:
-            reference = trace
-        rows.append({"check": check, "consistency": consistency(reference, trace),
-                     "nmse": nmse(norm(trace), batch_te.targets), "gain": sub.gain})
+    for start in range(0, n_checks, STABILITY_BLOCK):
+        block = buf[:min(STABILITY_BLOCK, n_checks - start)]
+        gains = []
+        for trace in block:
+            advance_drift(sub, drift_steps_per_check)
+            trace[:] = rigs[1].measure(mask)
+            gains.append(sub.gain)
+        if not np.isfinite(block).all():
+            bad = start + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
+            raise NumericalError(f"stability check {bad} measured a non-finite trace")
+        if start == 0:
+            reference = block[0].copy()
+        rows += [{"check": start + i, "consistency": c, "nmse": e, "gain": g}
+                 for i, (c, e, g) in enumerate(zip(consistency(reference, block).tolist(),
+                                                   nmse(norm(block), t).tolist(), gains))]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows
 

@@ -84,30 +84,42 @@ class TrainResult:
         return sum(r.accepted for r in self.history)
 
 
-def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float:
+def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float | np.ndarray:
     """Normalized mean square error of a measured trace against its target:
     sum of squared residuals over N times the population standard deviation
     of the trace. A (near-)constant trace has no usable spread and returns
-    +inf so it can never be accepted."""
+    +inf so it can never be accepted. Given a (C, N) stack of traces, it
+    returns the (C,) errors of its rows, each bit for bit the row's own."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
-    if y.shape != t.shape or y.ndim != 1:
-        raise UsageError(f"trace/target must be equal-length vectors, got {y.shape} / {t.shape}")
-    n = y.size
+    if y.shape != t.shape and y.shape[1:] != t.shape or t.ndim != 1:
+        raise UsageError(f"trace/target must be equal-length vectors, or a stack of traces "
+                         f"as wide as the target, got {y.shape} / {t.shape}")
+    n = t.size
     if n < 2:
         raise UsageError(f"need at least 2 samples, got {n}")
     sd = _centred(y)[1]
+    if y.ndim == 2:
+        r = y - t
+        return np.divide(np.add.reduce(r * r, 1), n * sd, out=np.full(len(y), math.inf),
+                         where=~(sd < STD_FLOOR))
     if sd < STD_FLOOR:
         return math.inf
     r = y - t
     return float(np.add.reduce(r * r) / (n * sd))
 
 
-def _centred(y: np.ndarray) -> tuple[np.ndarray, float]:
+def _centred(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """``y - np.mean(y)`` and ``np.std(y)`` of a float vector, bit for bit:
-    numpy's operations in numpy's order, without its per-call dispatch."""
-    d = y - np.add.reduce(y) / y.size
-    return d, math.sqrt(np.add.reduce(d * d) / y.size)
+    numpy's operations in numpy's order, without its per-call dispatch. For a
+    (C, N) stack, the same of each row, the spreads as a (C,) array: numpy
+    sums each row of a reduction as it sums that row alone."""
+    n = y.shape[-1]
+    if y.ndim == 1:
+        d = y - np.add.reduce(y) / n
+        return d, math.sqrt(np.add.reduce(d * d) / n)
+    d = y - (np.add.reduce(y, 1) / n)[:, None]
+    return d, np.sqrt(np.add.reduce(d * d, 1) / n)
 
 
 def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
@@ -159,7 +171,8 @@ class Normalizer:
     detection scale. first_epoch: an affine map ``transform = (low, span)``,
     unless given, is frozen from the first trace the normalizer is called on
     (min -> low level, max -> high level) and applied to all later traces.
-    off: raw traces.
+    off: raw traces. A (C, N) stack of traces is conditioned row by row, each
+    row bit for bit as alone; first_epoch freezes its map from the first row.
     """
 
     def __init__(self, mode: str, y_target: np.ndarray,
@@ -176,11 +189,17 @@ class Normalizer:
             return y
         if self.mode == "first_epoch":
             if self.transform is None:
-                lo, hi = float(np.min(y)), float(np.max(y))
+                first = y.reshape(-1, y.shape[-1])[0]
+                lo, hi = float(np.min(first)), float(np.max(first))
                 self.transform = (lo, hi - lo if hi > lo else 1.0)
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
         d, sd = _centred(y)
+        if y.ndim == 2:
+            flat = sd < STD_FLOOR
+            z = d / np.where(flat, 1.0, sd)[:, None] * self._t_std + self._t_mean
+            z[flat] = self._t_mean
+            return z
         if sd < STD_FLOOR:
             return np.full_like(y, self._t_mean)
         return d / sd * self._t_std + self._t_mean

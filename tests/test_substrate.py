@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ from ternrc.errors import ConfigError, ShapeError, UsageError
 from ternrc import harness
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
-from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
+from ternrc.substrate import (SubstrateConfig, _coupling_matrix, advance_drift, build_substrate,
+                              circle_mask,
                               forward_batch, laser_response, states_matrix)
 from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
                           make_header_batch, make_onevsall_batch)
@@ -241,6 +243,45 @@ class TestForwardBatch:
         sub = build_substrate(SubstrateConfig(input_side=8))
         with pytest.raises(ConfigError):
             forward_batch(sub, make_frames(side=8).astype(float))
+
+
+def unflushed_coupling(node_mask, sigma):
+    """The coupling matrix as built before its subnormal entries were zeroed."""
+    rows, cols = np.nonzero(node_mask)
+    d2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
+    w = np.exp(-d2 / (2.0 * sigma * sigma))
+    return w / w.sum(axis=0, keepdims=True)
+
+
+class TestCouplingFlush:
+    """The coupling holds no subnormal entry, which would slow its GEMM, and
+    zeroing them moves no byte of the laser response."""
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("side", [8, 16, 24, 32])
+    def test_no_subnormal_entry_and_column_sums_kept(self, side, sigma):
+        c = _coupling_matrix(circle_mask(side), sigma)
+        ref = unflushed_coupling(circle_mask(side), sigma)
+        assert not ((c != 0.0) & (np.abs(c) < np.finfo(float).tiny)).any()
+        # only subnormal entries were touched
+        assert np.array_equal(c != ref, (ref != 0.0) & (ref < np.finfo(float).tiny))
+        assert c.sum(axis=0).tobytes() == ref.sum(axis=0).tobytes()
+
+    def test_stock_matrix_had_subnormal_entries(self):
+        ref = unflushed_coupling(circle_mask(24), 0.5)
+        assert np.count_nonzero((ref != 0.0) & (ref < np.finfo(float).tiny)) == 3200
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("side", [8, 16, 24, 32])
+    def test_laser_response_bytes_match_unflushed(self, side, sigma):
+        sub = build_substrate(SubstrateConfig(grid_side=side, input_side=4, diffusion_sigma=sigma,
+                                              seed=side))
+        ref = dataclasses.replace(sub, _coupling=unflushed_coupling(circle_mask(side), sigma))
+        rng = np.random.default_rng(int(side * sigma * 4))
+        p = rng.random((60, sub.n_nodes)) * rng.uniform(1e-3, 1e3, size=(60, 1))
+        p[rng.random(p.shape) < 0.2] = 0.0
+        p[7] = 0.0
+        assert laser_response(sub, p).tobytes() == laser_response(ref, p).tobytes()
 
 
 class TestSharedPass:
