@@ -67,6 +67,20 @@ def _case(case, idx):
                            "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
                                      "normalize": "zscore", "seed": 14},
                            "task": _mnist_task(idx, 3, test_partition=True)}, []
+    if case == "compare-header":
+        # arm tags without a digit, one substrate per repeat
+        return "compare", {"substrate": {"input_side": 32, "seed": 16},
+                           "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
+                                     "normalize": "zscore", "seed": 16},
+                           "task": HEADER_TASK, "repeats": 2}, []
+    if case == "compare-all-digits":
+        # all ten digits, each test batch a second draw of the training
+        # partition; a short ridge grid, since the sweep dominates ten digits
+        return "compare", {"substrate": {"input_side": 28, "seed": 17},
+                           "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
+                                     "normalize": "zscore", "seed": 17},
+                           "task": _mnist_task(idx, None, test_partition=False),
+                           "ridge_grid": [0.001, 1.0]}, []
     return "stability", {"substrate": {"input_side": 28, "seed": 15},
                          "train": {"alpha": 10.0, "max_epochs": 10, "mode": "ternary",
                                    "normalize": "first_epoch", "seed": 15},
@@ -76,7 +90,8 @@ def _case(case, idx):
 
 #: sha256 of every digested output file, pinned before the harness refactor;
 #: the numeric files were re-pinned when the forward pass became one GEMM and
-#: the readout incremental (every mask file kept its digest)
+#: the readout incremental (every mask file kept its digest); the two
+#: comparison cases beyond ``compare`` were pinned later, on unchanged outputs
 GOLDEN = {
     "header": {
         "history_header_s0.csv":
@@ -119,6 +134,158 @@ GOLDEN = {
             "319f98d5253322cc674d7d45609ae45982873d26fc709d6a8404875d31403340",
         "results.csv":
             "2c6add99e8c4cdc50443c3d7678c96364b9d5d107c7f28cf5dcd674eb1f6ec1c",
+    },
+    "compare-all-digits": {
+        "history_boolean_on_digit0_s0.csv":
+            "fed742a10bc00776f534eb646a9a25393c4ac128f2546307ca6289bb7152e0ee",
+        "history_boolean_on_digit1_s0.csv":
+            "3230f7edb37e62d59f0284bc47870153b1c6a1c40bca5731dfecce273c1067ca",
+        "history_boolean_on_digit2_s0.csv":
+            "7c425f4de2918845ed88dd586ca0b058bed5c606136bc65c5a3d55d9ed75f6bf",
+        "history_boolean_on_digit3_s0.csv":
+            "58fd1a2352e9fbd63328ae3a3dc65f255ca07c56ab2f134d942e904861621d46",
+        "history_boolean_on_digit4_s0.csv":
+            "af5715c764f4d22912aa243099b291fdcced3078cc939dddf5ce1da1f970e751",
+        "history_boolean_on_digit5_s0.csv":
+            "16064428103e8d534adceaa77b9950492497f914fd348581e0896c334ed70264",
+        "history_boolean_on_digit6_s0.csv":
+            "05d1b20a6fbacb5f7e890d21cc86665a5cee0ab3c4b5865f02060807de245188",
+        "history_boolean_on_digit7_s0.csv":
+            "0ced83127beb8a51400f54d9698cef803a9e912063af6aa5ffa1de4fad365d2b",
+        "history_boolean_on_digit8_s0.csv":
+            "05c6a54709de83d2bb7f78ce285db0b01b43d9a0b1862b90e8a34df5a57f9887",
+        "history_boolean_on_digit9_s0.csv":
+            "eb57ea47794223fea10a7adec6711de8baf12e771eb180e95d901346a7dcb7b1",
+        "history_ternary_off_digit0_s0.csv":
+            "483480ac231acc2030f6538551b5d320e3fed269a7a4cf4700ebc53a5c34d6dd",
+        "history_ternary_off_digit1_s0.csv":
+            "ea2612628a1517e76c89c537499dff2fc1e92e44c0c6784d175a81e2ba132bb1",
+        "history_ternary_off_digit2_s0.csv":
+            "daa64fe90826a355e225c864ef15d362c854c45e37f0d3ddca167bf07cd6191a",
+        "history_ternary_off_digit3_s0.csv":
+            "333f89e4d5ce273097766bb659a8a6c6c1be6844582f850dac4b235605772894",
+        "history_ternary_off_digit4_s0.csv":
+            "ca6fa6c9e647fef71da118c2e5c1917ebac5fd065681d1ce4f3dddcc1c10dcb1",
+        "history_ternary_off_digit5_s0.csv":
+            "17cae34af9470c3a2a2b0deb8af062dbc7cfe495d434280ac43c625ac6b4a315",
+        "history_ternary_off_digit6_s0.csv":
+            "7cb9399659c4f9a5876d7fb85adeed3f7f203f6d9fd0840a9e083bd409962980",
+        "history_ternary_off_digit7_s0.csv":
+            "14970d59f1b67f817ecd3d8b6e88f21e5e649293cc487fdeaf1c294f3586d733",
+        "history_ternary_off_digit8_s0.csv":
+            "bda8e3e1190abed99c369d51419722d5961907e7700b830f7f2da522afc6e3b1",
+        "history_ternary_off_digit9_s0.csv":
+            "db4053485ce19ed457bb87b15c71c65472d16821d7973d5a1d0005eeee70fa18",
+        "history_ternary_on_digit0_s0.csv":
+            "57c00c49f13ca8e1b87e5b62849266f4f7d6d3581866dfdab75ebc274ec4765a",
+        "history_ternary_on_digit1_s0.csv":
+            "080f815b09eb4afff9ae400d3454d0cc2c15c8e64627a96afc4e248cff595dd5",
+        "history_ternary_on_digit2_s0.csv":
+            "0e93d9040114255ab7dc86306bc49e5457cdac3d6b283d628301560b0550606e",
+        "history_ternary_on_digit3_s0.csv":
+            "fbc944b1e2673ff0cc0669683b0cfa789e24ed752a870a532896f0f2714183b7",
+        "history_ternary_on_digit4_s0.csv":
+            "6f44588f2364f2d322fafa94f6434e848e99c834f3d656a7667112c09447e365",
+        "history_ternary_on_digit5_s0.csv":
+            "ee4f7f00fa6a183e1ce466f02e84d73810676028c43c8e790449799f7715b0fe",
+        "history_ternary_on_digit6_s0.csv":
+            "36353b4b41b24d535bb38f765b5f65dcb7d35f362e4396b213ba5ba84651522d",
+        "history_ternary_on_digit7_s0.csv":
+            "1a660267e7be39577a35b618355e75c868e2e9f39fdacfd7e6a7702f8c301ce5",
+        "history_ternary_on_digit8_s0.csv":
+            "5a53016faf56d471261583fc83c4a39b1d5cc6bfb9fbc7359eace36fe4d39615",
+        "history_ternary_on_digit9_s0.csv":
+            "5a212a30e0ccce15c81c28142e50634162713d623d199994189b4abc21e27a33",
+        "mask_boolean_on_digit0_s0.json":
+            "80b3ed2461043061d98e730621ed6463cbcea3b5afd89d1b7bda82988027f558",
+        "mask_boolean_on_digit1_s0.json":
+            "bd3f12bc95c80402cff81e2d9243d4871157380588b1123a6dfa2bbf1585b089",
+        "mask_boolean_on_digit2_s0.json":
+            "f309934533720eb7880ff7b3bb572d10fce49b4de91f0f7841e5aa810429a3c1",
+        "mask_boolean_on_digit3_s0.json":
+            "8f4812feaf99f348cbd7d1eeb16245b89746c78229d37b84504d80d5fe5fdcfc",
+        "mask_boolean_on_digit4_s0.json":
+            "924c82912e82e072c7fe3fc4715dc11e65d909fe2b492ff24b9c9560fcc5d6be",
+        "mask_boolean_on_digit5_s0.json":
+            "f49e520dbff020b961aef47da1f28b99c7d78fbdc66c0d955aa85d7f4962e8f0",
+        "mask_boolean_on_digit6_s0.json":
+            "3edb68244e283931aa17bd5ad477a82497a078cbec4b1c715805199aa056b0cf",
+        "mask_boolean_on_digit7_s0.json":
+            "ead195609e4b70f1ed47f7963e726d0de339efc5645a9bfccbfc6b17e36afcb0",
+        "mask_boolean_on_digit8_s0.json":
+            "6e841e73a506475c4af84db8051c2bb37a324ea1bb26a2025c1eaa77366b821e",
+        "mask_boolean_on_digit9_s0.json":
+            "09c4dab4c1fa8dfdfbcbbb73fbb6a28722d15f4454475100e2eb719e5f6507e9",
+        "mask_ternary_off_digit0_s0.json":
+            "c8cc999a8112f2327501aa0f163caf9e56670e3fe7c01fdc7706e3d590ae4fa3",
+        "mask_ternary_off_digit1_s0.json":
+            "db82ff0aad7d636235956b2578e94ab8834576e6dcb1ad7e076ac4f626e45983",
+        "mask_ternary_off_digit2_s0.json":
+            "3d75f4fda58c9d1fbaec61f204a611a66275c18a02e84de7e9d8d408ef3622d2",
+        "mask_ternary_off_digit3_s0.json":
+            "2a6d22965750c8c78da16aa38c82d1e945480e1261c4334700fb3e55efe03bf5",
+        "mask_ternary_off_digit4_s0.json":
+            "6f1ff8460fed4c614f6e9049b12b638b6042035ec65f44bd30b03e599563daac",
+        "mask_ternary_off_digit5_s0.json":
+            "58e00ca98d20fb593e87900393f10705a811eb4354cd543fb8885eae87214017",
+        "mask_ternary_off_digit6_s0.json":
+            "3cc915c29e9596f9f5fe0f1beaa5608ed7538a79c07aa25b5e8fe6a1f68aca1d",
+        "mask_ternary_off_digit7_s0.json":
+            "8b702a581ee9f11c4289fda11dc3e8fb9f15146c2d54f4584fb7e70f4b28e34f",
+        "mask_ternary_off_digit8_s0.json":
+            "72206ebd720ef5e266cc60509160a3d75ba8d442f6b846c6189f2222c75be102",
+        "mask_ternary_off_digit9_s0.json":
+            "e5663de3d8b7554e321b883cd221d196ed87c4013c9d1e0caca2f92bc1eb2190",
+        "mask_ternary_on_digit0_s0.json":
+            "d70ddc4a0eb7ca867d19d68c78bfc969d3ac55cd600fae4c71303a4922abe257",
+        "mask_ternary_on_digit1_s0.json":
+            "eff4d9684cb3101c75b9ead512e4c278662f658e8961bc866129a455df1e1fa0",
+        "mask_ternary_on_digit2_s0.json":
+            "1edcc317e98ef3e5889dac676f3c7a82fcf6fb6e10c328f4e4f7085efb8cf16c",
+        "mask_ternary_on_digit3_s0.json":
+            "82cfb01bc0841fa2dc0c4bc3ba53a1bd974cd7f7e039c54607b987e976e4604c",
+        "mask_ternary_on_digit4_s0.json":
+            "9dd021e3277054132d7555142a43514afb6bdc27c002eec9a6c9b928af9a5d94",
+        "mask_ternary_on_digit5_s0.json":
+            "f5199d33d28df39adeb87710a0f33c26869140e1e627eeee0c2ff2961384e938",
+        "mask_ternary_on_digit6_s0.json":
+            "4f980b011655efc5a90ceac6d35ba4ceac7e696a15811305f137bca151944ddf",
+        "mask_ternary_on_digit7_s0.json":
+            "d01be017b760d2667a8068410e578bd22011175874d9e53a8adebb11f58f9644",
+        "mask_ternary_on_digit8_s0.json":
+            "33d687d5cabad66572b677fe4b44a9ddddb374fe12a1635d5d561b6775d4acdf",
+        "mask_ternary_on_digit9_s0.json":
+            "0c94d64ac3c2603a5a67c2aba94132151c541989171eaa63ca7e711590f1f286",
+        "results.csv":
+            "16dc484df221d6f08a9e01a3b84365f3179a82c10d9f280b0e9678d5cdafab71",
+    },
+    "compare-header": {
+        "history_boolean_on_header_s0.csv":
+            "aaeb3b45e299733094696e9a5e443c1568ac524c9b197e432c855059779c124f",
+        "history_boolean_on_header_s1.csv":
+            "ca6bd13f92225bd8c81a821d2b56a2d0b3970f0a4de70cf163e2db3da20b9d5c",
+        "history_ternary_off_header_s0.csv":
+            "643bb5ce750a07e48da2af41f67c1f5616cdda507a78c6a715c121b4b65b0228",
+        "history_ternary_off_header_s1.csv":
+            "4c3f367a3ccfbd7d58108f7503b56ad9bd831e60adc00bcca324f7be63eb178e",
+        "history_ternary_on_header_s0.csv":
+            "3fc7b7f00cbb4b799ed83c0edbc15fc94539b4456f8bc23a3ae8ccd1fb5b408a",
+        "history_ternary_on_header_s1.csv":
+            "4ab922a8fbd5d60269a1ccca30aafb205469ab98766128a662bddb149b6121c3",
+        "mask_boolean_on_header_s0.json":
+            "2db2bc94c4830376c556f00edac08d488880266f34421b5b90c860dccb0ae22e",
+        "mask_boolean_on_header_s1.json":
+            "17a6fc4702160f4c64726ecc96a6333b8cecd944bae23c54d8252b48be6f09bc",
+        "mask_ternary_off_header_s0.json":
+            "abc6cf78dd8ae1e6f4c97d05d5a20df63a204bf24d6c0fb001cc92dabe2d86dd",
+        "mask_ternary_off_header_s1.json":
+            "8255b2ce07d41e4805843baba1e12ea898954bee7c7d6d96ff973cbfc9e7fa94",
+        "mask_ternary_on_header_s0.json":
+            "8e409b857bec0eda8a13f98f3667d2ea1c55128064a35b2612a278a82520a57f",
+        "mask_ternary_on_header_s1.json":
+            "60b438f23cc63c7d05894d206244a11193cf825c92c3e07481fa59145497df80",
+        "results.csv":
+            "3177953129b0ccad3d4b9494d575c985b5c00648e6f6f8f3fb32d916b3006b7d",
     },
     "stability": {
         "stability.csv":
