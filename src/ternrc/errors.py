@@ -1,6 +1,6 @@
 """Exception types shared across the package, the annotation type check
-every config section runs when it is built, and the check of a count
-argument."""
+every config section runs when it is built, and the number test and count
+check of arguments."""
 
 import dataclasses
 import numbers
@@ -30,26 +30,31 @@ class FormatError(DataError):
     """Malformed binary file (bad magic, truncated payload)."""
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_count(value, name: str, low: int) -> None:
-    """Raise :class:`UsageError` unless ``value`` is an integer >= ``low``.
-    numpy integers count; bool does not, nor does an integral float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise UsageError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise UsageError(f"{name} must be >= {low}, got {value}")
+def _is_number(v, kind) -> bool:
+    """Whether ``v`` is an instance of ``kind`` (a type or ``numbers`` ABC);
+    a bool is no number."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    return _is_number(v, (int, float))
+
+
+def _check_count(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a Python int; :class:`UsageError` unless it is an integer
+    >= ``low`` (and <= ``high`` when given). numpy integers count; bool does
+    not, nor does an integral float."""
+    if not _is_number(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise UsageError(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 #: value check per field annotation; a "T | None" field also takes None
-_FIELD_TYPES = {"int": _is_int, "float": _is_real, "bool": lambda v: isinstance(v, bool),
-                "str": lambda v: isinstance(v, str),
+_FIELD_TYPES = {"int": lambda v: _is_number(v, int), "float": _is_real,
+                "bool": lambda v: isinstance(v, bool), "str": lambda v: isinstance(v, str),
                 "tuple[float, float]": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
                 "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(_is_real, v))}
 

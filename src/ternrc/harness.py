@@ -291,10 +291,12 @@ def epochs_to_convergence(result: TrainResult) -> int:
 # ---------------------------------------------------------------------------
 # Experiment drivers
 #
-# Every arm runs the same in-situ sequence: a frozen substrate gives the
-# noiseless states, a seeded detector measures them, the optimizer trains a
-# mask on the training rig and the mask is scored on both rigs. ``tag`` names
-# the arm in its derived detector and train seeds.
+# Every arm runs the same in-situ sequence: ``_acquired`` gives a frozen
+# substrate's noiseless states, ``_arm`` trains a mask on the training rig of
+# a seeded detector and ``_scored`` scores it on both rigs. ``_arm`` seeds the
+# detector by the tag ``det{tag}`` and the search by ``train{tag}``, ``tag``
+# naming the arm; the detector draws for training, then for the train score,
+# then for the test score, even where only the test score is reported.
 
 def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
     seed = derive_seed(cfg.substrate.seed, "substrate", repeat)
@@ -308,99 +310,86 @@ def _gathered(passes):
     return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
 
 
-def _rigs(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states,
-          noise_scale: float, brightness: float = 1.0) -> tuple[BatchReadout, BatchReadout]:
-    """(train, test) rigs sharing one seeded detector, its noise frozen to
-    ``noise_scale``."""
+def _acquired(cfg: ExperimentConfig, repeat: int):
+    """One repeat's substrate, its (train, test) batches, their state
+    matrices and the training batch's mean all-on power."""
+    sub = _substrate(cfg, repeat)
+    batches = make_task_batches(cfg, repeat)
+    states, power = _gathered([forward_batch(sub, b.pixels) for b in batches])
+    return sub, batches, states, power
+
+
+def _arm(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states, batches,
+         noise_scale: float, brightness: float = 1.0, **overrides):
+    """Train one arm on (train, test) rigs that share one seeded detector,
+    its noise frozen to ``noise_scale``; ``overrides`` replace train config
+    fields. Returns (rigs, train config, result)."""
     det = DetectorModel(cfg.substrate.noise_sigma, noise_scale=noise_scale,
                         seed=derive_seed(cfg.train.seed, f"det{tag}", repeat))
-    return tuple(BatchReadout(sub, s, det, brightness) for s in states)
-
-
-def _train_arm(cfg: ExperimentConfig, repeat: int, tag: str, rigs, batch_tr: LabeledBatch,
-               batch_te: LabeledBatch, score: bool = True, **overrides):
-    """Train one arm and score its best mask on both rigs. Returns (train
-    config, result, train metrics, test metrics); ``score=False`` skips the
-    two scoring measurements and returns no metrics."""
+    rigs = tuple(BatchReadout(sub, s, det, brightness) for s in states)
     tc = dataclasses.replace(cfg.train, seed=derive_seed(cfg.train.seed, f"train{tag}", repeat),
                              **overrides)
-    rig_tr, rig_te = rigs
-    result = train(rig_tr, batch_tr.targets, tc, n_nodes=rig_tr.n_nodes)
-    if not score:
-        return tc, result, None, None
-    m_tr = evaluate(rig_tr, result.best_mask, batch_tr.targets, "midpoint",
+    return rigs, tc, train(rigs[0], batches[0].targets, tc, n_nodes=rigs[0].n_nodes)
+
+
+def _scored(rigs, batches, tc: TrainConfig, result: TrainResult) -> tuple[Metrics, Metrics]:
+    """Train and test metrics of the arm's best mask: the test batch is
+    scored at the training threshold, with the training output transform."""
+    m_tr = evaluate(rigs[0], result.best_mask, batches[0].targets, "midpoint",
                     tc.normalize, result.output_transform)
-    m_te = evaluate(rig_te, result.best_mask, batch_te.targets, m_tr.threshold,
+    m_te = evaluate(rigs[1], result.best_mask, batches[1].targets, m_tr.threshold,
                     tc.normalize, result.output_transform)
-    return tc, result, m_tr, m_te
+    return m_tr, m_te
 
 
 def run_comparison(cfg: ExperimentConfig) -> list[dict]:
-    """Four-arm comparison: Boolean mask + laser on, ternary + on, ternary +
-    off, and the ridge baseline, all on the same frozen substrate and
-    batches per repeat. Returns one result row per (task, arm, repeat); a
-    digit task with ``digit`` null runs all ten digits."""
-    if isinstance(cfg.task, MnistTask):
-        digits = list(range(10)) if cfg.task.digit is None else [cfg.task.digit]
-    else:
-        digits = [None]
+    """Four-arm comparison: Boolean mask + laser on, ternary + on, ternary + off,
+    and the ridge baseline, all on the same frozen substrate and batches per
+    repeat. Returns one result row per (task, arm, repeat); a digit task with
+    ``digit`` null runs all ten digits. An arm's files are written once it is scored."""
+    digits = ([None] if isinstance(cfg.task, HeaderTask)
+              else list(range(10)) if cfg.task.digit is None else [cfg.task.digit])
     rows: list[dict] = []
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
     for repeat in range(cfg.repeats):
         sub_on = _substrate(cfg, repeat, vcsel_on=True)
+        # the laser-off view shares the lasing transmission, so one pass
+        # serves both arms: the lasing states are the laser response to the
+        # laser-off intensities. Every rig reads the lasing substrate's gain.
+        sub_off = dataclasses.replace(
+            sub_on, config=dataclasses.replace(sub_on.config, vcsel_on=False))
         for digit in digits:
-            task_name = "header" if digit is None else f"digit{digit}"
-            batch_tr, batch_te = make_task_batches(cfg, repeat, digit)
-            arms = _comparison_arms(cfg, repeat, digit, sub_on, batch_tr, batch_te)
-            for arm_name, row, result in arms:
-                row.update(task=task_name, arm=arm_name, repeat=repeat)
-                rows.append(row)
-                if result is not None:
-                    out.arm(f"{arm_name}_{task_name}_s{repeat}", result, cfg.substrate.grid_side)
+            task = "header" if digit is None else f"digit{digit}"
+            batches = make_task_batches(cfg, repeat, digit)
+            passes = [forward_batch(sub_off, b.pixels) for b in batches]
+            off, power_off = _gathered(passes)
+            # detector calibrated once, lasing config
+            on, sbar = _gathered([(laser_response(sub_on, p), index) for p, index in passes])
+            # laser off: same optics, faint detected signal, same detector calibration
+            for arm, mode, states, brightness in (
+                    ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),
+                    ("ternary_off", "ternary", off, cfg.off_brightness * sbar / power_off)):
+                tag = f"-{arm}" + ("" if digit is None else f"-d{digit}")
+                rigs, tc, result = _arm(cfg, repeat, tag, sub_on, states, batches, sbar,
+                                        brightness, mode=mode)
+                rows.append(_row(task, arm, repeat, result, *_scored(rigs, batches, tc, result)))
+                out.arm(f"{arm}_{task}_s{repeat}", result, cfg.substrate.grid_side)
+            # digital reference: ridge regression on the noiseless lasing states
+            (s_tr, s_te), (t_tr, t_te) = on, (b.targets for b in batches)
+            lam = lambda_sweep(s_tr, t_tr, cfg.ridge_grid)
+            model = ridge_fit(s_tr, t_tr, lam)
+            m_tr = ridge_eval(model, s_tr, t_tr, "midpoint")
+            m_te = ridge_eval(model, s_te, t_te, m_tr.threshold)
+            rows.append({**_row(task, "ridge", repeat, None, m_tr, m_te), "lambda": lam})
     out.results(rows)
     return rows
 
 
-def _comparison_arms(cfg, repeat, digit, sub_on, batch_tr, batch_te):
-    """Train/evaluate the four arms on shared batches; returns (arm, row,
-    result) tuples, with no result for the ridge arm."""
-    dtag = "" if digit is None else f"-d{digit}"
-    # the laser-off view shares the lasing transmission, so one pass serves
-    # both arms: the lasing states are the laser response to the laser-off
-    # intensities. It also shares the drift stream, which is safe only
-    # because the comparison never advances drift.
-    sub_off = dataclasses.replace(
-        sub_on, config=dataclasses.replace(sub_on.config, vcsel_on=False))
-    passes = [forward_batch(sub_off, b.pixels) for b in (batch_tr, batch_te)]
-    off, power_off = _gathered(passes)
-    # detector calibrated once, lasing config
-    on, sbar = _gathered([(laser_response(sub_on, p), index) for p, index in passes])
-    # laser off: same optics, faint detected signal, same detector calibration
-    bright_off = cfg.off_brightness * sbar / power_off
-    produced = []
-    for arm, mode, sub, states, brightness in (
-            ("boolean_on", "boolean", sub_on, on, 1.0),
-            ("ternary_on", "ternary", sub_on, on, 1.0),
-            ("ternary_off", "ternary", sub_off, off, bright_off)):
-        tag = f"-{arm}{dtag}"
-        rigs = _rigs(cfg, repeat, tag, sub, states, sbar, brightness)
-        _, res, m_tr, m_te = _train_arm(cfg, repeat, tag, rigs, batch_tr, batch_te, mode=mode)
-        produced.append((arm, _row(res, m_tr, m_te), res))
-
-    # digital reference: ridge regression on the noiseless lasing states
-    s_tr, s_te = on
-    t_tr, t_te = batch_tr.targets, batch_te.targets
-    lam = lambda_sweep(s_tr, t_tr, cfg.ridge_grid)
-    model = ridge_fit(s_tr, t_tr, lam)
-    m_tr = ridge_eval(model, s_tr, t_tr, "midpoint")
-    m_te = ridge_eval(model, s_te, t_te, m_tr.threshold)
-    produced.append(("ridge", {**_row(None, m_tr, m_te), "lambda": lam}, None))
-    return produced
-
-
-def _row(result: TrainResult | None, m_train: Metrics, m_test: Metrics) -> dict:
+def _row(task: str, arm: str, repeat: int, result: TrainResult | None, m_train: Metrics,
+         m_test: Metrics) -> dict:
     return {
+        "task": task, "arm": arm, "repeat": repeat,
         "train_nmse": m_train.nmse, "test_nmse": m_test.nmse,
         "train_accuracy": m_train.accuracy, "test_accuracy": m_test.accuracy,
         "test_ser": m_test.ser, "threshold": m_train.threshold,
@@ -417,14 +406,11 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
     for repeat in range(cfg.repeats):
-        sub = _substrate(cfg, repeat)
-        batch_tr, batch_te = make_task_batches(cfg, repeat)
-        states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
+        sub, batches, states, power = _acquired(cfg, repeat)
         for alpha in cfg.alphas:
-            tag = f"-a{alpha}"
-            rigs = _rigs(cfg, repeat, tag, sub, states, power)
-            tc, result, _, m_te = _train_arm(cfg, repeat, tag, rigs, batch_tr, batch_te,
-                                             alpha=float(alpha))
+            rigs, tc, result = _arm(cfg, repeat, f"-a{alpha}", sub, states, batches, power,
+                                    alpha=float(alpha))
+            _, m_te = _scored(rigs, batches, tc, result)
             rows.append({
                 "alpha": float(alpha), "repeat": repeat,
                 "final_nmse": result.final_nmse, "initial_nmse": result.initial_nmse,
@@ -449,13 +435,10 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
     for repeat in range(cfg.repeats):
-        sub = _substrate(cfg, repeat)
-        batch_tr, batch_te = make_task_batches(cfg, repeat)
-        states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
-        rigs = _rigs(cfg, repeat, "", sub, states, power)
-        _, result, m_tr, m_te = _train_arm(cfg, repeat, "", rigs, batch_tr, batch_te)
-        rows.append({"task": f"header{cfg.task.n_bits}b", "arm": cfg.train.mode,
-                     "repeat": repeat, **_row(result, m_tr, m_te)})
+        sub, batches, states, power = _acquired(cfg, repeat)
+        rigs, tc, result = _arm(cfg, repeat, "", sub, states, batches, power)
+        rows.append(_row(f"header{cfg.task.n_bits}b", cfg.train.mode, repeat, result,
+                         *_scored(rigs, batches, tc, result)))
         out.arm(f"header_s{repeat}", result, cfg.substrate.grid_side)
     out.results(rows)
     return rows
@@ -479,14 +462,11 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     _check_one_digit(cfg)
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
-    sub = _substrate(cfg, 0)
-    batch_tr, batch_te = make_task_batches(cfg, 0)
-    states, power = _gathered([forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
-    rigs = _rigs(cfg, 0, "", sub, states, power)
-    _, result, _, _ = _train_arm(cfg, 0, "", rigs, batch_tr, batch_te, score=False)
+    sub, batches, states, power = _acquired(cfg, 0)
+    rigs, _, result = _arm(cfg, 0, "", sub, states, batches, power)
     mask = result.best_mask
 
-    t = batch_te.targets
+    t = batches[1].targets
     norm = Normalizer(cfg.train.normalize, t)
     buf = np.empty((min(n_checks, STABILITY_BLOCK), t.size))
     rows = []

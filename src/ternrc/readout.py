@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError
+from .errors import ConfigError, ShapeError, _check_count
 
 ALPHABETS = {"boolean": np.array([0, 1], dtype=np.int8),
              "ternary": np.array([-1, 0, 1], dtype=np.int8)}
@@ -72,8 +72,7 @@ def decompose(mask: TernaryMask) -> tuple[np.ndarray, np.ndarray]:
 
 def random_mask(length: int, mode: str = "ternary", seed: int | np.random.Generator = 0) -> TernaryMask:
     """Uniform random mask over the mode's alphabet, deterministic per seed."""
-    if length < 1:
-        raise UsageError(f"length must be >= 1, got {length}")
+    length = _check_count(length, "length", 1)
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

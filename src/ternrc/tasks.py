@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, ShapeError, UsageError, _check_types
+from .errors import (ConfigError, DataError, FormatError, ShapeError, UsageError, _check_count,
+                     _check_types, _is_number)
 from .substrate import circle_mask
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -247,12 +248,12 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
     eligible images are put in one seeded order and draw k consumes slice k,
     so repeated calls never reuse an image.
     """
-    if not 0 <= digit <= 9:
-        raise UsageError(f"digit must be 0-9, got {digit}")
-    if n_samples % 2 != 0 or n_samples < 2:
-        raise UsageError(f"n_samples must be even and >= 2, got {n_samples}")
-    if draw < 0:
-        raise UsageError(f"draw must be >= 0, got {draw}")
+    digit = _check_count(digit, "digit", 0, 9)
+    n_samples = _check_count(n_samples, "n_samples", 2)
+    if n_samples % 2:
+        raise UsageError(f"n_samples must be even, got {n_samples}")
+    draw = _check_count(draw, "draw", 0)
+    input_side = None if input_side is None else _check_count(input_side, "input_side", 1)
     shape = dataset.images.shape[1:]
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DataError(f"digit images must be square, got {'x'.join(map(str, shape))}")
@@ -296,10 +297,6 @@ _SIGMA_BUCKETS = (0.5, 0.7, 0.9, 1.1)
 
 #: images built at once by make_glyph_dataset
 _GLYPH_BLOCK = 512
-
-
-def _is_number(v, kind) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def _blur_operator(side: int, sigma: float) -> np.ndarray:

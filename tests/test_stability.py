@@ -72,13 +72,9 @@ class OldNormalizer:
 def old_run_stability(cfg, n_checks, drift_steps_per_check):
     """The stability protocol as one measurement and one set of statistics
     per check, on the same trained rig."""
-    sub = harness._substrate(cfg, 0)
-    batch_tr, batch_te = harness.make_task_batches(cfg, 0)
-    states, power = harness._gathered(
-        [harness.forward_batch(sub, b.pixels) for b in (batch_tr, batch_te)])
-    rigs = harness._rigs(cfg, 0, "", sub, states, power)
-    _, result, _, _ = harness._train_arm(cfg, 0, "", rigs, batch_tr, batch_te, score=False)
-    t = batch_te.targets
+    sub, batches, states, power = harness._acquired(cfg, 0)
+    rigs, _, result = harness._arm(cfg, 0, "", sub, states, batches, power)
+    t = batches[1].targets
     norm = OldNormalizer(cfg.train.normalize, t)
     reference = None
     rows = []

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, DataError, FormatError, UsageError
+from ternrc.readout import random_mask
 from ternrc.substrate import circle_mask
 from ternrc.tasks import (_GLYPH_BLOCK, _GLYPHS, _SIGMA_BUCKETS, DigitDataset, HeaderTask,
                           _blur_operator, load_mnist, make_glyph_dataset, make_header_batch,
@@ -455,3 +456,30 @@ class TestOneVsAll:
     def test_input_side_fitting(self, glyph_train):
         batch = make_onevsall_batch(glyph_train, 0, 10, seed=0, input_side=32)
         assert batch.pixels.shape == (10, 32, 32)
+
+
+def _onevsall(**kwargs):
+    data = make_glyph_dataset(200, seed=1)
+    return make_onevsall_batch(data, **{"digit": 3, "n_samples": 10, "seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("build, kwargs", [
+    (_onevsall, {"n_samples": 10.0}), (_onevsall, {"n_samples": True}),
+    (_onevsall, {"n_samples": 0}),
+    (_onevsall, {"draw": 1.5}), (_onevsall, {"draw": True}), (_onevsall, {"draw": -1}),
+    (_onevsall, {"input_side": 27.5}), (_onevsall, {"input_side": 0}),
+    (_onevsall, {"digit": True}), (_onevsall, {"digit": 3.0}), (_onevsall, {"digit": None}),
+    (_onevsall, {"digit": 10}), (_onevsall, {"digit": -1}),
+    (random_mask, {"length": 2.5}), (random_mask, {"length": True}),
+], ids=lambda v: v.__name__ if callable(v) else "-".join(f"{k}={w!r}" for k, w in v.items()))
+def test_bad_count_argument_raises_usage_error(build, kwargs):
+    with pytest.raises(UsageError, match=next(iter(kwargs))):
+        build(**kwargs)
+
+
+def test_numpy_integer_counts_accepted():
+    a = _onevsall(digit=np.int8(3), n_samples=np.int64(10), draw=np.uint8(1),
+                  input_side=np.int32(32))
+    b = _onevsall(draw=1, input_side=32)
+    assert a.pixels.tobytes() == b.pixels.tobytes() and np.array_equal(a.labels, b.labels)
+    assert random_mask(np.int64(7), "ternary", 2) == random_mask(7, "ternary", 2)
