@@ -62,19 +62,15 @@ def ridge_fit(states, targets, lam: float = 0.0) -> RidgeModel:
     return RidgeModel(weights=w, bias=bias)
 
 
-def ridge_predict(model: RidgeModel, states) -> np.ndarray:
+def ridge_eval(model: RidgeModel, states, targets,
+               threshold_rule: float | str = "midpoint") -> Metrics:
+    """Score the model's predictions ``states @ weights + bias`` with the
+    same error/threshold contract used for trained masks."""
+    t = np.asarray(targets, dtype=float)
     x = _as_matrix(states)
     if x.shape[1] != model.weights.size:
         raise ShapeError(f"state width {x.shape[1]} != model width {model.weights.size}")
-    return x @ model.weights + model.bias
-
-
-def ridge_eval(model: RidgeModel, states, targets,
-               threshold_rule: float | str = "midpoint") -> Metrics:
-    """Score model predictions with the same error/threshold contract used
-    for trained masks."""
-    t = np.asarray(targets, dtype=float)
-    y = ridge_predict(model, states)
+    y = x @ model.weights + model.bias
     return score(y, t, nmse(y, t), threshold_rule)
 
 

@@ -96,7 +96,14 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         if args.command == "compare":
             rows = run_comparison(cfg)
-            _print_medians(rows)
+            for task in sorted({r["task"] for r in rows}):
+                parts = []
+                for arm in ("boolean_on", "ternary_off", "ternary_on", "ridge"):
+                    sel = [r["test_accuracy"] for r in rows
+                           if r["task"] == task and r["arm"] == arm]
+                    if sel:
+                        parts.append(f"{arm}={np.median(sel):.3f}")
+                print(f"{task}: " + " ".join(parts))
         elif args.command == "alpha-scan":
             rows = run_alpha_scan(cfg)
             for alpha in sorted({r["alpha"] for r in rows}):
@@ -125,17 +132,6 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-def _print_medians(rows) -> None:
-    for task in sorted({r["task"] for r in rows}):
-        parts = []
-        for arm in ("boolean_on", "ternary_off", "ternary_on", "ridge"):
-            sel = [r["test_accuracy"] for r in rows
-                   if r["task"] == task and r["arm"] == arm]
-            if sel:
-                parts.append(f"{arm}={np.median(sel):.3f}")
-        print(f"{task}: " + " ".join(parts))
 
 
 if __name__ == "__main__":

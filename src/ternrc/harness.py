@@ -23,7 +23,7 @@ from .errors import (ConfigError, DataError, NumericalError, ShapeError, UsageEr
                      _check_count, _check_types)
 from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, _centred, evaluate, nmse,
                         train)
-from .readout import DetectorModel, TernaryMask, plane_power, readout_batch
+from .readout import DetectorModel, TernaryMask, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift, circle_mask,
                         forward_batch, laser_response, states_matrix)
 from .tasks import (HeaderTask, LabeledBatch, MnistTask, load_mnist, make_header_batch,
@@ -194,7 +194,7 @@ class BatchReadout:
             diff = moved[near].nonzero()[0]
             self._bases[near][3] = key
             return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
-        p = plane_power(self.states, plane)
+        p = self.states @ plane.astype(float)
         p.setflags(write=False)
         if len(self._bases) == 2:
             del self._bases[near]
@@ -211,24 +211,19 @@ class BatchReadout:
 # ---------------------------------------------------------------------------
 # Batch acquisition per task
 
-def make_task_batches(cfg: ExperimentConfig, repeat: int,
+def make_task_batches(cfg: ExperimentConfig, repeat: int, partitions,
                       digit: int | None = None) -> tuple[LabeledBatch, LabeledBatch]:
-    """Build the (train, test) batches for one repeat. Test batches are
-    disjoint from training: headers use an independent seed, digit batches
-    come from the test partition when available and otherwise from a
-    disjoint draw of the training partition."""
+    """Build the (train, test) batches for one repeat, a digit task's from
+    its parsed (train, test) ``partitions``. Test batches are disjoint from
+    training: headers use an independent seed, digit batches come from the
+    test partition if given, else from a disjoint draw of the training one."""
     levels, t = cfg.train.target_levels, cfg.task
     if isinstance(t, HeaderTask):
         tr_seed = derive_seed(cfg.train.seed, "batch-train", repeat)
         te_seed = derive_seed(cfg.train.seed, "batch-test", repeat)
         return make_header_batch(t, tr_seed, levels), make_header_batch(t, te_seed, levels)
     digit = t.digit if digit is None else digit
-    if not (t.images and t.labels):
-        raise DataError("no digit dataset given; pass --mnist-images/--mnist-labels "
-                        "or point the task config at IDX files")
-    # load_mnist raises DataError on an unreadable file
-    train_part = load_mnist(t.images, t.labels)
-    test_part = load_mnist(t.test_images, t.test_labels) if t.test_images and t.test_labels else None
+    train_part, test_part = partitions
     seed = derive_seed(cfg.train.seed, f"batch-d{digit}", repeat)
     side = cfg.substrate.input_side
     train_batch = make_onevsall_batch(train_part, digit, t.n_samples, seed, draw=0,
@@ -243,6 +238,25 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int,
     return train_batch, test_batch
 
 
+def _task_batches(cfg: ExperimentConfig, digits=(None,)):
+    """Yield the (train, test) batches of each repeat's ``digits`` in turn. A
+    digit task's IDX pairs are parsed once, and freed before the last batches
+    are yielded, so no partition stays alive through training."""
+    t, partitions = cfg.task, None
+    if isinstance(t, MnistTask):
+        if not t.images:
+            raise DataError("no digit dataset given; pass --mnist-images/--mnist-labels "
+                            "or point the task config at IDX files")
+        # load_mnist raises DataError on an unreadable file
+        partitions = (load_mnist(t.images, t.labels),
+                      load_mnist(t.test_images, t.test_labels) if t.test_images else None)
+    keys = [(r, d) for r in range(cfg.repeats) for d in digits]
+    for i, (repeat, digit) in enumerate(keys, 1):
+        batches = make_task_batches(cfg, repeat, partitions, digit)
+        partitions = partitions if i < len(keys) else None
+        yield batches
+
+
 def _check_one_digit(cfg: ExperimentConfig) -> None:
     if isinstance(cfg.task, MnistTask) and cfg.task.digit is None:
         raise ConfigError("task digit null (all ten digits) runs only in the comparison")
@@ -251,18 +265,17 @@ def _check_one_digit(cfg: ExperimentConfig) -> None:
 # ---------------------------------------------------------------------------
 # Metrics helpers
 
-def consistency(reference, trace) -> float | np.ndarray:
-    """Pearson correlation between an output trace and the reference trace
-    of the same inputs. Identical traces are exactly 1.0. Given a (C, N)
-    stack of traces, it returns the (C,) correlations of its rows, each bit
-    for bit the row's own: the dot products stay one vector product per row,
-    since a matrix-vector product sums in another order."""
+def consistency(reference, traces) -> np.ndarray:
+    """Pearson correlation of each row of a (C, N) stack of output traces
+    with the reference trace of the same inputs: (C,) values, a row identical
+    to the reference exactly 1.0. Each row's value is bit for bit that of a
+    one-row stack: the dot products stay one vector product per row, since a
+    matrix-vector product sums in another order."""
     a = np.asarray(reference, dtype=float)
-    b = np.asarray(trace, dtype=float)
-    if a.ndim != 1 or a.size < 2 or b.ndim not in (1, 2) or b.shape[-1:] != a.shape:
-        raise UsageError(f"traces must be equal-length vectors of >= 2 samples, or a stack "
-                         f"of traces as wide as the reference, got {a.shape} / {b.shape}")
-    rows = b.reshape(-1, a.size)
+    rows = np.asarray(traces, dtype=float)
+    if a.ndim != 1 or a.size < 2 or rows.ndim != 2 or rows.shape[1:] != a.shape:
+        raise UsageError(f"need a reference vector of >= 2 samples and a (C, N) stack of "
+                         f"traces as wide, got {a.shape} / {rows.shape}")
     r = np.ones(len(rows))
     moved = np.flatnonzero(~(rows == a).all(axis=1))
     if moved.size:
@@ -272,7 +285,7 @@ def consistency(reference, trace) -> float | np.ndarray:
         norm_a = np.sqrt(ac @ ac)
         for i in moved:
             r[i] = (ac @ bc[i]) / (norm_a * np.sqrt(bc[i] @ bc[i]))
-    return r if b.ndim == 2 else float(r[0])
+    return r
 
 
 def epochs_to_convergence(result: TrainResult) -> int:
@@ -310,11 +323,11 @@ def _gathered(passes):
     return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
 
 
-def _acquired(cfg: ExperimentConfig, repeat: int):
-    """One repeat's substrate, its (train, test) batches, their state
-    matrices and the training batch's mean all-on power."""
+def _acquired(cfg: ExperimentConfig, repeat: int, batch_sets):
+    """One repeat's substrate, the next (train, test) batches of ``batch_sets``,
+    their state matrices and the training batch's mean all-on power."""
     sub = _substrate(cfg, repeat)
-    batches = make_task_batches(cfg, repeat)
+    batches = next(batch_sets)
     states, power = _gathered([forward_batch(sub, b.pixels) for b in batches])
     return sub, batches, states, power
 
@@ -352,6 +365,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     rows: list[dict] = []
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
+    batch_sets = _task_batches(cfg, digits)
     for repeat in range(cfg.repeats):
         sub_on = _substrate(cfg, repeat, vcsel_on=True)
         # the laser-off view shares the lasing transmission, so one pass
@@ -361,7 +375,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
             sub_on, config=dataclasses.replace(sub_on.config, vcsel_on=False))
         for digit in digits:
             task = "header" if digit is None else f"digit{digit}"
-            batches = make_task_batches(cfg, repeat, digit)
+            batches = next(batch_sets)
             passes = [forward_batch(sub_off, b.pixels) for b in batches]
             off, power_off = _gathered(passes)
             # detector calibrated once, lasing config
@@ -405,8 +419,9 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     rows, curves = [], []
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
+    batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
-        sub, batches, states, power = _acquired(cfg, repeat)
+        sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
         for alpha in cfg.alphas:
             rigs, tc, result = _arm(cfg, repeat, f"-a{alpha}", sub, states, batches, power,
                                     alpha=float(alpha))
@@ -434,8 +449,9 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
+    batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
-        sub, batches, states, power = _acquired(cfg, repeat)
+        sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
         rigs, tc, result = _arm(cfg, repeat, "", sub, states, batches, power)
         rows.append(_row(f"header{cfg.task.n_bits}b", cfg.train.mode, repeat, result,
                          *_scored(rigs, batches, tc, result)))
@@ -462,7 +478,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     _check_one_digit(cfg)
     out = _OutputSink(cfg.output_dir)
     out.config(cfg)
-    sub, batches, states, power = _acquired(cfg, 0)
+    sub, batches, states, power = _acquired(cfg, 0, _task_batches(cfg))
     rigs, _, result = _arm(cfg, 0, "", sub, states, batches, power)
     mask = result.best_mask
 
@@ -515,8 +531,6 @@ class _OutputSink:
     def csv(self, name: str, columns, rows, schema: str | None = None) -> None:
         """``rows`` (dicts) as CSV under an optional ``# schema:`` line; a
         key a row lacks is an empty cell."""
-        if not self.root:
-            return
         lines = [f"# schema: {schema}"] if schema else []
         lines.append(",".join(columns))
         lines.extend(",".join(_cell(r.get(c)) for c in columns) for r in rows)
@@ -525,8 +539,6 @@ class _OutputSink:
     def results(self, rows: list[dict]) -> None:
         """One row per task, arm and repeat, then each task and arm's mean
         and median test accuracy."""
-        if not self.root or not rows:
-            return
         summary = []
         for task, arm in sorted({(r["task"], r["arm"]) for r in rows}):
             sel = [r["test_accuracy"] for r in rows if (r["task"], r["arm"]) == (task, arm)]
@@ -542,8 +554,6 @@ class _OutputSink:
         the flat weights plus mode; ``grid_side`` records the display
         geometry (row-major over the active disk), so the mask must fill
         that disk exactly."""
-        if not self.root:
-            return
         mask = result.best_mask
         n_active = int(circle_mask(grid_side).sum())
         if len(mask) != n_active:

@@ -34,7 +34,7 @@ class TernaryMask:
     mode: str = "ternary"
 
     def __post_init__(self):
-        w = np.asarray(self.weights)
+        object.__setattr__(self, "weights", w := np.asarray(self.weights))
         if w.ndim != 1 or w.size < 1:
             raise ShapeError(f"weights must be a non-empty vector, got shape {w.shape}")
         if not ((w == -1) | (w == 0) | (w == 1)).all():
@@ -57,17 +57,6 @@ class TernaryMask:
     def __eq__(self, other) -> bool:
         return (isinstance(other, TernaryMask) and self.mode == other.mode
                 and np.array_equal(self.weights, other.weights))
-
-
-def decompose(mask: TernaryMask) -> tuple[np.ndarray, np.ndarray]:
-    """Split a ternary mask into its (+1) plane and (-1) plane: two Boolean
-    vectors naming the nodes each detector configuration collects.
-
-    The planes are disjoint by construction: no node can be routed to both
-    detector configurations.
-    """
-    w = np.asarray(mask.weights)
-    return w == 1, w == -1
 
 
 def random_mask(length: int, mode: str = "ternary", seed: int | np.random.Generator = 0) -> TernaryMask:
@@ -103,26 +92,18 @@ class DetectorModel:
         return gain * power + sd * self._rng.standard_normal(power.shape[0])
 
 
-def plane_power(states: np.ndarray, plane: np.ndarray) -> np.ndarray:
-    """Noiseless power one Boolean (K,) plane collects from each row of an
-    (N, K) state matrix: the sum of the selected intensities, at unit gain."""
-    if states.shape[1] != plane.size:
-        raise ShapeError(f"state width {states.shape[1]} != plane length {plane.size}")
-    return states @ plane.astype(float)
-
-
 def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
                   substrate_gain: float, det: DetectorModel) -> np.ndarray:
     """Scalar output per sample: subtraction of the two plane detections.
 
-    ``power`` maps a Boolean plane to its (N,) noiseless power, e.g.
-    ``functools.partial(plane_power, states)`` or a rig's cached lookup.
-    The (+1) plane is swept over the whole batch, then the (-1) plane,
-    mirroring how the hardware sequences its measurements: a ternary mask
-    costs two noise draws per sample, a Boolean mask only its (+1) plane,
-    one draw.
+    ``power`` maps a Boolean plane to its (N,) noiseless power, e.g. a rig's
+    cached lookup. The (+1) plane ``weights == 1`` is swept over the whole
+    batch, then the (-1) plane ``weights == -1``, as the hardware sequences
+    its measurements: a ternary mask costs two noise draws per sample, a
+    Boolean mask only its (+1) plane, one draw. The planes are disjoint by
+    construction: no node can be routed to both detector configurations.
     """
-    plus, minus = decompose(mask)
+    plus = det.detect(power(mask.weights == 1), substrate_gain)
     if mask.mode == "boolean":
-        return det.detect(power(plus), substrate_gain)
-    return det.detect(power(plus), substrate_gain) - det.detect(power(minus), substrate_gain)
+        return plus
+    return plus - det.detect(power(mask.weights == -1), substrate_gain)

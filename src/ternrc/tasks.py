@@ -42,25 +42,17 @@ class LabeledBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        _check_frames(self.pixels)
-        n = len(self.pixels)
-        if len(self.targets) != n or len(self.labels) != n:
+        px = np.asarray(self.pixels)
+        if px.ndim != 3 or px.shape[1] != px.shape[2]:
+            raise ShapeError(f"frames must form an (N, d, d) stack, got shape {px.shape}")
+        if px.shape[1] < 4:
+            raise ConfigError(f"frame side must be >= 4, got {px.shape[1]}")
+        if px.dtype != bool:
+            raise ConfigError(f"frames must be boolean, got {px.dtype}")
+        if np.any(px & ~circle_mask(px.shape[1])):
+            raise ConfigError("pixels outside the aperture must be off")
+        if len(self.targets) != len(px) or len(self.labels) != len(px):
             raise ShapeError("pixels, targets and labels must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.pixels)
-
-
-def _check_frames(pixels: np.ndarray) -> None:
-    px = np.asarray(pixels)
-    if px.ndim != 3 or px.shape[1] != px.shape[2]:
-        raise ShapeError(f"frames must form an (N, d, d) stack, got shape {px.shape}")
-    if px.shape[1] < 4:
-        raise ConfigError(f"frame side must be >= 4, got {px.shape[1]}")
-    if px.dtype != bool:
-        raise ConfigError(f"frames must be boolean, got {px.dtype}")
-    if np.any(px & ~circle_mask(px.shape[1])):
-        raise ConfigError("pixels outside the aperture must be off")
 
 
 def _check_task(task, kind: str) -> None:
@@ -110,6 +102,10 @@ class MnistTask:
         _check_task(self, "mnist")
         if self.digit is not None and not 0 <= self.digit <= 9:
             raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
+        for a, b in (("images", "labels"), ("test_images", "test_labels")):
+            if bool(getattr(self, a)) != bool(getattr(self, b)):
+                raise ConfigError(f"task {b if getattr(self, a) else a} is missing: an IDX "
+                                  f"pair gives both {a} and {b} or neither")
 
 
 def render_headers(n_bits: int, side: int, values: np.ndarray) -> np.ndarray:
@@ -157,9 +153,6 @@ class DigitDataset:
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
             raise ShapeError("image and label counts differ")
-
-    def __len__(self) -> int:
-        return self.images.shape[0]
 
 
 def _read(path) -> bytes:

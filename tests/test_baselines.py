@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit, ridge_predict
-from ternrc.errors import NumericalError, UsageError
+from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit
+from ternrc.errors import NumericalError, ShapeError, UsageError
+from ternrc.optimizer import nmse, score
 
 
 class TestRidgeFit:
@@ -102,14 +103,23 @@ class TestRidgeEval:
         assert acc_ridge > best_nonneg
 
     def test_prediction_is_affine(self):
+        # the scored prediction of a + b is that of a plus that of b, less
+        # the bias once
         rng = np.random.default_rng(7)
         x = rng.random((12, 4))
         y = rng.random(12)
         model = ridge_fit(x, y, lam=0.1)
         a, b = x[:6], x[6:]
-        lhs = ridge_predict(model, a + b)
-        rhs = ridge_predict(model, a) + ridge_predict(model, b) - model.bias
-        assert np.allclose(lhs, rhs)
+        t = np.array([0.0, 1.0] * 3)
+        rhs = (a @ model.weights + model.bias) + (b @ model.weights + model.bias) - model.bias
+        got, want = ridge_eval(model, a + b, t), score(rhs, t, nmse(rhs, t))
+        assert got.accuracy == want.accuracy
+        assert got.nmse == pytest.approx(want.nmse) and got.threshold == pytest.approx(want.threshold)
+
+    def test_width_mismatch(self):
+        model = RidgeModel(weights=np.zeros(3), bias=0.0)
+        with pytest.raises(ShapeError, match="model width 3"):
+            ridge_eval(model, np.ones((4, 2)), np.array([0.0, 1.0] * 2))
 
 
 class TestLambdaSweep:

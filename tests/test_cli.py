@@ -470,9 +470,10 @@ def test_seed_outside_uint32_exits_2(capsys):
 
 
 def test_idx_flags_override_task_paths():
-    args = build_parser().parse_args(["compare", "--mnist-images", "a", "--mnist-test-labels", "d"])
+    args = build_parser().parse_args(["compare", "--mnist-images", "a", "--mnist-labels", "b",
+                                      "--mnist-test-images", "c", "--mnist-test-labels", "d"])
     task = _load_config(args).task
-    assert (task.images, task.labels, task.test_images, task.test_labels) == ("a", "", None, "d")
+    assert (task.images, task.labels, task.test_images, task.test_labels) == ("a", "b", "c", "d")
 
 
 def test_unreadable_config_exits_2(tmp_path):
@@ -605,3 +606,29 @@ def test_omitted_fields_take_dataclass_defaults():
 def test_integer_alpha_kept_as_written():
     cfg = ExperimentConfig.from_json({"train": {"alpha": 10, "max_epochs": 5}})
     assert type(cfg.train.alpha) is int and cfg.train.alpha == 10
+
+
+@pytest.mark.parametrize("change, missing", [
+    ({"test_images": "nowhere"}, "test_labels"), ({"test_labels": "nowhere"}, "test_images"),
+    ({"labels": ""}, "labels"), ({"images": ""}, "images"),
+], ids=["test-images-alone", "test-labels-alone", "images-alone", "labels-alone"])
+def test_half_given_idx_pair_exits_2(change, missing, idx_files, tmp_path, capsys):
+    # a lone test_images would otherwise be dropped and the test batch drawn
+    # from the training partition
+    _, doc, flags = _case("stability", idx_files)
+    doc["task"].update(change)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["stability", "--config", str(config), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"task {missing} is missing" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=f"task {missing} is missing"):
+        MnistTask(**{k: v for k, v in doc["task"].items() if k != "type"})
+
+
+@pytest.mark.parametrize("command", ["compare", "stability"])
+def test_no_idx_files_exits_3(command, capsys):
+    assert main([command]) == 3
+    assert "no digit dataset given" in capsys.readouterr().err

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc import harness
 from ternrc.errors import ConfigError, ShapeError, UsageError
 from ternrc.harness import BatchReadout, _OutputSink, consistency
 from ternrc.optimizer import TrainResult, propose
-from ternrc.readout import (DetectorModel, TernaryMask, decompose, plane_power, random_mask,
-                            readout_batch)
+from ternrc.readout import DetectorModel, TernaryMask, random_mask, readout_batch
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
                               states_matrix)
 
@@ -30,14 +28,30 @@ def state(values):
     return np.asarray(values, dtype=float)[None, :]
 
 
+def planes(mask):
+    """The (+1) and (-1) Boolean planes a mask's readout sweeps."""
+    return mask.weights == 1, mask.weights == -1
+
+
+def full_product(states, plane):
+    """A plane's noiseless power as one uncached full product."""
+    return states @ plane.astype(float)
+
+
 def powers(states):
     """The uncached plane-power lookup of a state matrix."""
-    return partial(plane_power, states)
+    return partial(full_product, states)
+
+
+def rig_over(states, det=None):
+    """A rig that reads ``states``; its substrate supplies only the gain."""
+    sub = build_substrate(SubstrateConfig(grid_side=4, input_side=4))
+    return BatchReadout(sub, np.asarray(states, dtype=float), det or DetectorModel())
 
 
 def detect_one(states, plane, gain, det):
     """The single sample's detected power."""
-    (y,) = det.detect(plane_power(states, plane), gain)
+    (y,) = det.detect(full_product(states, plane), gain)
     return y
 
 
@@ -69,30 +83,50 @@ class TestMaskType:
 
 
 class TestDecompose:
+    """:func:`readout_batch` sweeps a ternary mask as its (+1) plane, then its
+    (-1) plane."""
+
+    @staticmethod
+    def swept(mask):
+        """The planes the readout of ``mask`` sweeps, in order, and its
+        noiseless output over identity states: the weights the planes encode."""
+        seen = []
+
+        def power(plane):
+            seen.append(plane.copy())
+            return plane.astype(float)
+
+        y = readout_batch(power, mask, 1.0, DetectorModel(noise_sigma=0.0))
+        return seen, y
+
     def test_basic_split(self):
-        plus, minus = decompose(TernaryMask(weights=np.array([1, 0, -1])))
+        (plus, minus), _ = self.swept(TernaryMask(weights=np.array([1, 0, -1])))
         assert plus.tolist() == [True, False, False]
         assert minus.tolist() == [False, False, True]
 
     def test_zero_mask(self):
-        plus, minus = decompose(TernaryMask(weights=np.zeros(5, dtype=int)))
+        (plus, minus), _ = self.swept(TernaryMask(weights=np.zeros(5, dtype=int)))
         assert not plus.any() and not minus.any()
 
     def test_planes_always_disjoint(self):
         for seed in range(20):
-            plus, minus = decompose(random_mask(452, "ternary", seed))
+            (plus, minus), _ = self.swept(random_mask(452, "ternary", seed))
             assert not np.any(plus & minus)
 
     def test_round_trip_long_mask(self):
         for seed in range(10):
             m = random_mask(452, "ternary", seed)
-            assert np.array_equal(recombined(*decompose(m)), m.weights)
+            seen, y = self.swept(m)
+            assert np.array_equal(recombined(*seen), m.weights)
+            assert np.array_equal(y, m.weights)
 
     @given(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_round_trip_property(self, weights):
         m = TernaryMask(weights=np.asarray(weights, dtype=np.int8))
-        assert np.array_equal(recombined(*decompose(m)), m.weights)
+        seen, y = self.swept(m)
+        assert np.array_equal(recombined(*seen), m.weights)
+        assert np.array_equal(y, m.weights)
 
 
 class TestCompose:
@@ -104,6 +138,14 @@ class TestCompose:
         y = readout_batch(powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
         assert y.tolist() == [1.0, 0.0, -1.0]
 
+    def test_list_weights_read_like_an_array(self):
+        # the mask keeps the array it checked, so the readout's plane
+        # comparisons see an array, not a list
+        m = TernaryMask(weights=[1, 0, -1])
+        assert isinstance(m.weights, np.ndarray) and len(m) == 3
+        y = readout_batch(powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
+        assert y.tolist() == [1.0, 0.0, -1.0]
+
     def test_zero_planes(self):
         m = TernaryMask(weights=np.zeros(3, dtype=int))
         states = np.random.default_rng(2).random((4, 3))
@@ -112,17 +154,17 @@ class TestCompose:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            readout_batch(powers(np.zeros((4, 3))), random_mask(2, "ternary", 0), 1.0,
-                          DetectorModel())
+            rig_over(np.zeros((4, 3))).measure(random_mask(2, "ternary", 0))
 
     def test_boolean_mode_requires_empty_minus(self):
         # a boolean mask has no (-1) plane: its output is the (+1) detection alone
         m = TernaryMask(weights=np.array([1, 0, 1]), mode="boolean")
-        plus, minus = decompose(m)
-        assert not minus.any()
+        seen = []
         states = np.random.default_rng(3).random((5, 3))
-        got = readout_batch(powers(states), m, 1.0, DetectorModel(noise_sigma=0.2, seed=4))
-        want = DetectorModel(noise_sigma=0.2, seed=4).detect(plane_power(states, plus), 1.0)
+        got = readout_batch(lambda pl: seen.append(pl) or full_product(states, pl), m, 1.0,
+                            DetectorModel(noise_sigma=0.2, seed=4))
+        assert [pl.tolist() for pl in seen] == [[True, False, True]]
+        want = DetectorModel(noise_sigma=0.2, seed=4).detect(full_product(states, seen[0]), 1.0)
         assert np.array_equal(got, want)
 
 
@@ -145,7 +187,7 @@ class TestDetect:
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            detect_one(state([1.0]), plane([1, 0]), 1.0, DetectorModel())
+            rig_over(state([1.0])).power(plane([1, 0]))
 
     def test_noise_stream_is_seeded(self):
         a = DetectorModel(noise_sigma=0.1, seed=7, noise_scale=10.0)
@@ -207,12 +249,12 @@ class TestBatchReadout:
 
     def test_detect_batch_shape_checked(self):
         with pytest.raises(ShapeError):
-            DetectorModel().detect(plane_power(np.zeros((4, 3)), plane([1, 0])), 1.0)
+            rig_over(np.zeros((4, 3))).power(plane([1, 0]))
 
     def test_noise_is_per_sample(self):
         states = np.ones((8, 2))
         det = DetectorModel(noise_sigma=0.5, seed=0, noise_scale=1.0)
-        y = det.detect(plane_power(states, plane([1, 1])), 1.0)
+        y = det.detect(full_product(states, plane([1, 1])), 1.0)
         assert len(np.unique(y)) == 8
 
 
@@ -231,15 +273,22 @@ class TestDeltaReadout:
         return BatchReadout(sub, states, det, brightness=0.7)
 
     @staticmethod
-    def count_full_products(monkeypatch):
-        computed = []
-        monkeypatch.setattr(harness, "plane_power",
-                            lambda states, plane: computed.append(1) or plane_power(states, plane))
-        return computed
+    def count_full_products(rig):
+        """The bases ``rig`` appends from now on: each full product appends
+        one, a correction none."""
+        appended = []
 
-    def test_mixed_sequence_matches_uncached(self, monkeypatch):
+        class Recording(list):
+            def append(self, base):
+                appended.append(base)
+                super().append(base)
+
+        rig._bases = Recording(rig._bases)
+        return appended
+
+    def test_mixed_sequence_matches_uncached(self):
         rig = self.rig(grid_side=24)
-        computed = self.count_full_products(monkeypatch)
+        computed = self.count_full_products(rig)
         ref_states = np.ascontiguousarray(rig.states)
         ref_det = DetectorModel(noise_sigma=0.01, seed=3, noise_scale=10.0)
         k = rig.n_nodes
@@ -270,7 +319,7 @@ class TestDeltaReadout:
         with pytest.raises(ValueError):
             rig.states[0, 0] = 1.0
         with pytest.raises(ValueError):
-            rig.power(decompose(random_mask(rig.n_nodes, "ternary", 0))[0])[0] = 1.0
+            rig.power(planes(random_mask(rig.n_nodes, "ternary", 0))[0])[0] = 1.0
 
     def test_bounded_and_still_exact(self):
         rig = self.rig()
@@ -285,32 +334,32 @@ class TestDeltaReadout:
         with pytest.raises(ShapeError):
             rig(random_mask(rig.n_nodes + 1, "boolean", 0))
 
-    def test_optimizer_walk_matches_full_product(self, monkeypatch):
+    def test_optimizer_walk_matches_full_product(self):
         # proposals of a few mirrors, about one in ten accepted, as in training
         rig = self.rig(grid_side=24, n=100)
-        computed = self.count_full_products(monkeypatch)
+        computed = self.count_full_products(rig)
         rng = np.random.default_rng(7)
         mask = random_mask(rig.n_nodes, "ternary", rng)
         accepted = 0
         for _ in range(2000):
             cand = propose(mask, int(rng.integers(1, 12)), rng)
-            for pl in decompose(cand):
-                np.testing.assert_allclose(rig.power(pl), plane_power(rig.states, pl),
+            for pl in planes(cand):
+                np.testing.assert_allclose(rig.power(pl), full_product(rig.states, pl),
                                            rtol=1e-12, atol=0)
             # each base holds its own full product: corrections never chain
             for base, p, *_ in rig._bases:
-                assert p.tobytes() == plane_power(rig.states, base).tobytes()
+                assert p.tobytes() == full_product(rig.states, base).tobytes()
             if rng.random() < 0.1:
                 mask, accepted = cand, accepted + 1
         assert 150 < accepted < 250
         # most planes were corrections, not full products
         assert len(computed) < 200
 
-    def test_frozen_mask_costs_two_full_products(self, monkeypatch):
+    def test_frozen_mask_costs_two_full_products(self):
         rig = self.rig(grid_side=24)
-        computed = self.count_full_products(monkeypatch)
+        computed = self.count_full_products(rig)
         mask = random_mask(rig.n_nodes, "ternary", 5)
-        plus, minus = decompose(mask)
+        plus, minus = planes(mask)
         rig.measure(mask)
         p_plus, p_minus = rig.power(plus), rig.power(minus)
         for _ in range(50):
@@ -318,13 +367,13 @@ class TestDeltaReadout:
             assert rig.power(plus) is p_plus and rig.power(minus) is p_minus
             rig.measure(mask)
         assert len(computed) == 2
-        assert p_plus.tobytes() == plane_power(rig.states, plus).tobytes()
+        assert p_plus.tobytes() == full_product(rig.states, plus).tobytes()
 
-    def test_corrected_plane_read_again_becomes_a_base(self, monkeypatch):
+    def test_corrected_plane_read_again_becomes_a_base(self):
         # the search's incumbent is the plane read again after its correction
         rig = self.rig(grid_side=24)
-        computed = self.count_full_products(monkeypatch)
-        plus, minus = decompose(random_mask(rig.n_nodes, "ternary", 5))
+        computed = self.count_full_products(rig)
+        plus, minus = planes(random_mask(rig.n_nodes, "ternary", 5))
         rig.power(plus)
         rig.power(minus)
         moved = plus.copy()
@@ -333,7 +382,7 @@ class TestDeltaReadout:
         assert len(computed) == 2
         again = rig.power(moved)
         assert len(computed) == 3
-        assert again.tobytes() == plane_power(rig.states, moved).tobytes()
+        assert again.tobytes() == full_product(rig.states, moved).tobytes()
         np.testing.assert_allclose(first, again, rtol=1e-12, atol=0)
         # it replaced the (+1) base, its nearest; the (-1) base stays
         assert rig.power(moved) is again and rig.power(minus) is rig._bases[0][1]
@@ -374,7 +423,7 @@ class TestConsistency:
             for _ in range(50):
                 a = rng.random(n) * rng.uniform(1e-3, 1e3)
                 b = a + rng.standard_normal(n) * rng.uniform(1e-6, 1.0)
-                assert consistency(a, b).hex() == self.old_consistency(a, b).hex()
+                assert consistency(a, b[None])[0].hex() == self.old_consistency(a, b).hex()
 
     def test_zero_spread_exactly_where_np_std_is_zero(self):
         # one tiny sample in a zero trace: the variance underflows to zero
@@ -387,28 +436,33 @@ class TestConsistency:
             outcomes.add(a.std() == 0.0)
             if a.std() == 0.0:
                 with pytest.raises(UsageError):
-                    consistency(a, b)
+                    consistency(a, b[None])
             else:
-                assert consistency(a, b).hex() == self.old_consistency(a, b).hex()
+                assert consistency(a, b[None])[0].hex() == self.old_consistency(a, b).hex()
         assert outcomes == {True, False}
 
     def test_identical_traces_are_exactly_one(self):
         a = np.random.default_rng(24).random(100)
-        assert consistency(a, a.copy()) == 1.0
+        assert consistency(a, a[None].copy()).tolist() == [1.0]
 
     def test_constant_trace_rejected(self):
         a = np.random.default_rng(25).random(100)
         for const in (np.zeros(100), np.full(100, 3.0)):
             with pytest.raises(UsageError, match="constant trace"):
-                consistency(a, const)
+                consistency(a, const[None])
             with pytest.raises(UsageError, match="constant trace"):
-                consistency(const, a)
+                consistency(const, a[None])
 
     def test_shape_contract(self):
         with pytest.raises(UsageError):
-            consistency(np.ones(3), np.ones(4))
+            consistency(np.ones(3), np.ones((1, 4)))
         with pytest.raises(UsageError):
-            consistency(np.ones(1), np.ones(1))
+            consistency(np.ones(1), np.ones((1, 1)))
+
+    def test_one_trace_must_be_a_one_row_stack(self):
+        a = np.random.default_rng(27).random(100)
+        with pytest.raises(UsageError, match=r"\(C, N\) stack"):
+            consistency(a, a + 1.0)
 
 
 class TestRandomMask:

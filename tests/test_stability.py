@@ -72,7 +72,7 @@ class OldNormalizer:
 def old_run_stability(cfg, n_checks, drift_steps_per_check):
     """The stability protocol as one measurement and one set of statistics
     per check, on the same trained rig."""
-    sub, batches, states, power = harness._acquired(cfg, 0)
+    sub, batches, states, power = harness._acquired(cfg, 0, harness._task_batches(cfg))
     rigs, _, result = harness._arm(cfg, 0, "", sub, states, batches, power)
     t = batches[1].targets
     norm = OldNormalizer(cfg.train.normalize, t)
@@ -134,7 +134,8 @@ class TestRowStatistics:
         ref, rows = self.stack(rng, c, n)
         got = consistency(ref, rows)
         assert got.shape == (c,) and got[0] == 1.0
-        assert [v.hex() for v in got.tolist()] == [consistency(ref, r.copy()).hex() for r in rows]
+        assert [v.hex() for v in got.tolist()] == [consistency(ref, r[None].copy())[0].hex()
+                                                   for r in rows]
 
     @pytest.mark.parametrize("c", [1, 7, 64])
     @pytest.mark.parametrize("n", [2, 40, 250, 1001])

@@ -138,7 +138,7 @@ class TestRenderHeader:
 class TestHeaderBatch:
     def test_balanced_thousand(self):
         batch = make_header_batch(HeaderTask(4, 5, 1000), seed=0)
-        assert len(batch) == 1000
+        assert len(batch.pixels) == 1000
         assert (batch.labels == 5).sum() == 500
         assert (batch.targets == 1.0).sum() == 500
 
