@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, UsageError
+from .errors import NumericalError, ShapeError, UsageError, _check_count
 from .optimizer import Metrics, midpoint_threshold, nmse, score, _positive_class
 
 
@@ -77,41 +77,43 @@ def ridge_eval(model: RidgeModel, states, targets,
 def lambda_sweep(states, targets, grid, folds: int = 5) -> float:
     """Pick the regularization strength by k-fold cross-validated accuracy;
     ties resolve to the smaller lambda. Folds are deterministic (sample i
-    goes to fold i mod folds), so the selection is reproducible."""
+    goes to fold i mod folds), so the selection is reproducible. Grid entries
+    must be finite and >= 0, ``folds`` an integer in [2, N] for N targets."""
     if len(grid) == 0:
         raise UsageError("lambda grid must be non-empty")
-    if folds < 2:
-        raise UsageError(f"folds must be >= 2, got {folds}")
+    lams = sorted(float(v) for v in grid)
+    if not all(math.isfinite(v) and v >= 0 for v in lams):
+        raise UsageError(f"lambda grid entries must be finite and >= 0, got {list(grid)}")
     x = _as_matrix(states)
     y = np.asarray(targets, dtype=float)
     n, k = x.shape
+    if y.shape != (n,):
+        raise UsageError(f"targets must match the {n} state rows, got shape {y.shape}")
+    folds = _check_count(folds, "folds", 2, high=n)
     fold_of = np.arange(n) % folds
 
-    # per-fold gram/moment matrices are built once and reused for every lambda
-    prepared = []
+    # one fold's gram/moment matrices at a time, reused for every lambda
+    accs = np.empty((len(lams), folds))
+    eye = np.eye(k)
     for f in range(folds):
         tr = fold_of != f
         xt, yt = x[tr], y[tr]
         x_mean, y_mean = xt.mean(axis=0), float(yt.mean())
         xc = xt - x_mean
-        prepared.append((xc.T @ xc, xc.T @ (yt - y_mean), x_mean, y_mean,
-                         x[~tr], y[~tr], xt, yt))
-
-    best_lam, best_acc = None, -1.0
-    eye = np.eye(k)
-    for lam in sorted(float(v) for v in grid):
-        accs = []
-        for gram, rhs, x_mean, y_mean, xv, yv, xt, yt in prepared:
+        gram, rhs = xc.T @ xc, xc.T @ (yt - y_mean)
+        del xc
+        xv, yv = x[~tr], y[~tr]
+        for i, lam in enumerate(lams):
             try:
                 w = np.linalg.solve(gram + lam * eye, rhs)
             except np.linalg.LinAlgError:
-                accs.append(0.0)
+                accs[i, f] = 0.0
                 continue
             bias = y_mean - float(x_mean @ w)
             thr = midpoint_threshold(xt @ w + bias, yt)
             pred = xv @ w + bias > thr
-            accs.append(float(np.mean(pred == _positive_class(yv))))
-        acc = float(np.mean(accs))
-        if acc > best_acc:
-            best_lam, best_acc = lam, acc
-    return best_lam
+            accs[i, f] = float(np.mean(pred == _positive_class(yv)))
+
+    # each lambda's mean over its folds; the first best is the smallest lambda
+    means = [float(np.mean(row)) for row in accs]
+    return lams[means.index(max(means))]

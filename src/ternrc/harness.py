@@ -380,6 +380,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
             off, power_off = _gathered(passes)
             # detector calibrated once, lasing config
             on, sbar = _gathered([(laser_response(sub_on, p), index) for p, index in passes])
+            del passes
             # laser off: same optics, faint detected signal, same detector calibration
             for arm, mode, states, brightness in (
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),

@@ -8,14 +8,15 @@ coupling over the node grid models carrier diffusion. A linear mode
 (``vcsel_on=False``) bypasses the laser and returns raw detected intensities.
 
 Shapes: a batch is an (N, d, d) Boolean frame stack, d = ``input_side``.
-The transmission is (K, D) complex for the K active nodes and the D pixels
-of the input aperture. :func:`forward_batch` returns the (U, K) states of
-the U distinct frames and an (N,) row index into them; :func:`states_matrix`
-gathers the (N, K) batch matrix in column-major order, so each node's column
-is contiguous for the readout. The pass ends in :func:`laser_response`;
-with the laser off that step is the identity, so the laser-off states of a
-batch are its speckle intensities, and the laser-on states of the same
-transmission are the response to them.
+The (K, D) complex transmission T of the K active nodes and the D aperture
+pixels is held once, as the real (2K, D) ``fields`` = [Re T; Im T], so
+T = fields[:K] + 1j * fields[K:]. :func:`forward_batch` returns the (U, K)
+states of the U distinct frames and an (N,) row index into them;
+:func:`states_matrix` gathers the (N, K) batch matrix in column-major
+order, so each node's column is contiguous for the readout. The pass ends
+in :func:`laser_response`; with the laser off that step is the identity,
+so the laser-off states of a batch are its speckle intensities, and the
+laser-on states of the same transmission are the response to them.
 
 The fields of all distinct frames come from one real GEMM, the coupling
 from another; their blocked sums agree with a one-frame matrix-vector
@@ -80,12 +81,14 @@ class SubstrateConfig:
 class Substrate:
     """Frozen optical path plus the slowly drifting detector-path gain.
 
-    ``transmission`` (K x D complex) is immutable after construction; only
-    ``gain`` and the private random stream mutate, via :func:`advance_drift`.
-    Forward evaluation is pure.
+    ``fields`` (2K x D float, read-only) is the transmission's real rows over
+    its imaginary rows, T = fields[:K] + 1j * fields[K:], scaled by a multiply
+    with 1/sqrt(2): numpy divides a complex by a real that way, so the bytes
+    are those of (re + 1j * im) / sqrt(2). Only ``gain`` and the private
+    random stream mutate, via :func:`advance_drift`. Forward evaluation is pure.
     """
 
-    transmission: np.ndarray
+    fields: np.ndarray
     input_mask: np.ndarray
     gain: float
     config: SubstrateConfig
@@ -94,11 +97,11 @@ class Substrate:
 
     @property
     def n_nodes(self) -> int:
-        return self.transmission.shape[0]
+        return self.fields.shape[0] // 2
 
     @property
     def n_inputs(self) -> int:
-        return self.transmission.shape[1]
+        return self.fields.shape[1]
 
 
 def build_substrate(config: SubstrateConfig) -> Substrate:
@@ -113,15 +116,15 @@ def build_substrate(config: SubstrateConfig) -> Substrate:
     n_nodes = int(node_mask.sum())
     n_inputs = int(input_mask.sum())
     rng = np.random.default_rng(config.seed)
-    re = rng.standard_normal((n_nodes, n_inputs))
-    im = rng.standard_normal((n_nodes, n_inputs))
-    transmission = (re + 1j * im) / np.sqrt(2.0)
-    transmission.setflags(write=False)
+    # one draw in row order: the real rows, then the imaginary rows
+    fields = rng.standard_normal((2 * n_nodes, n_inputs))
+    np.multiply(fields, 1.0 / np.sqrt(2.0), out=fields)
+    fields.setflags(write=False)
     coupling = None
     if config.vcsel_on and config.diffusion_sigma > 0:
         coupling = _coupling_matrix(node_mask, config.diffusion_sigma)
     return Substrate(
-        transmission=transmission,
+        fields=fields,
         input_mask=input_mask,
         gain=1.0,
         config=config,
@@ -177,9 +180,12 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
     u = flat[first][:, substrate.input_mask.ravel()].astype(float)
     # node-major fields (real rows, then imaginary): states come out column-major
-    t = substrate.transmission
-    f = np.concatenate((t.real, t.imag)) @ u.T
-    p = (f[:len(t)] ** 2 + f[len(t):] ** 2).T
+    f = substrate.fields @ u.T
+    del u
+    np.square(f, out=f)
+    # a fresh sum, not one written into f[:K]: a view of f would pin all of it
+    p = np.add(*np.split(f, 2)).T
+    del f
     return laser_response(substrate, p), index
 
 

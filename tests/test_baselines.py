@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit
 from ternrc.errors import NumericalError, ShapeError, UsageError
-from ternrc.optimizer import nmse, score
+from ternrc.optimizer import _positive_class, midpoint_threshold, nmse, score
 
 
 class TestRidgeFit:
@@ -149,3 +151,120 @@ class TestLambdaSweep:
             lambda_sweep(x, y, [])
         with pytest.raises(UsageError):
             lambda_sweep(x, y, [1.0], folds=1)
+
+    @pytest.mark.parametrize("grid", [[-5.0, 1.0], [float("nan"), 1.0], [float("inf")],
+                                      [1.0, -1e-300]])
+    def test_bad_grid_entry_rejected(self, grid):
+        x = np.random.default_rng(0).random((10, 2))
+        with pytest.raises(UsageError, match="finite and >= 0"):
+            lambda_sweep(x, np.array([0.0, 1.0] * 5), grid)
+
+    @pytest.mark.parametrize("folds", [11, 2.5, True, 1, -3])
+    def test_bad_folds_rejected(self, folds):
+        # at most one fold per sample; an integer, and no bool
+        x = np.random.default_rng(0).random((10, 2))
+        with pytest.raises(UsageError, match="folds"):
+            lambda_sweep(x, np.array([0.0, 1.0] * 5), [1.0], folds=folds)
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1)])
+    def test_targets_must_be_one_per_row(self, shape):
+        x = np.random.default_rng(0).random((10, 2))
+        with pytest.raises(UsageError, match="targets"):
+            lambda_sweep(x, np.zeros(shape), [1.0])
+
+    def test_one_sample_per_fold_accepted(self):
+        x = np.random.default_rng(0).random((10, 2))
+        y = np.array([0.0, 1.0] * 5)
+        assert lambda_sweep(x, y, [1.0, 2.0], folds=np.int64(10)) in (1.0, 2.0)
+
+    def test_peak_memory_at_benchmark_size(self):
+        # one fold's gram and row copies alive at a time, not all five
+        rng = np.random.default_rng(1)
+        x = rng.random((1000, 448))
+        y = np.array([0.0, 1.0] * 500)
+        grid = [10.0 ** e for e in range(-4, 5)]
+        tracemalloc.start()
+        try:
+            lambda_sweep(x, y, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
+def old_lambda_sweep(states, targets, grid, folds=5):
+    """The sweep as it was with every fold's gram and rows prepared at once,
+    looping over lambda outside and folds inside."""
+    x = np.asarray(states, dtype=float)
+    y = np.asarray(targets, dtype=float)
+    n, k = x.shape
+    fold_of = np.arange(n) % folds
+    prepared = []
+    for f in range(folds):
+        tr = fold_of != f
+        xt, yt = x[tr], y[tr]
+        x_mean, y_mean = xt.mean(axis=0), float(yt.mean())
+        xc = xt - x_mean
+        prepared.append((xc.T @ xc, xc.T @ (yt - y_mean), x_mean, y_mean,
+                         x[~tr], y[~tr], xt, yt))
+    best_lam, best_acc = None, -1.0
+    eye = np.eye(k)
+    for lam in sorted(float(v) for v in grid):
+        accs = []
+        for gram, rhs, x_mean, y_mean, xv, yv, xt, yt in prepared:
+            try:
+                w = np.linalg.solve(gram + lam * eye, rhs)
+            except np.linalg.LinAlgError:
+                accs.append(0.0)
+                continue
+            bias = y_mean - float(x_mean @ w)
+            thr = midpoint_threshold(xt @ w + bias, yt)
+            pred = xv @ w + bias > thr
+            accs.append(float(np.mean(pred == _positive_class(yv))))
+        acc = float(np.mean(accs))
+        if acc > best_acc:
+            best_lam, best_acc = lam, acc
+    return best_lam
+
+
+class TestSweepOracle:
+    """The fold-at-a-time sweep picks the lambda the all-folds sweep picked,
+    on the same solves in the same order per fold."""
+
+    GRIDS = ([1e-4, 1e-2, 1.0, 100.0], [10.0 ** e for e in range(-4, 5)], [100.0, 0.0, 1.0, 1.0],
+             [0.5])
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("grid", GRIDS, ids=["four", "nine", "unsorted-repeat", "one"])
+    def test_random_inputs(self, seed, grid):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(12, 120)), int(rng.integers(1, 40))
+        x = rng.random((n, k)) * rng.uniform(0.1, 100.0)
+        y = (x @ rng.standard_normal(k) + rng.normal(0, 0.5, n) > 0).astype(float)
+        folds = int(rng.integers(2, 7))
+        got = lambda_sweep(x, y, grid, folds)
+        assert got == old_lambda_sweep(x, y, grid, folds)
+        assert type(got) is float
+
+    def test_tie_resolves_to_smaller_lambda(self):
+        # separable data: every small lambda scores 1.0 on every fold
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((60, 2))
+        y = (x[:, 0] > 0).astype(float)
+        grid = [1.0, 1e-3, 1e-6]
+        assert lambda_sweep(x, y, grid) == old_lambda_sweep(x, y, grid) == 1e-6
+
+    def test_singular_fold_scores_zero(self):
+        # node 0 is dark but for sample 3, so fold 3's centered column is
+        # exactly zero and its lambda = 0 solve raises; the other folds solve
+        rng = np.random.default_rng(10)
+        x = rng.random((40, 3))
+        x[:, 0] = 0.0
+        x[3, 0] = 1.0
+        y = (x[:, 1] > 0.5).astype(float)
+        xt = x[np.arange(40) % 5 != 3]
+        xc = xt - xt.mean(axis=0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(xc.T @ xc, xc.T @ y[np.arange(40) % 5 != 3])
+        for grid in ([0.0], [0.0, 1e-3], [0.0, 1e-6, 10.0]):
+            assert lambda_sweep(x, y, grid) == old_lambda_sweep(x, y, grid)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,11 @@ from ternrc.substrate import (SubstrateConfig, _coupling_matrix, advance_drift, 
                               forward_batch, laser_response, states_matrix)
 from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
                           make_header_batch, make_onevsall_batch)
+
+
+def transmission(sub):
+    """The (K, D) complex transmission the substrate holds as its real fields."""
+    return sub.fields[:sub.n_nodes] + 1j * sub.fields[sub.n_nodes:]
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -50,24 +56,24 @@ class TestBuild:
     def test_same_seed_same_substrate(self):
         cfg = SubstrateConfig(seed=42)
         a, b = build_substrate(cfg), build_substrate(cfg)
-        assert np.array_equal(a.transmission, b.transmission)
+        assert np.array_equal(a.fields, b.fields)
         assert a.gain == b.gain == 1.0
 
     def test_different_seed_different_matrix(self):
         a = build_substrate(SubstrateConfig(seed=1))
         b = build_substrate(SubstrateConfig(seed=2))
-        assert not np.array_equal(a.transmission, b.transmission)
+        assert not np.array_equal(a.fields, b.fields)
 
     def test_unit_variance_entries(self):
         sub = build_substrate(SubstrateConfig(seed=3))
-        power = np.abs(sub.transmission) ** 2
+        power = np.abs(transmission(sub)) ** 2
         assert abs(power.mean() - 1.0) < 0.01
-        assert abs(sub.transmission.mean()) < 0.01
+        assert abs(transmission(sub).mean()) < 0.01
 
     def test_transmission_frozen(self):
         sub = build_substrate(SubstrateConfig())
         with pytest.raises(ValueError):
-            sub.transmission[0, 0] = 0
+            sub.fields[0, 0] = 0
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -116,7 +122,7 @@ def reference_forward(sub, frame):
     """Node intensities of one (d, d) frame, one matvec at a time. The
     forward pass sums the same terms in a GEMM's blocked order, so the two
     agree to rounding."""
-    p = np.abs(sub.transmission @ frame[sub.input_mask].astype(float)) ** 2
+    p = np.abs(transmission(sub) @ frame[sub.input_mask].astype(float)) ** 2
     if not sub.config.vcsel_on:
         return p
     s = sub.config.saturation
@@ -139,7 +145,7 @@ class TestForward:
         for k in (0, 7, 20):
             px = np.zeros((1, 8, 8), dtype=bool)
             px[0, rows[k], cols[k]] = True
-            expected = sub.transmission.real[:, k] ** 2 + sub.transmission.imag[:, k] ** 2
+            expected = sub.fields[:sub.n_nodes, k] ** 2 + sub.fields[sub.n_nodes:, k] ** 2
             assert np.array_equal(forward(sub, px)[0], expected)
 
     def test_off_mode_ignores_saturation_and_smoothing(self):
@@ -243,6 +249,101 @@ class TestForwardBatch:
         sub = build_substrate(SubstrateConfig(input_side=8))
         with pytest.raises(ConfigError):
             forward_batch(sub, make_frames(side=8).astype(float))
+
+
+def old_transmission(config):
+    """The complex transmission and random stream as drawn before the
+    substrate held its fields: two real draws, their complex sum, scaled by
+    a divide."""
+    rng = np.random.default_rng(config.seed)
+    shape = (int(circle_mask(config.grid_side).sum()), int(circle_mask(config.input_side).sum()))
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    return (re + 1j * im) / np.sqrt(2.0), rng
+
+
+def old_forward_batch(sub, t, batch):
+    """The forward pass over the complex transmission ``t``, concatenating its
+    real and imaginary rows on every call."""
+    flat = batch.reshape(len(batch), -1)
+    packed = np.packbits(flat, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    u = flat[first][:, sub.input_mask.ravel()].astype(float)
+    f = np.concatenate((t.real, t.imag)) @ u.T
+    p = (f[:len(t)] ** 2 + f[len(t):] ** 2).T
+    return laser_response(sub, p), index
+
+
+class TestFieldsOracle:
+    """The real fields and the in-place forward pass hold every byte of the
+    complex transmission and the concatenating pass they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 17, 2 ** 32 - 1])
+    @pytest.mark.parametrize("side", [12, 28, 64])
+    def test_build_matches_complex_draw(self, side, seed):
+        cfg = SubstrateConfig(input_side=side, seed=seed)
+        sub = build_substrate(cfg)
+        t, rng = old_transmission(cfg)
+        assert sub.fields.tobytes() == np.concatenate((t.real, t.imag)).tobytes()
+        assert sub._rng.bit_generator.state == rng.bit_generator.state
+        assert (sub.n_nodes, sub.n_inputs) == t.shape
+
+    def test_divide_would_move_bytes(self):
+        # why the scale is a multiply: a real divide rounds differently
+        sub = build_substrate(SubstrateConfig(seed=3))
+        rng = np.random.default_rng(3)
+        drawn = rng.standard_normal(sub.fields.shape)
+        assert (drawn / np.sqrt(2.0)).tobytes() != sub.fields.tobytes()
+
+    @pytest.mark.parametrize("cfg", [
+        SubstrateConfig(), SubstrateConfig(vcsel_on=False), SubstrateConfig(saturation=0.0),
+        SubstrateConfig(diffusion_sigma=0.0), SubstrateConfig(input_side=64, seed=9)],
+        ids=["on", "off", "no-saturation", "no-diffusion", "side-64"])
+    def test_forward_matches_concatenating_pass(self, cfg):
+        sub = build_substrate(cfg)
+        t, _ = old_transmission(cfg)
+        frames = make_frames(side=cfg.input_side, seed=cfg.seed, n=150)
+        frames = np.concatenate((frames, frames[::3]))
+        states, index = forward_batch(sub, frames)
+        old_states, old_index = old_forward_batch(sub, t, frames)
+        assert states.tobytes() == old_states.tobytes()
+        assert states.flags.f_contiguous == old_states.flags.f_contiguous
+        assert np.array_equal(index, old_index)
+
+    def test_laser_response_leaves_its_input(self):
+        # the comparison feeds it the laser-off intensities it also reads
+        sub = build_substrate(SubstrateConfig(seed=2))
+        off = build_substrate(SubstrateConfig(seed=2, vcsel_on=False))
+        p, _ = forward_batch(off, make_frames(seed=2, n=40))
+        kept = p.copy()
+        laser_response(sub, p)
+        assert p.tobytes() == kept.tobytes()
+
+
+def traced_peak(fn, *args):
+    """Peak bytes the traced allocator holds while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Each large array is held once: the (2K, D) fields and, in the forward
+    pass, one (2K, U) field block squared in place."""
+
+    def test_build_at_side_64(self):
+        # the fields alone are 23.1 MB
+        assert traced_peak(build_substrate, SubstrateConfig(input_side=64)) <= 32e6
+
+    def test_forward_of_thousand_distinct_frames(self):
+        sub = build_substrate(SubstrateConfig())
+        frames = make_frames(seed=4, n=1000)
+        assert len(np.unique(frames.reshape(1000, -1), axis=0)) == 1000
+        assert traced_peak(forward_batch, sub, frames) <= 16e6
 
 
 def unflushed_coupling(node_mask, sigma):
