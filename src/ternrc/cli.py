@@ -33,8 +33,8 @@ def _load_config(args) -> ExperimentConfig:
     doc = _default_doc(args.command)
     if args.config:
         try:
-            doc = Path(args.config).read_text()
-        except OSError as exc:
+            doc = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     cfg = ExperimentConfig.from_json(doc)
     if args.seed is not None:
@@ -46,7 +46,9 @@ def _load_config(args) -> ExperimentConfig:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     if args.repeats is not None:
         cfg = dataclasses.replace(cfg, repeats=args.repeats)
-    if getattr(args, "alphas", None):
+    if getattr(args, "alphas", None) is not None:
+        if not args.alphas.strip():
+            raise UsageError("--alphas is empty; give comma-separated mutation gains")
         try:
             alphas = tuple(float(v) for v in args.alphas.split(","))
         except ValueError as exc:

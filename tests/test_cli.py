@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from ternrc.cli import _default_doc, _load_config, build_parser, main
-from ternrc.errors import ConfigError
+from ternrc.errors import ConfigError, UsageError
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import SubstrateConfig
@@ -480,8 +480,26 @@ def test_unreadable_config_exits_2(tmp_path):
     assert main(["header", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b"\xff\xfe{}")
+    assert main(["header", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config file")
+    with pytest.raises(ConfigError):
+        _load_config(build_parser().parse_args(["header", "--config", str(config)]))
+
+
 def test_non_numeric_alphas_exit_2():
     assert main(["alpha-scan", "--alphas", "0,x"]) == 2
+
+
+@pytest.mark.parametrize("alphas", ["", "  "], ids=["empty", "blank"])
+def test_empty_alphas_exit_2(alphas, capsys):
+    # an empty list must not fall back to the config's alphas
+    assert main(["alpha-scan", "--alphas", alphas]) == 2
+    assert capsys.readouterr().err.startswith("error: --alphas is empty")
+    with pytest.raises(UsageError):
+        _load_config(build_parser().parse_args(["alpha-scan", "--alphas", alphas]))
 
 
 def test_missing_idx_path_exits_3(tmp_path, capsys):
