@@ -172,7 +172,7 @@ class BatchReadout:
         self.states = states
         self.detector = detector
         self.brightness = brightness
-        self._bases: list[list] = []  # [plane, full product, its bytes, last corrected bytes]
+        self._bases: list[list] = []  # [plane, full product, its key, last corrected key]
 
     @property
     def n_nodes(self) -> int:
@@ -182,16 +182,17 @@ class BatchReadout:
         """The noiseless (N,) power of one Boolean plane."""
         if plane.shape != (self.n_nodes,):
             raise ShapeError(f"state width {self.n_nodes} != plane shape {plane.shape}")
-        key = plane.tobytes()
+        # the plane's bytes, one per node, as an integer: the popcount of its
+        # XOR with a base's key is the number of positions where they differ
+        key = int.from_bytes(plane.tobytes(), "little")
         for base in self._bases:
             if base[2] == key:
                 return base[1]
-        moved = [plane != base[0] for base in self._bases]
-        h = [np.count_nonzero(m) for m in moved]
+        h = [(key ^ base[2]).bit_count() for base in self._bases]
         near = h.index(min(h)) if h else 0
         # h gathered columns cost about as much as 8h columns of a product
         if h and 8 * h[near] < self.n_nodes and self._bases[near][3] != key:
-            diff = moved[near].nonzero()[0]
+            diff = (plane != self._bases[near][0]).nonzero()[0]
             self._bases[near][3] = key
             return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
         p = self.states @ plane.astype(float)

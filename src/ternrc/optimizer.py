@@ -152,10 +152,15 @@ def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
     k = len(mask)
     if not 1 <= n <= k:
         raise UsageError(f"n must be in [1, {k}], got {n}")
-    positions = rng.integers(0, k, size=n)
     alphabet = ALPHABETS[mask.mode]
-    # rng.choice(alphabet, size=n)'s values and stream position, without its overhead
-    values = alphabet[rng.integers(0, alphabet.size, size=n)]
+    # rng.choice(alphabet, size=n)'s values and stream position, without its
+    # overhead; a one-mirror move draws scalars, which give size=1's values
+    # and stream position without its size check
+    if n == 1:
+        positions, values = rng.integers(0, k), alphabet[rng.integers(0, alphabet.size)]
+    else:
+        positions = rng.integers(0, k, size=n)
+        values = alphabet[rng.integers(0, alphabet.size, size=n)]
     w = np.array(mask.weights, dtype=np.int8, copy=True)
     # duplicate positions resolve to the last drawn value, as in a sequential loop
     w[positions] = values

@@ -88,8 +88,11 @@ class DetectorModel:
     def detect(self, power: np.ndarray, gain: float) -> np.ndarray:
         """Detected power of one plane sweep across the batch: ``gain`` times
         the (N,) noiseless plane power, plus one noise draw per sample."""
-        sd = self.noise_sigma * self.noise_scale
-        return gain * power + sd * self._rng.standard_normal(power.shape[0])
+        # gain * power + sd * z, with the draw z scaled and offset in place
+        y = self._rng.standard_normal(power.shape[0])
+        y *= self.noise_sigma * self.noise_scale
+        y += power if gain == 1.0 else gain * power
+        return y
 
 
 def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
@@ -106,4 +109,5 @@ def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
     plus = det.detect(power(mask.weights == 1), substrate_gain)
     if mask.mode == "boolean":
         return plus
-    return plus - det.detect(power(mask.weights == -1), substrate_gain)
+    plus -= det.detect(power(mask.weights == -1), substrate_gain)
+    return plus

@@ -130,6 +130,20 @@ class TestPropose:
             propose(m, 11, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_one_mirror_move_matches_sized_draw(self, mode):
+        # n = 1 draws scalars; the candidate and the stream match size=1 draws
+        alphabet = ALPHABETS[mode]
+        for seed in range(100):
+            mask = random_mask(448, mode, seed)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            positions = a.integers(0, 448, size=1)
+            w = mask.weights.copy()
+            w[positions] = alphabet[a.integers(0, alphabet.size, size=1)]
+            got = propose(mask, 1, b)
+            assert got.weights.dtype == np.int8 and got.weights.tobytes() == w.tobytes()
+            assert b.bit_generator.state == a.bit_generator.state
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_walk_candidates_pass_public_checks(self, mode):
         # candidates skip the constructor's checks; each must still pass them
         rng = np.random.default_rng(17)
@@ -297,6 +311,15 @@ class TestNumpyEquivalences:
             want = a.choice(alphabet, size=n)
             got = alphabet[b.integers(0, alphabet.size, size=n)]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert b.bit_generator.state == a.bit_generator.state
+
+    @pytest.mark.parametrize("k", [2, 3, 448])
+    def test_scalar_integers_match_one_element_draw(self, k):
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = a.integers(0, k, size=1)[0]
+            got = b.integers(0, k)
+            assert got == want
             assert b.bit_generator.state == a.bit_generator.state
 
     @pytest.mark.parametrize("n", [2, 7, 250, 1000])

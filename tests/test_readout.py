@@ -189,6 +189,17 @@ class TestDetect:
         with pytest.raises(ShapeError):
             rig_over(state([1.0])).power(plane([1, 0]))
 
+    @pytest.mark.parametrize("gain", [1.0, 0.37])
+    def test_in_place_detection_matches_formula(self, gain):
+        # the draw is scaled and offset in place: the bytes of the plain formula
+        power = np.random.default_rng(8).random(250) * 40
+        power[:2] = (0.0, -0.0)
+        det = DetectorModel(noise_sigma=0.02, seed=9, noise_scale=31.5)
+        z = np.random.default_rng(9).standard_normal(250)
+        want = gain * power + 0.02 * 31.5 * z
+        assert det.detect(power, gain).tobytes() == want.tobytes()
+        assert det.detect(power, gain).tobytes() != want.tobytes()  # fresh noise
+
     def test_noise_stream_is_seeded(self):
         a = DetectorModel(noise_sigma=0.1, seed=7, noise_scale=10.0)
         b = DetectorModel(noise_sigma=0.1, seed=7, noise_scale=10.0)
@@ -312,6 +323,19 @@ class TestDeltaReadout:
         # (-1) plane m3 had displaced (2).
         assert len(computed) == 7
         assert rig.detector._rng.bit_generator.state == ref_det._rng.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 7, 448, 1001])
+    def test_key_popcount_is_hamming_distance(self, k):
+        # the rig's nearest base: a popcount of the XOR of the planes' byte keys
+        rng = np.random.default_rng(k)
+        def key(pl):
+            return int.from_bytes(pl.tobytes(), "little")
+        for _ in range(200):
+            a = rng.random(k) < rng.random()
+            b = a.copy()
+            b[rng.integers(0, k, size=int(rng.integers(0, k + 1)))] ^= True
+            for x, y in ((a, b), (a, ~a), (a, a), (np.zeros(k, bool), np.ones(k, bool))):
+                assert (key(x) ^ key(y)).bit_count() == np.count_nonzero(x != y)
 
     def test_states_read_only(self):
         rig = self.rig()
