@@ -486,6 +486,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
 
     t = batches[1].targets
     norm = Normalizer(cfg.train.normalize, t)
+    zscore = cfg.train.normalize == "zscore"
     buf = np.empty((min(n_checks, STABILITY_BLOCK), t.size))
     rows = []
     for start in range(0, n_checks, STABILITY_BLOCK):
@@ -502,7 +503,8 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
             reference = block[0].copy()
         rows += [{"check": start + i, "consistency": c, "nmse": e, "gain": g}
                  for i, (c, e, g) in enumerate(zip(consistency(reference, block).tolist(),
-                                                   nmse(norm(block), t).tolist(), gains))]
+                                                   nmse(block if zscore else norm(block), t,
+                                                        zscore=zscore).tolist(), gains))]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows
 

@@ -84,12 +84,19 @@ class TrainResult:
         return sum(r.accepted for r in self.history)
 
 
-def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float | np.ndarray:
+def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False) -> float | np.ndarray:
     """Normalized mean square error of a measured trace against its target:
     sum of squared residuals over N times the population standard deviation
     of the trace. A (near-)constant trace has no usable spread and returns
     +inf so it can never be accepted. Given a (C, N) stack of traces, it
-    returns the (C,) errors of its rows, each bit for bit the row's own."""
+    returns the (C,) errors of its rows, each bit for bit the row's own.
+
+    With ``zscore`` it is the error of the trace z-scored onto the target's
+    mean and spread (see :class:`Normalizer`), taken from the raw trace in
+    one pass: 2 * std(t) * (1 - rho), where rho is the Pearson correlation
+    of trace and target. It is clamped at 0 from below, and a constant
+    target returns +inf too. Its sums are ``np.add.reduce``, not a BLAS dot,
+    so the value does not depend on the thread count."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
     if y.shape != t.shape and y.shape[1:] != t.shape or t.ndim != 1:
@@ -98,6 +105,20 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray) -> float | np.ndarray:
     n = t.size
     if n < 2:
         raise UsageError(f"need at least 2 samples, got {n}")
+    if zscore:
+        d, sd = _centred(y)
+        dt, sd_t = _centred_target(t)
+        # sum((z - t)**2) / (N * std(z)) with z = d / sd * sd_t + mean(t)
+        # and std(z) = sd_t
+        cov = np.add.reduce(d * dt, -1)
+        if y.ndim == 2:
+            flat = (sd < STD_FLOOR) | (sd_t < STD_FLOOR)
+            e = np.maximum(2.0 * (sd_t - cov / np.where(flat, 1.0, n * sd)), 0.0)
+            e[flat] = math.inf
+            return e
+        if sd < STD_FLOOR or sd_t < STD_FLOOR:
+            return math.inf
+        return float(max(2.0 * (sd_t - cov / (n * sd)), 0.0))
     sd = _centred(y)[1]
     if y.ndim == 2:
         r = y - t
@@ -120,6 +141,20 @@ def _centred(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         return d, math.sqrt(np.add.reduce(d * d) / n)
     d = y - (np.add.reduce(y, 1) / n)[:, None]
     return d, np.sqrt(np.add.reduce(d * d, 1) / n)
+
+
+#: the bytes, centred copy and spread of the last target :func:`nmse`
+#: z-scored against: a search scores every epoch against one target
+_last_target = (b"", None, 0.0)
+
+
+def _centred_target(t: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_centred` of a target vector, computed once per distinct target."""
+    global _last_target
+    last = _last_target
+    if last[0] != (key := t.tobytes()):
+        last = _last_target = (key, *_centred(t))
+    return last[1:]
 
 
 def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
@@ -176,8 +211,10 @@ class Normalizer:
     detection scale. first_epoch: an affine map ``transform = (low, span)``,
     unless given, is frozen from the first trace the normalizer is called on
     (min -> low level, max -> high level) and applied to all later traces.
-    off: raw traces. A (C, N) stack of traces is conditioned row by row, each
-    row bit for bit as alone; first_epoch freezes its map from the first row.
+    off: raw traces. Under off and first_epoch a (C, N) stack of traces is
+    conditioned row by row, each row bit for bit as alone; first_epoch
+    freezes its map from the first row. The search's error never reads a
+    z-scored trace: :func:`nmse` takes the raw one under zscore.
     """
 
     def __init__(self, mode: str, y_target: np.ndarray,
@@ -200,11 +237,6 @@ class Normalizer:
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
         d, sd = _centred(y)
-        if y.ndim == 2:
-            flat = sd < STD_FLOOR
-            z = d / np.where(flat, 1.0, sd)[:, None] * self._t_std + self._t_mean
-            z[flat] = self._t_mean
-            return z
         if sd < STD_FLOOR:
             return np.full_like(y, self._t_mean)
         return d / sd * self._t_std + self._t_mean
@@ -248,17 +280,18 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
 
 
 def _measured(forward_pass, mask, norm, t, epoch=None):
-    """A normalised measurement of ``mask`` and its error, named by ``epoch``
-    (0: the initial one) if it fails. The raw trace is checked first, so numpy
-    never warns of inf - inf inside the normalisation."""
+    """A raw measurement of ``mask`` and the error of its normalised trace,
+    named by ``epoch`` (0: the initial one) if it fails. Under zscore the
+    error reads the raw trace. The trace is checked first, so numpy never
+    warns of inf - inf inside the normalisation."""
     y = np.asarray(forward_pass(mask), dtype=float)
     if y.shape != (t.size,):
         raise UsageError(f"forward_pass returned shape {y.shape}, expected ({t.size},)")
     if not np.isfinite(y).all():
         at = "" if epoch is None else f" at epoch {epoch}"
         raise NumericalError(f"forward_pass returned a non-finite trace{at}")
-    y = norm(y)
-    return y, nmse(y, t)
+    zscore = norm.mode == "zscore"
+    return y, nmse(y if zscore else norm(y), t, zscore=zscore)
 
 
 @dataclass(frozen=True)
@@ -290,8 +323,9 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
              output_transform: tuple[float, float] | None = None) -> Metrics:
     """Measure a mask once and :func:`score` its normalized trace."""
     t = np.asarray(y_target, dtype=float)
-    y_n, err = _measured(forward_pass, mask, Normalizer(normalize, t, output_transform), t)
-    return score(y_n, t, err, threshold_rule)
+    norm = Normalizer(normalize, t, output_transform)
+    y, err = _measured(forward_pass, mask, norm, t)
+    return score(norm(y), t, err, threshold_rule)
 
 
 def score(y_out: np.ndarray, y_target: np.ndarray, err: float,

@@ -91,15 +91,18 @@ def _case(case, idx):
 #: sha256 of every digested output file, pinned before the harness refactor;
 #: the numeric files were re-pinned when the forward pass became one GEMM and
 #: the readout incremental (every mask file kept its digest); the two
-#: comparison cases beyond ``compare`` were pinned later, on unchanged outputs
+#: comparison cases beyond ``compare`` were pinned later, on unchanged outputs.
+#: The history and results files of the zscore cases were re-pinned when the
+#: z-scored error came to be taken from the raw trace in one pass; no mask
+#: file and no off or first_epoch case moved
 GOLDEN = {
     "header": {
         "history_header_s0.csv":
-            "e2b76a7830c4690c5b38233a1eb909cd01d642213edddf099c509ac3549e8177",
+            "7f4cc1fdf927095d8874c8b4b5e1fc136eedac1743001f90e087d26e8ce10dc0",
         "mask_header_s0.json":
             "6558b11912e80f2ffe0199d18a4062dad65d643e61ee621af3ddf1bff5ce4ab6",
         "results.csv":
-            "8740962db760361e0cd1bc6d1e1a6b77565ad76fd347661a49d5eb00f0c1fd85",
+            "fba5ca2f42f170983218426b2574e8c3eaac291a289c9aac682e378f479944cc",
     },
     "header-boolean": {
         "history_header_s0.csv":
@@ -121,11 +124,11 @@ GOLDEN = {
     },
     "compare": {
         "history_boolean_on_digit3_s0.csv":
-            "3e0f6445ba7489de174c9e6393afd34c9963544b2b4d125b7d732fdc28f4ebfc",
+            "a5694ff2f72a6b7fcaa01fcd26d3052e5a4567769e07e7b39059d464972f5b56",
         "history_ternary_off_digit3_s0.csv":
-            "78372383656c081e994155a8069fa43bff434f8da8d02930d5a6bd7edfc2143e",
+            "54da2ecf0340746902812ade549fd3216546705ea9d4cd80a16d437cdb26bee1",
         "history_ternary_on_digit3_s0.csv":
-            "d371bde417393429d229413e41ee56d33f31efb0facb9986c7bd0ea504c5086b",
+            "6d76268fdf2757589e512fc65bdce49ffb84c63c346362e44f85efdfd4e032a4",
         "mask_boolean_on_digit3_s0.json":
             "e35844025fabcdc188e44467a8cd1bd8656c101fce1eabf65e2230b1f51d1fbc",
         "mask_ternary_off_digit3_s0.json":
@@ -133,69 +136,69 @@ GOLDEN = {
         "mask_ternary_on_digit3_s0.json":
             "319f98d5253322cc674d7d45609ae45982873d26fc709d6a8404875d31403340",
         "results.csv":
-            "2c6add99e8c4cdc50443c3d7678c96364b9d5d107c7f28cf5dcd674eb1f6ec1c",
+            "dfb3942c2ca611901e8a42f71b5c4a34b8cbabb781804ea32730a7fadda9b59f",
     },
     "compare-all-digits": {
         "history_boolean_on_digit0_s0.csv":
-            "fed742a10bc00776f534eb646a9a25393c4ac128f2546307ca6289bb7152e0ee",
+            "0e382596b4de278e98ccc2ab244b14dc7336bc88d4e1421a174c41f98b4d7000",
         "history_boolean_on_digit1_s0.csv":
-            "3230f7edb37e62d59f0284bc47870153b1c6a1c40bca5731dfecce273c1067ca",
+            "ca24a969ddd3d4ed47a59ed276d8e0cca92eba37769b098499a3d5d3f0aff0ec",
         "history_boolean_on_digit2_s0.csv":
-            "7c425f4de2918845ed88dd586ca0b058bed5c606136bc65c5a3d55d9ed75f6bf",
+            "4b6aec388b2acfb976a6642f4458ae563a974e0c75f7f578af637ac09cdc2702",
         "history_boolean_on_digit3_s0.csv":
-            "58fd1a2352e9fbd63328ae3a3dc65f255ca07c56ab2f134d942e904861621d46",
+            "bb52044cf66cbbc4164d2d38f4ff6f6a5d6e0d3179369f95a9f21018fba079c1",
         "history_boolean_on_digit4_s0.csv":
-            "af5715c764f4d22912aa243099b291fdcced3078cc939dddf5ce1da1f970e751",
+            "c242c7b339a78bf4cf8de819ebeaee133120761bfb42eb37daf7b9d4eccfa915",
         "history_boolean_on_digit5_s0.csv":
-            "16064428103e8d534adceaa77b9950492497f914fd348581e0896c334ed70264",
+            "9a7253c03fde86eee0700c64ea9cb72aa3b80a1d7945bea2a635fc308b40a0be",
         "history_boolean_on_digit6_s0.csv":
-            "05d1b20a6fbacb5f7e890d21cc86665a5cee0ab3c4b5865f02060807de245188",
+            "85bf593af78c666f15e8e3547067a7da036080a98190a5f6c68f3cc039eeb0cb",
         "history_boolean_on_digit7_s0.csv":
-            "0ced83127beb8a51400f54d9698cef803a9e912063af6aa5ffa1de4fad365d2b",
+            "f4bb8dd2252e2faba0449759a04c141e06e025600e5502559b7058d7c221c7fc",
         "history_boolean_on_digit8_s0.csv":
-            "05c6a54709de83d2bb7f78ce285db0b01b43d9a0b1862b90e8a34df5a57f9887",
+            "a1b79f158e4b5bcab9648c25112699f24d084493074ec6ac7304b7bc16fbed89",
         "history_boolean_on_digit9_s0.csv":
-            "eb57ea47794223fea10a7adec6711de8baf12e771eb180e95d901346a7dcb7b1",
+            "197ca8b78766cfee8b47df3157590e546ed3c8f9813cb0f0cced4dd8c21bd4d7",
         "history_ternary_off_digit0_s0.csv":
-            "483480ac231acc2030f6538551b5d320e3fed269a7a4cf4700ebc53a5c34d6dd",
+            "b1878a59446c8716a4b9bd2694843b6e2b2247c7240053a78a14bde6d0b3e827",
         "history_ternary_off_digit1_s0.csv":
-            "ea2612628a1517e76c89c537499dff2fc1e92e44c0c6784d175a81e2ba132bb1",
+            "441f36dfbf598dffedf82c08cc94799219eccd62d53477ac4612291cc0885f1e",
         "history_ternary_off_digit2_s0.csv":
-            "daa64fe90826a355e225c864ef15d362c854c45e37f0d3ddca167bf07cd6191a",
+            "4d393dcdfec304301d7cf5923e54893a04804a28374f0daa1537a4a7b2d54f76",
         "history_ternary_off_digit3_s0.csv":
-            "333f89e4d5ce273097766bb659a8a6c6c1be6844582f850dac4b235605772894",
+            "03ebca8bdb23fabb3426a1d9542c0e88bfcf19ad6e60ce528ebfe41139cf6a15",
         "history_ternary_off_digit4_s0.csv":
-            "ca6fa6c9e647fef71da118c2e5c1917ebac5fd065681d1ce4f3dddcc1c10dcb1",
+            "f13c47eee7ba803a8bdeae3f1f283829c102edb456abfa5177ae94fae93396cc",
         "history_ternary_off_digit5_s0.csv":
-            "17cae34af9470c3a2a2b0deb8af062dbc7cfe495d434280ac43c625ac6b4a315",
+            "a51e859511500e18775865cbd0b3f78c0c9f2219ee94c533e9613890826fd5d8",
         "history_ternary_off_digit6_s0.csv":
-            "7cb9399659c4f9a5876d7fb85adeed3f7f203f6d9fd0840a9e083bd409962980",
+            "93d36bc3ae6d120bcdb6dd62d77311f8810990e3569b9b83ad2376140ddc2ee5",
         "history_ternary_off_digit7_s0.csv":
-            "14970d59f1b67f817ecd3d8b6e88f21e5e649293cc487fdeaf1c294f3586d733",
+            "34fa6dafddaa1f2e9a38dd1ea62d75d76f13baea463718363e67a0e0cd28b031",
         "history_ternary_off_digit8_s0.csv":
-            "bda8e3e1190abed99c369d51419722d5961907e7700b830f7f2da522afc6e3b1",
+            "ddd6868f8d90c01950d3fd52c9f3f0d20bd81351f346e9164ab0ef85864fce35",
         "history_ternary_off_digit9_s0.csv":
-            "db4053485ce19ed457bb87b15c71c65472d16821d7973d5a1d0005eeee70fa18",
+            "dfb8dfe7d809d19b3029e2b03927dcad6cc6d01abdc71962ddccac925fc71106",
         "history_ternary_on_digit0_s0.csv":
-            "57c00c49f13ca8e1b87e5b62849266f4f7d6d3581866dfdab75ebc274ec4765a",
+            "b25838946f7e8ace869144bc6f306bd8642f53c2490930a4085fca3f52b7cc97",
         "history_ternary_on_digit1_s0.csv":
-            "080f815b09eb4afff9ae400d3454d0cc2c15c8e64627a96afc4e248cff595dd5",
+            "0adf64cd7e789f1fdd89ac7a2c59428a0ecb26db1df0eab88bcb9b209d609288",
         "history_ternary_on_digit2_s0.csv":
-            "0e93d9040114255ab7dc86306bc49e5457cdac3d6b283d628301560b0550606e",
+            "957a85854511af986d2f0a9e013e7e5712625cde7f18b1a431accb7a308104ce",
         "history_ternary_on_digit3_s0.csv":
-            "fbc944b1e2673ff0cc0669683b0cfa789e24ed752a870a532896f0f2714183b7",
+            "9261ad144386fe515935a4992a4b8760b60cf5ab40a026d357d66ca63d5a5c03",
         "history_ternary_on_digit4_s0.csv":
-            "6f44588f2364f2d322fafa94f6434e848e99c834f3d656a7667112c09447e365",
+            "5c948c9468cc6d52d9b57da356ae1a0ef42379417e7abeb99c2d59f2e25571b6",
         "history_ternary_on_digit5_s0.csv":
-            "ee4f7f00fa6a183e1ce466f02e84d73810676028c43c8e790449799f7715b0fe",
+            "bd0a70262c9405d2a2816a388d9060f969fc954d562971e6195c8f4b131afcad",
         "history_ternary_on_digit6_s0.csv":
-            "36353b4b41b24d535bb38f765b5f65dcb7d35f362e4396b213ba5ba84651522d",
+            "97f7392c777a5fc617dd69cc9d03af4378ba18ab2c8ad5331f0e2eeca172b1e1",
         "history_ternary_on_digit7_s0.csv":
-            "1a660267e7be39577a35b618355e75c868e2e9f39fdacfd7e6a7702f8c301ce5",
+            "f0b573b8ce1269353648febafe7e469103934d31b1f4b982f318d5ab94859615",
         "history_ternary_on_digit8_s0.csv":
-            "5a53016faf56d471261583fc83c4a39b1d5cc6bfb9fbc7359eace36fe4d39615",
+            "d6d9bfcfda3aa1d59a6daeeb3b87c58534bc8d2d737e87a892d2fc57a90ce2c9",
         "history_ternary_on_digit9_s0.csv":
-            "5a212a30e0ccce15c81c28142e50634162713d623d199994189b4abc21e27a33",
+            "58e00a3a5e631a01dae130386657ed9fdce9a219aee9ff441a75e0ddf2153616",
         "mask_boolean_on_digit0_s0.json":
             "80b3ed2461043061d98e730621ed6463cbcea3b5afd89d1b7bda82988027f558",
         "mask_boolean_on_digit1_s0.json":
@@ -257,21 +260,21 @@ GOLDEN = {
         "mask_ternary_on_digit9_s0.json":
             "0c94d64ac3c2603a5a67c2aba94132151c541989171eaa63ca7e711590f1f286",
         "results.csv":
-            "16dc484df221d6f08a9e01a3b84365f3179a82c10d9f280b0e9678d5cdafab71",
+            "b48ddc623bb52cfd03f8deecfe73614044a10afde1862c119214528d88139c4e",
     },
     "compare-header": {
         "history_boolean_on_header_s0.csv":
-            "aaeb3b45e299733094696e9a5e443c1568ac524c9b197e432c855059779c124f",
+            "de18918afdd6abf5f513815c16a9fb3258109717d13faf917c5ea080d549108d",
         "history_boolean_on_header_s1.csv":
-            "ca6bd13f92225bd8c81a821d2b56a2d0b3970f0a4de70cf163e2db3da20b9d5c",
+            "6b994ff427ad79182f1e313a52a9d0b7f8dad55056bf0958cfddabc71fbdee61",
         "history_ternary_off_header_s0.csv":
-            "643bb5ce750a07e48da2af41f67c1f5616cdda507a78c6a715c121b4b65b0228",
+            "8cc9a135c2c47e206d8a085c2f1e3b9a6745d8065f0c3126666088acc83612ab",
         "history_ternary_off_header_s1.csv":
-            "4c3f367a3ccfbd7d58108f7503b56ad9bd831e60adc00bcca324f7be63eb178e",
+            "e8fcfc886fe3d98ccc63f9a59e9ecc23fcf8c0033e5999aca6f4fb8b12c8909f",
         "history_ternary_on_header_s0.csv":
-            "3fc7b7f00cbb4b799ed83c0edbc15fc94539b4456f8bc23a3ae8ccd1fb5b408a",
+            "9098940dab7a94472e46c03e28452977f965f4944f82e40cba614cb8f222f8f0",
         "history_ternary_on_header_s1.csv":
-            "4ab922a8fbd5d60269a1ccca30aafb205469ab98766128a662bddb149b6121c3",
+            "a22d67c866c02e6e62a7898713bc21c3dddd40a4f41526165cc2e8e9039f7309",
         "mask_boolean_on_header_s0.json":
             "2db2bc94c4830376c556f00edac08d488880266f34421b5b90c860dccb0ae22e",
         "mask_boolean_on_header_s1.json":
@@ -285,7 +288,7 @@ GOLDEN = {
         "mask_ternary_on_header_s1.json":
             "60b438f23cc63c7d05894d206244a11193cf825c92c3e07481fa59145497df80",
         "results.csv":
-            "3177953129b0ccad3d4b9494d575c985b5c00648e6f6f8f3fb32d916b3006b7d",
+            "90fb23dcf3c225a6eb8d705515e92556c02e36631e495d59c9b02cebb9303c1d",
     },
     "stability": {
         "stability.csv":

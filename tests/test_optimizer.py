@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, NumericalError, UsageError
 from ternrc.harness import BatchReadout, _OutputSink
-from ternrc.optimizer import (NORMALIZE_MODES, STD_FLOOR, TrainConfig, _centred, evaluate,
-                              midpoint_threshold, n_mirrors, nmse, propose, train)
+from ternrc.optimizer import (NORMALIZE_MODES, STD_FLOOR, Normalizer, TrainConfig, _centred,
+                              evaluate, midpoint_threshold, n_mirrors, nmse, propose, train)
 from ternrc.readout import ALPHABETS, MODES, DetectorModel, TernaryMask, random_mask
 from ternrc.substrate import SubstrateConfig, build_substrate, states_matrix
 
@@ -50,6 +50,76 @@ class TestNmse:
             expect = mp.fsum((mp.mpf(a) - mp.mpf(b)) ** 2 for a, b in zip(y, t)) \
                 / (n * mp.sqrt(var))
             assert nmse(y, t) == pytest.approx(float(expect), rel=1e-12)
+
+
+def two_step_zscore_nmse(y, t):
+    """The z-scored error as conditioned trace, then error."""
+    return nmse(Normalizer("zscore", t)(y), t)
+
+
+class TestZscoreNmse:
+    """``nmse(y, t, zscore=True)`` is the error of the z-scored trace, taken
+    from the raw trace as 2 * std(t) * (1 - rho)."""
+
+    @pytest.mark.parametrize("n", [2, 7, 250, 1000])
+    def test_matches_two_step_error(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 37.5, 1e6):
+            for _ in range(200):
+                t = rng.standard_normal(n) if rng.random() < 0.5 else \
+                    (rng.random(n) > 0.5).astype(float)
+                t[:2] = (0.0, 1.0)
+                y = (t * rng.uniform(-1, 1) + rng.standard_normal(n) * rng.uniform(0.01, 2)) \
+                    * scale + rng.uniform(-3, 3) * scale
+                got, want = nmse(y, t, zscore=True), two_step_zscore_nmse(y, t)
+                assert abs(got - want) <= max(1e-12 * want, 1e-15), (got, want)
+
+    def test_constant_trace_or_target_is_inf(self):
+        t = np.array([0.0, 1.0, 0.0, 1.0])
+        assert nmse(np.full(4, 3.0), t, zscore=True) == math.inf
+        assert nmse(np.array([3.0, 3.0 + 1e-14, 3.0, 3.0]), t, zscore=True) == math.inf
+        assert nmse(np.array([0.1, 0.9, 0.4, 0.6]), np.full(4, 0.5), zscore=True) == math.inf
+        assert two_step_zscore_nmse(np.full(4, 3.0), t) == math.inf
+
+    def test_hand_computed_value(self):
+        # anti-correlated with a +-1 target: rho = -1, so 2 * 1 * (1 - (-1))
+        assert nmse(np.array([3.0, 1.0]), np.array([-1.0, 1.0]), zscore=True) == 4.0
+
+    def test_never_negative_on_a_perfect_trace(self):
+        rng = np.random.default_rng(23)
+        for n in (2, 7, 250, 1000):
+            for _ in range(100):
+                t = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+                for y in (t, t * rng.uniform(1e-3, 1e6) + rng.uniform(-1e3, 1e3)):
+                    e = nmse(y.copy(), t, zscore=True)
+                    assert 0.0 <= e <= 1e-12 * float(np.std(t))
+                    assert np.float64(e).tobytes() != np.float64(-0.0).tobytes()
+
+    @pytest.mark.parametrize("c", [1, 7, 64])
+    @pytest.mark.parametrize("n", [2, 40, 250, 1001])
+    def test_stack_rows_match_one_trace(self, c, n):
+        rng = np.random.default_rng(47 * c + n)
+        t = (rng.random(n) > 0.5).astype(float)
+        t[:2] = (0.0, 1.0)
+        rows = (t * rng.uniform(-1, 1, size=(c, 1)) + rng.standard_normal((c, n))) \
+            * rng.uniform(1e-3, 1e6, size=(c, 1))
+        rows[0] = t  # a perfect row
+        rows[-1] = 3.0  # a constant row
+        got = nmse(rows, t, zscore=True)
+        assert got.shape == (c,) and got[-1] == math.inf
+        assert [v.hex() for v in got.tolist()] == [nmse(r.copy(), t, zscore=True).hex()
+                                                   for r in rows]
+
+    def test_target_changed_in_place_is_read_afresh(self):
+        # the target's statistics are kept between calls, keyed by its bytes
+        rng = np.random.default_rng(29)
+        y, t = rng.standard_normal(50), rng.standard_normal(50)
+        first = nmse(y, t, zscore=True)
+        t[:25] += 1.0
+        got = nmse(y, t, zscore=True)
+        nmse(y, rng.standard_normal(50), zscore=True)  # another target in between
+        assert got == nmse(y, t.copy(), zscore=True) != first
+        assert t.flags.writeable
 
 
 class TestNMirrors:
@@ -423,7 +493,8 @@ def reference_train(rig, t, cfg, k):
 
 class TestOldPathOracle:
     """At stock size (N = 1000 samples, K = 448 nodes) the optimized loop
-    reproduces the plain numpy loop bit for bit."""
+    reproduces the plain numpy loop: bit for bit under off and first_epoch,
+    every mask and decision exactly and the error to rounding under zscore."""
 
     @staticmethod
     def rigs(rig_cls, det_cls):
@@ -436,6 +507,8 @@ class TestOldPathOracle:
     @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
     @pytest.mark.parametrize("mode", MODES)
     def test_history_and_mask_bytes_match(self, mode, normalize):
+        # under zscore the error is taken from the raw trace in one pass, so
+        # it matches the old error to rounding; every decision stays exact
         rig, labels = self.rigs(BatchReadout, DetectorModel)
         ref_rig, _ = self.rigs(OldRig, OldDetector)
         assert rig.n_nodes == 448
@@ -445,9 +518,16 @@ class TestOldPathOracle:
         mask, history = reference_train(ref_rig, t, cfg, 448)
         assert result.best_mask.weights.tobytes() == mask.weights.tobytes()
         assert result.best_mask.mode == mask.mode
-        got = [(r.epoch, np.float64(r.nmse_best).tobytes(), r.n_mirrors, r.accepted)
-               for r in result.history]
-        assert got == [(ep, np.float64(b).tobytes(), n, acc) for ep, b, n, acc in history]
+        assert [(r.epoch, r.n_mirrors, r.accepted) for r in result.history] == \
+            [(ep, n, acc) for ep, _, n, acc in history]
+        got = [r.nmse_best for r in result.history]
+        want = [b for _, b, _, _ in history]
+        if normalize == "zscore":
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            assert any(r.accepted for r in result.history)
+        else:
+            assert [np.float64(v).tobytes() for v in got] == \
+                [np.float64(v).tobytes() for v in want]
         assert rig.detector._rng.bit_generator.state == ref_rig.detector._rng.bit_generator.state
 
 
