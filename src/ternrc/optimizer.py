@@ -108,14 +108,13 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False) -> float
     if zscore:
         d, sd = _centred(y)
         dt, sd_t = _centred_target(t)
-        # sum((z - t)**2) / (N * std(z)) with z = d / sd * sd_t + mean(t)
-        # and std(z) = sd_t
+        # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
+        # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
         cov = np.add.reduce(d * dt, -1)
         if y.ndim == 2:
-            flat = (sd < STD_FLOOR) | (sd_t < STD_FLOOR)
-            e = np.maximum(2.0 * (sd_t - cov / np.where(flat, 1.0, n * sd)), 0.0)
-            e[flat] = math.inf
-            return e
+            # a flat row's spread is raised to the floor only to divide safely
+            e = np.maximum(2.0 * (sd_t - cov / (n * np.maximum(sd, STD_FLOOR))), 0.0)
+            return np.where((sd < STD_FLOOR) | (sd_t < STD_FLOOR), math.inf, e)
         if sd < STD_FLOOR or sd_t < STD_FLOOR:
             return math.inf
         return float(max(2.0 * (sd_t - cov / (n * sd)), 0.0))
@@ -187,15 +186,13 @@ def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
     k = len(mask)
     if not 1 <= n <= k:
         raise UsageError(f"n must be in [1, {k}], got {n}")
+    # a one-mirror move draws scalars: size=1's values and stream position
+    # without its size check
+    size = None if n == 1 else n
+    positions = rng.integers(0, k, size=size)
     alphabet = ALPHABETS[mask.mode]
-    # rng.choice(alphabet, size=n)'s values and stream position, without its
-    # overhead; a one-mirror move draws scalars, which give size=1's values
-    # and stream position without its size check
-    if n == 1:
-        positions, values = rng.integers(0, k), alphabet[rng.integers(0, alphabet.size)]
-    else:
-        positions = rng.integers(0, k, size=n)
-        values = alphabet[rng.integers(0, alphabet.size, size=n)]
+    # rng.choice(alphabet, size=n)'s values and stream position, without its overhead
+    values = alphabet[rng.integers(0, alphabet.size, size=size)]
     w = np.array(mask.weights, dtype=np.int8, copy=True)
     # duplicate positions resolve to the last drawn value, as in a sequential loop
     w[positions] = values
@@ -236,6 +233,8 @@ class Normalizer:
                 self.transform = (lo, hi - lo if hi > lo else 1.0)
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
+        if y.ndim != 1:
+            raise UsageError(f"a zscore normalizer takes one trace, got shape {y.shape}")
         d, sd = _centred(y)
         if sd < STD_FLOOR:
             return np.full_like(y, self._t_mean)

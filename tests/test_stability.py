@@ -166,6 +166,8 @@ class TestRowStatistics:
             stacked = Normalizer(mode, t)
             assert stacked(rows).tobytes() == want.tobytes()
             assert stacked.transform == one.transform
+        with pytest.raises(UsageError, match="one trace"):
+            Normalizer("zscore", t)(rows)
 
     def test_all_rows_equal_to_a_constant_reference(self):
         # as for two identical vectors, identity wins over the constant check
