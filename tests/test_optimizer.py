@@ -507,8 +507,6 @@ class TestOldPathOracle:
     @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
     @pytest.mark.parametrize("mode", MODES)
     def test_history_and_mask_bytes_match(self, mode, normalize):
-        # under zscore the error is taken from the raw trace in one pass, so
-        # it matches the old error to rounding; every decision stays exact
         rig, labels = self.rigs(BatchReadout, DetectorModel)
         ref_rig, _ = self.rigs(OldRig, OldDetector)
         assert rig.n_nodes == 448
