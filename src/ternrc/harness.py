@@ -192,9 +192,15 @@ class BatchReadout:
         near = h.index(min(h)) if h else 0
         # h gathered columns cost about as much as 8h columns of a product
         if h and 8 * h[near] < self.n_nodes and self._bases[near][3] != key:
-            diff = (plane != self._bases[near][0]).nonzero()[0]
-            self._bases[near][3] = key
-            return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
+            base = self._bases[near]
+            base[3] = key
+            diff = (plane != base[0]).nonzero()[0]
+            if diff.size == 1:
+                # +-1 times one column is exact: the product's own bits,
+                # without its gather and sign vector
+                col = self.states[:, diff[0]]
+                return base[1] + col if plane[diff[0]] else base[1] - col
+            return base[1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
         p = self.states @ plane.astype(float)
         p.setflags(write=False)
         if len(self._bases) == 2:
