@@ -192,15 +192,9 @@ class BatchReadout:
         near = h.index(min(h)) if h else 0
         # h gathered columns cost about as much as 8h columns of a product
         if h and 8 * h[near] < self.n_nodes and self._bases[near][3] != key:
-            base = self._bases[near]
-            base[3] = key
-            diff = (plane != base[0]).nonzero()[0]
-            if diff.size == 1:
-                # +-1 times one column is exact: the product's own bits,
-                # without its gather and sign vector
-                col = self.states[:, diff[0]]
-                return base[1] + col if plane[diff[0]] else base[1] - col
-            return base[1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
+            diff = (plane != self._bases[near][0]).nonzero()[0]
+            self._bases[near][3] = key
+            return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
         p = self.states @ plane.astype(float)
         p.setflags(write=False)
         if len(self._bases) == 2:
@@ -492,7 +486,6 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
 
     t = batches[1].targets
     norm = Normalizer(cfg.train.normalize, t)
-    zscore = cfg.train.normalize == "zscore"
     buf = np.empty((min(n_checks, STABILITY_BLOCK), t.size))
     rows = []
     for start in range(0, n_checks, STABILITY_BLOCK):
@@ -509,8 +502,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
             reference = block[0].copy()
         rows += [{"check": start + i, "consistency": c, "nmse": e, "gain": g}
                  for i, (c, e, g) in enumerate(zip(consistency(reference, block).tolist(),
-                                                   nmse(block if zscore else norm(block), t,
-                                                        zscore=zscore).tolist(), gains))]
+                                                   nmse(*norm.error_args(block)).tolist(), gains))]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows
 

@@ -107,7 +107,7 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False) -> float
         raise UsageError(f"need at least 2 samples, got {n}")
     if zscore:
         d, sd = _centred(y)
-        dt, sd_t = _centred_target(t)
+        dt, sd_t = _centred(t)
         # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
         # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
         cov = np.add.reduce(d * dt, -1)
@@ -140,20 +140,6 @@ def _centred(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         return d, math.sqrt(np.add.reduce(d * d) / n)
     d = y - (np.add.reduce(y, 1) / n)[:, None]
     return d, np.sqrt(np.add.reduce(d * d, 1) / n)
-
-
-#: the bytes, centred copy and spread of the last target :func:`nmse`
-#: z-scored against: a search scores every epoch against one target
-_last_target = (b"", None, 0.0)
-
-
-def _centred_target(t: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`_centred` of a target vector, computed once per distinct target."""
-    global _last_target
-    last = _last_target
-    if last[0] != (key := t.tobytes()):
-        last = _last_target = (key, *_centred(t))
-    return last[1:]
 
 
 def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
@@ -210,13 +196,14 @@ class Normalizer:
     (min -> low level, max -> high level) and applied to all later traces.
     off: raw traces. Under off and first_epoch a (C, N) stack of traces is
     conditioned row by row, each row bit for bit as alone; first_epoch
-    freezes its map from the first row. The search's error never reads a
-    z-scored trace: :func:`nmse` takes the raw one under zscore.
+    freezes its map from the first row. The search's error,
+    ``nmse(*norm.error_args(y))``, never builds a z-scored trace.
     """
 
     def __init__(self, mode: str, y_target: np.ndarray,
                  transform: tuple[float, float] | None = None):
         self.mode = mode
+        self._t = np.asarray(y_target, dtype=float)
         self._t_mean = float(np.mean(y_target))
         self._t_std = float(np.std(y_target))
         self._lo_level = float(np.min(y_target))
@@ -240,6 +227,15 @@ class Normalizer:
             return np.full_like(y, self._t_mean)
         return d / sd * self._t_std + self._t_mean
 
+    def error_args(self, y: np.ndarray, z: np.ndarray | None = None) -> tuple:
+        """The arguments of :func:`nmse` for the raw trace ``y`` (or a (C, N)
+        stack) under this normalisation: under zscore the raw trace itself,
+        for the one-pass error; otherwise ``self(y)``, or ``z`` if it is
+        already made."""
+        if self.mode == "zscore":
+            return y, self._t, True
+        return self(y) if z is None else z, self._t, False
+
 
 def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarray,
           cfg: TrainConfig, n_nodes: int) -> TrainResult:
@@ -256,7 +252,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     mask = random_mask(n_nodes, cfg.mode, rng)
 
     norm = Normalizer(cfg.normalize, t)
-    best = _measured(forward_pass, mask, norm, t, 0)[1]
+    best = nmse(*norm.error_args(_measured(forward_pass, mask, t, 0)))
     initial = best
 
     history: list[EpochRecord] = []
@@ -264,7 +260,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     for epoch in range(1, cfg.max_epochs + 1):
         n = n_mirrors(cfg.alpha, best, cap=n_nodes)
         cand = propose(mask, n, rng)
-        e = _measured(forward_pass, cand, norm, t, epoch)[1]
+        e = nmse(*norm.error_args(_measured(forward_pass, cand, t, epoch)))
         accepted = e < best
         if accepted:
             mask, best = cand, e
@@ -278,19 +274,17 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
                        initial_nmse=initial, output_transform=norm.transform)
 
 
-def _measured(forward_pass, mask, norm, t, epoch=None):
-    """A raw measurement of ``mask`` and the error of its normalised trace,
-    named by ``epoch`` (0: the initial one) if it fails. Under zscore the
-    error reads the raw trace. The trace is checked first, so numpy never
-    warns of inf - inf inside the normalisation."""
+def _measured(forward_pass, mask, t, epoch=None):
+    """A raw measurement of ``mask``, named by ``epoch`` (0: the initial one)
+    if it fails. The trace is checked here, so numpy never warns of inf - inf
+    inside a normalisation."""
     y = np.asarray(forward_pass(mask), dtype=float)
     if y.shape != (t.size,):
         raise UsageError(f"forward_pass returned shape {y.shape}, expected ({t.size},)")
     if not np.isfinite(y).all():
         at = "" if epoch is None else f" at epoch {epoch}"
         raise NumericalError(f"forward_pass returned a non-finite trace{at}")
-    zscore = norm.mode == "zscore"
-    return y, nmse(y if zscore else norm(y), t, zscore=zscore)
+    return y
 
 
 @dataclass(frozen=True)
@@ -323,8 +317,9 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
     """Measure a mask once and :func:`score` its normalized trace."""
     t = np.asarray(y_target, dtype=float)
     norm = Normalizer(normalize, t, output_transform)
-    y, err = _measured(forward_pass, mask, norm, t)
-    return score(norm(y), t, err, threshold_rule)
+    y = _measured(forward_pass, mask, t)
+    z = norm(y)
+    return score(z, t, nmse(*norm.error_args(y, z)), threshold_rule)
 
 
 def score(y_out: np.ndarray, y_target: np.ndarray, err: float,

@@ -110,17 +110,6 @@ class TestZscoreNmse:
         assert [v.hex() for v in got.tolist()] == [nmse(r.copy(), t, zscore=True).hex()
                                                    for r in rows]
 
-    def test_target_changed_in_place_is_read_afresh(self):
-        # the target's statistics are kept between calls, keyed by its bytes
-        rng = np.random.default_rng(29)
-        y, t = rng.standard_normal(50), rng.standard_normal(50)
-        first = nmse(y, t, zscore=True)
-        t[:25] += 1.0
-        got = nmse(y, t, zscore=True)
-        nmse(y, rng.standard_normal(50), zscore=True)  # another target in between
-        assert got == nmse(y, t.copy(), zscore=True) != first
-        assert t.flags.writeable
-
 
 class TestNMirrors:
     def test_alpha_zero_flips_exactly_one(self):
@@ -554,6 +543,23 @@ class TestNormalization:
         y0 = states @ random_mask(5, "ternary", np.random.default_rng(4)).weights.astype(float)
         assert lo == pytest.approx(y0.min())
         assert span == pytest.approx(y0.max() - y0.min())
+
+
+    @pytest.mark.parametrize("mode", NORMALIZE_MODES)
+    def test_error_args_pick_the_trace_the_error_reads(self, mode):
+        # zscore hands nmse the raw trace for its one-pass form; off and
+        # first_epoch hand it the normalised trace, or the one given
+        rng = np.random.default_rng(17)
+        t = rng.standard_normal(30)
+        y, block = rng.standard_normal(30), rng.standard_normal((4, 30))
+        norm = Normalizer(mode, t)
+        zscore = mode == "zscore"
+        for trace in (y, block):
+            want = nmse(trace, t, zscore=True) if zscore else nmse(norm(trace), t)
+            assert np.array_equal(nmse(*norm.error_args(trace)), want)
+        z = block[0]
+        args = norm.error_args(y, z)
+        assert args[0] is (y if zscore else z) and args[2] is zscore
 
 
 class TestEvaluate:

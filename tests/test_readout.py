@@ -337,19 +337,6 @@ class TestDeltaReadout:
             for x, y in ((a, b), (a, ~a), (a, a), (np.zeros(k, bool), np.ones(k, bool))):
                 assert (key(x) ^ key(y)).bit_count() == np.count_nonzero(x != y)
 
-    def test_one_column_correction_is_the_product_formula(self):
-        # a plane one position from its base adds or subtracts that column,
-        # the bits of the one-column product it replaces
-        rig = self.rig(grid_side=24)
-        plus = planes(random_mask(rig.n_nodes, "ternary", 6))[0]
-        base = rig.power(plus)
-        for j in (*np.flatnonzero(plus)[:20], *np.flatnonzero(~plus)[:20]):
-            moved = plus.copy()
-            moved[j] = not plus[j]
-            want = base + rig.states[:, [j]] @ np.array([1.0 if moved[j] else -1.0])
-            assert rig.power(moved).tobytes() == want.tobytes()
-            assert rig._bases[0][1] is base
-
     def test_states_read_only(self):
         rig = self.rig()
         assert rig.states.flags.f_contiguous
