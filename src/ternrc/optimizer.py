@@ -84,7 +84,8 @@ class TrainResult:
         return sum(r.accepted for r in self.history)
 
 
-def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False) -> float | np.ndarray:
+def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
+         centred_target: tuple[np.ndarray, float] | None = None) -> float | np.ndarray:
     """Normalized mean square error of a measured trace against its target:
     sum of squared residuals over N times the population standard deviation
     of the trace. A (near-)constant trace has no usable spread and returns
@@ -96,7 +97,9 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False) -> float
     one pass: 2 * std(t) * (1 - rho), where rho is the Pearson correlation
     of trace and target. It is clamped at 0 from below, and a constant
     target returns +inf too. Its sums are ``np.add.reduce``, not a BLAS dot,
-    so the value does not depend on the thread count."""
+    so the value does not depend on the thread count. ``centred_target`` is
+    the target's centred copy and spread, ``_centred(y_target)``, when the
+    caller holds them: a search scores every epoch against one target."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
     if y.shape != t.shape and y.shape[1:] != t.shape or t.ndim != 1:
@@ -107,7 +110,7 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False) -> float
         raise UsageError(f"need at least 2 samples, got {n}")
     if zscore:
         d, sd = _centred(y)
-        dt, sd_t = _centred(t)
+        dt, sd_t = _centred(t) if centred_target is None else centred_target
         # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
         # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
         cov = np.add.reduce(d * dt, -1)
@@ -203,7 +206,8 @@ class Normalizer:
     def __init__(self, mode: str, y_target: np.ndarray,
                  transform: tuple[float, float] | None = None):
         self.mode = mode
-        self._t = np.asarray(y_target, dtype=float)
+        self._t = np.array(y_target, dtype=float)
+        self._centred_t = _centred(self._t)
         self._t_mean = float(np.mean(y_target))
         self._t_std = float(np.std(y_target))
         self._lo_level = float(np.min(y_target))
@@ -230,11 +234,11 @@ class Normalizer:
     def error_args(self, y: np.ndarray, z: np.ndarray | None = None) -> tuple:
         """The arguments of :func:`nmse` for the raw trace ``y`` (or a (C, N)
         stack) under this normalisation: under zscore the raw trace itself,
-        for the one-pass error; otherwise ``self(y)``, or ``z`` if it is
-        already made."""
+        for the one-pass error, with the target centred once per normaliser;
+        otherwise ``self(y)``, or ``z`` if it is already made."""
         if self.mode == "zscore":
-            return y, self._t, True
-        return self(y) if z is None else z, self._t, False
+            return y, self._t, True, self._centred_t
+        return self(y) if z is None else z, self._t, False, None
 
 
 def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarray,

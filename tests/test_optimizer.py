@@ -111,6 +111,14 @@ class TestZscoreNmse:
                                                    for r in rows]
 
 
+    def test_given_centred_target_is_the_same_error(self):
+        rng = np.random.default_rng(31)
+        t = rng.standard_normal(40)
+        for y in (rng.standard_normal(40), rng.standard_normal((5, 40))):
+            got = nmse(y, t, zscore=True, centred_target=_centred(t))
+            assert np.asarray(got).tobytes() == np.asarray(nmse(y, t, zscore=True)).tobytes()
+
+
 class TestNMirrors:
     def test_alpha_zero_flips_exactly_one(self):
         assert n_mirrors(0.0, 0.9, cap=448) == 1
@@ -560,6 +568,10 @@ class TestNormalization:
         z = block[0]
         args = norm.error_args(y, z)
         assert args[0] is (y if zscore else z) and args[2] is zscore
+        # the normaliser holds its own copy of the target and its statistics
+        before = nmse(*norm.error_args(y))
+        t += 1.0
+        assert nmse(*norm.error_args(y)) == before
 
 
 class TestEvaluate:
