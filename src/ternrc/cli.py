@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -30,36 +29,33 @@ def _default_doc(command: str) -> dict:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The file or default document with the flags written into it, checked
+    by ``from_json`` before (its own derived seeds) and after (the flags)."""
     doc = _default_doc(args.command)
     if args.config:
         try:
             doc = Path(args.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    cfg = ExperimentConfig.from_json(doc)
+    doc = ExperimentConfig.from_json(doc).to_json_dict()
+    del doc["derived_seeds"]  # derived again from the flags' seeds
     if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            substrate=dataclasses.replace(cfg.substrate, seed=args.seed),
-            train=dataclasses.replace(cfg.train, seed=args.seed))
+        doc["substrate"]["seed"] = doc["train"]["seed"] = args.seed
     if args.out is not None:
-        cfg = dataclasses.replace(cfg, output_dir=args.out)
+        doc["output_dir"] = args.out
     if args.repeats is not None:
-        cfg = dataclasses.replace(cfg, repeats=args.repeats)
+        doc["repeats"] = args.repeats
     if getattr(args, "alphas", None) is not None:
         if not args.alphas.strip():
             raise UsageError("--alphas is empty; give comma-separated mutation gains")
         try:
-            alphas = tuple(float(v) for v in args.alphas.split(","))
+            doc["alphas"] = [float(v) for v in args.alphas.split(",")]
         except ValueError as exc:
             raise UsageError(f"--alphas must be comma-separated numbers: {exc}") from exc
-        cfg = dataclasses.replace(cfg, alphas=alphas)
-    if cfg.task.type == "mnist":
-        paths = {name: getattr(args, f"mnist_{name}") for name in
-                 ("images", "labels", "test_images", "test_labels")}
-        cfg = dataclasses.replace(cfg, task=dataclasses.replace(
-            cfg.task, **{name: path for name, path in paths.items() if path}))
-    return cfg
+    for name in ("images", "labels", "test_images", "test_labels"):
+        if path := getattr(args, f"mnist_{name}"):
+            doc["task"][name] = path
+    return ExperimentConfig.from_json(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -96,9 +96,9 @@ class ExperimentConfig:
         """Parse and check a config document, the exact inverse of
         :meth:`to_json_dict`. Omitted fields take the dataclass defaults, and
         a header task's omitted substrate ``input_side`` is its
-        ``image_side``; an unknown, malformed or mistyped field, or a
-        ``derived_seeds`` record this config does not derive, raises
-        :class:`ConfigError`."""
+        ``image_side``; an unknown, malformed, mistyped or too deeply nested
+        field, or a ``derived_seeds`` record this config does not derive,
+        raises :class:`ConfigError`."""
         try:
             top = _section(cls, json.loads(doc) if isinstance(doc, str) else doc, "config",
                            "derived_seeds")
@@ -120,7 +120,7 @@ class ExperimentConfig:
                                   f"config derives, {cfg.derived_seeds()!r}")
         except ConfigError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         return cfg
 
@@ -227,16 +227,11 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int, partitions,
     train_part, test_part = partitions
     seed = derive_seed(cfg.train.seed, f"batch-d{digit}", repeat)
     side = cfg.substrate.input_side
-    train_batch = make_onevsall_batch(train_part, digit, t.n_samples, seed, draw=0,
-                                      input_side=side, target_levels=levels)
-    if test_part is not None:
-        test_batch = make_onevsall_batch(test_part, digit, t.n_samples,
-                                         derive_seed(cfg.train.seed, f"batch-test-d{digit}", repeat),
-                                         draw=0, input_side=side, target_levels=levels)
-    else:
-        test_batch = make_onevsall_batch(train_part, digit, t.n_samples, seed, draw=1,
-                                         input_side=side, target_levels=levels)
-    return train_batch, test_batch
+    test = ((test_part, derive_seed(cfg.train.seed, f"batch-test-d{digit}", repeat), 0)
+            if test_part is not None else (train_part, seed, 1))
+    return tuple(make_onevsall_batch(part, digit, t.n_samples, part_seed, draw=draw,
+                                     input_side=side, target_levels=levels)
+                 for part, part_seed, draw in ((train_part, seed, 0), test))
 
 
 def _task_batches(cfg: ExperimentConfig, digits=(None,)):

@@ -53,8 +53,9 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         lo, hi = self.target_levels
-        if not lo < hi:
-            raise ConfigError(f"target levels must satisfy low < high, got {self.target_levels}")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError(f"target levels must be finite with low < high, got "
+                              f"{self.target_levels}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
         if self.normalize not in NORMALIZE_MODES:
@@ -209,7 +210,6 @@ class Normalizer:
         self._t = np.array(y_target, dtype=float)
         self._centred_t = _centred(self._t)
         self._t_mean = float(np.mean(y_target))
-        self._t_std = float(np.std(y_target))
         self._lo_level = float(np.min(y_target))
         self._hi_level = float(np.max(y_target))
         self.transform = transform
@@ -229,7 +229,7 @@ class Normalizer:
         d, sd = _centred(y)
         if sd < STD_FLOOR:
             return np.full_like(y, self._t_mean)
-        return d / sd * self._t_std + self._t_mean
+        return d / sd * self._centred_t[1] + self._t_mean
 
     def error_args(self, y: np.ndarray, z: np.ndarray | None = None) -> tuple:
         """The arguments of :func:`nmse` for the raw trace ``y`` (or a (C, N)

@@ -22,7 +22,7 @@ ALPHABETS = {"boolean": np.array([0, 1], dtype=np.int8),
 MODES = tuple(ALPHABETS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TernaryMask:
     """Readout weight vector with entries in {-1, 0, +1}.
 
@@ -53,10 +53,6 @@ class TernaryMask:
 
     def __len__(self) -> int:
         return self.weights.size
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TernaryMask) and self.mode == other.mode
-                and np.array_equal(self.weights, other.weights))
 
 
 def random_mask(length: int, mode: str = "ternary", seed: int | np.random.Generator = 0) -> TernaryMask:

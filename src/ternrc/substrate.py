@@ -197,9 +197,7 @@ def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
     batch are this response to its laser-off states."""
     x = p
     if substrate.config.vcsel_on:
-        s = substrate.config.saturation
-        if s > 0:
-            x = p / (1.0 + s * p)
+        x = p / (1.0 + substrate.config.saturation * p)
         if substrate._coupling is not None:
             x = (substrate._coupling @ x.T).T
     if not np.all(np.isfinite(x)) or np.any(x < 0):

@@ -306,10 +306,8 @@ def make_glyph_dataset(n_images: int, seed: int, distortion: float = 1.0) -> Dig
     ``n_images`` is an integer >= 1, ``seed`` an integer in [0, 2**32) and
     ``distortion`` a finite real >= 0; anything else raises ``UsageError``.
     The work arrays are bounded per block of ``_GLYPH_BLOCK`` images."""
-    if not (_is_number(n_images, numbers.Integral) and n_images >= 1):
-        raise UsageError(f"n_images must be an integer >= 1, got {n_images!r}")
-    if not (_is_number(seed, numbers.Integral) and 0 <= seed < 2 ** 32):
-        raise UsageError(f"seed must be an integer in [0, 2**32), got {seed!r}")
+    n_images = _check_count(n_images, "n_images", 1)
+    seed = _check_count(seed, "seed", 0, 2 ** 32 - 1)
     if not (_is_number(distortion, numbers.Real) and 0 <= distortion < np.inf):
         raise UsageError(f"distortion must be a finite real >= 0, got {distortion!r}")
     rng = np.random.default_rng(seed)

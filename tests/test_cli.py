@@ -18,7 +18,7 @@ import pytest
 
 from ternrc.cli import _default_doc, _load_config, build_parser, main
 from ternrc.errors import ConfigError, UsageError
-from ternrc.harness import ExperimentConfig
+from ternrc.harness import ExperimentConfig, derive_seed
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import SubstrateConfig
 from ternrc.tasks import HeaderTask, MnistTask, write_idx_images, write_idx_labels
@@ -415,6 +415,7 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": {**VALID_TRAIN, "seed": 2 ** 32}},
     {"train": {**VALID_TRAIN, "target_levels": 1.0}},
     {"train": VALID_TRAIN, "alphas": 5},
+    {"train": {**VALID_TRAIN, "target_levels": [0.0, float("inf")]}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
@@ -423,7 +424,7 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "fractional-grid-side", "fractional-train-seed", "boolean-alpha",
         "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits",
         "negative-substrate-seed", "train-seed-2-pow-32", "scalar-target-levels",
-        "scalar-alphas"])
+        "scalar-alphas", "infinite-target-level"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -477,6 +478,48 @@ def test_idx_flags_override_task_paths():
                                       "--mnist-test-images", "c", "--mnist-test-labels", "d"])
     task = _load_config(args).task
     assert (task.images, task.labels, task.test_images, task.test_labels) == ("a", "b", "c", "d")
+
+
+def test_digit_flags_on_header_task_exit_2(capsys):
+    # the flags are written into the config document, where a header task
+    # has no IDX fields
+    assert main(["header", "--mnist-images", "a", "--mnist-labels", "b"]) == 2
+    assert "unknown task fields: ['images', 'labels']" in capsys.readouterr().err
+
+
+def test_flags_load_as_the_document_holding_them():
+    args = build_parser().parse_args(["alpha-scan", "--seed", "7", "--repeats", "2",
+                                      "--out", "d", "--alphas", "0,5"])
+    doc = {**_default_doc("alpha-scan"), "repeats": 2, "output_dir": "d", "alphas": [0, 5]}
+    doc["substrate"] = {"seed": 7}
+    doc["train"] = {**doc["train"], "seed": 7}
+    cfg = _load_config(args)
+    assert cfg == ExperimentConfig.from_json(doc)
+    assert cfg.substrate.seed == cfg.train.seed == 7
+    assert cfg.to_json_dict()["derived_seeds"] == {
+        f"repeat{r}": {"substrate": derive_seed(7, "substrate", r)} for r in range(2)}
+
+
+def test_resolved_config_loads_with_new_seed(tmp_path):
+    # the file's derived_seeds record is checked against its own seeds, then
+    # derived again from the flag's
+    doc = _default_doc("header")
+    resolved = tmp_path / "config.resolved.json"
+    resolved.write_text(json.dumps(ExperimentConfig.from_json(doc).to_json_dict(),
+                                   sort_keys=True, indent=2))
+    args = build_parser().parse_args(["header", "--config", str(resolved), "--seed", "7"])
+    assert _load_config(args) == ExperimentConfig.from_json(
+        {**doc, "substrate": {"seed": 7}, "train": {**doc["train"], "seed": 7}})
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # json.loads raises RecursionError on a document nested this deep
+    config = tmp_path / "deep.json"
+    config.write_text('{"alphas": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["header", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid config")
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_json(config.read_text())
 
 
 def test_unreadable_config_exits_2(tmp_path):

@@ -218,7 +218,8 @@ class TestPropose:
         for _ in range(2000):
             cand = propose(mask, int(rng.integers(1, 449)), rng)
             assert cand.weights.dtype == np.int8 and cand.mode == mode
-            assert TernaryMask(weights=cand.weights, mode=mode) == cand
+            rebuilt = TernaryMask(weights=cand.weights, mode=mode)
+            assert rebuilt.mode == cand.mode and np.array_equal(rebuilt.weights, cand.weights)
             if rng.random() < 0.1:
                 mask = cand
 
@@ -294,7 +295,8 @@ class TestTrain:
         cfg = TrainConfig(alpha=8.0, max_epochs=60, mode="ternary", seed=5)
         a = train(linear_forward(states), targets, cfg, n_nodes=7)
         b = train(linear_forward(states), targets, cfg, n_nodes=7)
-        assert a.best_mask == b.best_mask
+        assert a.best_mask.mode == b.best_mask.mode
+        assert np.array_equal(a.best_mask.weights, b.best_mask.weights)
         assert a.history == b.history
         assert a.final_nmse == b.final_nmse
 
@@ -535,7 +537,8 @@ class TestNormalization:
                           normalize="zscore")
         a = train(linear_forward(states), targets, cfg, n_nodes=5)
         b = train(linear_forward(states * 1000.0), targets, cfg, n_nodes=5)
-        assert a.best_mask == b.best_mask
+        assert a.best_mask.mode == b.best_mask.mode
+        assert np.array_equal(a.best_mask.weights, b.best_mask.weights)
         for ra, rb in zip(a.history, b.history):
             assert (ra.epoch, ra.n_mirrors, ra.accepted) == (rb.epoch, rb.n_mirrors, rb.accepted)
             assert ra.nmse_best == pytest.approx(rb.nmse_best, rel=1e-9)

@@ -482,4 +482,5 @@ def test_numpy_integer_counts_accepted():
                   input_side=np.int32(32))
     b = _onevsall(draw=1, input_side=32)
     assert a.pixels.tobytes() == b.pixels.tobytes() and np.array_equal(a.labels, b.labels)
-    assert random_mask(np.int64(7), "ternary", 2) == random_mask(7, "ternary", 2)
+    a, b = random_mask(np.int64(7), "ternary", 2), random_mask(7, "ternary", 2)
+    assert a.mode == b.mode and np.array_equal(a.weights, b.weights)
