@@ -23,6 +23,10 @@ NORMALIZE_MODES = ("off", "zscore", "first_epoch")
 #: guard below which the output spread counts as degenerate (constant trace)
 STD_FLOOR = 1e-12
 
+#: largest target-level magnitude: the square of a level, or of two levels'
+#: difference, stays below 1e301, so the error's sums cannot overflow
+TARGET_LEVEL_BOUND = 1e150
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -53,9 +57,9 @@ class TrainConfig:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         lo, hi = self.target_levels
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ConfigError(f"target levels must be finite with low < high, got "
-                              f"{self.target_levels}")
+        if not -TARGET_LEVEL_BOUND <= lo < hi <= TARGET_LEVEL_BOUND:
+            raise ConfigError(f"target levels must satisfy -{TARGET_LEVEL_BOUND:g} <= low < high"
+                              f" <= {TARGET_LEVEL_BOUND:g}, got {self.target_levels}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
         if self.normalize not in NORMALIZE_MODES:

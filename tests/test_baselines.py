@@ -5,7 +5,9 @@ import pytest
 
 from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit
 from ternrc.errors import NumericalError, ShapeError, UsageError
-from ternrc.optimizer import _positive_class, midpoint_threshold, nmse, score
+from ternrc.optimizer import nmse, score
+
+import reference
 
 
 class TestRidgeFit:
@@ -192,41 +194,6 @@ class TestLambdaSweep:
         assert peak <= 16e6
 
 
-def old_lambda_sweep(states, targets, grid, folds=5):
-    """The sweep as it was with every fold's gram and rows prepared at once,
-    looping over lambda outside and folds inside."""
-    x = np.asarray(states, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    n, k = x.shape
-    fold_of = np.arange(n) % folds
-    prepared = []
-    for f in range(folds):
-        tr = fold_of != f
-        xt, yt = x[tr], y[tr]
-        x_mean, y_mean = xt.mean(axis=0), float(yt.mean())
-        xc = xt - x_mean
-        prepared.append((xc.T @ xc, xc.T @ (yt - y_mean), x_mean, y_mean,
-                         x[~tr], y[~tr], xt, yt))
-    best_lam, best_acc = None, -1.0
-    eye = np.eye(k)
-    for lam in sorted(float(v) for v in grid):
-        accs = []
-        for gram, rhs, x_mean, y_mean, xv, yv, xt, yt in prepared:
-            try:
-                w = np.linalg.solve(gram + lam * eye, rhs)
-            except np.linalg.LinAlgError:
-                accs.append(0.0)
-                continue
-            bias = y_mean - float(x_mean @ w)
-            thr = midpoint_threshold(xt @ w + bias, yt)
-            pred = xv @ w + bias > thr
-            accs.append(float(np.mean(pred == _positive_class(yv))))
-        acc = float(np.mean(accs))
-        if acc > best_acc:
-            best_lam, best_acc = lam, acc
-    return best_lam
-
-
 class TestSweepOracle:
     """The fold-at-a-time sweep picks the lambda the all-folds sweep picked,
     on the same solves in the same order per fold."""
@@ -243,7 +210,7 @@ class TestSweepOracle:
         y = (x @ rng.standard_normal(k) + rng.normal(0, 0.5, n) > 0).astype(float)
         folds = int(rng.integers(2, 7))
         got = lambda_sweep(x, y, grid, folds)
-        assert got == old_lambda_sweep(x, y, grid, folds)
+        assert got == reference.lambda_sweep(x, y, grid, folds)
         assert type(got) is float
 
     def test_tie_resolves_to_smaller_lambda(self):
@@ -252,7 +219,7 @@ class TestSweepOracle:
         x = rng.standard_normal((60, 2))
         y = (x[:, 0] > 0).astype(float)
         grid = [1.0, 1e-3, 1e-6]
-        assert lambda_sweep(x, y, grid) == old_lambda_sweep(x, y, grid) == 1e-6
+        assert lambda_sweep(x, y, grid) == reference.lambda_sweep(x, y, grid) == 1e-6
 
     def test_singular_fold_scores_zero(self):
         # node 0 is dark but for sample 3, so fold 3's centered column is
@@ -267,4 +234,4 @@ class TestSweepOracle:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(xc.T @ xc, xc.T @ y[np.arange(40) % 5 != 3])
         for grid in ([0.0], [0.0, 1e-3], [0.0, 1e-6, 10.0]):
-            assert lambda_sweep(x, y, grid) == old_lambda_sweep(x, y, grid)
+            assert lambda_sweep(x, y, grid) == reference.lambda_sweep(x, y, grid)

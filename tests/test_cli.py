@@ -416,6 +416,8 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": {**VALID_TRAIN, "target_levels": 1.0}},
     {"train": VALID_TRAIN, "alphas": 5},
     {"train": {**VALID_TRAIN, "target_levels": [0.0, float("inf")]}},
+    {"train": {**VALID_TRAIN, "target_levels": [-1e308, 1e308]}},
+    {"train": {**VALID_TRAIN, "target_levels": [0.0, 1e200]}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
@@ -424,7 +426,8 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "fractional-grid-side", "fractional-train-seed", "boolean-alpha",
         "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits",
         "negative-substrate-seed", "train-seed-2-pow-32", "scalar-target-levels",
-        "scalar-alphas", "infinite-target-level"])
+        "scalar-alphas", "infinite-target-level", "target-levels-squares-overflow",
+        "target-level-square-overflows"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))

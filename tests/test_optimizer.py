@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, NumericalError, UsageError
 from ternrc.harness import BatchReadout, _OutputSink
-from ternrc.optimizer import (NORMALIZE_MODES, STD_FLOOR, Normalizer, TrainConfig, _centred,
-                              evaluate, midpoint_threshold, n_mirrors, nmse, propose, train)
+from ternrc.optimizer import (NORMALIZE_MODES, TARGET_LEVEL_BOUND, Normalizer, TrainConfig,
+                              _centred, evaluate, midpoint_threshold, n_mirrors, nmse, propose,
+                              train)
 from ternrc.readout import ALPHABETS, MODES, DetectorModel, TernaryMask, random_mask
 from ternrc.substrate import SubstrateConfig, build_substrate, states_matrix
+
+import reference
 
 
 class TestNmse:
@@ -30,6 +33,15 @@ class TestNmse:
         y = np.full(8, 3.0)
         y[0] += 1e-14
         assert nmse(y, np.zeros(8)) == math.inf
+
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for n in (2, 7, 250, 1000):
+            t = (rng.random(n) > 0.5).astype(float)
+            for _ in range(50):
+                y = rng.standard_normal(n) * rng.uniform(1e-3, 1e3) + rng.uniform(-5, 5)
+                assert nmse(y, t).hex() == reference.nmse(y, t).hex()
+            assert nmse(np.full(n, 3.0), t) == reference.nmse(np.full(n, 3.0), t) == math.inf
 
     def test_input_contracts(self):
         with pytest.raises(UsageError):
@@ -52,11 +64,6 @@ class TestNmse:
             assert nmse(y, t) == pytest.approx(float(expect), rel=1e-12)
 
 
-def two_step_zscore_nmse(y, t):
-    """The z-scored error as conditioned trace, then error."""
-    return nmse(Normalizer("zscore", t)(y), t)
-
-
 class TestZscoreNmse:
     """``nmse(y, t, zscore=True)`` is the error of the z-scored trace, taken
     from the raw trace as 2 * std(t) * (1 - rho)."""
@@ -71,7 +78,7 @@ class TestZscoreNmse:
                 t[:2] = (0.0, 1.0)
                 y = (t * rng.uniform(-1, 1) + rng.standard_normal(n) * rng.uniform(0.01, 2)) \
                     * scale + rng.uniform(-3, 3) * scale
-                got, want = nmse(y, t, zscore=True), two_step_zscore_nmse(y, t)
+                got, want = nmse(y, t, zscore=True), reference.zscore_nmse(y, t)
                 assert abs(got - want) <= max(1e-12 * want, 1e-15), (got, want)
 
     def test_constant_trace_or_target_is_inf(self):
@@ -79,7 +86,7 @@ class TestZscoreNmse:
         assert nmse(np.full(4, 3.0), t, zscore=True) == math.inf
         assert nmse(np.array([3.0, 3.0 + 1e-14, 3.0, 3.0]), t, zscore=True) == math.inf
         assert nmse(np.array([0.1, 0.9, 0.4, 0.6]), np.full(4, 0.5), zscore=True) == math.inf
-        assert two_step_zscore_nmse(np.full(4, 3.0), t) == math.inf
+        assert reference.zscore_nmse(np.full(4, 3.0), t) == math.inf
 
     def test_hand_computed_value(self):
         # anti-correlated with a +-1 target: rho = -1, so 2 * 1 * (1 - (-1))
@@ -366,6 +373,22 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(alpha=1.0, max_epochs=10, normalize="minmax")
 
+    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
+    def test_levels_at_the_bound_score_finite(self, normalize):
+        # a level past the bound is rejected; at it, every square stays finite
+        # (numpy's overflow warnings fail the test)
+        b = TARGET_LEVEL_BOUND
+        for levels in ((0.0, 2 * b), (-2 * b, 0.0)):
+            with pytest.raises(ConfigError, match="target levels"):
+                TrainConfig(alpha=1.0, max_epochs=10, target_levels=levels)
+        rng = np.random.default_rng(19)
+        states = rng.random((40, 6))
+        targets = np.where(rng.random(40) > 0.5, b, -b)
+        cfg = TrainConfig(alpha=5.0, max_epochs=20, seed=1, normalize=normalize,
+                          target_levels=(-b, b))
+        result = train(linear_forward(states), targets, cfg, n_nodes=6)
+        assert all(math.isfinite(r.nmse_best) for r in result.history)
+
 
 class TestNumpyEquivalences:
     """The byte-identical shortcuts of the epoch loop rest on these numpy
@@ -409,87 +432,6 @@ class TestNumpyEquivalences:
             assert np.sqrt(x @ x).tobytes() == np.linalg.norm(x).tobytes()
 
 
-def old_nmse(y, t):
-    """nmse as written with np.std and np.sum."""
-    sd = float(np.std(y))
-    if sd < STD_FLOOR:
-        return math.inf
-    return float(np.sum((y - t) ** 2) / (y.size * sd))
-
-
-class OldNormalizer:
-    """The normalizer as written with np.mean and np.std."""
-
-    def __init__(self, mode, t):
-        self.mode, self.t, self.transform = mode, t, None
-
-    def __call__(self, y):
-        t = self.t
-        if self.mode == "off":
-            return y
-        if self.mode == "first_epoch":
-            if self.transform is None:
-                lo, hi = float(np.min(y)), float(np.max(y))
-                self.transform = (lo, hi - lo if hi > lo else 1.0)
-            lo, span = self.transform
-            return (y - lo) / span * (float(np.max(t)) - float(np.min(t))) + float(np.min(t))
-        sd = float(np.std(y))
-        if sd < STD_FLOOR:
-            return np.full_like(y, float(np.mean(t)))
-        return (y - np.mean(y)) / sd * float(np.std(t)) + float(np.mean(t))
-
-
-class OldDetector(DetectorModel):
-    def detect(self, power, gain):
-        sd = self.noise_sigma * self.noise_scale
-        return gain * power + sd * self._rng.standard_normal(power.shape[0])
-
-
-class OldRig(BatchReadout):
-    """The rig's plane lookup as written before each base kept its key."""
-
-    def power(self, plane):
-        key = plane.tobytes()
-        for base, p, *_ in self._bases:
-            if base.tobytes() == key:
-                return p
-        h = [np.count_nonzero(plane != base) for base, *_ in self._bases]
-        near = h.index(min(h)) if h else 0
-        if h and 8 * h[near] < self.n_nodes and self._bases[near][-1] != key:
-            diff = (plane != self._bases[near][0]).nonzero()[0]
-            self._bases[near][-1] = key
-            return self._bases[near][1] + self.states[:, diff] @ np.where(plane[diff], 1.0, -1.0)
-        p = self.states @ plane.astype(float)
-        if len(self._bases) == 2:
-            del self._bases[near]
-        self._bases.append([plane.copy(), p, None])
-        return p
-
-
-def reference_train(rig, t, cfg, k):
-    """The search loop as written with rng.choice, the checked mask
-    constructor, np.std and np.mean: the oracle of the optimized loop."""
-    rng = np.random.default_rng(cfg.seed)
-    alphabet = ALPHABETS[cfg.mode]
-    mask = TernaryMask(weights=rng.choice(alphabet, size=k), mode=cfg.mode)
-    norm = OldNormalizer(cfg.normalize, t)
-    best = old_nmse(norm(rig(mask)), t)
-    history = []
-    for epoch in range(1, cfg.max_epochs + 1):
-        n = n_mirrors(cfg.alpha, best, cap=k)
-        positions = rng.integers(0, k, size=n)
-        values = rng.choice(alphabet, size=n)
-        w = np.array(mask.weights, dtype=np.int8, copy=True)
-        w[positions] = values
-        cand = TernaryMask(weights=w, mode=cfg.mode)
-        e = old_nmse(norm(rig(cand)), t)
-        accepted = e < best
-        if accepted:
-            mask, best = cand, e
-        history.append((epoch, best, n, accepted))
-    return mask, history
-
-
 class TestOldPathOracle:
     """At stock size (N = 1000 samples, K = 448 nodes) the optimized loop
     reproduces the plain numpy loop: bit for bit under off and first_epoch,
@@ -507,12 +449,12 @@ class TestOldPathOracle:
     @pytest.mark.parametrize("mode", MODES)
     def test_history_and_mask_bytes_match(self, mode, normalize):
         rig, labels = self.rigs(BatchReadout, DetectorModel)
-        ref_rig, _ = self.rigs(OldRig, OldDetector)
+        ref_rig, _ = self.rigs(reference.Rig, reference.Detector)
         assert rig.n_nodes == 448
         t = labels.astype(float)
         cfg = TrainConfig(alpha=10.0, max_epochs=300, mode=mode, seed=22, normalize=normalize)
         result = train(rig, t, cfg, n_nodes=448)
-        mask, history = reference_train(ref_rig, t, cfg, 448)
+        mask, history = reference.train(ref_rig, t, cfg, 448)
         assert result.best_mask.weights.tobytes() == mask.weights.tobytes()
         assert result.best_mask.mode == mask.mode
         assert [(r.epoch, r.n_mirrors, r.accepted) for r in result.history] == \
@@ -555,6 +497,18 @@ class TestNormalization:
         assert lo == pytest.approx(y0.min())
         assert span == pytest.approx(y0.max() - y0.min())
 
+    @pytest.mark.parametrize("mode", NORMALIZE_MODES)
+    def test_matches_reference_bit_for_bit(self, mode):
+        # a constant first trace, then varied ones: first_epoch freezes its span at 1
+        rng = np.random.default_rng(37)
+        for n in (2, 40, 1000):
+            t = (rng.random(n) > 0.5).astype(float)
+            t[:2] = (0.0, 1.0)
+            norm, ref = Normalizer(mode, t), reference.Normalizer(mode, t)
+            for y in [np.full(n, 3.0)] + [rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+                                          + rng.uniform(-5, 5) for _ in range(20)]:
+                assert norm(y).tobytes() == ref(y).tobytes()
+            assert norm.transform == ref.transform
 
     @pytest.mark.parametrize("mode", NORMALIZE_MODES)
     def test_error_args_pick_the_trace_the_error_reads(self, mode):

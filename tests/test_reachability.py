@@ -3,7 +3,9 @@ is read outside its class, by the package or the benchmark, not only by
 tests: API that nothing runs is deleted, not kept for its tests. The
 benchmark tracer's lookup sites and the parameters its counters bind still
 exist, only the output sink and the IDX writers write files, and every name
-a module imports is used in that module."""
+a module imports is used in that module. The tests hold one reference model,
+``tests/reference.py``: no test module writes a reference of its own, and
+each reference is compared against by some test."""
 
 import ast
 import importlib.util
@@ -18,6 +20,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ternrc"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 USERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
+REFERENCE = ROOT / "tests" / "reference.py"
+TEST_MODULES = sorted((ROOT / "tests").glob("test_*.py"))
 
 
 def _load_tracer():
@@ -158,3 +162,32 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _bound(tree):
+    """Each name a def, class or assignment binds at any depth of ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=[p.name for p in TEST_MODULES])
+def test_no_test_module_writes_a_reference(path):
+    references = {name for name, _, _ in _definitions(REFERENCE)}
+    own = sorted({name for name in _bound(ast.parse(path.read_text()))
+                  if re.match("old_|Old", name) or name in references})
+    assert not own, f"{path.name} defines {own}: references live in reference.py"
+
+
+def test_every_reference_is_compared_against():
+    used = set()
+    for path in TEST_MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "reference":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "reference":
+                used.update(a.name for a in node.names)
+    unused = sorted({name for name, _, _ in _definitions(REFERENCE)} - used)
+    assert not unused, f"no test module uses reference.py's {unused}"

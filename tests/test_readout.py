@@ -1,6 +1,4 @@
 import json
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,8 @@ from ternrc.optimizer import TrainResult, propose
 from ternrc.readout import DetectorModel, TernaryMask, random_mask, readout_batch
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
                               states_matrix)
+
+import reference
 
 
 def plane(bits):
@@ -33,16 +33,6 @@ def planes(mask):
     return mask.weights == 1, mask.weights == -1
 
 
-def full_product(states, plane):
-    """A plane's noiseless power as one uncached full product."""
-    return states @ plane.astype(float)
-
-
-def powers(states):
-    """The uncached plane-power lookup of a state matrix."""
-    return partial(full_product, states)
-
-
 def rig_over(states, det=None):
     """A rig that reads ``states``; its substrate supplies only the gain."""
     sub = build_substrate(SubstrateConfig(grid_side=4, input_side=4))
@@ -51,13 +41,13 @@ def rig_over(states, det=None):
 
 def detect_one(states, plane, gain, det):
     """The single sample's detected power."""
-    (y,) = det.detect(full_product(states, plane), gain)
+    (y,) = det.detect(reference.full_product(states, plane), gain)
     return y
 
 
 def readout_one(states, mask, gain, det):
     """The single sample's readout output."""
-    (y,) = readout_batch(powers(states), mask, gain, det)
+    (y,) = readout_batch(reference.powers(states), mask, gain, det)
     return y
 
 
@@ -135,7 +125,7 @@ class TestCompose:
 
     def test_inverse_of_decompose_example(self):
         m = TernaryMask(weights=np.array([1, 0, -1]))
-        y = readout_batch(powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
+        y = readout_batch(reference.powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
         assert y.tolist() == [1.0, 0.0, -1.0]
 
     def test_list_weights_read_like_an_array(self):
@@ -143,13 +133,13 @@ class TestCompose:
         # comparisons see an array, not a list
         m = TernaryMask(weights=[1, 0, -1])
         assert isinstance(m.weights, np.ndarray) and len(m) == 3
-        y = readout_batch(powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
+        y = readout_batch(reference.powers(np.eye(3)), m, 1.0, DetectorModel(noise_sigma=0.0))
         assert y.tolist() == [1.0, 0.0, -1.0]
 
     def test_zero_planes(self):
         m = TernaryMask(weights=np.zeros(3, dtype=int))
         states = np.random.default_rng(2).random((4, 3))
-        y = readout_batch(powers(states), m, 1.0, DetectorModel(noise_sigma=0.0))
+        y = readout_batch(reference.powers(states), m, 1.0, DetectorModel(noise_sigma=0.0))
         assert y.tolist() == [0.0] * 4
 
     def test_length_mismatch(self):
@@ -161,10 +151,11 @@ class TestCompose:
         m = TernaryMask(weights=np.array([1, 0, 1]), mode="boolean")
         seen = []
         states = np.random.default_rng(3).random((5, 3))
-        got = readout_batch(lambda pl: seen.append(pl) or full_product(states, pl), m, 1.0,
-                            DetectorModel(noise_sigma=0.2, seed=4))
+        got = readout_batch(lambda pl: seen.append(pl) or reference.full_product(states, pl), m,
+                            1.0, DetectorModel(noise_sigma=0.2, seed=4))
         assert [pl.tolist() for pl in seen] == [[True, False, True]]
-        want = DetectorModel(noise_sigma=0.2, seed=4).detect(full_product(states, seen[0]), 1.0)
+        want = DetectorModel(noise_sigma=0.2, seed=4).detect(
+            reference.full_product(states, seen[0]), 1.0)
         assert np.array_equal(got, want)
 
 
@@ -254,18 +245,18 @@ class TestBatchReadout:
         states = rng.random((10, 6))
         m = random_mask(6, "ternary", 3)
         det = DetectorModel(noise_sigma=0.0)
-        got = readout_batch(powers(states), m, 1.0, det)
+        got = readout_batch(reference.powers(states), m, 1.0, det)
         want = states @ m.weights.astype(float)
         assert np.allclose(got, want, rtol=1e-12)
 
-    def test_detect_batch_shape_checked(self):
+    def test_power_shape_checked(self):
         with pytest.raises(ShapeError):
             rig_over(np.zeros((4, 3))).power(plane([1, 0]))
 
     def test_noise_is_per_sample(self):
         states = np.ones((8, 2))
         det = DetectorModel(noise_sigma=0.5, seed=0, noise_scale=1.0)
-        y = det.detect(full_product(states, plane([1, 1])), 1.0)
+        y = det.detect(reference.full_product(states, plane([1, 1])), 1.0)
         assert len(np.unique(y)) == 8
 
 
@@ -313,7 +304,7 @@ class TestDeltaReadout:
         for i, m in enumerate(sequence):
             advance_drift(rig.substrate, i % 3)  # gain drifts between reads
             got = rig.measure(m)
-            want = readout_batch(powers(ref_states), m, rig.substrate.gain * 0.7, ref_det)
+            want = readout_batch(reference.powers(ref_states), m, rig.substrate.gain * 0.7, ref_det)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         # m1's planes become the two bases; m1 again and m2 (a correction of
         # m1's (+1) plane, and m1's own (-1) plane) cost no product. m3's (+1)
@@ -351,7 +342,7 @@ class TestDeltaReadout:
         masks = [random_mask(rig.n_nodes, "boolean", s) for s in range(20)]
         for m in masks + masks[:5]:
             got = rig(m)
-            want = readout_batch(powers(rig.states), m, rig.substrate.gain * 0.7, ref_det)
+            want = readout_batch(reference.powers(rig.states), m, rig.substrate.gain * 0.7, ref_det)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert len(rig._bases) <= 2
         assert len(rig._bases) == 2
@@ -368,11 +359,11 @@ class TestDeltaReadout:
         for _ in range(2000):
             cand = propose(mask, int(rng.integers(1, 12)), rng)
             for pl in planes(cand):
-                np.testing.assert_allclose(rig.power(pl), full_product(rig.states, pl),
+                np.testing.assert_allclose(rig.power(pl), reference.full_product(rig.states, pl),
                                            rtol=1e-12, atol=0)
             # each base holds its own full product: corrections never chain
             for base, p, *_ in rig._bases:
-                assert p.tobytes() == full_product(rig.states, base).tobytes()
+                assert p.tobytes() == reference.full_product(rig.states, base).tobytes()
             if rng.random() < 0.1:
                 mask, accepted = cand, accepted + 1
         assert 150 < accepted < 250
@@ -391,7 +382,7 @@ class TestDeltaReadout:
             assert rig.power(plus) is p_plus and rig.power(minus) is p_minus
             rig.measure(mask)
         assert len(computed) == 2
-        assert p_plus.tobytes() == full_product(rig.states, plus).tobytes()
+        assert p_plus.tobytes() == reference.full_product(rig.states, plus).tobytes()
 
     def test_corrected_plane_read_again_becomes_a_base(self):
         # the search's incumbent is the plane read again after its correction
@@ -406,7 +397,7 @@ class TestDeltaReadout:
         assert len(computed) == 2
         again = rig.power(moved)
         assert len(computed) == 3
-        assert again.tobytes() == full_product(rig.states, moved).tobytes()
+        assert again.tobytes() == reference.full_product(rig.states, moved).tobytes()
         np.testing.assert_allclose(first, again, rtol=1e-12, atol=0)
         # it replaced the (+1) base, its nearest; the (-1) base stays
         assert rig.power(moved) is again and rig.power(minus) is rig._bases[0][1]
@@ -425,29 +416,19 @@ class TestDeltaReadout:
         masks += [random_mask(rig.n_nodes, "boolean", s) for s in range(5)]
         for m in masks:
             rig.measure(m)
-            readout_batch(powers(rig.states), m, 1.0, ref_det)
+            readout_batch(reference.powers(rig.states), m, 1.0, ref_det)
         assert sweeps.count(rig.detector) == sweeps.count(ref_det) == 2 * 40 + 5
         assert rig.detector._rng.bit_generator.state == ref_det._rng.bit_generator.state
 
 
 class TestConsistency:
-    @staticmethod
-    def old_consistency(a, b):
-        """Pearson correlation as written with np.std and np.linalg.norm."""
-        if np.array_equal(a, b):
-            return 1.0
-        if a.std() == 0.0 or b.std() == 0.0:
-            raise UsageError("constant trace")
-        ac, bc = a - a.mean(), b - b.mean()
-        return float((ac @ bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
-
     def test_matches_old_formula_bit_for_bit(self):
         rng = np.random.default_rng(23)
         for n in (2, 3, 250, 1000):
             for _ in range(50):
                 a = rng.random(n) * rng.uniform(1e-3, 1e3)
                 b = a + rng.standard_normal(n) * rng.uniform(1e-6, 1.0)
-                assert consistency(a, b[None])[0].hex() == self.old_consistency(a, b).hex()
+                assert consistency(a, b[None])[0].hex() == reference.consistency(a, b).hex()
 
     def test_zero_spread_exactly_where_np_std_is_zero(self):
         # one tiny sample in a zero trace: the variance underflows to zero
@@ -462,7 +443,7 @@ class TestConsistency:
                 with pytest.raises(UsageError):
                     consistency(a, b[None])
             else:
-                assert consistency(a, b[None])[0].hex() == self.old_consistency(a, b).hex()
+                assert consistency(a, b[None])[0].hex() == reference.consistency(a, b).hex()
         assert outcomes == {True, False}
 
     def test_identical_traces_are_exactly_one(self):

@@ -1,17 +1,16 @@
 """The block-wise stability protocol: bit-for-bit agreement with the plain
 per-check loop, the row statistics it rests on, and its input checks."""
 
-import math
-
 import numpy as np
 import pytest
 
-from ternrc import harness
 from ternrc.errors import NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, consistency, run_stability
-from ternrc.optimizer import NORMALIZE_MODES, STD_FLOOR, Normalizer, TrainConfig, nmse
+from ternrc.optimizer import NORMALIZE_MODES, Normalizer, TrainConfig, nmse
 from ternrc.substrate import SubstrateConfig, advance_drift, build_substrate
 from ternrc.tasks import HeaderTask
+
+import reference
 
 
 def stability_config(normalize="zscore", noise_sigma=0.001, drift_amplitude=0.002, out=None):
@@ -22,70 +21,6 @@ def stability_config(normalize="zscore", noise_sigma=0.001, drift_amplitude=0.00
         train=TrainConfig(alpha=10.0, max_epochs=5, normalize=normalize, seed=32),
         task=HeaderTask(n_bits=3, target_value=5, n_samples=40, image_side=16),
         output_dir=out)
-
-
-# the per-check statistics as written before the block loop
-
-def old_centred(y):
-    d = y - np.add.reduce(y) / y.size
-    return d, math.sqrt(np.add.reduce(d * d) / y.size)
-
-
-def old_consistency(a, b):
-    if np.array_equal(a, b):
-        return 1.0
-    (ac, sa), (bc, sb) = old_centred(a), old_centred(b)
-    if sa == 0.0 or sb == 0.0:
-        raise UsageError("consistency is undefined for a constant trace")
-    return float((ac @ bc) / (np.sqrt(ac @ ac) * np.sqrt(bc @ bc)))
-
-
-def old_nmse(y, t):
-    sd = old_centred(y)[1]
-    if sd < STD_FLOOR:
-        return math.inf
-    r = y - t
-    return float(np.add.reduce(r * r) / (y.size * sd))
-
-
-class OldNormalizer:
-    def __init__(self, mode, t):
-        self.mode, self.transform = mode, None
-        self.t_mean, self.t_std = float(np.mean(t)), float(np.std(t))
-        self.lo_level, self.hi_level = float(np.min(t)), float(np.max(t))
-
-    def __call__(self, y):
-        if self.mode == "off":
-            return y
-        if self.mode == "first_epoch":
-            if self.transform is None:
-                lo, hi = float(np.min(y)), float(np.max(y))
-                self.transform = (lo, hi - lo if hi > lo else 1.0)
-            lo, span = self.transform
-            return (y - lo) / span * (self.hi_level - self.lo_level) + self.lo_level
-        d, sd = old_centred(y)
-        if sd < STD_FLOOR:
-            return np.full_like(y, self.t_mean)
-        return d / sd * self.t_std + self.t_mean
-
-
-def old_run_stability(cfg, n_checks, drift_steps_per_check):
-    """The stability protocol as one measurement and one set of statistics
-    per check, on the same trained rig."""
-    sub, batches, states, power = harness._acquired(cfg, 0, harness._task_batches(cfg))
-    rigs, _, result = harness._arm(cfg, 0, "", sub, states, batches, power)
-    t = batches[1].targets
-    norm = OldNormalizer(cfg.train.normalize, t)
-    reference = None
-    rows = []
-    for check in range(n_checks):
-        advance_drift(sub, drift_steps_per_check)
-        trace = rigs[1].measure(result.best_mask)
-        if reference is None:
-            reference = trace
-        rows.append({"check": check, "consistency": old_consistency(reference, trace),
-                     "nmse": old_nmse(norm(trace), t), "gain": sub.gain})
-    return rows
 
 
 def hexed(rows):
@@ -116,14 +51,14 @@ class TestBlockLoopOracle:
     def test_rows_match_per_check_loop(self, n_checks, drift_steps, normalize, noise_sigma):
         cfg = stability_config(normalize, noise_sigma)
         rows = run_stability(cfg, n_checks=n_checks, drift_steps_per_check=drift_steps)
-        want = old_run_stability(cfg, n_checks, drift_steps)
+        want = reference.run_stability(cfg, n_checks, drift_steps)
         assert_rows_match(rows, want, normalize)
         assert rows[0]["consistency"] == 1.0
 
     def test_numpy_integer_counts_run(self):
         rows = run_stability(stability_config(), n_checks=np.int64(3),
                              drift_steps_per_check=np.int32(1))
-        assert_rows_match(rows, old_run_stability(stability_config(), 3, 1), "zscore")
+        assert_rows_match(rows, reference.run_stability(stability_config(), 3, 1), "zscore")
 
 
 class TestRowStatistics:

@@ -15,10 +15,7 @@ from ternrc.substrate import (SubstrateConfig, _coupling_matrix, advance_drift, 
 from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
                           make_header_batch, make_onevsall_batch)
 
-
-def transmission(sub):
-    """The (K, D) complex transmission the substrate holds as its real fields."""
-    return sub.fields[:sub.n_nodes] + 1j * sub.fields[sub.n_nodes:]
+import reference
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -66,9 +63,9 @@ class TestBuild:
 
     def test_unit_variance_entries(self):
         sub = build_substrate(SubstrateConfig(seed=3))
-        power = np.abs(transmission(sub)) ** 2
-        assert abs(power.mean() - 1.0) < 0.01
-        assert abs(transmission(sub).mean()) < 0.01
+        re, im = np.split(sub.fields, 2)
+        assert abs((re ** 2 + im ** 2).mean() - 1.0) < 0.01
+        assert abs(complex(re.mean(), im.mean())) < 0.01
 
     def test_transmission_frozen(self):
         sub = build_substrate(SubstrateConfig())
@@ -116,18 +113,6 @@ class TestConfigJson:
 def forward(sub, frames):
     """(N, K) states of an (N, d, d) frame stack."""
     return states_matrix(*forward_batch(sub, frames))
-
-
-def reference_forward(sub, frame):
-    """Node intensities of one (d, d) frame, one matvec at a time. The
-    forward pass sums the same terms in a GEMM's blocked order, so the two
-    agree to rounding."""
-    p = np.abs(transmission(sub) @ frame[sub.input_mask].astype(float)) ** 2
-    if not sub.config.vcsel_on:
-        return p
-    s = sub.config.saturation
-    x = p / (1.0 + s * p) if s > 0 else p
-    return x if sub._coupling is None else sub._coupling @ x
 
 
 class TestForward:
@@ -207,11 +192,11 @@ class TestForwardBatch:
         SubstrateConfig(input_side=8, saturation=0.0),
         SubstrateConfig(input_side=8, diffusion_sigma=0.0)],
         ids=["on", "off", "no-saturation", "no-diffusion"])
-    def test_bit_identical_to_one_frame_matvec(self, cfg):
+    def test_matches_one_frame_matvec_to_rounding(self, cfg):
         sub = build_substrate(cfg)
         pats = make_frames(side=8, n=20)
         for got, pat in zip(forward(sub, pats), pats):
-            np.testing.assert_allclose(got, reference_forward(sub, pat), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got, reference.forward_frame(sub, pat), rtol=1e-12, atol=0)
 
     def test_repeats_computed_once_and_bit_identical(self):
         sub = build_substrate(SubstrateConfig(input_side=16))
@@ -251,30 +236,6 @@ class TestForwardBatch:
             forward_batch(sub, make_frames(side=8).astype(float))
 
 
-def old_transmission(config):
-    """The complex transmission and random stream as drawn before the
-    substrate held its fields: two real draws, their complex sum, scaled by
-    a divide."""
-    rng = np.random.default_rng(config.seed)
-    shape = (int(circle_mask(config.grid_side).sum()), int(circle_mask(config.input_side).sum()))
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0), rng
-
-
-def old_forward_batch(sub, t, batch):
-    """The forward pass over the complex transmission ``t``, concatenating its
-    real and imaginary rows on every call."""
-    flat = batch.reshape(len(batch), -1)
-    packed = np.packbits(flat, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    u = flat[first][:, sub.input_mask.ravel()].astype(float)
-    f = np.concatenate((t.real, t.imag)) @ u.T
-    p = (f[:len(t)] ** 2 + f[len(t):] ** 2).T
-    return laser_response(sub, p), index
-
-
 class TestFieldsOracle:
     """The real fields and the in-place forward pass hold every byte of the
     complex transmission and the concatenating pass they replace."""
@@ -284,7 +245,7 @@ class TestFieldsOracle:
     def test_build_matches_complex_draw(self, side, seed):
         cfg = SubstrateConfig(input_side=side, seed=seed)
         sub = build_substrate(cfg)
-        t, rng = old_transmission(cfg)
+        t, rng = reference.transmission(cfg)
         assert sub.fields.tobytes() == np.concatenate((t.real, t.imag)).tobytes()
         assert sub._rng.bit_generator.state == rng.bit_generator.state
         assert (sub.n_nodes, sub.n_inputs) == t.shape
@@ -302,14 +263,13 @@ class TestFieldsOracle:
         ids=["on", "off", "no-saturation", "no-diffusion", "side-64"])
     def test_forward_matches_concatenating_pass(self, cfg):
         sub = build_substrate(cfg)
-        t, _ = old_transmission(cfg)
         frames = make_frames(side=cfg.input_side, seed=cfg.seed, n=150)
         frames = np.concatenate((frames, frames[::3]))
         states, index = forward_batch(sub, frames)
-        old_states, old_index = old_forward_batch(sub, t, frames)
-        assert states.tobytes() == old_states.tobytes()
-        assert states.flags.f_contiguous == old_states.flags.f_contiguous
-        assert np.array_equal(index, old_index)
+        ref_states, ref_index = reference.forward_batch(sub, frames)
+        assert states.tobytes() == ref_states.tobytes()
+        assert states.flags.f_contiguous == ref_states.flags.f_contiguous
+        assert np.array_equal(index, ref_index)
 
     def test_laser_response_leaves_its_input(self):
         # the comparison feeds it the laser-off intensities it also reads
@@ -346,14 +306,6 @@ class TestPeakMemory:
         assert traced_peak(forward_batch, sub, frames) <= 16e6
 
 
-def unflushed_coupling(node_mask, sigma):
-    """The coupling matrix as built before its subnormal entries were zeroed."""
-    rows, cols = np.nonzero(node_mask)
-    d2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
-    return w / w.sum(axis=0, keepdims=True)
-
-
 class TestCouplingFlush:
     """The coupling holds no subnormal entry, which would slow its GEMM, and
     zeroing them moves no byte of the laser response."""
@@ -362,14 +314,14 @@ class TestCouplingFlush:
     @pytest.mark.parametrize("side", [8, 16, 24, 32])
     def test_no_subnormal_entry_and_column_sums_kept(self, side, sigma):
         c = _coupling_matrix(circle_mask(side), sigma)
-        ref = unflushed_coupling(circle_mask(side), sigma)
+        ref = reference.unflushed_coupling(circle_mask(side), sigma)
         assert not ((c != 0.0) & (np.abs(c) < np.finfo(float).tiny)).any()
         # only subnormal entries were touched
         assert np.array_equal(c != ref, (ref != 0.0) & (ref < np.finfo(float).tiny))
         assert c.sum(axis=0).tobytes() == ref.sum(axis=0).tobytes()
 
     def test_stock_matrix_had_subnormal_entries(self):
-        ref = unflushed_coupling(circle_mask(24), 0.5)
+        ref = reference.unflushed_coupling(circle_mask(24), 0.5)
         assert np.count_nonzero((ref != 0.0) & (ref < np.finfo(float).tiny)) == 3200
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
@@ -377,7 +329,8 @@ class TestCouplingFlush:
     def test_laser_response_bytes_match_unflushed(self, side, sigma):
         sub = build_substrate(SubstrateConfig(grid_side=side, input_side=4, diffusion_sigma=sigma,
                                               seed=side))
-        ref = dataclasses.replace(sub, _coupling=unflushed_coupling(circle_mask(side), sigma))
+        unflushed = reference.unflushed_coupling(circle_mask(side), sigma)
+        ref = dataclasses.replace(sub, _coupling=unflushed)
         rng = np.random.default_rng(int(side * sigma * 4))
         p = rng.random((60, sub.n_nodes)) * rng.uniform(1e-3, 1e3, size=(60, 1))
         p[rng.random(p.shape) < 0.2] = 0.0
@@ -457,7 +410,7 @@ class TestDrift:
             advance_drift(sub, -1)
 
 
-class TestInputPattern:
+class TestBatchFrames:
     """Frame checks of :class:`LabeledBatch` and the aperture/fit rules of the
     batch builders."""
 

@@ -12,61 +12,17 @@ from hypothesis import strategies as st
 from ternrc.errors import ConfigError, DataError, FormatError, UsageError
 from ternrc.readout import random_mask
 from ternrc.substrate import circle_mask
-from ternrc.tasks import (_GLYPH_BLOCK, _GLYPHS, _SIGMA_BUCKETS, DigitDataset, HeaderTask,
-                          _blur_operator, load_mnist, make_glyph_dataset, make_header_batch,
-                          make_onevsall_batch, render_headers, write_idx_images,
-                          write_idx_labels)
+from ternrc.tasks import (DigitDataset, HeaderTask, load_mnist, make_glyph_dataset,
+                          make_header_batch, make_onevsall_batch, render_headers,
+                          write_idx_images, write_idx_labels)
+
+import reference
 
 
 def render_header(n_bits, side, value):
     """The one header of ``value``."""
     (pat,) = render_headers(n_bits, side, np.array([value]))
     return pat
-
-
-def three_roll_glyphs(n_images, seed, distortion):
-    """The glyph generator as first written: the same draws, placed by three
-    take_along_axis rolls and blurred by a stacked op @ x @ op.T per block.
-    Returns (images, labels)."""
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, 10, size=n_images).astype(np.uint8)
-    variants = np.zeros((10, 3, 28, 28))
-    for d in range(10):
-        g = np.array([[int(ch) for ch in row] for row in _GLYPHS[d]], dtype=float)
-        big = np.kron(g, np.ones((3, 3)))
-        variants[d, 0, 3:24, 6:21] = big
-        variants[d, 1, 3:24, 6:21] = np.maximum(big, np.roll(big, 1, axis=0))
-        variants[d, 2, 3:24, 6:21] = np.maximum(big, np.roll(big, 1, axis=1))
-    variant_idx = np.where(rng.random(n_images) < 0.5 * distortion,
-                           rng.integers(1, 3, size=n_images), 0)
-    dy = rng.integers(-3, 4, size=n_images)
-    dx = rng.integers(-4, 5, size=n_images)
-    offsets = np.rint((rng.standard_normal((n_images, 28)) * 1.6 * distortion)
-                      @ _blur_operator(28, 1.5).T).astype(int)
-    sigma = rng.uniform(0.5, 1.1, size=n_images) * max(distortion, 1e-9)
-    edges = np.asarray(_SIGMA_BUCKETS) * max(distortion, 1e-9)
-    bucket = np.argmin(np.abs(sigma[:, None] - edges[None, :]), axis=1)
-    ops = [_blur_operator(28, float(sg)) if distortion > 0 else np.eye(28) for sg in edges]
-    amp = rng.uniform(0.65, 1.0, size=n_images)[:, None, None]
-
-    images = np.empty((n_images, 28, 28), dtype=np.uint8)
-    for lo in range(0, n_images, _GLYPH_BLOCK):
-        blk = slice(lo, lo + _GLYPH_BLOCK)
-        canvas = variants[labels[blk], variant_idx[blk]]
-        rows = (np.arange(28)[None, :, None] - dy[blk, None, None]) % 28
-        canvas = np.take_along_axis(canvas, np.broadcast_to(rows, canvas.shape), axis=1)
-        cols = (np.arange(28)[None, None, :] - dx[blk, None, None]) % 28
-        canvas = np.take_along_axis(canvas, np.broadcast_to(cols, canvas.shape), axis=2)
-        cols = (np.arange(28)[None, None, :] - offsets[blk, :, None]) % 28
-        canvas = np.take_along_axis(canvas, cols, axis=2)
-        out = np.empty_like(canvas)
-        for b, op in enumerate(ops):
-            sel = bucket[blk] == b
-            if sel.any():
-                out[sel] = op @ canvas[sel] @ op.T
-        noise = rng.standard_normal(canvas.shape) * 10.0 * distortion
-        images[blk] = np.clip(out * amp[blk] * 255.0 + noise, 0.0, 255.0).astype(np.uint8)
-    return images, labels
 
 
 class TestRenderHeader:
@@ -387,7 +343,7 @@ class TestGlyphDataset:
     @pytest.mark.parametrize("n", [1, 7, 511, 512, 513, 1100])
     def test_matches_three_roll_generator(self, n, seed, distortion):
         data = make_glyph_dataset(n, seed, distortion)
-        images, labels = three_roll_glyphs(n, seed, distortion)
+        images, labels = reference.three_roll_glyphs(n, seed, distortion)
         assert data.images.tobytes() == images.tobytes()
         assert data.labels.tobytes() == labels.tobytes()
 
