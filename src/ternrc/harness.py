@@ -286,15 +286,12 @@ def consistency(reference, traces) -> np.ndarray:
 
 def epochs_to_convergence(result: TrainResult) -> int:
     """First epoch whose best error is within 5% of the run's final
-    improvement (0 when the run never improved)."""
+    improvement, as the last one's always is (0 when the run never improved)."""
     improvement = result.initial_nmse - result.final_nmse
     if not improvement > 0:
         return 0
     level = result.final_nmse + 0.05 * improvement
-    for rec in result.history:
-        if rec.nmse_best <= level:
-            return rec.epoch
-    return result.history[-1].epoch
+    return next(rec.epoch for rec in result.history if rec.nmse_best <= level)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +356,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     digits = ([None] if isinstance(cfg.task, HeaderTask)
               else list(range(10)) if cfg.task.digit is None else [cfg.task.digit])
     rows: list[dict] = []
-    out = _OutputSink(cfg.output_dir)
-    out.config(cfg)
+    out = _OutputSink(cfg)
     batch_sets = _task_batches(cfg, digits)
     for repeat in range(cfg.repeats):
         sub_on = _substrate(cfg, repeat, vcsel_on=True)
@@ -414,8 +410,7 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     recording full learning curves and the epochs-to-convergence summary."""
     _check_one_digit(cfg)
     rows, curves = [], []
-    out = _OutputSink(cfg.output_dir)
-    out.config(cfg)
+    out = _OutputSink(cfg)
     batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
@@ -444,8 +439,7 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     if not isinstance(cfg.task, HeaderTask):
         raise ConfigError("run_header_task needs a header task config")
     rows = []
-    out = _OutputSink(cfg.output_dir)
-    out.config(cfg)
+    out = _OutputSink(cfg)
     batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
@@ -465,16 +459,15 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     check: its consistency, nmse and detector-path gain.
 
     The traces of up to :data:`STABILITY_BLOCK` checks are measured one by
-    one into a block, whose statistics are then taken row by row, so the work
-    arrays stay bounded whatever ``n_checks``. A non-finite trace raises
-    :class:`NumericalError` naming its check."""
+    one into a block, so the work arrays stay bounded whatever ``n_checks``;
+    a block's consistencies are taken together, its errors check by check.
+    A non-finite trace raises :class:`NumericalError` naming its check."""
     if cfg.repeats != 1:
         raise UsageError(f"stability runs one repeat, got repeats={cfg.repeats}")
     _check_count(n_checks, "n_checks", 2)
     _check_count(drift_steps_per_check, "drift_steps_per_check", 0)
     _check_one_digit(cfg)
-    out = _OutputSink(cfg.output_dir)
-    out.config(cfg)
+    out = _OutputSink(cfg)
     sub, batches, states, power = _acquired(cfg, 0, _task_batches(cfg))
     rigs, _, result = _arm(cfg, 0, "", sub, states, batches, power)
     mask = result.best_mask
@@ -495,9 +488,9 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
             raise NumericalError(f"stability check {bad} measured a non-finite trace")
         if start == 0:
             reference = block[0].copy()
-        rows += [{"check": start + i, "consistency": c, "nmse": e, "gain": g}
-                 for i, (c, e, g) in enumerate(zip(consistency(reference, block).tolist(),
-                                                   nmse(*norm.error_args(block)).tolist(), gains))]
+        checks = zip(consistency(reference, block).tolist(), block, gains)
+        rows += [{"check": start + i, "consistency": c, "nmse": nmse(*norm.error_args(trace)),
+                  "gain": g} for i, (c, trace, g) in enumerate(checks)]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows
 
@@ -507,15 +500,18 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
 
 class _OutputSink:
     """The one writer of result files: every file format of a run is defined
-    here. Files go under ``output_dir``; the sink is inert without one."""
+    here. Opening it starts a run: it makes the config's ``output_dir`` and
+    writes the resolved config there. The sink is inert without one."""
 
-    def __init__(self, output_dir: str | Path | None):
-        self.root = Path(output_dir) if output_dir else None
+    def __init__(self, cfg: ExperimentConfig):
+        self.root = Path(cfg.output_dir) if cfg.output_dir else None
         if self.root:
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise UsageError(f"cannot create output directory {self.root}: {exc}") from exc
+        self.write("config.resolved.json",
+                   json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
     def write(self, name: str, text: str) -> None:
         if not self.root:
@@ -563,10 +559,6 @@ class _OutputSink:
         self.write(f"mask_{tag}.json", json.dumps(
             {"weights": [int(v) for v in mask.weights], "mode": mask.mode,
              "grid_side": int(grid_side)}))
-
-    def config(self, cfg: ExperimentConfig) -> None:
-        self.write("config.resolved.json",
-                   json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _cell(v) -> str:

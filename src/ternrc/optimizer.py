@@ -90,12 +90,11 @@ class TrainResult:
 
 
 def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
-         centred_target: tuple[np.ndarray, float] | None = None) -> float | np.ndarray:
-    """Normalized mean square error of a measured trace against its target:
+         centred_target: tuple[np.ndarray, float] | None = None) -> float:
+    """Normalized mean square error of one measured trace against its target:
     sum of squared residuals over N times the population standard deviation
     of the trace. A (near-)constant trace has no usable spread and returns
-    +inf so it can never be accepted. Given a (C, N) stack of traces, it
-    returns the (C,) errors of its rows, each bit for bit the row's own.
+    +inf so it can never be accepted.
 
     With ``zscore`` it is the error of the trace z-scored onto the target's
     mean and spread (see :class:`Normalizer`), taken from the raw trace in
@@ -107,30 +106,20 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
     caller holds them: a search scores every epoch against one target."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
-    if y.shape != t.shape and y.shape[1:] != t.shape or t.ndim != 1:
-        raise UsageError(f"trace/target must be equal-length vectors, or a stack of traces "
-                         f"as wide as the target, got {y.shape} / {t.shape}")
+    if y.shape != t.shape or t.ndim != 1:
+        raise UsageError(f"trace/target must be equal-length vectors, got {y.shape} / {t.shape}")
     n = t.size
     if n < 2:
         raise UsageError(f"need at least 2 samples, got {n}")
     if zscore:
         d, sd = _centred(y)
         dt, sd_t = _centred(t) if centred_target is None else centred_target
-        # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
-        # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
-        cov = np.add.reduce(d * dt, -1)
-        if y.ndim == 2:
-            # a flat row's spread is raised to the floor only to divide safely
-            e = np.maximum(2.0 * (sd_t - cov / (n * np.maximum(sd, STD_FLOOR))), 0.0)
-            return np.where((sd < STD_FLOOR) | (sd_t < STD_FLOOR), math.inf, e)
         if sd < STD_FLOOR or sd_t < STD_FLOOR:
             return math.inf
-        return float(max(2.0 * (sd_t - cov / (n * sd)), 0.0))
+        # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
+        # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
+        return float(max(2.0 * (sd_t - np.add.reduce(d * dt) / (n * sd)), 0.0))
     sd = _centred(y)[1]
-    if y.ndim == 2:
-        r = y - t
-        return np.divide(np.add.reduce(r * r, 1), n * sd, out=np.full(len(y), math.inf),
-                         where=~(sd < STD_FLOOR))
     if sd < STD_FLOOR:
         return math.inf
     r = y - t
@@ -139,9 +128,9 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
 
 def _centred(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """``y - np.mean(y)`` and ``np.std(y)`` of a float vector, bit for bit:
-    numpy's operations in numpy's order, without its per-call dispatch. For a
-    (C, N) stack, the same of each row, the spreads as a (C,) array: numpy
-    sums each row of a reduction as it sums that row alone."""
+    numpy's operations in numpy's order, without its per-call dispatch. For
+    the (C, N) block of ``consistency``, the same of each row, the spreads as
+    a (C,) array: numpy sums each row of a reduction as it sums it alone."""
     n = y.shape[-1]
     if y.ndim == 1:
         d = y - np.add.reduce(y) / n
@@ -202,9 +191,8 @@ class Normalizer:
     detection scale. first_epoch: an affine map ``transform = (low, span)``,
     unless given, is frozen from the first trace the normalizer is called on
     (min -> low level, max -> high level) and applied to all later traces.
-    off: raw traces. Under off and first_epoch a (C, N) stack of traces is
-    conditioned row by row, each row bit for bit as alone; first_epoch
-    freezes its map from the first row. The search's error,
+    off: raw traces. Every mode takes one trace as long as the target and
+    raises :class:`UsageError` on anything else. The search's error,
     ``nmse(*norm.error_args(y))``, never builds a z-scored trace.
     """
 
@@ -219,27 +207,26 @@ class Normalizer:
         self.transform = transform
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
+        if y.shape != self._t.shape:
+            raise UsageError(f"a normalizer takes one trace of {self._t.size}, got {y.shape}")
         if self.mode == "off":
             return y
         if self.mode == "first_epoch":
             if self.transform is None:
-                first = y.reshape(-1, y.shape[-1])[0]
-                lo, hi = float(np.min(first)), float(np.max(first))
+                lo, hi = float(np.min(y)), float(np.max(y))
                 self.transform = (lo, hi - lo if hi > lo else 1.0)
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
-        if y.ndim != 1:
-            raise UsageError(f"a zscore normalizer takes one trace, got shape {y.shape}")
         d, sd = _centred(y)
         if sd < STD_FLOOR:
             return np.full_like(y, self._t_mean)
         return d / sd * self._centred_t[1] + self._t_mean
 
     def error_args(self, y: np.ndarray, z: np.ndarray | None = None) -> tuple:
-        """The arguments of :func:`nmse` for the raw trace ``y`` (or a (C, N)
-        stack) under this normalisation: under zscore the raw trace itself,
-        for the one-pass error, with the target centred once per normaliser;
-        otherwise ``self(y)``, or ``z`` if it is already made."""
+        """The arguments of :func:`nmse` for the raw trace ``y`` under this
+        normalisation: under zscore the raw trace itself, for the one-pass
+        error, with the target centred once per normaliser; otherwise
+        ``self(y)``, or ``z`` if it is already made."""
         if self.mode == "zscore":
             return y, self._t, True, self._centred_t
         return self(y) if z is None else z, self._t, False, None

@@ -33,6 +33,10 @@ import numpy as np
 from .errors import ConfigError, ShapeError, UsageError, _check_count, _check_types
 
 
+#: bounds that keep the laser's s * p, the coupling's 2 * sigma**2 and noise squares normal
+SATURATION_BOUND, DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND = 1e150, 1e-100, 1e100
+
+
 def circle_mask(side: int) -> np.ndarray:
     """Inscribed-circle aperture: a cell is active iff its center lies within
     the circle inscribed in the side x side square."""
@@ -67,10 +71,13 @@ class SubstrateConfig:
             raise ConfigError(f"grid_side must be >= 2, got {self.grid_side}")
         if self.input_side < 4:
             raise ConfigError(f"input_side must be >= 4, got {self.input_side}")
-        for name in ("saturation", "diffusion_sigma", "noise_sigma", "drift_amplitude"):
+        for name, bound in (("saturation", SATURATION_BOUND), ("diffusion_sigma", math.inf),
+                            ("noise_sigma", NOISE_SIGMA_BOUND), ("drift_amplitude", math.inf)):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+            if not math.isfinite(v) or not 0 <= v <= bound:
+                raise ConfigError(f"{name} must be finite and in [0, {bound:g}], got {v}")
+        if 0 < (v := self.diffusion_sigma) < DIFFUSION_SIGMA_FLOOR:
+            raise ConfigError(f"diffusion_sigma must be 0 or >= {DIFFUSION_SIGMA_FLOOR:g}, got {v}")
         if not math.isfinite(self.drift_timescale) or self.drift_timescale <= 0:
             raise ConfigError(f"drift_timescale must be finite and > 0, got {self.drift_timescale}")
         if not 0 <= self.seed < 2 ** 32:
@@ -172,9 +179,10 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
         raise UsageError("forward_batch requires a non-empty batch")
     if px.dtype != bool:
         raise ConfigError(f"frames must be boolean, got {px.dtype}")
-    flat = px.reshape(len(px), -1)
     # each bit-packed row compared as one opaque value: np.unique(axis=0)
-    # compares Boolean columns one by one, ~300x slower on 64 px frames
+    # compares Boolean columns one by one, ~300x slower on 64 px frames. Rows
+    # in C order: a strided stack packs far slower and cannot be viewed as void
+    flat = np.ascontiguousarray(px).reshape(len(px), -1)
     packed = np.packbits(flat, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)

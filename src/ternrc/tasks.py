@@ -109,13 +109,13 @@ class MnistTask:
 
 
 def render_headers(n_bits: int, side: int, values: np.ndarray) -> np.ndarray:
-    """(U, side, side) headers of the U ``values``. Sector k spans angles
-    [2*pi*k/n, 2*pi*(k+1)/n) measured counter-clockwise from the +x axis,
-    with +y pointing up."""
+    """(N, side, side) headers of the N ``values``, frame axis innermost in
+    memory. Sector k spans angles [2*pi*k/n, 2*pi*(k+1)/n) measured
+    counter-clockwise from the +x axis, with +y pointing up."""
     d = np.arange(side) + 0.5 - side / 2.0  # pixel centres from the disk centre
     angle = np.mod(np.arctan2(-d[:, None], d[None, :]), 2.0 * np.pi)
     sector = np.minimum((angle / (2.0 * np.pi) * n_bits).astype(int), n_bits - 1)
-    # (U, n_bits) bit table indexed by the one sector map
+    # (N, n_bits) bit table indexed by the one sector map
     bits = ((values[:, None] >> np.arange(n_bits)) & 1).astype(bool)
     return bits[:, sector] & circle_mask(side)
 
@@ -134,9 +134,7 @@ def make_header_batch(task: HeaderTask, seed: int,
     targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
     order = rng.permutation(task.n_samples)
     values, targets = values[order], targets[order]
-    # headers come from a small alphabet; render each distinct value once
-    distinct, which = np.unique(values, return_inverse=True)
-    return LabeledBatch(pixels=render_headers(task.n_bits, task.image_side, distinct)[which],
+    return LabeledBatch(pixels=render_headers(task.n_bits, task.image_side, values),
                         targets=targets, labels=values.astype(int))
 
 

@@ -8,6 +8,7 @@ A change that means to move the numbers re-pins ``GOLDEN`` and says why.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from ternrc.cli import _default_doc, _load_config, build_parser, main
 from ternrc.errors import ConfigError, UsageError
 from ternrc.harness import ExperimentConfig, derive_seed
 from ternrc.optimizer import TrainConfig
-from ternrc.substrate import SubstrateConfig
+from ternrc.substrate import (DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND, SATURATION_BOUND,
+                              SubstrateConfig)
 from ternrc.tasks import HeaderTask, MnistTask, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -418,6 +420,11 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": {**VALID_TRAIN, "target_levels": [0.0, float("inf")]}},
     {"train": {**VALID_TRAIN, "target_levels": [-1e308, 1e308]}},
     {"train": {**VALID_TRAIN, "target_levels": [0.0, 1e200]}},
+    {"substrate": {"saturation": 1e308}, "train": VALID_TRAIN},
+    {"substrate": {"saturation": 1e151}, "train": VALID_TRAIN},
+    {"substrate": {"diffusion_sigma": 1e-200}, "train": VALID_TRAIN},
+    {"substrate": {"diffusion_sigma": 1e-160}, "train": VALID_TRAIN},
+    {"substrate": {"noise_sigma": 1e200}, "train": VALID_TRAIN},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
@@ -427,7 +434,9 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "string-vcsel-on", "string-target-levels", "header-63-bits", "header-64-bits",
         "negative-substrate-seed", "train-seed-2-pow-32", "scalar-target-levels",
         "scalar-alphas", "infinite-target-level", "target-levels-squares-overflow",
-        "target-level-square-overflows"])
+        "target-level-square-overflows", "saturation-overflows", "saturation-past-bound",
+        "diffusion-width-squares-to-zero", "diffusion-exponent-overflows",
+        "noise-squares-overflow"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
@@ -435,6 +444,24 @@ def test_bad_config_exits_2(doc, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(doc)
+
+
+@pytest.mark.parametrize("normalize", ["zscore", "off", "first_epoch"])
+@pytest.mark.parametrize("field, bound, past", [
+    ("saturation", SATURATION_BOUND, math.inf),
+    ("diffusion_sigma", DIFFUSION_SIGMA_FLOOR, 0.0),
+    ("noise_sigma", NOISE_SIGMA_BOUND, math.inf)])
+def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path):
+    # the next float past a bound is rejected; a tiny run at it exits 0, and
+    # numpy's RuntimeWarnings are errors under pytest
+    with pytest.raises(ConfigError, match=field):
+        SubstrateConfig(**{field: float(np.nextafter(bound, past))})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "substrate": {field: bound},
+        "train": {"alpha": 10.0, "max_epochs": 20, "normalize": normalize},
+        "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
+    assert main(["header", "--config", str(config)]) == 0
 
 
 _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})

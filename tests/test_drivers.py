@@ -1,16 +1,20 @@
 """The experiment drivers' input and output boundaries: each IDX partition is
-parsed once per driver call and freed once the last batches are made, and a
-run without an output directory writes nothing and returns the rows of a run
-with one."""
+parsed once per driver call and freed once the last batches are made, a run
+without an output directory writes nothing and returns the rows of a run with
+one, the output sink records the config when it opens, and the convergence
+epoch is read off the history."""
 
 import dataclasses
+import json
+import math
 import weakref
 
 import pytest
 
 from ternrc import harness
 from ternrc.harness import ExperimentConfig
-from ternrc.optimizer import TrainConfig
+from ternrc.optimizer import EpochRecord, TrainConfig, TrainResult
+from ternrc.readout import random_mask
 from ternrc.substrate import SubstrateConfig, forward_batch
 from ternrc.tasks import HeaderTask, load_mnist
 
@@ -86,3 +90,33 @@ def test_run_without_output_dir_writes_nothing(run, tmp_path, monkeypatch):
     monkeypatch.chdir(inert)
     assert run(tiny_config(HEADER)) == with_files
     assert not any(inert.iterdir())
+
+
+def test_sink_records_the_config_when_it_opens(tmp_path):
+    # opening the sink makes the output directory and writes the resolved
+    # config, which loads back as the run's config
+    cfg = tiny_config(HEADER, output_dir=str(tmp_path / "a" / "b"))
+    harness._OutputSink(cfg)
+    assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["config.resolved.json"]
+    text = (tmp_path / "a" / "b" / "config.resolved.json").read_text()
+    assert ExperimentConfig.from_json(text) == cfg
+    assert text == json.dumps(cfg.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _result(initial, bests):
+    history = tuple(EpochRecord(epoch=i, nmse_best=b, n_mirrors=1, accepted=True)
+                    for i, b in enumerate(bests, 1))
+    return TrainResult(best_mask=random_mask(4), history=history, final_nmse=bests[-1],
+                       initial_nmse=initial)
+
+
+@pytest.mark.parametrize("initial, bests, epoch", [
+    (1.0, (1.0, 0.5, 0.2, 0.1, 0.1), 4),  # level 0.145
+    (1.0, (1.0, 1.0, 0.0), 3),  # only the final error is within 0.05
+    (math.inf, (math.inf, 2.0, 1.0), 1),  # an infinite improvement: every epoch is within
+    (1.0, (1.0, 1.0), 0),  # never improved
+    (1.0, (1.0, math.nextafter(1.0, 0.0)), 2),  # the level rounds to the final error
+], ids=["within-five-percent", "final-epoch", "infinite-initial", "no-improvement",
+        "level-rounds-to-final"])
+def test_epochs_to_convergence(initial, bests, epoch):
+    assert harness.epochs_to_convergence(_result(initial, bests)) == epoch

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, ShapeError, UsageError
-from ternrc.harness import BatchReadout, _OutputSink, consistency
+from ternrc.harness import BatchReadout, ExperimentConfig, _OutputSink, consistency
 from ternrc.optimizer import TrainResult, propose
 from ternrc.readout import DetectorModel, TernaryMask, random_mask, readout_batch
 from ternrc.substrate import (SubstrateConfig, advance_drift, build_substrate, circle_mask,
@@ -499,7 +499,9 @@ class TestRandomMask:
 def mask_file(m, grid_side, root):
     """The mask document the output sink writes for an arm that trained ``m``."""
     result = TrainResult(best_mask=m, history=(), final_nmse=0.0, initial_nmse=0.0)
-    _OutputSink(root).arm("t", result, grid_side)
+    cfg = ExperimentConfig.from_json({"train": {"alpha": 1.0, "max_epochs": 1},
+                                      "output_dir": str(root)})
+    _OutputSink(cfg).arm("t", result, grid_side)
     return json.loads((root / "mask_t.json").read_text())
 
 
@@ -524,5 +526,6 @@ class TestSerialization:
     def test_grid_length_mismatch(self, tmp_path):
         with pytest.raises(ShapeError):
             mask_file(random_mask(10, "ternary", 0), 24, tmp_path)
-        # the arm is rejected before any of its files is written
-        assert not any(tmp_path.iterdir())
+        # the arm is rejected before any of its files is written; the sink
+        # wrote the run's config when it opened
+        assert [p.name for p in tmp_path.iterdir()] == ["config.resolved.json"]

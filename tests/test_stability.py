@@ -6,7 +6,7 @@ import pytest
 
 from ternrc.errors import NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, consistency, run_stability
-from ternrc.optimizer import NORMALIZE_MODES, Normalizer, TrainConfig, nmse
+from ternrc.optimizer import NORMALIZE_MODES, TrainConfig, nmse
 from ternrc.substrate import SubstrateConfig, advance_drift, build_substrate
 from ternrc.tasks import HeaderTask
 
@@ -62,7 +62,7 @@ class TestBlockLoopOracle:
 
 
 class TestRowStatistics:
-    """A (C, N) stack gives each row's statistic bit for bit."""
+    """A (C, N) stack gives each row's consistency bit for bit."""
 
     @staticmethod
     def stack(rng, c, n):
@@ -81,28 +81,6 @@ class TestRowStatistics:
         assert got.shape == (c,) and got[0] == 1.0
         assert [v.hex() for v in got.tolist()] == [consistency(ref, r[None].copy())[0].hex()
                                                    for r in rows]
-
-    @pytest.mark.parametrize("c", [1, 7, 64])
-    @pytest.mark.parametrize("n", [2, 40, 250, 1001])
-    def test_nmse_and_normalizer_rows(self, c, n):
-        rng = np.random.default_rng(43 * c + n)
-        _, rows = self.stack(rng, c, n)
-        rows[c // 2] = 3.0  # a constant row: its nmse is inf
-        t = (rng.random(n) > 0.5).astype(float)
-        t[:2] = (0.0, 1.0)
-        for zscore in (False, True):
-            got = nmse(rows, t, zscore=zscore)
-            assert [v.hex() for v in got.tolist()] == [nmse(r.copy(), t, zscore=zscore).hex()
-                                                       for r in rows]
-        # a zscore normalizer takes one trace: the search's error reads the raw stack
-        for mode in ("off", "first_epoch"):
-            one = Normalizer(mode, t)
-            want = np.stack([one(r.copy()) for r in rows])
-            stacked = Normalizer(mode, t)
-            assert stacked(rows).tobytes() == want.tobytes()
-            assert stacked.transform == one.transform
-        with pytest.raises(UsageError, match="one trace"):
-            Normalizer("zscore", t)(rows)
 
     def test_all_rows_equal_to_a_constant_reference(self):
         # as for two identical vectors, identity wins over the constant check

@@ -13,7 +13,7 @@ from ternrc.substrate import (SubstrateConfig, _coupling_matrix, advance_drift, 
                               circle_mask,
                               forward_batch, laser_response, states_matrix)
 from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
-                          make_header_batch, make_onevsall_batch)
+                          make_header_batch, make_onevsall_batch, render_headers)
 
 import reference
 
@@ -211,6 +211,18 @@ class TestForwardBatch:
             # a repeated frame reads its shared row, bit for bit
             assert state.tobytes() == got[(pats == pat).all(axis=(1, 2))][0].tobytes()
             np.testing.assert_allclose(state, forward(sub, pat[None])[0], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_any_memory_layout(self, n):
+        # rendered headers keep the frame axis innermost; a reversed or
+        # Fortran-ordered stack is strided too. Each reads as its C-ordered copy
+        sub = build_substrate(SubstrateConfig(grid_side=8, input_side=32))
+        pats = render_headers(4, 32, np.arange(n) % 16)
+        assert n == 1 or not pats.flags.c_contiguous
+        for stack in (pats, np.asfortranarray(pats), pats[::-1], pats[:, ::-1]):
+            want = forward_batch(sub, np.ascontiguousarray(stack))
+            got = forward_batch(sub, stack)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_thousand_patterns(self):
         sub = build_substrate(SubstrateConfig(grid_side=8, input_side=8))
