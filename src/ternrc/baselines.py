@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, UsageError, _check_count
+from .errors import NumericalError, UsageError, _check_count
 from .optimizer import Metrics, midpoint_threshold, nmse, score, _positive_class
 
 
@@ -21,7 +21,7 @@ class RidgeModel:
 def _as_matrix(states) -> np.ndarray:
     x = np.asarray(states, dtype=float)
     if x.ndim != 2:
-        raise ShapeError(f"states must form an (N, K) matrix, got shape {x.shape}")
+        raise UsageError(f"states must form an (N, K) matrix, got shape {x.shape}")
     return x
 
 
@@ -69,7 +69,7 @@ def ridge_eval(model: RidgeModel, states, targets,
     t = np.asarray(targets, dtype=float)
     x = _as_matrix(states)
     if x.shape[1] != model.weights.size:
-        raise ShapeError(f"state width {x.shape[1]} != model width {model.weights.size}")
+        raise UsageError(f"state width {x.shape[1]} != model width {model.weights.size}")
     y = x @ model.weights + model.bias
     return score(y, t, nmse(y, t), threshold_rule)
 

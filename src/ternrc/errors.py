@@ -10,12 +10,8 @@ class ConfigError(ValueError):
     """Invalid configuration (bad dimensions, non-finite parameters, bad JSON)."""
 
 
-class ShapeError(ValueError):
-    """Dimension mismatch between arrays that must agree."""
-
-
 class UsageError(ValueError):
-    """Operation called with arguments outside its contract."""
+    """Operation called with arguments outside its contract, shape mismatches included."""
 
 
 class NumericalError(ArithmeticError):

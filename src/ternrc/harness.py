@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
-from .errors import (ConfigError, DataError, NumericalError, ShapeError, UsageError,
-                     _check_count, _check_types)
+from .errors import ConfigError, DataError, NumericalError, UsageError, _check_count, _check_types
 from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, _centred, evaluate, nmse,
                         train)
 from .readout import DetectorModel, TernaryMask, readout_batch
@@ -181,7 +180,7 @@ class BatchReadout:
     def power(self, plane: np.ndarray) -> np.ndarray:
         """The noiseless (N,) power of one Boolean plane."""
         if plane.shape != (self.n_nodes,):
-            raise ShapeError(f"state width {self.n_nodes} != plane shape {plane.shape}")
+            raise UsageError(f"state width {self.n_nodes} != plane shape {plane.shape}")
         # the plane's bytes, one per node, as an integer: the popcount of its
         # XOR with a base's key is the number of positions where they differ
         key = int.from_bytes(plane.tobytes(), "little")
@@ -550,7 +549,7 @@ class _OutputSink:
         mask = result.best_mask
         n_active = int(circle_mask(grid_side).sum())
         if len(mask) != n_active:
-            raise ShapeError(f"mask length {len(mask)} != {n_active} active cells of a "
+            raise UsageError(f"mask length {len(mask)} != {n_active} active cells of a "
                              f"{grid_side}-side grid")
         # rows spelled out: vars() would give each record its own __dict__
         self.csv(f"history_{tag}.csv", ["epoch", "nmse_best", "n_mirrors", "accepted"],

@@ -222,14 +222,14 @@ class Normalizer:
             return np.full_like(y, self._t_mean)
         return d / sd * self._centred_t[1] + self._t_mean
 
-    def error_args(self, y: np.ndarray, z: np.ndarray | None = None) -> tuple:
+    def error_args(self, y: np.ndarray) -> tuple:
         """The arguments of :func:`nmse` for the raw trace ``y`` under this
         normalisation: under zscore the raw trace itself, for the one-pass
         error, with the target centred once per normaliser; otherwise
-        ``self(y)``, or ``z`` if it is already made."""
+        ``self(y)``."""
         if self.mode == "zscore":
             return y, self._t, True, self._centred_t
-        return self(y) if z is None else z, self._t, False, None
+        return self(y), self._t, False, None
 
 
 def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarray,
@@ -313,8 +313,7 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
     t = np.asarray(y_target, dtype=float)
     norm = Normalizer(normalize, t, output_transform)
     y = _measured(forward_pass, mask, t)
-    z = norm(y)
-    return score(z, t, nmse(*norm.error_args(y, z)), threshold_rule)
+    return score(norm(y), t, nmse(*norm.error_args(y)), threshold_rule)
 
 
 def score(y_out: np.ndarray, y_target: np.ndarray, err: float,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, _check_count
+from .errors import ConfigError, UsageError, _check_count
 
 ALPHABETS = {"boolean": np.array([0, 1], dtype=np.int8),
              "ternary": np.array([-1, 0, 1], dtype=np.int8)}
@@ -36,7 +36,7 @@ class TernaryMask:
     def __post_init__(self):
         object.__setattr__(self, "weights", w := np.asarray(self.weights))
         if w.ndim != 1 or w.size < 1:
-            raise ShapeError(f"weights must be a non-empty vector, got shape {w.shape}")
+            raise UsageError(f"weights must be a non-empty vector, got shape {w.shape}")
         if not ((w == -1) | (w == 0) | (w == 1)).all():
             raise ConfigError("weights must take values in {-1, 0, +1}")
         if self.mode not in MODES:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, UsageError, _check_count, _check_types
+from .errors import ConfigError, UsageError, _check_count, _check_types
 
 
 #: bounds that keep the laser's s * p, the coupling's 2 * sigma**2 and noise squares normal
@@ -174,7 +174,7 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     px = np.asarray(batch)
     side = substrate.config.input_side
     if px.ndim != 3 or px.shape[1:] != (side, side):
-        raise ShapeError(f"batch must be an (N, {side}, {side}) frame stack, got {px.shape}")
+        raise UsageError(f"batch must be an (N, {side}, {side}) frame stack, got {px.shape}")
     if len(px) == 0:
         raise UsageError("forward_batch requires a non-empty batch")
     if px.dtype != bool:
@@ -219,10 +219,10 @@ def states_matrix(states: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take(states.T, index, axis=1).T
 
 
-def advance_drift(substrate: Substrate, steps: int) -> Substrate:
+def advance_drift(substrate: Substrate, steps: int) -> None:
     """Advance the detector-path gain by ``steps`` of a seeded mean-reverting
-    random walk, clamped to [0.5, 2.0]. Mutates the substrate in place and
-    returns it; callers interleaving this with detection must serialize."""
+    random walk, clamped to [0.5, 2.0]. Mutates the substrate in place;
+    callers interleaving this with detection must serialize."""
     _check_count(steps, "steps", 0)
     g = substrate.gain
     ts = substrate.config.drift_timescale
@@ -231,4 +231,3 @@ def advance_drift(substrate: Substrate, steps: int) -> Substrate:
         g = g + (1.0 - g) / ts + amp * substrate._rng.standard_normal()
         g = min(2.0, max(0.5, g))
     substrate.gain = g
-    return substrate

@@ -13,14 +13,15 @@ digit dataset holds (N, rows, cols) uint8 grayscale images.
 
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, FormatError, ShapeError, UsageError, _check_count,
-                     _check_types, _is_number)
+from .errors import (ConfigError, DataError, FormatError, UsageError, _check_count, _check_types,
+                     _is_number)
 from .substrate import circle_mask
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -44,7 +45,7 @@ class LabeledBatch:
     def __post_init__(self):
         px = np.asarray(self.pixels)
         if px.ndim != 3 or px.shape[1] != px.shape[2]:
-            raise ShapeError(f"frames must form an (N, d, d) stack, got shape {px.shape}")
+            raise UsageError(f"frames must form an (N, d, d) stack, got shape {px.shape}")
         if px.shape[1] < 4:
             raise ConfigError(f"frame side must be >= 4, got {px.shape[1]}")
         if px.dtype != bool:
@@ -52,7 +53,7 @@ class LabeledBatch:
         if np.any(px & ~circle_mask(px.shape[1])):
             raise ConfigError("pixels outside the aperture must be off")
         if len(self.targets) != len(px) or len(self.labels) != len(px):
-            raise ShapeError("pixels, targets and labels must have equal length")
+            raise UsageError("pixels, targets and labels must have equal length")
 
 
 def _check_task(task, kind: str) -> None:
@@ -150,45 +151,38 @@ class DigitDataset:
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
-            raise ShapeError("image and label counts differ")
+            raise UsageError("image and label counts differ")
 
 
-def _read(path) -> bytes:
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The ubyte array of the IDX file at ``path``: ``magic``, one big-endian
+    int32 per dimension, as many as the magic's low byte (a count >= 0, then
+    sizes >= 1), and exactly their product of payload bytes."""
     try:
         with open(path, "rb") as f:
-            return f.read()
+            blob = f.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    header = 4 + 4 * (magic & 0xFF)
+    if len(blob) < header:
+        raise FormatError(f"{path}: truncated IDX header")
+    found, *dims = struct.unpack(f">{header // 4}i", blob[:header])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x}")
+    if dims[0] < 0 or min(dims[1:], default=1) < 1:
+        raise FormatError(f"{path}: bad dimensions {tuple(dims)}")
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=header)
+    if payload.size != math.prod(dims):
+        raise FormatError(f"{path}: expected {math.prod(dims)} payload bytes, got {payload.size}")
+    return payload.reshape(dims)
 
 
 def load_mnist(images_path, labels_path) -> DigitDataset:
     """Load an IDX image/label file pair (big-endian, ubyte payload)."""
-    blob = _read(images_path)
-    if len(blob) < 16:
-        raise FormatError(f"{images_path}: truncated IDX header")
-    magic, count, rows, cols = struct.unpack(">iiii", blob[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"{images_path}: bad magic 0x{magic:08x}")
-    if count < 0 or rows < 1 or cols < 1:
-        raise FormatError(
-            f"{images_path}: bad dimensions count={count} rows={rows} cols={cols}")
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=16)
-    if payload.size != count * rows * cols:
-        raise FormatError(
-            f"{images_path}: expected {count * rows * cols} pixel bytes, got {payload.size}")
-    images = payload.reshape(count, rows, cols)
-
-    blob = _read(labels_path)
-    if len(blob) < 8:
-        raise FormatError(f"{labels_path}: truncated IDX header")
-    magic, n_labels = struct.unpack(">ii", blob[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}")
-    labels = np.frombuffer(blob, dtype=np.uint8, offset=8)
-    if labels.size != n_labels:
-        raise FormatError(f"{labels_path}: expected {n_labels} labels, got {labels.size}")
-    if n_labels != count:
-        raise FormatError(f"image count {count} != label count {n_labels}")
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    if len(labels) != len(images):
+        raise FormatError(f"image count {len(images)} != label count {len(labels)}")
     if labels.size and labels.max() > 9:
         raise FormatError(f"{labels_path}: labels must be digits 0-9")
     return DigitDataset(images=images, labels=labels)

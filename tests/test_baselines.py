@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit
-from ternrc.errors import NumericalError, ShapeError, UsageError
+from ternrc.errors import NumericalError, UsageError
 from ternrc.optimizer import nmse, score
 
 import reference
@@ -122,7 +122,7 @@ class TestRidgeEval:
 
     def test_width_mismatch(self):
         model = RidgeModel(weights=np.zeros(3), bias=0.0)
-        with pytest.raises(ShapeError, match="model width 3"):
+        with pytest.raises(UsageError, match="model width 3"):
             ridge_eval(model, np.ones((4, 2)), np.array([0.0, 1.0] * 2))
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternrc.errors import ConfigError, ShapeError, UsageError
+from ternrc.errors import ConfigError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, _OutputSink, consistency
 from ternrc.optimizer import TrainResult, propose
 from ternrc.readout import DetectorModel, TernaryMask, random_mask, readout_batch
@@ -143,7 +143,7 @@ class TestCompose:
         assert y.tolist() == [0.0] * 4
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             rig_over(np.zeros((4, 3))).measure(random_mask(2, "ternary", 0))
 
     def test_boolean_mode_requires_empty_minus(self):
@@ -177,7 +177,7 @@ class TestDetect:
         assert detect_one(state([1.0, 1.0]), plane([1, 1]), 1.7, det) == pytest.approx(3.4)
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             rig_over(state([1.0])).power(plane([1, 0]))
 
     @pytest.mark.parametrize("gain", [1.0, 0.37])
@@ -250,7 +250,7 @@ class TestBatchReadout:
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_power_shape_checked(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             rig_over(np.zeros((4, 3))).power(plane([1, 0]))
 
     def test_noise_is_per_sample(self):
@@ -346,7 +346,7 @@ class TestDeltaReadout:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
             assert len(rig._bases) <= 2
         assert len(rig._bases) == 2
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             rig(random_mask(rig.n_nodes + 1, "boolean", 0))
 
     def test_optimizer_walk_matches_full_product(self):
@@ -524,7 +524,7 @@ class TestSerialization:
         assert np.count_nonzero(grid) == np.count_nonzero(m.weights)
 
     def test_grid_length_mismatch(self, tmp_path):
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             mask_file(random_mask(10, "ternary", 0), 24, tmp_path)
         # the arm is rejected before any of its files is written; the sink
         # wrote the run's config when it opened

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ternrc.errors import ConfigError, ShapeError, UsageError
+from ternrc.errors import ConfigError, UsageError
 from ternrc import harness
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
@@ -174,7 +174,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         sub = build_substrate(SubstrateConfig(input_side=28))
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             forward(sub, make_frames(side=16))
 
 
@@ -237,9 +237,9 @@ class TestForwardBatch:
     def test_mixed_sides_rejected(self):
         # frames whose two sides differ, and a single frame that is no stack
         sub = build_substrate(SubstrateConfig(input_side=8))
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             forward_batch(sub, np.zeros((2, 8, 16), dtype=bool))
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             forward_batch(sub, make_frames(side=8)[0])
 
     def test_non_boolean_frames_rejected(self):
@@ -456,9 +456,9 @@ class TestBatchFrames:
     def test_non_boolean_or_non_square_rejected(self):
         with pytest.raises(ConfigError):
             self._batch(np.zeros((1, 8, 8), dtype=np.uint8))
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             self._batch(np.zeros((1, 8, 6), dtype=bool))
-        with pytest.raises(ShapeError):
+        with pytest.raises(UsageError):
             LabeledBatch(np.zeros((2, 8, 8), dtype=bool), np.zeros(3), np.zeros(2))
 
     def test_center_crop_and_pad(self):

@@ -218,7 +218,7 @@ class TestIdx:
         ip.write_bytes(struct.pack(">iiii", 0x803, 10, 28, 28) + b"\x00" * 100)
         lp = tmp_path / "lab"
         write_idx_labels(np.zeros(10, dtype=np.uint8), lp)
-        with pytest.raises(FormatError, match="pixel bytes"):
+        with pytest.raises(FormatError, match="payload bytes"):
             load_mnist(ip, lp)
 
     @pytest.mark.parametrize("count, rows, cols", [
