@@ -274,7 +274,8 @@ def consistency(reference, traces) -> np.ndarray:
     r = np.ones(len(rows))
     moved = np.flatnonzero(~(rows == a).all(axis=1))
     if moved.size:
-        (ac, sa), (bc, sb) = _centred(a), _centred(rows)
+        # the block form, unscaled: its spread is 0 where these products underflow
+        ((ac,), (sa,)), (bc, sb) = _centred(a[None]), _centred(rows)
         if sa == 0.0 or (sb[moved] == 0.0).any():
             raise UsageError("consistency is undefined for a constant trace")
         norm_a = np.sqrt(ac @ ac)

@@ -20,7 +20,7 @@ from .readout import ALPHABETS, MODES, TernaryMask, random_mask
 
 NORMALIZE_MODES = ("off", "zscore", "first_epoch")
 
-#: guard below which the output spread counts as degenerate (constant trace)
+#: a trace is flat when its spread is at most this times its mean's magnitude
 STD_FLOOR = 1e-12
 
 #: largest target-level magnitude: the square of a level, or of two levels'
@@ -93,17 +93,17 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
          centred_target: tuple[np.ndarray, float] | None = None) -> float:
     """Normalized mean square error of one measured trace against its target:
     sum of squared residuals over N times the population standard deviation
-    of the trace. A (near-)constant trace has no usable spread and returns
-    +inf so it can never be accepted.
+    of the trace. A flat trace (see :func:`_centred`) has no usable spread
+    and returns +inf so it can never be accepted.
 
     With ``zscore`` it is the error of the trace z-scored onto the target's
     mean and spread (see :class:`Normalizer`), taken from the raw trace in
     one pass: 2 * std(t) * (1 - rho), where rho is the Pearson correlation
-    of trace and target. It is clamped at 0 from below, and a constant
-    target returns +inf too. Its sums are ``np.add.reduce``, not a BLAS dot,
-    so the value does not depend on the thread count. ``centred_target`` is
-    the target's centred copy and spread, ``_centred(y_target)``, when the
-    caller holds them: a search scores every epoch against one target."""
+    of trace and target, so no scale of the trace moves it. It is clamped at
+    0 from below, and a flat target returns +inf too. Its sums are
+    ``np.add.reduce``, not a BLAS dot, so the value does not depend on the
+    thread count. ``centred_target`` is ``_centred(y_target)`` when the
+    caller holds it: a search scores every epoch against one target."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
     if y.shape != t.shape or t.ndim != 1:
@@ -111,16 +111,15 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
     n = t.size
     if n < 2:
         raise UsageError(f"need at least 2 samples, got {n}")
+    d, sd = _centred(y)
     if zscore:
-        d, sd = _centred(y)
         dt, sd_t = _centred(t) if centred_target is None else centred_target
-        if sd < STD_FLOOR or sd_t < STD_FLOOR:
+        if sd == 0.0 or sd_t == 0.0:
             return math.inf
         # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
         # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
         return float(max(2.0 * (sd_t - np.add.reduce(d * dt) / (n * sd)), 0.0))
-    sd = _centred(y)[1]
-    if sd < STD_FLOOR:
+    if sd == 0.0:
         return math.inf
     r = y - t
     return float(np.add.reduce(r * r) / (n * sd))
@@ -130,13 +129,22 @@ def _centred(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """``y - np.mean(y)`` and ``np.std(y)`` of a float vector, bit for bit:
     numpy's operations in numpy's order, without its per-call dispatch. For
     the (C, N) block of ``consistency``, the same of each row, the spreads as
-    a (C,) array: numpy sums each row of a reduction as it sums it alone."""
+    a (C,) array: numpy sums each row of a reduction as it sums it alone. A
+    vector is scaled by its largest deviation where its squares would under-
+    or overflow. The one test of a constant trace: a flat one has spread 0.0."""
     n = y.shape[-1]
     if y.ndim == 1:
-        d = y - np.add.reduce(y) / n
-        return d, math.sqrt(np.add.reduce(d * d) / n)
-    d = y - (np.add.reduce(y, 1) / n)[:, None]
-    return d, np.sqrt(np.add.reduce(d * d, 1) / n)
+        mean = float(np.add.reduce(y)) / n
+        d = y - mean
+        sd = math.sqrt(np.add.reduce(d * d) / n) if abs(mean) < 1e150 else math.inf
+        if not 1e-150 < sd < 1e150:
+            k = float(np.maximum.reduce(np.abs(d))) or 1.0
+            sd = k * math.sqrt(np.add.reduce((d / k) ** 2) / n)
+        return d, 0.0 if sd <= STD_FLOOR * abs(mean) else sd
+    d = y - (mean := np.add.reduce(y, 1) / n)[:, None]
+    sd = np.sqrt(np.add.reduce(d * d, 1) / n)
+    sd[sd <= STD_FLOOR * np.abs(mean)] = 0.0
+    return d, sd
 
 
 def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
@@ -218,7 +226,7 @@ class Normalizer:
             lo, span = self.transform
             return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
         d, sd = _centred(y)
-        if sd < STD_FLOOR:
+        if sd == 0.0:
             return np.full_like(y, self._t_mean)
         return d / sd * self._centred_t[1] + self._t_mean
 

@@ -191,14 +191,17 @@ def load_mnist(images_path, labels_path) -> DigitDataset:
 def write_idx_images(images: np.ndarray, path) -> None:
     """Write images back to IDX; the exact inverse of the loader's parsing."""
     images = np.ascontiguousarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
+    if images.ndim != 3:
+        raise UsageError(f"images must form an (N, rows, cols) stack, got shape {images.shape}")
     with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, n, rows, cols))
+        f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, *images.shape))
         f.write(images.tobytes())
 
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
     labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    if labels.ndim != 1:
+        raise UsageError(f"labels must form an (N,) vector, got shape {labels.shape}")
     with open(path, "wb") as f:
         f.write(struct.pack(">ii", IDX_LABELS_MAGIC, labels.size))
         f.write(labels.tobytes())

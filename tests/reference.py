@@ -111,12 +111,17 @@ class Rig(harness.BatchReadout):
 
 # the error, the normaliser and the search
 
+def flat(y):
+    """Whether a trace is flat: its np.std at most STD_FLOOR times its mean's
+    magnitude, whatever its level or scale."""
+    return float(np.std(y)) <= STD_FLOOR * abs(float(np.mean(y)))
+
+
 def nmse(y, t):
     """nmse as written with np.std and np.sum."""
-    sd = float(np.std(y))
-    if sd < STD_FLOOR:
+    if flat(y):
         return math.inf
-    return float(np.sum((y - t) ** 2) / (y.size * sd))
+    return float(np.sum((y - t) ** 2) / (y.size * float(np.std(y))))
 
 
 class Normalizer:
@@ -135,10 +140,9 @@ class Normalizer:
                 self.transform = (lo, hi - lo if hi > lo else 1.0)
             lo, span = self.transform
             return (y - lo) / span * (float(np.max(t)) - float(np.min(t))) + float(np.min(t))
-        sd = float(np.std(y))
-        if sd < STD_FLOOR:
+        if flat(y):
             return np.full_like(y, float(np.mean(t)))
-        return (y - np.mean(y)) / sd * float(np.std(t)) + float(np.mean(t))
+        return (y - np.mean(y)) / float(np.std(y)) * float(np.std(t)) + float(np.mean(t))
 
 
 def zscore_nmse(y, t):
@@ -177,7 +181,7 @@ def consistency(a, b):
     """Pearson correlation as written with np.std and np.linalg.norm."""
     if np.array_equal(a, b):
         return 1.0
-    if a.std() == 0.0 or b.std() == 0.0:
+    if flat(a) or flat(b):
         raise UsageError("constant trace")
     ac, bc = a - a.mean(), b - b.mean()
     return float((ac @ bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))

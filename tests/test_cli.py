@@ -451,9 +451,9 @@ def test_bad_config_exits_2(doc, tmp_path, capsys):
     ("saturation", SATURATION_BOUND, math.inf),
     ("diffusion_sigma", DIFFUSION_SIGMA_FLOOR, 0.0),
     ("noise_sigma", NOISE_SIGMA_BOUND, math.inf)])
-def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path):
-    # the next float past a bound is rejected; a tiny run at it exits 0, and
-    # numpy's RuntimeWarnings are errors under pytest
+def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path, capsys):
+    # the next float past a bound is rejected; a tiny run at it exits 0 with
+    # a finite error, and numpy's RuntimeWarnings are errors under pytest
     with pytest.raises(ConfigError, match=field):
         SubstrateConfig(**{field: float(np.nextafter(bound, past))})
     config = tmp_path / "config.json"
@@ -462,6 +462,20 @@ def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path):
         "train": {"alpha": 10.0, "max_epochs": 20, "normalize": normalize},
         "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
     assert main(["header", "--config", str(config)]) == 0
+    assert "nmse=inf" not in capsys.readouterr().out
+
+
+def test_tiny_target_levels_give_a_finite_error(tmp_path, capsys):
+    # the z-scored error does not depend on the target's scale: a target
+    # whose levels differ by 1e-13 is not a constant one
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "train": {"alpha": 10.0, "max_epochs": 20, "normalize": "zscore",
+                  "target_levels": [0.0, 1e-13]},
+        "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
+    assert main(["header", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    err = float(capsys.readouterr().out.rsplit("nmse=", 1)[1].split()[0])
+    assert math.isfinite(err)
 
 
 _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})

@@ -28,6 +28,10 @@ class TestNmse:
 
     def test_constant_trace_sentinel(self):
         assert nmse(np.full(8, 3.0), np.zeros(8)) == math.inf
+        # flat at any level, whatever rounding leaves in its deviations
+        for n in (2, 7, 250, 1000):
+            for level in (0.0, 0.1, -3.0, 1e200, 3e-300):
+                assert nmse(np.full(n, level), np.zeros(n)) == math.inf
 
     def test_near_constant_trace_sentinel(self):
         y = np.full(8, 3.0)
@@ -87,6 +91,9 @@ class TestZscoreNmse:
         assert nmse(np.array([3.0, 3.0 + 1e-14, 3.0, 3.0]), t, zscore=True) == math.inf
         assert nmse(np.array([0.1, 0.9, 0.4, 0.6]), np.full(4, 0.5), zscore=True) == math.inf
         assert reference.zscore_nmse(np.full(4, 3.0), t) == math.inf
+        for n in (2, 7, 250, 1000):
+            for level in (0.0, 0.1, -3.0, 1e200, 3e-300):
+                assert nmse(np.full(n, level), np.arange(n) % 2.0, zscore=True) == math.inf
 
     def test_hand_computed_value(self):
         # anti-correlated with a +-1 target: rho = -1, so 2 * 1 * (1 - (-1))
@@ -101,6 +108,17 @@ class TestZscoreNmse:
                     e = nmse(y.copy(), t, zscore=True)
                     assert 0.0 <= e <= 1e-12 * float(np.std(t))
                     assert np.float64(e).tobytes() != np.float64(-0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [7, 250])
+    def test_scaled_trace_is_the_same_error(self, n):
+        # the error compares shapes, so no scale of the trace makes it flat
+        rng = np.random.default_rng(37)
+        t = (rng.random(n) > 0.5).astype(float)
+        t[:2] = (0.0, 1.0)
+        y = t + rng.standard_normal(n) + 3.0
+        want = nmse(y, t, zscore=True)
+        for c in (1e-6, 1e-12, 1e-100, 1e-200):
+            assert nmse(c * y, t, zscore=True) == pytest.approx(want, rel=1e-12)
 
     def test_given_centred_target_is_the_same_error(self):
         rng = np.random.default_rng(31)
@@ -419,6 +437,21 @@ class TestNumpyEquivalences:
                 d, sd = _centred(y)
                 assert d.tobytes() == (y - np.mean(y)).tobytes()
                 assert np.float64(sd).tobytes() == np.std(y).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 7, 250, 1000])
+    def test_flat_exactly_where_the_reference_says(self, n):
+        # one rule for a constant trace, in the vector and the block form:
+        # a spread at most STD_FLOOR times the mean's magnitude reads 0
+        rng = np.random.default_rng(41)
+        rows = []
+        for level in (0.0, 0.1, 3.0, -7.5, 1e6):
+            for rel in (0.0, 1e-16, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9):
+                rows.append(level + rng.standard_normal(n) * rel * max(abs(level), 1.0))
+        rows = np.array(rows)
+        want = [reference.flat(y) for y in rows]
+        assert [_centred(y)[1] == 0.0 for y in rows] == want
+        assert (_centred(rows)[1] == 0.0).tolist() == want
+        assert True in want and False in want
 
     def test_sqrt_of_dot_matches_norm(self):
         rng = np.random.default_rng(19)

@@ -230,6 +230,15 @@ class TestIdx:
         with pytest.raises(FormatError, match="bad dimensions"):
             load_mnist(ip, lp)
 
+    @pytest.mark.parametrize("write, array", [
+        (write_idx_images, np.zeros(5, dtype=np.uint8)),
+        (write_idx_labels, np.zeros((2, 3), dtype=np.uint8))], ids=["images", "labels"])
+    def test_writer_rejects_a_wrong_rank(self, tmp_path, write, array):
+        # before the file is opened, so nothing is written
+        with pytest.raises(UsageError, match="must form"):
+            write(array, tmp_path / "idx")
+        assert not list(tmp_path.iterdir())
+
     def test_count_mismatch(self, tmp_path):
         data = make_glyph_dataset(8, seed=0)
         ip, lp = tmp_path / "img", tmp_path / "lab"
