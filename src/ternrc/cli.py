@@ -15,7 +15,7 @@ from .harness import (ExperimentConfig, run_alpha_scan, run_comparison, run_head
 
 def _default_doc(command: str) -> dict:
     """Config document of a command run without ``--config``."""
-    train = {"alpha": 10.0, "max_epochs": 800, "mode": "ternary", "normalize": "zscore"}
+    train = {"alpha": 10.0, "max_epochs": 800, "mode": "ternary"}
     if command == "compare":
         return {"substrate": {"input_side": 28}, "train": {**train, "max_epochs": 2000},
                 "task": {"type": "mnist", "digit": None}, "repeats": 3}

@@ -20,8 +20,7 @@ import numpy as np
 
 from .baselines import lambda_sweep, ridge_eval, ridge_fit
 from .errors import ConfigError, DataError, NumericalError, UsageError, _check_count, _check_types
-from .optimizer import (Metrics, Normalizer, TrainConfig, TrainResult, _centred, evaluate, nmse,
-                        train)
+from .optimizer import Metrics, TrainConfig, TrainResult, _centred, evaluate, nmse, train
 from .readout import DetectorModel, TernaryMask, readout_batch
 from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift, circle_mask,
                         forward_batch, laser_response, states_matrix)
@@ -96,8 +95,9 @@ class ExperimentConfig:
         :meth:`to_json_dict`. Omitted fields take the dataclass defaults, and
         a header task's omitted substrate ``input_side`` is its
         ``image_side``; an unknown, malformed, mistyped or too deeply nested
-        field, or a ``derived_seeds`` record this config does not derive,
-        raises :class:`ConfigError`."""
+        field, a ``derived_seeds`` record this config does not derive, or a
+        train ``normalize`` other than the one error, ``"zscore"``, raises
+        :class:`ConfigError`. Both keys are checked and dropped."""
         try:
             top = _section(cls, json.loads(doc) if isinstance(doc, str) else doc, "config",
                            "derived_seeds")
@@ -111,8 +111,11 @@ class ExperimentConfig:
             if isinstance(task, HeaderTask):
                 sub.setdefault("input_side", task.image_side)
             seeds = top.pop("derived_seeds", None)
-            cfg = cls(substrate=SubstrateConfig(**sub),
-                      train=TrainConfig(**_section(TrainConfig, top.pop("train", {}), "train")),
+            train_doc = _section(TrainConfig, top.pop("train", {}), "train", "normalize")
+            if (normalize := train_doc.pop("normalize", "zscore")) != "zscore":
+                raise ConfigError(f"train normalize {normalize!r} is not the search error: the "
+                                  f"error is always z-scored; delete the normalize key")
+            cfg = cls(substrate=SubstrateConfig(**sub), train=TrainConfig(**train_doc),
                       task=task, **top)
             if seeds is not None and seeds != cfg.derived_seeds():
                 raise ConfigError(f"derived_seeds {seeds!r} differ from the seeds this "
@@ -338,13 +341,11 @@ def _arm(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states, b
     return rigs, tc, train(rigs[0], batches[0].targets, tc, n_nodes=rigs[0].n_nodes)
 
 
-def _scored(rigs, batches, tc: TrainConfig, result: TrainResult) -> tuple[Metrics, Metrics]:
+def _scored(rigs, batches, result: TrainResult) -> tuple[Metrics, Metrics]:
     """Train and test metrics of the arm's best mask: the test batch is
-    scored at the training threshold, with the training output transform."""
-    m_tr = evaluate(rigs[0], result.best_mask, batches[0].targets, "midpoint",
-                    tc.normalize, result.output_transform)
-    m_te = evaluate(rigs[1], result.best_mask, batches[1].targets, m_tr.threshold,
-                    tc.normalize, result.output_transform)
+    scored at the training threshold."""
+    m_tr = evaluate(rigs[0], result.best_mask, batches[0].targets, "midpoint")
+    m_te = evaluate(rigs[1], result.best_mask, batches[1].targets, m_tr.threshold)
     return m_tr, m_te
 
 
@@ -378,9 +379,9 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),
                     ("ternary_off", "ternary", off, cfg.off_brightness * sbar / power_off)):
                 tag = f"-{arm}" + ("" if digit is None else f"-d{digit}")
-                rigs, tc, result = _arm(cfg, repeat, tag, sub_on, states, batches, sbar,
-                                        brightness, mode=mode)
-                rows.append(_row(task, arm, repeat, result, *_scored(rigs, batches, tc, result)))
+                rigs, _, result = _arm(cfg, repeat, tag, sub_on, states, batches, sbar,
+                                       brightness, mode=mode)
+                rows.append(_row(task, arm, repeat, result, *_scored(rigs, batches, result)))
                 out.arm(f"{arm}_{task}_s{repeat}", result, cfg.substrate.grid_side)
             # digital reference: ridge regression on the noiseless lasing states
             (s_tr, s_te), (t_tr, t_te) = on, (b.targets for b in batches)
@@ -417,7 +418,7 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
         for alpha in cfg.alphas:
             rigs, tc, result = _arm(cfg, repeat, f"-a{alpha}", sub, states, batches, power,
                                     alpha=float(alpha))
-            _, m_te = _scored(rigs, batches, tc, result)
+            _, m_te = _scored(rigs, batches, result)
             rows.append({
                 "alpha": float(alpha), "repeat": repeat,
                 "final_nmse": result.final_nmse, "initial_nmse": result.initial_nmse,
@@ -443,9 +444,9 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
-        rigs, tc, result = _arm(cfg, repeat, "", sub, states, batches, power)
+        rigs, _, result = _arm(cfg, repeat, "", sub, states, batches, power)
         rows.append(_row(f"header{cfg.task.n_bits}b", cfg.train.mode, repeat, result,
-                         *_scored(rigs, batches, tc, result)))
+                         *_scored(rigs, batches, result)))
         out.arm(f"header_s{repeat}", result, cfg.substrate.grid_side)
     out.results(rows)
     return rows
@@ -473,7 +474,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     mask = result.best_mask
 
     t = batches[1].targets
-    norm = Normalizer(cfg.train.normalize, t)
+    ct = _centred(t)
     buf = np.empty((min(n_checks, STABILITY_BLOCK), t.size))
     rows = []
     for start in range(0, n_checks, STABILITY_BLOCK):
@@ -489,7 +490,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         if start == 0:
             reference = block[0].copy()
         checks = zip(consistency(reference, block).tolist(), block, gains)
-        rows += [{"check": start + i, "consistency": c, "nmse": nmse(*norm.error_args(trace)),
+        rows += [{"check": start + i, "consistency": c, "nmse": nmse(trace, t, True, ct),
                   "gain": g} for i, (c, trace, g) in enumerate(checks)]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError, UsageError, _check_types
 from .readout import ALPHABETS, MODES, TernaryMask, random_mask
 
-NORMALIZE_MODES = ("off", "zscore", "first_epoch")
-
 #: a trace is flat when its spread is at most this times its mean's magnitude
 STD_FLOOR = 1e-12
 
@@ -30,15 +28,8 @@ TARGET_LEVEL_BOUND = 1e150
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one optimization run.
-
-    ``normalize`` conditions each measured trace before the error (see
-    :class:`Normalizer`). Under ``"off"`` the error is in raw detected-power
-    units (hundreds at the stock physics), so at the usual gains
-    ``ceil(alpha * nmse)`` saturates at the mask length K and every epoch
-    becomes a full random redraw of the mask rather than an annealing step.
-    The config checks itself when built.
-    """
+    """Hyperparameters of one optimization run. The config checks itself
+    when built."""
 
     alpha: float
     max_epochs: int
@@ -46,7 +37,6 @@ class TrainConfig:
     seed: int = 0
     target_levels: tuple[float, float] = (0.0, 1.0)
     patience: int | None = None
-    normalize: str = "off"
 
     def __post_init__(self):
         _check_types(self, "train")
@@ -62,8 +52,6 @@ class TrainConfig:
                               f" <= {TARGET_LEVEL_BOUND:g}, got {self.target_levels}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
-        if self.normalize not in NORMALIZE_MODES:
-            raise ConfigError(f"normalize must be one of {NORMALIZE_MODES}, got {self.normalize!r}")
         if not 0 <= self.seed < 2 ** 32:
             raise ConfigError(f"train seed must be in [0, 2**32), got {self.seed}")
 
@@ -82,7 +70,6 @@ class TrainResult:
     history: tuple[EpochRecord, ...]
     final_nmse: float
     initial_nmse: float
-    output_transform: tuple[float, float] | None = None
 
     @property
     def n_accepted(self) -> int:
@@ -96,14 +83,14 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
     of the trace. A flat trace (see :func:`_centred`) has no usable spread
     and returns +inf so it can never be accepted.
 
-    With ``zscore`` it is the error of the trace z-scored onto the target's
-    mean and spread (see :class:`Normalizer`), taken from the raw trace in
-    one pass: 2 * std(t) * (1 - rho), where rho is the Pearson correlation
-    of trace and target, so no scale of the trace moves it. It is clamped at
-    0 from below, and a flat target returns +inf too. Its sums are
-    ``np.add.reduce``, not a BLAS dot, so the value does not depend on the
-    thread count. ``centred_target`` is ``_centred(y_target)`` when the
-    caller holds it: a search scores every epoch against one target."""
+    With ``zscore`` it is the search's error: that of the trace z-scored
+    onto the target's mean and spread (see :func:`zscored`), taken from the
+    raw trace in one pass: 2 * std(t) * (1 - rho), where rho is the Pearson
+    correlation of trace and target, so no scale of the trace moves it. It
+    is clamped at 0 from below, and a flat target returns +inf too. Its
+    sums are ``np.add.reduce``, not a BLAS dot, so the value does not depend
+    on the thread count. ``centred_target`` is ``_centred(y_target)`` when
+    the caller holds it: a search scores every epoch against one target."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
     if y.shape != t.shape or t.ndim != 1:
@@ -152,11 +139,7 @@ def n_mirrors(alpha: float, nmse_k: float, cap: int) -> int:
     floored at one so the search always moves. The ceiling is evaluated
     exactly on the integer ratios of both floats; a float product can round
     across an integer boundary. The count is capped at the mask length
-    ``cap``, which an infinite error (degenerate trace) takes.
-
-    The error is taken as given. With ``normalize="off"`` it is in raw
-    detected-power units, where ceil(alpha * error) saturates at ``cap``
-    and every epoch redraws the whole mask."""
+    ``cap``, which an infinite error (degenerate trace) takes."""
     if alpha < 0 or not math.isfinite(alpha):
         raise UsageError(f"alpha must be finite and >= 0, got {alpha}")
     if not nmse_k >= 0:
@@ -191,53 +174,15 @@ def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
     return TernaryMask._trusted(w, mask.mode)
 
 
-class Normalizer:
-    """Optional affine conditioning of raw detector traces before the error.
-
-    zscore: each measured trace is standardized and mapped onto the target's
-    mean and spread, so the error compares shapes regardless of the raw
-    detection scale. first_epoch: an affine map ``transform = (low, span)``,
-    unless given, is frozen from the first trace the normalizer is called on
-    (min -> low level, max -> high level) and applied to all later traces.
-    off: raw traces. Every mode takes one trace as long as the target and
-    raises :class:`UsageError` on anything else. The search's error,
-    ``nmse(*norm.error_args(y))``, never builds a z-scored trace.
-    """
-
-    def __init__(self, mode: str, y_target: np.ndarray,
-                 transform: tuple[float, float] | None = None):
-        self.mode = mode
-        self._t = np.array(y_target, dtype=float)
-        self._centred_t = _centred(self._t)
-        self._t_mean = float(np.mean(y_target))
-        self._lo_level = float(np.min(y_target))
-        self._hi_level = float(np.max(y_target))
-        self.transform = transform
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        if y.shape != self._t.shape:
-            raise UsageError(f"a normalizer takes one trace of {self._t.size}, got {y.shape}")
-        if self.mode == "off":
-            return y
-        if self.mode == "first_epoch":
-            if self.transform is None:
-                lo, hi = float(np.min(y)), float(np.max(y))
-                self.transform = (lo, hi - lo if hi > lo else 1.0)
-            lo, span = self.transform
-            return (y - lo) / span * (self._hi_level - self._lo_level) + self._lo_level
-        d, sd = _centred(y)
-        if sd == 0.0:
-            return np.full_like(y, self._t_mean)
-        return d / sd * self._centred_t[1] + self._t_mean
-
-    def error_args(self, y: np.ndarray) -> tuple:
-        """The arguments of :func:`nmse` for the raw trace ``y`` under this
-        normalisation: under zscore the raw trace itself, for the one-pass
-        error, with the target centred once per normaliser; otherwise
-        ``self(y)``."""
-        if self.mode == "zscore":
-            return y, self._t, True, self._centred_t
-        return self(y), self._t, False, None
+def zscored(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The trace ``y`` standardized and mapped onto the mean and spread of
+    its target ``t``, so it reads in target units whatever the detection
+    scale; a flat trace maps to the target's mean. Its error against ``t``
+    is ``nmse(y, t, True)``, which never builds this trace."""
+    d, sd = _centred(y)
+    if sd == 0.0:
+        return np.full_like(y, float(np.mean(t)))
+    return d / sd * _centred(t)[1] + float(np.mean(t))
 
 
 def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarray,
@@ -254,8 +199,8 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     rng = np.random.default_rng(cfg.seed)
     mask = random_mask(n_nodes, cfg.mode, rng)
 
-    norm = Normalizer(cfg.normalize, t)
-    best = nmse(*norm.error_args(_measured(forward_pass, mask, t, 0)))
+    ct = _centred(t)
+    best = nmse(_measured(forward_pass, mask, t, 0), t, True, ct)
     initial = best
 
     history: list[EpochRecord] = []
@@ -263,7 +208,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     for epoch in range(1, cfg.max_epochs + 1):
         n = n_mirrors(cfg.alpha, best, cap=n_nodes)
         cand = propose(mask, n, rng)
-        e = nmse(*norm.error_args(_measured(forward_pass, cand, t, epoch)))
+        e = nmse(_measured(forward_pass, cand, t, epoch), t, True, ct)
         accepted = e < best
         if accepted:
             mask, best = cand, e
@@ -274,13 +219,13 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
         if cfg.patience is not None and since_improve >= cfg.patience:
             break
     return TrainResult(best_mask=mask, history=tuple(history), final_nmse=best,
-                       initial_nmse=initial, output_transform=norm.transform)
+                       initial_nmse=initial)
 
 
 def _measured(forward_pass, mask, t, epoch=None):
     """A raw measurement of ``mask``, named by ``epoch`` (0: the initial one)
     if it fails. The trace is checked here, so numpy never warns of inf - inf
-    inside a normalisation."""
+    inside the error."""
     y = np.asarray(forward_pass(mask), dtype=float)
     if y.shape != (t.size,):
         raise UsageError(f"forward_pass returned shape {y.shape}, expected ({t.size},)")
@@ -314,14 +259,11 @@ def _positive_class(y_target: np.ndarray) -> np.ndarray:
 
 
 def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMask,
-             y_target: np.ndarray, threshold_rule: float | str = "midpoint",
-             normalize: str = "off",
-             output_transform: tuple[float, float] | None = None) -> Metrics:
-    """Measure a mask once and :func:`score` its normalized trace."""
+             y_target: np.ndarray, threshold_rule: float | str = "midpoint") -> Metrics:
+    """Measure a mask once and :func:`score` its z-scored trace."""
     t = np.asarray(y_target, dtype=float)
-    norm = Normalizer(normalize, t, output_transform)
     y = _measured(forward_pass, mask, t)
-    return score(norm(y), t, nmse(*norm.error_args(y)), threshold_rule)
+    return score(zscored(y, t), t, nmse(y, t, True), threshold_rule)
 
 
 def score(y_out: np.ndarray, y_target: np.ndarray, err: float,

@@ -109,7 +109,7 @@ class Rig(harness.BatchReadout):
         return p
 
 
-# the error, the normaliser and the search
+# the error, the z-score map and the search
 
 def flat(y):
     """Whether a trace is flat: its np.std at most STD_FLOOR times its mean's
@@ -124,30 +124,16 @@ def nmse(y, t):
     return float(np.sum((y - t) ** 2) / (y.size * float(np.std(y))))
 
 
-class Normalizer:
-    """The normalizer as written with np.mean and np.std."""
-
-    def __init__(self, mode, t):
-        self.mode, self.t, self.transform = mode, t, None
-
-    def __call__(self, y):
-        t = self.t
-        if self.mode == "off":
-            return y
-        if self.mode == "first_epoch":
-            if self.transform is None:
-                lo, hi = float(np.min(y)), float(np.max(y))
-                self.transform = (lo, hi - lo if hi > lo else 1.0)
-            lo, span = self.transform
-            return (y - lo) / span * (float(np.max(t)) - float(np.min(t))) + float(np.min(t))
-        if flat(y):
-            return np.full_like(y, float(np.mean(t)))
-        return (y - np.mean(y)) / float(np.std(y)) * float(np.std(t)) + float(np.mean(t))
+def zscored(y, t):
+    """The z-scored trace as written with np.mean and np.std."""
+    if flat(y):
+        return np.full_like(y, float(np.mean(t)))
+    return (y - np.mean(y)) / float(np.std(y)) * float(np.std(t)) + float(np.mean(t))
 
 
 def zscore_nmse(y, t):
     """The z-scored error in two steps: the conditioned trace, then its error."""
-    return nmse(Normalizer("zscore", t)(y), t)
+    return nmse(zscored(y, t), t)
 
 
 def train(rig, t, cfg, k):
@@ -157,8 +143,7 @@ def train(rig, t, cfg, k):
     rng = np.random.default_rng(cfg.seed)
     alphabet = ALPHABETS[cfg.mode]
     mask = TernaryMask(weights=rng.choice(alphabet, size=k), mode=cfg.mode)
-    norm = Normalizer(cfg.normalize, t)
-    best = nmse(norm(rig(mask)), t)
+    best = zscore_nmse(rig(mask), t)
     history = []
     for epoch in range(1, cfg.max_epochs + 1):
         n = n_mirrors(cfg.alpha, best, cap=k)
@@ -167,7 +152,7 @@ def train(rig, t, cfg, k):
         w = np.array(mask.weights, dtype=np.int8, copy=True)
         w[positions] = values
         cand = TernaryMask(weights=w, mode=cfg.mode)
-        e = nmse(norm(rig(cand)), t)
+        e = zscore_nmse(rig(cand), t)
         accepted = e < best
         if accepted:
             mask, best = cand, e
@@ -193,7 +178,6 @@ def run_stability(cfg, n_checks, drift_steps_per_check):
     sub, batches, states, power = harness._acquired(cfg, 0, harness._task_batches(cfg))
     rigs, _, result = harness._arm(cfg, 0, "", sub, states, batches, power)
     t = batches[1].targets
-    norm = Normalizer(cfg.train.normalize, t)
     first = None
     rows = []
     for check in range(n_checks):
@@ -202,7 +186,7 @@ def run_stability(cfg, n_checks, drift_steps_per_check):
         if first is None:
             first = trace
         rows.append({"check": check, "consistency": consistency(first, trace),
-                     "nmse": nmse(norm(trace), t), "gain": sub.gain})
+                     "nmse": zscore_nmse(trace, t), "gain": sub.gain})
     return rows
 
 

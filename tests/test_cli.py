@@ -50,61 +50,42 @@ def _case(case, idx):
     if case == "header":
         return "header", {"substrate": {"input_side": 32, "seed": 11},
                           "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
-                                    "normalize": "zscore", "seed": 11},
+                                    "seed": 11},
                           "task": HEADER_TASK}, []
-    if case == "header-boolean":
-        # the one case with a boolean mask, first_epoch, patience and repeats
-        return "header", {"substrate": {"input_side": 32, "seed": 12},
-                          "train": {"alpha": 5.0, "max_epochs": 20, "mode": "boolean",
-                                    "normalize": "first_epoch", "patience": 8, "seed": 12},
-                          "task": HEADER_TASK, "repeats": 2}, []
     if case == "header-boolean-zscore":
-        # the zscore twin of header-boolean
+        # the one case with a boolean mask, patience and repeats
         return "header", {"substrate": {"input_side": 32, "seed": 12},
                           "train": {"alpha": 5.0, "max_epochs": 20, "mode": "boolean",
-                                    "normalize": "zscore", "patience": 8, "seed": 12},
+                                    "patience": 8, "seed": 12},
                           "task": HEADER_TASK, "repeats": 2}, []
-    if case == "alpha-scan":
+    if case == "alpha-scan-zscore":
         # integer and float alphas: the seed tags spell each as written
         return "alpha-scan", {"substrate": {"input_side": 32, "seed": 13},
                               "train": {"alpha": 10.0, "max_epochs": 15, "mode": "ternary",
-                                        "normalize": "off", "seed": 13},
+                                        "seed": 13},
                               "task": HEADER_TASK, "alphas": [0, 5.0, 20]}, []
-    if case == "alpha-scan-zscore":
-        # the zscore twin of alpha-scan
-        return "alpha-scan", {"substrate": {"input_side": 32, "seed": 13},
-                              "train": {"alpha": 10.0, "max_epochs": 15, "mode": "ternary",
-                                        "normalize": "zscore", "seed": 13},
-                              "task": HEADER_TASK, "alphas": [0, 5.0, 20]}, []
-    if case == "stability-zscore":
-        # the zscore twin of stability
-        return "stability", {"substrate": {"input_side": 28, "seed": 15},
-                             "train": {"alpha": 10.0, "max_epochs": 10, "mode": "ternary",
-                                       "normalize": "zscore", "seed": 15},
-                             "task": _mnist_task(idx, 0, test_partition=False)}, \
-            ["--checks", "30", "--drift-steps", "2"]
     if case == "compare":
         return "compare", {"substrate": {"input_side": 28, "seed": 14},
                            "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
-                                     "normalize": "zscore", "seed": 14},
+                                     "seed": 14},
                            "task": _mnist_task(idx, 3, test_partition=True)}, []
     if case == "compare-header":
         # arm tags without a digit, one substrate per repeat
         return "compare", {"substrate": {"input_side": 32, "seed": 16},
                            "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
-                                     "normalize": "zscore", "seed": 16},
+                                     "seed": 16},
                            "task": HEADER_TASK, "repeats": 2}, []
     if case == "compare-all-digits":
         # all ten digits, each test batch a second draw of the training
         # partition; a short ridge grid, since the sweep dominates ten digits
         return "compare", {"substrate": {"input_side": 28, "seed": 17},
                            "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
-                                     "normalize": "zscore", "seed": 17},
+                                     "seed": 17},
                            "task": _mnist_task(idx, None, test_partition=False),
                            "ridge_grid": [0.001, 1.0]}, []
     return "stability", {"substrate": {"input_side": 28, "seed": 15},
                          "train": {"alpha": 10.0, "max_epochs": 10, "mode": "ternary",
-                                   "normalize": "first_epoch", "seed": 15},
+                                   "seed": 15},
                          "task": _mnist_task(idx, 0, test_partition=False)}, \
         ["--checks", "30", "--drift-steps", "2"]
 
@@ -115,8 +96,9 @@ def _case(case, idx):
 #: comparison cases beyond ``compare`` were pinned later, on unchanged outputs.
 #: The history and results files of the zscore cases were re-pinned when the
 #: z-scored error came to be taken from the raw trace in one pass; no mask
-#: file and no off or first_epoch case moved. The three ``-zscore`` twins of
-#: the off and first_epoch cases were pinned later, on unchanged outputs
+#: file and no off or first_epoch case moved. The three ``-zscore`` cases,
+#: twins of cases that ran the since-removed off and first_epoch errors, were
+#: pinned on the code that still had them; the cases they twin went with it
 GOLDEN = {
     "header": {
         "history_header_s0.csv":
@@ -125,18 +107,6 @@ GOLDEN = {
             "6558b11912e80f2ffe0199d18a4062dad65d643e61ee621af3ddf1bff5ce4ab6",
         "results.csv":
             "fba5ca2f42f170983218426b2574e8c3eaac291a289c9aac682e378f479944cc",
-    },
-    "header-boolean": {
-        "history_header_s0.csv":
-            "69dafb4004b4ee1c45fa51112722709cb58afb77d9acf2bbb8ced13bcfe88b09",
-        "history_header_s1.csv":
-            "9879aa7466e1654029b752c4bd06c0c4136c7c50fa693ff87cf5c018fdfa342c",
-        "mask_header_s0.json":
-            "fe4661a667c17445d1f5bd98f9d2adf33fb3cd1776c2c5ab07c3600ae39f10b5",
-        "mask_header_s1.json":
-            "841874b91c4e026e2e67552f1e15000cf1664506776a074bce6c7312dba01782",
-        "results.csv":
-            "c2097fda938a7da4e5538a6a35055f1c3141aa429e25898753cf82af3c4b3b98",
     },
     "header-boolean-zscore": {
         "history_header_s0.csv":
@@ -149,12 +119,6 @@ GOLDEN = {
             "adfc48eaff379bdc01406f5042034b5e969d04b1126822fd6521ae028fd58185",
         "results.csv":
             "c119817c409e16850b79aeb11b269e2f765be67a5c102996c554b422b343513b",
-    },
-    "alpha-scan": {
-        "alpha_summary.csv":
-            "4d8b857a8e0a53f45b745a06ed2b09ae309e86291c8b372a1a1676ff1765cd47",
-        "curves.csv":
-            "67bf4521b1f86133a4ab628c64f07dc00b8036ebe369c0bc007231e679ded7ad",
     },
     "alpha-scan-zscore": {
         "alpha_summary.csv":
@@ -330,10 +294,6 @@ GOLDEN = {
         "results.csv":
             "90fb23dcf3c225a6eb8d705515e92556c02e36631e495d59c9b02cebb9303c1d",
     },
-    "stability": {
-        "stability.csv":
-            "eb03d43317c09de45d16c5b070da7b84bc80ddff7379a4eca16e1ab9801584e5",
-    },
     "stability-zscore": {
         "stability.csv":
             "f3aea214fa3f7f03d1e43888fa2751cb3da0fc84b17c279f5f3949f1c6b9d161",
@@ -399,22 +359,19 @@ def _reference_default(command):
     if command in ("header", "alpha-scan"):
         return ExperimentConfig(
             substrate=SubstrateConfig(input_side=64),
-            train=TrainConfig(alpha=10.0, max_epochs=800, mode="ternary",
-                              normalize="zscore"),
+            train=TrainConfig(alpha=10.0, max_epochs=800, mode="ternary"),
             task=HeaderTask(),
         )
     if command == "compare":
         return ExperimentConfig(
             substrate=SubstrateConfig(input_side=28),
-            train=TrainConfig(alpha=10.0, max_epochs=2000, mode="ternary",
-                              normalize="zscore"),
+            train=TrainConfig(alpha=10.0, max_epochs=2000, mode="ternary"),
             task=MnistTask(digit=None),
             repeats=3,
         )
     return ExperimentConfig(
         substrate=SubstrateConfig(input_side=28),
-        train=TrainConfig(alpha=10.0, max_epochs=100, mode="ternary",
-                          normalize="zscore"),
+        train=TrainConfig(alpha=10.0, max_epochs=100, mode="ternary"),
         task=MnistTask(digit=0),
         repeats=1,
     )
@@ -422,8 +379,12 @@ def _reference_default(command):
 
 @pytest.mark.parametrize("command", ["alpha-scan", "compare", "header", "stability"])
 def test_default_doc_matches_reference(command):
-    cfg = ExperimentConfig.from_json(_default_doc(command))
+    doc = _default_doc(command)
+    cfg = ExperimentConfig.from_json(doc)
     assert cfg == _reference_default(command)
+    # the one search error may still be named, as older documents do
+    assert ExperimentConfig.from_json({**doc, "train": {**doc["train"], "normalize": "zscore"}}) \
+        == cfg
     assert ExperimentConfig.from_json(cfg.to_json_dict()) == cfg
     assert ExperimentConfig.from_json(json.dumps(cfg.to_json_dict())) == cfg
 
@@ -467,6 +428,10 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"substrate": {"diffusion_sigma": 1e-200}, "train": VALID_TRAIN},
     {"substrate": {"diffusion_sigma": 1e-160}, "train": VALID_TRAIN},
     {"substrate": {"noise_sigma": 1e200}, "train": VALID_TRAIN},
+    {"train": {**VALID_TRAIN, "normalize": "off"}},
+    {"train": {**VALID_TRAIN, "normalize": "first_epoch"}},
+    {"train": {**VALID_TRAIN, "normalize": "minmax"}},
+    {"train": {**VALID_TRAIN, "normalize": 1}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
@@ -478,22 +443,26 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "scalar-alphas", "infinite-target-level", "target-levels-squares-overflow",
         "target-level-square-overflows", "saturation-overflows", "saturation-past-bound",
         "diffusion-width-squares-to-zero", "diffusion-exponent-overflows",
-        "noise-squares-overflow"])
+        "noise-squares-overflow", "normalize-off", "normalize-first-epoch",
+        "normalize-minmax", "normalize-number"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["header", "--config", str(config)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "normalize" in str(doc):
+        # a removed error mode names the key and how to update the document
+        assert "normalize" in err and "delete" in err
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(doc)
 
 
-@pytest.mark.parametrize("normalize", ["zscore", "off", "first_epoch"])
 @pytest.mark.parametrize("field, bound, past", [
     ("saturation", SATURATION_BOUND, math.inf),
     ("diffusion_sigma", DIFFUSION_SIGMA_FLOOR, 0.0),
     ("noise_sigma", NOISE_SIGMA_BOUND, math.inf)])
-def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path, capsys):
+def test_physics_at_its_bound_runs(field, bound, past, tmp_path, capsys):
     # the next float past a bound is rejected; a tiny run at it exits 0 with
     # a finite error, and numpy's RuntimeWarnings are errors under pytest
     with pytest.raises(ConfigError, match=field):
@@ -501,7 +470,7 @@ def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path, caps
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "substrate": {field: bound},
-        "train": {"alpha": 10.0, "max_epochs": 20, "normalize": normalize},
+        "train": {"alpha": 10.0, "max_epochs": 20},
         "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
     assert main(["header", "--config", str(config)]) == 0
     assert "nmse=inf" not in capsys.readouterr().out
@@ -512,8 +481,7 @@ def test_tiny_target_levels_give_a_finite_error(tmp_path, capsys):
     # whose levels differ by 1e-13 is not a constant one
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "train": {"alpha": 10.0, "max_epochs": 20, "normalize": "zscore",
-                  "target_levels": [0.0, 1e-13]},
+        "train": {"alpha": 10.0, "max_epochs": 20, "target_levels": [0.0, 1e-13]},
         "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
     assert main(["header", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     err = float(capsys.readouterr().out.rsplit("nmse=", 1)[1].split()[0])

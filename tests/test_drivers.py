@@ -23,7 +23,7 @@ def tiny_config(task, **top):
     """A small run: 40 samples on a 12-side node grid, a few epochs."""
     return ExperimentConfig(
         substrate=SubstrateConfig(grid_side=12, input_side=16, seed=41),
-        train=TrainConfig(alpha=10.0, max_epochs=4, normalize="zscore", seed=42),
+        train=TrainConfig(alpha=10.0, max_epochs=4, seed=42),
         task=task, **top)
 
 

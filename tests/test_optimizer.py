@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, _OutputSink
-from ternrc.optimizer import (NORMALIZE_MODES, TARGET_LEVEL_BOUND, Normalizer, TrainConfig,
-                              _centred, evaluate, midpoint_threshold, n_mirrors, nmse, propose,
-                              train)
+from ternrc.optimizer import (TARGET_LEVEL_BOUND, TrainConfig, _centred, evaluate,
+                              midpoint_threshold, n_mirrors, nmse, propose, train, zscored)
 from ternrc.readout import ALPHABETS, MODES, DetectorModel, TernaryMask, random_mask
 from ternrc.substrate import SubstrateConfig, build_substrate, states_matrix
 
@@ -288,8 +287,7 @@ class TestTrain:
         def fp(mask):
             return states @ mask.weights.astype(float) + 0.05 * noise.standard_normal(16)
 
-        cfg = TrainConfig(alpha=10.0, max_epochs=120, mode="ternary", seed=3,
-                          normalize="zscore")
+        cfg = TrainConfig(alpha=10.0, max_epochs=120, mode="ternary", seed=3)
         result = train(fp, targets, cfg, n_nodes=8)
         trace = [rec.nmse_best for rec in result.history]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
@@ -345,10 +343,9 @@ class TestTrain:
         result = train(linear_forward(states), targets, cfg, n_nodes=4)
         assert result.final_nmse == result.history[-1].nmse_best
 
-    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("epoch", [0, 3])
-    def test_non_finite_trace_names_its_epoch(self, normalize, bad, epoch):
+    def test_non_finite_trace_names_its_epoch(self, bad, epoch):
         rng = np.random.default_rng(18)
         states = rng.random((10, 6))
         targets = (rng.random(10) > 0.5).astype(float)
@@ -361,7 +358,7 @@ class TestTrain:
             calls.append(mask)
             return y
 
-        cfg = TrainConfig(alpha=5.0, max_epochs=10, seed=1, normalize=normalize)
+        cfg = TrainConfig(alpha=5.0, max_epochs=10, seed=1)
         with pytest.raises(NumericalError, match=rf"non-finite trace at epoch {epoch}$"):
             train(fp, targets, cfg, n_nodes=6)
         assert len(calls) == epoch + 1
@@ -383,11 +380,8 @@ class TestTrain:
             TrainConfig(alpha=1.0, max_epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(alpha=1.0, max_epochs=10, target_levels=(1.0, 0.0))
-        with pytest.raises(ConfigError):
-            TrainConfig(alpha=1.0, max_epochs=10, normalize="minmax")
 
-    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
-    def test_levels_at_the_bound_score_finite(self, normalize):
+    def test_levels_at_the_bound_score_finite(self):
         # a level past the bound is rejected; at it, every square stays finite
         # (numpy's overflow warnings fail the test)
         b = TARGET_LEVEL_BOUND
@@ -397,8 +391,7 @@ class TestTrain:
         rng = np.random.default_rng(19)
         states = rng.random((40, 6))
         targets = np.where(rng.random(40) > 0.5, b, -b)
-        cfg = TrainConfig(alpha=5.0, max_epochs=20, seed=1, normalize=normalize,
-                          target_levels=(-b, b))
+        cfg = TrainConfig(alpha=5.0, max_epochs=20, seed=1, target_levels=(-b, b))
         result = train(linear_forward(states), targets, cfg, n_nodes=6)
         assert all(math.isfinite(r.nmse_best) for r in result.history)
 
@@ -462,8 +455,8 @@ class TestNumpyEquivalences:
 
 class TestOldPathOracle:
     """At stock size (N = 1000 samples, K = 448 nodes) the optimized loop
-    reproduces the plain numpy loop: bit for bit under off and first_epoch,
-    every mask and decision exactly and the error to rounding under zscore."""
+    reproduces the plain numpy loop: every mask and decision exactly, and the
+    error, taken in one pass, to rounding."""
 
     @staticmethod
     def rigs(rig_cls, det_cls):
@@ -473,14 +466,13 @@ class TestOldPathOracle:
         det = det_cls(noise_sigma=0.02, seed=21, noise_scale=float(states.sum(axis=1).mean()))
         return rig_cls(sub, states, det), rng.random(1000) > 0.5
 
-    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
     @pytest.mark.parametrize("mode", MODES)
-    def test_history_and_mask_bytes_match(self, mode, normalize):
+    def test_history_and_mask_bytes_match(self, mode):
         rig, labels = self.rigs(BatchReadout, DetectorModel)
         ref_rig, _ = self.rigs(reference.Rig, reference.Detector)
         assert rig.n_nodes == 448
         t = labels.astype(float)
-        cfg = TrainConfig(alpha=10.0, max_epochs=300, mode=mode, seed=22, normalize=normalize)
+        cfg = TrainConfig(alpha=10.0, max_epochs=300, mode=mode, seed=22)
         result = train(rig, t, cfg, n_nodes=448)
         mask, history = reference.train(ref_rig, t, cfg, 448)
         assert result.best_mask.weights.tobytes() == mask.weights.tobytes()
@@ -488,13 +480,8 @@ class TestOldPathOracle:
         assert [(r.epoch, r.n_mirrors, r.accepted) for r in result.history] == \
             [(ep, n, acc) for ep, _, n, acc in history]
         got = [r.nmse_best for r in result.history]
-        want = [b for _, b, _, _ in history]
-        if normalize == "zscore":
-            assert got == pytest.approx(want, rel=1e-12, abs=0)
-            assert any(r.accepted for r in result.history)
-        else:
-            assert [np.float64(v).tobytes() for v in got] == \
-                [np.float64(v).tobytes() for v in want]
+        assert got == pytest.approx([b for _, b, _, _ in history], rel=1e-12, abs=0)
+        assert any(r.accepted for r in result.history)
         assert rig.detector._rng.bit_generator.state == ref_rig.detector._rng.bit_generator.state
 
 
@@ -503,8 +490,7 @@ class TestNormalization:
         rng = np.random.default_rng(15)
         states = rng.random((20, 5))
         targets = (rng.random(20) > 0.5).astype(float)
-        cfg = TrainConfig(alpha=5.0, max_epochs=40, mode="ternary", seed=3,
-                          normalize="zscore")
+        cfg = TrainConfig(alpha=5.0, max_epochs=40, mode="ternary", seed=3)
         a = train(linear_forward(states), targets, cfg, n_nodes=5)
         b = train(linear_forward(states * 1000.0), targets, cfg, n_nodes=5)
         assert a.best_mask.mode == b.best_mask.mode
@@ -513,64 +499,26 @@ class TestNormalization:
             assert (ra.epoch, ra.n_mirrors, ra.accepted) == (rb.epoch, rb.n_mirrors, rb.accepted)
             assert ra.nmse_best == pytest.approx(rb.nmse_best, rel=1e-9)
 
-    def test_first_epoch_transform_frozen(self):
-        rng = np.random.default_rng(16)
-        states = rng.random((20, 5))
-        targets = (rng.random(20) > 0.5).astype(float)
-        cfg = TrainConfig(alpha=5.0, max_epochs=10, mode="ternary", seed=4,
-                          normalize="first_epoch")
-        result = train(linear_forward(states), targets, cfg, n_nodes=5)
-        lo, span = result.output_transform
-        y0 = states @ random_mask(5, "ternary", np.random.default_rng(4)).weights.astype(float)
-        assert lo == pytest.approx(y0.min())
-        assert span == pytest.approx(y0.max() - y0.min())
-
-    @pytest.mark.parametrize("mode", NORMALIZE_MODES)
-    def test_matches_reference_bit_for_bit(self, mode):
-        # a constant first trace, then varied ones: first_epoch freezes its span at 1
+    def test_matches_reference_bit_for_bit(self):
+        # a constant trace maps to the target's mean
         rng = np.random.default_rng(37)
         for n in (2, 40, 1000):
             t = (rng.random(n) > 0.5).astype(float)
             t[:2] = (0.0, 1.0)
-            norm, ref = Normalizer(mode, t), reference.Normalizer(mode, t)
             for y in [np.full(n, 3.0)] + [rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
                                           + rng.uniform(-5, 5) for _ in range(20)]:
-                assert norm(y).tobytes() == ref(y).tobytes()
-            assert norm.transform == ref.transform
+                assert zscored(y, t).tobytes() == reference.zscored(y, t).tobytes()
 
-    @pytest.mark.parametrize("mode", NORMALIZE_MODES)
-    def test_one_trace_only(self, mode):
-        # a stack, a short trace or a scalar is rejected before first_epoch
-        # freezes its map from it
+    def test_one_trace_only(self):
+        # a stack, a short trace or a scalar is rejected before it is scored
         rng = np.random.default_rng(59)
-        t = rng.standard_normal(30)
-        norm = Normalizer(mode, t)
+        t = (rng.random(30) > 0.5).astype(float)
         for y in (rng.standard_normal((4, 30)), rng.standard_normal((1, 30)),
                   rng.standard_normal(29), np.float64(1.0)):
-            with pytest.raises(UsageError, match="one trace of 30"):
-                norm(y)
             with pytest.raises(UsageError):
-                nmse(*norm.error_args(y))
-            assert norm.transform is None
-
-    @pytest.mark.parametrize("mode", NORMALIZE_MODES)
-    def test_error_args_pick_the_trace_the_error_reads(self, mode):
-        # zscore hands nmse the raw trace for its one-pass form; off and
-        # first_epoch hand it the normalised trace
-        rng = np.random.default_rng(17)
-        t = rng.standard_normal(30)
-        y = rng.standard_normal(30)
-        norm = Normalizer(mode, t)
-        zscore = mode == "zscore"
-        want = nmse(y, t, zscore=True) if zscore else nmse(norm(y), t)
-        assert nmse(*norm.error_args(y)) == want
-        args = norm.error_args(y)
-        assert (args[0] is y) if zscore else args[0].tobytes() == norm(y).tobytes()
-        assert args[2] is zscore
-        # the normaliser holds its own copy of the target and its statistics
-        before = nmse(*norm.error_args(y))
-        t += 1.0
-        assert nmse(*norm.error_args(y)) == before
+                evaluate(lambda mask: y, random_mask(4), t)
+            with pytest.raises(UsageError):
+                nmse(y, t, True)
 
 
 class TestEvaluate:
@@ -594,8 +542,9 @@ class TestEvaluate:
     def test_frozen_threshold_honored(self):
         t = np.array([0.0, 1.0, 0.0, 1.0])
         y = np.array([0.1, 0.9, 0.4, 0.6])
-        m = evaluate(lambda mask: y, random_mask(4), t, threshold_rule=0.95)
-        # everything below 0.95 predicts negative: half the batch is wrong
+        # z-scored, y reads about (-0.19, 1.19, 0.33, 0.67)
+        m = evaluate(lambda mask: y, random_mask(4), t, threshold_rule=1.25)
+        # everything below 1.25 predicts negative: half the batch is wrong
         assert m.accuracy == 0.5
 
     def test_non_finite_trace_rejected(self):

@@ -6,19 +6,19 @@ import pytest
 
 from ternrc.errors import NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, consistency, run_stability
-from ternrc.optimizer import NORMALIZE_MODES, TrainConfig, nmse
+from ternrc.optimizer import TrainConfig, nmse
 from ternrc.substrate import SubstrateConfig, advance_drift, build_substrate
 from ternrc.tasks import HeaderTask
 
 import reference
 
 
-def stability_config(normalize="zscore", noise_sigma=0.001, drift_amplitude=0.002, out=None):
+def stability_config(noise_sigma=0.001, drift_amplitude=0.002, out=None):
     """A small header stability run: 40 samples on a 12-side node grid."""
     return ExperimentConfig(
         substrate=SubstrateConfig(grid_side=12, input_side=16, noise_sigma=noise_sigma,
                                   drift_amplitude=drift_amplitude, seed=31),
-        train=TrainConfig(alpha=10.0, max_epochs=5, normalize=normalize, seed=32),
+        train=TrainConfig(alpha=10.0, max_epochs=5, seed=32),
         task=HeaderTask(n_bits=3, target_value=5, n_samples=40, image_side=16),
         output_dir=out)
 
@@ -33,32 +33,28 @@ def hexed(rows):
     return out
 
 
-def assert_rows_match(rows, want, normalize):
-    """Rows equal bit for bit, except that a zscore error, taken from the raw
-    trace in one pass, matches the normalised trace's error to rounding."""
-    if normalize != "zscore":
-        assert hexed(rows) == hexed(want)
-        return
+def assert_rows_match(rows, want):
+    """Rows equal bit for bit, except that the error, taken from the raw trace
+    in one pass, matches the z-scored trace's error to rounding."""
     assert [h[:2] + h[3:] for h in hexed(rows)] == [h[:2] + h[3:] for h in hexed(want)]
     assert [r["nmse"] for r in rows] == pytest.approx([r["nmse"] for r in want], rel=1e-12, abs=0)
 
 
 class TestBlockLoopOracle:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.001])
-    @pytest.mark.parametrize("normalize", NORMALIZE_MODES)
     @pytest.mark.parametrize("drift_steps", [0, 2])
     @pytest.mark.parametrize("n_checks", [2, 63, 64, 65, 130])
-    def test_rows_match_per_check_loop(self, n_checks, drift_steps, normalize, noise_sigma):
-        cfg = stability_config(normalize, noise_sigma)
+    def test_rows_match_per_check_loop(self, n_checks, drift_steps, noise_sigma):
+        cfg = stability_config(noise_sigma)
         rows = run_stability(cfg, n_checks=n_checks, drift_steps_per_check=drift_steps)
         want = reference.run_stability(cfg, n_checks, drift_steps)
-        assert_rows_match(rows, want, normalize)
+        assert_rows_match(rows, want)
         assert rows[0]["consistency"] == 1.0
 
     def test_numpy_integer_counts_run(self):
         rows = run_stability(stability_config(), n_checks=np.int64(3),
                              drift_steps_per_check=np.int32(1))
-        assert_rows_match(rows, reference.run_stability(stability_config(), 3, 1), "zscore")
+        assert_rows_match(rows, reference.run_stability(stability_config(), 3, 1))
 
 
 class TestRowStatistics:
@@ -154,7 +150,7 @@ def test_non_finite_trace_names_its_check(bad_check, value, monkeypatch, tmp_pat
 def test_scalar_drift_is_invisible_without_noise(amplitude):
     # drift is one scalar gain, and both statistics ignore a global scale, so
     # without detector noise the protocol cannot fail whatever the drift
-    rows = run_stability(stability_config("zscore", noise_sigma=0.0, drift_amplitude=amplitude),
+    rows = run_stability(stability_config(noise_sigma=0.0, drift_amplitude=amplitude),
                          n_checks=130)
     gains = [r["gain"] for r in rows]
     assert max(gains) - min(gains) > amplitude
