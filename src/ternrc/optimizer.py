@@ -50,6 +50,10 @@ class TrainConfig:
         if not -TARGET_LEVEL_BOUND <= lo < hi <= TARGET_LEVEL_BOUND:
             raise ConfigError(f"target levels must satisfy -{TARGET_LEVEL_BOUND:g} <= low < high"
                               f" <= {TARGET_LEVEL_BOUND:g}, got {self.target_levels}")
+        # the two levels stand for the balanced target both batch builders make
+        if _centred(np.array([lo, hi]))[1] == 0.0:
+            raise ConfigError(f"target levels {self.target_levels} give a flat target: their "
+                              f"half-gap must exceed {STD_FLOOR:g} times their midpoint's magnitude")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
         if not 0 <= self.seed < 2 ** 32:

@@ -428,6 +428,7 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"substrate": {"diffusion_sigma": 1e-200}, "train": VALID_TRAIN},
     {"substrate": {"diffusion_sigma": 1e-160}, "train": VALID_TRAIN},
     {"substrate": {"noise_sigma": 1e200}, "train": VALID_TRAIN},
+    {"train": {**VALID_TRAIN, "target_levels": [1.0, 1.0000000000001]}},
     {"train": {**VALID_TRAIN, "normalize": "off"}},
     {"train": {**VALID_TRAIN, "normalize": "first_epoch"}},
     {"train": {**VALID_TRAIN, "normalize": "minmax"}},
@@ -443,7 +444,7 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "scalar-alphas", "infinite-target-level", "target-levels-squares-overflow",
         "target-level-square-overflows", "saturation-overflows", "saturation-past-bound",
         "diffusion-width-squares-to-zero", "diffusion-exponent-overflows",
-        "noise-squares-overflow", "normalize-off", "normalize-first-epoch",
+        "noise-squares-overflow", "flat-target-levels", "normalize-off", "normalize-first-epoch",
         "normalize-minmax", "normalize-number"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"

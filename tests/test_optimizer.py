@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ternrc.errors import ConfigError, NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, _OutputSink
-from ternrc.optimizer import (TARGET_LEVEL_BOUND, TrainConfig, _centred, evaluate,
+from ternrc.optimizer import (STD_FLOOR, TARGET_LEVEL_BOUND, TrainConfig, _centred, evaluate,
                               midpoint_threshold, n_mirrors, nmse, propose, train, zscored)
 from ternrc.readout import ALPHABETS, MODES, DetectorModel, TernaryMask, random_mask
 from ternrc.substrate import SubstrateConfig, build_substrate, states_matrix
@@ -380,6 +380,28 @@ class TestTrain:
             TrainConfig(alpha=1.0, max_epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(alpha=1.0, max_epochs=10, target_levels=(1.0, 0.0))
+
+    @pytest.mark.parametrize("n", [40, 250, 1000])
+    def test_levels_flat_exactly_where_their_target_is(self, n):
+        # the config reads two levels as the balanced target both batch
+        # builders make; at the boundary, a half-gap of STD_FLOOR times the
+        # midpoint, it rejects them exactly where that target is flat
+        rng = np.random.default_rng(n)
+        seen = set()
+        for mid in (1.0, -3.7, 0.1, 123456.789, 1e-100, 1e100, -1e149):
+            for rel in 1.0 + np.linspace(-1e-12, 1e-12, 41):
+                g = STD_FLOOR * abs(mid) * rel
+                for lo, hi in ((mid - g, mid + g), (np.nextafter(mid - g, -np.inf), mid + g),
+                               (mid - g, np.nextafter(mid + g, np.inf))):
+                    levels = (float(lo), float(hi))
+                    is_flat = reference.flat(np.repeat(levels, n // 2)[rng.permutation(n)])
+                    seen.add(is_flat)
+                    if is_flat:
+                        with pytest.raises(ConfigError, match="flat target"):
+                            TrainConfig(alpha=1.0, max_epochs=1, target_levels=levels)
+                    else:
+                        TrainConfig(alpha=1.0, max_epochs=1, target_levels=levels)
+        assert seen == {True, False}
 
     def test_levels_at_the_bound_score_finite(self):
         # a level past the bound is rejected; at it, every square stays finite
