@@ -459,19 +459,21 @@ def test_bad_config_exits_2(doc, tmp_path, capsys):
         ExperimentConfig.from_json(doc)
 
 
+@pytest.mark.parametrize("normalize", ["zscore"])
 @pytest.mark.parametrize("field, bound, past", [
     ("saturation", SATURATION_BOUND, math.inf),
     ("diffusion_sigma", DIFFUSION_SIGMA_FLOOR, 0.0),
     ("noise_sigma", NOISE_SIGMA_BOUND, math.inf)])
-def test_physics_at_its_bound_runs(field, bound, past, tmp_path, capsys):
+def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path, capsys):
     # the next float past a bound is rejected; a tiny run at it exits 0 with
-    # a finite error, and numpy's RuntimeWarnings are errors under pytest
+    # a finite error, and numpy's RuntimeWarnings are errors under pytest; the
+    # document names its error, which only the one search error may still do
     with pytest.raises(ConfigError, match=field):
         SubstrateConfig(**{field: float(np.nextafter(bound, past))})
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "substrate": {field: bound},
-        "train": {"alpha": 10.0, "max_epochs": 20},
+        "train": {"alpha": 10.0, "max_epochs": 20, "normalize": normalize},
         "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
     assert main(["header", "--config", str(config)]) == 0
     assert "nmse=inf" not in capsys.readouterr().out

@@ -258,6 +258,12 @@ def brute_force_best(states, targets):
     return best
 
 
+def named_config(normalize, **fields):
+    """A train config parsed from a section that names its search error, as
+    documents written while there were three still do."""
+    return ExperimentConfig.from_json({"train": {**fields, "normalize": normalize}}).train
+
+
 class TestTrain:
     def test_reaches_zero_on_separable_toy(self):
         rng = np.random.default_rng(7)
@@ -343,9 +349,10 @@ class TestTrain:
         result = train(linear_forward(states), targets, cfg, n_nodes=4)
         assert result.final_nmse == result.history[-1].nmse_best
 
+    @pytest.mark.parametrize("normalize", ["zscore"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("epoch", [0, 3])
-    def test_non_finite_trace_names_its_epoch(self, bad, epoch):
+    def test_non_finite_trace_names_its_epoch(self, normalize, bad, epoch):
         rng = np.random.default_rng(18)
         states = rng.random((10, 6))
         targets = (rng.random(10) > 0.5).astype(float)
@@ -358,7 +365,7 @@ class TestTrain:
             calls.append(mask)
             return y
 
-        cfg = TrainConfig(alpha=5.0, max_epochs=10, seed=1)
+        cfg = named_config(normalize, alpha=5.0, max_epochs=10, seed=1)
         with pytest.raises(NumericalError, match=rf"non-finite trace at epoch {epoch}$"):
             train(fp, targets, cfg, n_nodes=6)
         assert len(calls) == epoch + 1
@@ -403,7 +410,8 @@ class TestTrain:
                         TrainConfig(alpha=1.0, max_epochs=1, target_levels=levels)
         assert seen == {True, False}
 
-    def test_levels_at_the_bound_score_finite(self):
+    @pytest.mark.parametrize("normalize", ["zscore"])
+    def test_levels_at_the_bound_score_finite(self, normalize):
         # a level past the bound is rejected; at it, every square stays finite
         # (numpy's overflow warnings fail the test)
         b = TARGET_LEVEL_BOUND
@@ -413,7 +421,7 @@ class TestTrain:
         rng = np.random.default_rng(19)
         states = rng.random((40, 6))
         targets = np.where(rng.random(40) > 0.5, b, -b)
-        cfg = TrainConfig(alpha=5.0, max_epochs=20, seed=1, target_levels=(-b, b))
+        cfg = named_config(normalize, alpha=5.0, max_epochs=20, seed=1, target_levels=[-b, b])
         result = train(linear_forward(states), targets, cfg, n_nodes=6)
         assert all(math.isfinite(r.nmse_best) for r in result.history)
 
@@ -488,13 +496,14 @@ class TestOldPathOracle:
         det = det_cls(noise_sigma=0.02, seed=21, noise_scale=float(states.sum(axis=1).mean()))
         return rig_cls(sub, states, det), rng.random(1000) > 0.5
 
+    @pytest.mark.parametrize("normalize", ["zscore"])
     @pytest.mark.parametrize("mode", MODES)
-    def test_history_and_mask_bytes_match(self, mode):
+    def test_history_and_mask_bytes_match(self, mode, normalize):
         rig, labels = self.rigs(BatchReadout, DetectorModel)
         ref_rig, _ = self.rigs(reference.Rig, reference.Detector)
         assert rig.n_nodes == 448
         t = labels.astype(float)
-        cfg = TrainConfig(alpha=10.0, max_epochs=300, mode=mode, seed=22)
+        cfg = named_config(normalize, alpha=10.0, max_epochs=300, mode=mode, seed=22)
         result = train(rig, t, cfg, n_nodes=448)
         mask, history = reference.train(ref_rig, t, cfg, 448)
         assert result.best_mask.weights.tobytes() == mask.weights.tobytes()
@@ -521,24 +530,31 @@ class TestNormalization:
             assert (ra.epoch, ra.n_mirrors, ra.accepted) == (rb.epoch, rb.n_mirrors, rb.accepted)
             assert ra.nmse_best == pytest.approx(rb.nmse_best, rel=1e-9)
 
-    def test_matches_reference_bit_for_bit(self):
-        # a constant trace maps to the target's mean
+    @pytest.mark.parametrize("mode", ["zscore"])
+    def test_matches_reference_bit_for_bit(self, mode):
+        # the one search error's map, keyed as a document names it; a constant
+        # trace maps to the target's mean
+        ours, ref = {"zscore": (zscored, reference.zscored)}[mode]
         rng = np.random.default_rng(37)
         for n in (2, 40, 1000):
             t = (rng.random(n) > 0.5).astype(float)
             t[:2] = (0.0, 1.0)
             for y in [np.full(n, 3.0)] + [rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
                                           + rng.uniform(-5, 5) for _ in range(20)]:
-                assert zscored(y, t).tobytes() == reference.zscored(y, t).tobytes()
+                assert ours(y, t).tobytes() == ref(y, t).tobytes()
 
-    def test_one_trace_only(self):
+    @pytest.mark.parametrize("mode", ["zscore"])
+    def test_one_trace_only(self, mode):
         # a stack, a short trace or a scalar is rejected before it is scored
         rng = np.random.default_rng(59)
         t = (rng.random(30) > 0.5).astype(float)
+        cfg = named_config(mode, alpha=5.0, max_epochs=3, seed=1)
         for y in (rng.standard_normal((4, 30)), rng.standard_normal((1, 30)),
                   rng.standard_normal(29), np.float64(1.0)):
             with pytest.raises(UsageError):
                 evaluate(lambda mask: y, random_mask(4), t)
+            with pytest.raises(UsageError):
+                train(lambda mask: y, t, cfg, n_nodes=4)
             with pytest.raises(UsageError):
                 nmse(y, t, True)
 

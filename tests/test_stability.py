@@ -6,19 +6,21 @@ import pytest
 
 from ternrc.errors import NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, consistency, run_stability
-from ternrc.optimizer import TrainConfig, nmse
+from ternrc.optimizer import nmse
 from ternrc.substrate import SubstrateConfig, advance_drift, build_substrate
 from ternrc.tasks import HeaderTask
 
 import reference
 
 
-def stability_config(noise_sigma=0.001, drift_amplitude=0.002, out=None):
-    """A small header stability run: 40 samples on a 12-side node grid."""
+def stability_config(normalize="zscore", noise_sigma=0.001, drift_amplitude=0.002, out=None):
+    """A small header stability run: 40 samples on a 12-side node grid. Its
+    train section names its search error, as documents may."""
     return ExperimentConfig(
         substrate=SubstrateConfig(grid_side=12, input_side=16, noise_sigma=noise_sigma,
                                   drift_amplitude=drift_amplitude, seed=31),
-        train=TrainConfig(alpha=10.0, max_epochs=5, seed=32),
+        train=ExperimentConfig.from_json({"train": {"alpha": 10.0, "max_epochs": 5, "seed": 32,
+                                                    "normalize": normalize}}).train,
         task=HeaderTask(n_bits=3, target_value=5, n_samples=40, image_side=16),
         output_dir=out)
 
@@ -42,10 +44,11 @@ def assert_rows_match(rows, want):
 
 class TestBlockLoopOracle:
     @pytest.mark.parametrize("noise_sigma", [0.0, 0.001])
+    @pytest.mark.parametrize("normalize", ["zscore"])
     @pytest.mark.parametrize("drift_steps", [0, 2])
     @pytest.mark.parametrize("n_checks", [2, 63, 64, 65, 130])
-    def test_rows_match_per_check_loop(self, n_checks, drift_steps, noise_sigma):
-        cfg = stability_config(noise_sigma)
+    def test_rows_match_per_check_loop(self, n_checks, drift_steps, normalize, noise_sigma):
+        cfg = stability_config(normalize, noise_sigma)
         rows = run_stability(cfg, n_checks=n_checks, drift_steps_per_check=drift_steps)
         want = reference.run_stability(cfg, n_checks, drift_steps)
         assert_rows_match(rows, want)
