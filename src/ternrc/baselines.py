@@ -11,6 +11,9 @@ import numpy as np
 from .errors import NumericalError, UsageError, _check_count
 from .optimizer import Metrics, midpoint_threshold, nmse, score, _positive_class
 
+#: cross-validation folds of the ridge baseline's lambda selection
+RIDGE_FOLDS = 5
+
 
 @dataclass(frozen=True)
 class RidgeModel:
@@ -64,8 +67,9 @@ def ridge_fit(states, targets, lam: float = 0.0) -> RidgeModel:
 
 def ridge_eval(model: RidgeModel, states, targets,
                threshold_rule: float | str = "midpoint") -> Metrics:
-    """Score the model's predictions ``states @ weights + bias`` with the
-    same error/threshold contract used for trained masks."""
+    """Score the model's predictions ``states @ weights + bias``: their error
+    is the one error of a trained mask, while the threshold and accuracy
+    read the predictions as they are, already in target units."""
     t = np.asarray(targets, dtype=float)
     x = _as_matrix(states)
     if x.shape[1] != model.weights.size:
@@ -74,7 +78,7 @@ def ridge_eval(model: RidgeModel, states, targets,
     return score(y, t, nmse(y, t), threshold_rule)
 
 
-def lambda_sweep(states, targets, grid, folds: int = 5) -> float:
+def lambda_sweep(states, targets, grid, folds: int = RIDGE_FOLDS) -> float:
     """Pick the regularization strength by k-fold cross-validated accuracy;
     ties resolve to the smaller lambda. Folds are deterministic (sample i
     goes to fold i mod folds), so the selection is reproducible. Grid entries

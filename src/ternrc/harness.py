@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import lambda_sweep, ridge_eval, ridge_fit
+from .baselines import RIDGE_FOLDS, lambda_sweep, ridge_eval, ridge_fit
 from .errors import ConfigError, DataError, NumericalError, UsageError, _check_count, _check_types
 from .optimizer import Metrics, TrainConfig, TrainResult, _centred, evaluate, nmse, train
 from .readout import DetectorModel, TernaryMask, readout_batch
@@ -354,6 +354,9 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     and the ridge baseline, all on the same frozen substrate and batches per
     repeat. Returns one result row per (task, arm, repeat); a digit task with
     ``digit`` null runs all ten digits. An arm's files are written once it is scored."""
+    if cfg.task.n_samples < RIDGE_FOLDS:
+        raise ConfigError(f"task n_samples {cfg.task.n_samples} is fewer than the ridge "
+                          f"arm's {RIDGE_FOLDS} cross-validation folds")
     digits = ([None] if isinstance(cfg.task, HeaderTask)
               else list(range(10)) if cfg.task.digit is None else [cfg.task.digit])
     rows: list[dict] = []
@@ -385,7 +388,7 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
                 out.arm(f"{arm}_{task}_s{repeat}", result, cfg.substrate.grid_side)
             # digital reference: ridge regression on the noiseless lasing states
             (s_tr, s_te), (t_tr, t_te) = on, (b.targets for b in batches)
-            lam = lambda_sweep(s_tr, t_tr, cfg.ridge_grid)
+            lam = lambda_sweep(s_tr, t_tr, cfg.ridge_grid, RIDGE_FOLDS)
             model = ridge_fit(s_tr, t_tr, lam)
             m_tr = ridge_eval(model, s_tr, t_tr, "midpoint")
             m_te = ridge_eval(model, s_te, t_te, m_tr.threshold)
@@ -490,7 +493,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         if start == 0:
             reference = block[0].copy()
         checks = zip(consistency(reference, block).tolist(), block, gains)
-        rows += [{"check": start + i, "consistency": c, "nmse": nmse(trace, t, True, ct),
+        rows += [{"check": start + i, "consistency": c, "nmse": nmse(trace, t, ct),
                   "gain": g} for i, (c, trace, g) in enumerate(checks)]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows

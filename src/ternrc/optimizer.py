@@ -80,21 +80,18 @@ class TrainResult:
         return sum(r.accepted for r in self.history)
 
 
-def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
+def nmse(y_out: np.ndarray, y_target: np.ndarray,
          centred_target: tuple[np.ndarray, float] | None = None) -> float:
-    """Normalized mean square error of one measured trace against its target:
-    sum of squared residuals over N times the population standard deviation
-    of the trace. A flat trace (see :func:`_centred`) has no usable spread
-    and returns +inf so it can never be accepted.
-
-    With ``zscore`` it is the search's error: that of the trace z-scored
-    onto the target's mean and spread (see :func:`zscored`), taken from the
-    raw trace in one pass: 2 * std(t) * (1 - rho), where rho is the Pearson
-    correlation of trace and target, so no scale of the trace moves it. It
-    is clamped at 0 from below, and a flat target returns +inf too. Its
-    sums are ``np.add.reduce``, not a BLAS dot, so the value does not depend
-    on the thread count. ``centred_target`` is ``_centred(y_target)`` when
-    the caller holds it: a search scores every epoch against one target."""
+    """The error of one measured trace against its target: the normalized
+    mean square error of the trace z-scored onto the target's mean and
+    spread (see :func:`zscored`), sum((z - t)**2) / (N * std(z)). It is
+    taken from the raw trace in one pass: 2 * std(t) * (1 - rho), where rho
+    is the Pearson correlation of trace and target, so no scale or offset of
+    the trace moves it. It is clamped at 0 from below. A flat trace or
+    target (see :func:`_centred`) returns +inf, so it can never be accepted.
+    Its sums are ``np.add.reduce``, not a BLAS dot, so the value does not
+    depend on the thread count. ``centred_target`` is ``_centred(y_target)``
+    when the caller holds it: a search scores every epoch against one target."""
     y = np.asarray(y_out, dtype=float)
     t = np.asarray(y_target, dtype=float)
     if y.shape != t.shape or t.ndim != 1:
@@ -103,17 +100,12 @@ def nmse(y_out: np.ndarray, y_target: np.ndarray, zscore: bool = False,
     if n < 2:
         raise UsageError(f"need at least 2 samples, got {n}")
     d, sd = _centred(y)
-    if zscore:
-        dt, sd_t = _centred(t) if centred_target is None else centred_target
-        if sd == 0.0 or sd_t == 0.0:
-            return math.inf
-        # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
-        # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
-        return float(max(2.0 * (sd_t - np.add.reduce(d * dt) / (n * sd)), 0.0))
-    if sd == 0.0:
+    dt, sd_t = _centred(t) if centred_target is None else centred_target
+    if sd == 0.0 or sd_t == 0.0:
         return math.inf
-    r = y - t
-    return float(np.add.reduce(r * r) / (n * sd))
+    # the z-scored trace z = d / sd * sd_t + mean(t) has std(z) = sd_t,
+    # so sum((z - t)**2) / (N * std(z)) = 2 * (sd_t - cov / (N * sd))
+    return float(max(2.0 * (sd_t - np.add.reduce(d * dt) / (n * sd)), 0.0))
 
 
 def _centred(y: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -181,8 +173,8 @@ def propose(mask: TernaryMask, n: int, rng: np.random.Generator) -> TernaryMask:
 def zscored(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The trace ``y`` standardized and mapped onto the mean and spread of
     its target ``t``, so it reads in target units whatever the detection
-    scale; a flat trace maps to the target's mean. Its error against ``t``
-    is ``nmse(y, t, True)``, which never builds this trace."""
+    scale; a flat trace maps to the target's mean. :func:`nmse` is the error
+    of this trace against ``t``, taken without building it."""
     d, sd = _centred(y)
     if sd == 0.0:
         return np.full_like(y, float(np.mean(t)))
@@ -204,7 +196,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     mask = random_mask(n_nodes, cfg.mode, rng)
 
     ct = _centred(t)
-    best = nmse(_measured(forward_pass, mask, t, 0), t, True, ct)
+    best = nmse(_measured(forward_pass, mask, t, 0), t, ct)
     initial = best
 
     history: list[EpochRecord] = []
@@ -212,7 +204,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
     for epoch in range(1, cfg.max_epochs + 1):
         n = n_mirrors(cfg.alpha, best, cap=n_nodes)
         cand = propose(mask, n, rng)
-        e = nmse(_measured(forward_pass, cand, t, epoch), t, True, ct)
+        e = nmse(_measured(forward_pass, cand, t, epoch), t, ct)
         accepted = e < best
         if accepted:
             mask, best = cand, e
@@ -267,7 +259,7 @@ def evaluate(forward_pass: Callable[[TernaryMask], np.ndarray], mask: TernaryMas
     """Measure a mask once and :func:`score` its z-scored trace."""
     t = np.asarray(y_target, dtype=float)
     y = _measured(forward_pass, mask, t)
-    return score(zscored(y, t), t, nmse(y, t, True), threshold_rule)
+    return score(zscored(y, t), t, nmse(y, t), threshold_rule)
 
 
 def score(y_out: np.ndarray, y_target: np.ndarray, err: float,

@@ -117,13 +117,6 @@ def flat(y):
     return float(np.std(y)) <= STD_FLOOR * abs(float(np.mean(y)))
 
 
-def nmse(y, t):
-    """nmse as written with np.std and np.sum."""
-    if flat(y):
-        return math.inf
-    return float(np.sum((y - t) ** 2) / (y.size * float(np.std(y))))
-
-
 def zscored(y, t):
     """The z-scored trace as written with np.mean and np.std."""
     if flat(y):
@@ -132,8 +125,12 @@ def zscored(y, t):
 
 
 def zscore_nmse(y, t):
-    """The z-scored error in two steps: the conditioned trace, then its error."""
-    return nmse(zscored(y, t), t)
+    """The error in two steps: the z-scored trace, then its squared residuals
+    over N times its spread, as written with np.std and np.sum."""
+    z = zscored(y, t)
+    if flat(z):
+        return math.inf
+    return float(np.sum((z - t) ** 2) / (z.size * float(np.std(z))))
 
 
 def train(rig, t, cfg, k):

@@ -120,6 +120,21 @@ class TestRidgeEval:
         assert got.accuracy == want.accuracy
         assert got.nmse == pytest.approx(want.nmse) and got.threshold == pytest.approx(want.threshold)
 
+    @pytest.mark.parametrize("n", [8, 40, 250])
+    def test_error_is_the_z_scored_error_of_the_predictions(self, n):
+        # the ridge row's error is the trained arms' one error; its threshold
+        # and accuracy read the predictions as they are
+        rng = np.random.default_rng(n)
+        x = rng.random((n, 5))
+        t = np.arange(n) % 2.0
+        model = ridge_fit(x, t + 0.3 * rng.standard_normal(n), lam=0.1)
+        y = x @ model.weights + model.bias
+        for rule in ("midpoint", 0.5):
+            got, raw = ridge_eval(model, x, t, rule), score(y, t, 0.0, rule)
+            assert got.nmse == pytest.approx(reference.zscore_nmse(y, t), rel=1e-12)
+            assert got.threshold.hex() == raw.threshold.hex()
+            assert (got.accuracy, got.ser) == (raw.accuracy, raw.ser)
+
     def test_width_mismatch(self):
         model = RidgeModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(UsageError, match="model width 3"):

@@ -98,7 +98,10 @@ def _case(case, idx):
 #: z-scored error came to be taken from the raw trace in one pass; no mask
 #: file and no off or first_epoch case moved. The three ``-zscore`` cases,
 #: twins of cases that ran the since-removed off and first_epoch errors, were
-#: pinned on the code that still had them; the cases they twin went with it
+#: pinned on the code that still had them; the cases they twin went with it.
+#: The three comparison results files were re-pinned when the ridge row's
+#: error became the z-scored error of the trained arms; only its two error
+#: cells moved
 GOLDEN = {
     "header": {
         "history_header_s0.csv":
@@ -140,7 +143,7 @@ GOLDEN = {
         "mask_ternary_on_digit3_s0.json":
             "319f98d5253322cc674d7d45609ae45982873d26fc709d6a8404875d31403340",
         "results.csv":
-            "dfb3942c2ca611901e8a42f71b5c4a34b8cbabb781804ea32730a7fadda9b59f",
+            "2d7e9b9100d2140b2df0fc4aa6550d1eef565f08ef251c66ab9f4599f1ecb961",
     },
     "compare-all-digits": {
         "history_boolean_on_digit0_s0.csv":
@@ -264,7 +267,7 @@ GOLDEN = {
         "mask_ternary_on_digit9_s0.json":
             "0c94d64ac3c2603a5a67c2aba94132151c541989171eaa63ca7e711590f1f286",
         "results.csv":
-            "b48ddc623bb52cfd03f8deecfe73614044a10afde1862c119214528d88139c4e",
+            "83d6fd81dc8e0de6562748a68d2096c2d632bc514a782bd3924386fd3e4a74cc",
     },
     "compare-header": {
         "history_boolean_on_header_s0.csv":
@@ -292,7 +295,7 @@ GOLDEN = {
         "mask_ternary_on_header_s1.json":
             "60b438f23cc63c7d05894d206244a11193cf825c92c3e07481fa59145497df80",
         "results.csv":
-            "90fb23dcf3c225a6eb8d705515e92556c02e36631e495d59c9b02cebb9303c1d",
+            "7e69a3f1428a368ea4fe2836fe50e4fd84aa841f907b6a6fb4637fa9b15f294d",
     },
     "stability-zscore": {
         "stability.csv":
@@ -655,6 +658,22 @@ def test_stability_with_repeats_exits_2(idx_files, tmp_path, capsys):
     assert main(["stability", "--config", str(config), "--out", str(out), "--repeats", "3",
                  *flags]) == 2
     assert "one repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case,n_samples", [("compare-header", 2), ("compare", 4)])
+def test_compare_with_fewer_samples_than_ridge_folds_exits_2(case, n_samples, idx_files,
+                                                              tmp_path, capsys):
+    # the ridge arm cross-validates over 5 folds of the training batch; the
+    # run stops before any arm trains, not after all three
+    _, doc, _ = _case(case, idx_files)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, "task": {**doc["task"], "n_samples": n_samples}}))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"task n_samples {n_samples}" in err and "5 cross-validation folds" in err
     assert not out.exists()
 
 
