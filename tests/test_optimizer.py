@@ -119,15 +119,16 @@ class TestZscoreNmse:
         y = rng.standard_normal(40)
         assert nmse(y, t, centred_target=_centred(t)).hex() == nmse(y, t).hex()
 
-    def test_stack_rejected(self):
-        # the error scores one trace; a stack of traces is a usage error
+    @pytest.mark.parametrize("given_centred", [False, True])
+    def test_stack_rejected(self, given_centred):
+        # the error scores one trace; a stack of traces is a usage error,
+        # whether or not the caller hands over the centred target
         rng = np.random.default_rng(53)
         t = rng.standard_normal(30)
+        centred = _centred(t) if given_centred else None
         for y in (rng.standard_normal((4, 30)), rng.standard_normal((1, 30))):
             with pytest.raises(UsageError, match="equal-length vectors"):
-                nmse(y, t)
-            with pytest.raises(UsageError, match="equal-length vectors"):
-                nmse(y, t, centred_target=_centred(t))
+                nmse(y, t, centred_target=centred)
 
 
 class TestNMirrors:
