@@ -312,10 +312,17 @@ def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
     return build_substrate(dataclasses.replace(cfg.substrate, seed=seed, **overrides))
 
 
-def _gathered(passes):
-    """(train, test) state matrices of two forward passes, and the training
+def _joint_pass(sub: Substrate, batches):
+    """One forward pass over the (train, test) frames together, so the
+    transmission is drawn once: the distinct states and each batch's index."""
+    states, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
+    return states, np.split(index, [len(batches[0].pixels)])
+
+
+def _gathered(states, indices):
+    """(train, test) state matrices of one joint pass, and the training
     batch's mean all-on power at unit gain."""
-    s_tr, s_te = (states_matrix(*fp) for fp in passes)
+    s_tr, s_te = (states_matrix(states, index) for index in indices)
     return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
 
 
@@ -324,7 +331,7 @@ def _acquired(cfg: ExperimentConfig, repeat: int, batch_sets):
     their state matrices and the training batch's mean all-on power."""
     sub = _substrate(cfg, repeat)
     batches = next(batch_sets)
-    states, power = _gathered([forward_batch(sub, b.pixels) for b in batches])
+    states, power = _gathered(*_joint_pass(sub, batches))
     return sub, batches, states, power
 
 
@@ -372,11 +379,11 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
         for digit in digits:
             task = "header" if digit is None else f"digit{digit}"
             batches = next(batch_sets)
-            passes = [forward_batch(sub_off, b.pixels) for b in batches]
-            off, power_off = _gathered(passes)
+            p, indices = _joint_pass(sub_off, batches)
+            off, power_off = _gathered(p, indices)
             # detector calibrated once, lasing config
-            on, sbar = _gathered([(laser_response(sub_on, p), index) for p, index in passes])
-            del passes
+            on, sbar = _gathered(laser_response(sub_on, p), indices)
+            del p
             # laser off: same optics, faint detected signal, same detector calibration
             for arm, mode, states, brightness in (
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),

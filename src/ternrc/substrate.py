@@ -9,18 +9,20 @@ coupling over the node grid models carrier diffusion. A linear mode
 
 Shapes: a batch is an (N, d, d) Boolean frame stack, d = ``input_side``.
 The (K, D) complex transmission T of the K active nodes and the D aperture
-pixels is held once, as the real (2K, D) ``fields`` = [Re T; Im T], so
-T = fields[:K] + 1j * fields[K:]. :func:`forward_batch` returns the (U, K)
-states of the U distinct frames and an (N,) row index into them;
-:func:`states_matrix` gathers the (N, K) batch matrix in column-major
-order, so each node's column is contiguous for the readout. The pass ends
-in :func:`laser_response`; with the laser off that step is the identity,
-so the laser-off states of a batch are its speckle intensities, and the
-laser-on states of the same transmission are the response to them.
+pixels is never held: each forward pass draws its real (2K, D) form
+[Re T; Im T] from the seed in row blocks, and positions the drift stream.
+:func:`forward_batch` returns the (U, K) states of the U distinct frames
+and an (N,) row index into them; :func:`states_matrix` gathers the (N, K)
+batch matrix in column-major order, so each node's column is contiguous
+for the readout. The pass ends in :func:`laser_response`; with the laser
+off that step is the identity, so the laser-off states of a batch are its
+speckle intensities, and the laser-on states of the same transmission are
+the response to them.
 
-The fields of all distinct frames come from one real GEMM, the coupling
-from another; their blocked sums agree with a one-frame matrix-vector
-reference to rounding (about 1e-15 relative), not bit for bit.
+The fields of the distinct frames come from one real GEMM per block and
+frame chunk, the coupling from another; their blocked sums agree with a
+one-frame matrix-vector reference to rounding (about 1e-15 relative), not
+bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ import numpy as np
 
 from .errors import ConfigError, UsageError, _check_count, _check_types
 
+
+#: doubles in one row block of the drawn transmission (6 MB): every aperture
+#: up to 32 px on the stock grid is one block, 64 px four blocks of 224 rows
+TRANSMISSION_BLOCK = 3 * 2 ** 18
+
+#: most distinct frames multiplied into a transmission block at a time
+FRAME_CHUNK = 512
 
 #: bounds that keep the laser's s * p, the coupling's 2 * sigma**2 and noise squares normal
 SATURATION_BOUND, DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND = 1e150, 1e-100, 1e100
@@ -88,56 +97,60 @@ class SubstrateConfig:
 class Substrate:
     """Frozen optical path plus the slowly drifting detector-path gain.
 
-    ``fields`` (2K x D float, read-only) is the transmission's real rows over
-    its imaginary rows, T = fields[:K] + 1j * fields[K:], scaled by a multiply
-    with 1/sqrt(2): numpy divides a complex by a real that way, so the bytes
-    are those of (re + 1j * im) / sqrt(2). Only ``gain`` and the private
-    random stream mutate, via :func:`advance_drift`. Forward evaluation is pure.
+    It keeps the shape of its (K, D) transmission, ``n_nodes`` by
+    ``n_inputs``; the seed fixes the matrix, which each forward pass draws
+    again. The drift stream ``_rng`` is the seed's generator after one whole
+    draw: the first forward pass sets it, or :func:`advance_drift` if that
+    comes first. Only ``gain`` and that stream mutate.
     """
 
-    fields: np.ndarray
+    n_nodes: int
+    n_inputs: int
     input_mask: np.ndarray
     gain: float
     config: SubstrateConfig
-    _rng: np.random.Generator
+    _rng: np.random.Generator | None = field(default=None, repr=False)
     _coupling: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.fields.shape[0] // 2
-
-    @property
-    def n_inputs(self) -> int:
-        return self.fields.shape[1]
 
 
 def build_substrate(config: SubstrateConfig) -> Substrate:
-    """Draw the frozen transmission matrix and aperture geometry.
-
-    Entries are i.i.d. circular complex gaussian with unit variance
-    (standard speckle statistics for a multimode fibre). The same config and
-    seed always reproduce the same substrate bit for bit.
-    """
+    """The aperture geometry and coupling of a config. The transmission each
+    forward pass draws from the seed has i.i.d. circular complex gaussian
+    entries of unit variance (speckle statistics of a multimode fibre). The
+    same config always reproduces the same substrate bit for bit."""
     node_mask = circle_mask(config.grid_side)
     input_mask = circle_mask(config.input_side)
-    n_nodes = int(node_mask.sum())
-    n_inputs = int(input_mask.sum())
-    rng = np.random.default_rng(config.seed)
-    # one draw in row order: the real rows, then the imaginary rows
-    fields = rng.standard_normal((2 * n_nodes, n_inputs))
-    np.multiply(fields, 1.0 / np.sqrt(2.0), out=fields)
-    fields.setflags(write=False)
     coupling = None
     if config.vcsel_on and config.diffusion_sigma > 0:
         coupling = _coupling_matrix(node_mask, config.diffusion_sigma)
-    return Substrate(
-        fields=fields,
-        input_mask=input_mask,
-        gain=1.0,
-        config=config,
-        _rng=rng,
-        _coupling=coupling,
-    )
+    return Substrate(n_nodes=int(node_mask.sum()), n_inputs=int(input_mask.sum()),
+                     input_mask=input_mask, gain=1.0, config=config, _coupling=coupling)
+
+
+def _even_split(n: int, most: int) -> int:
+    """Width of the fewest even parts of ``n`` of at most ``most``, in whole
+    tiles of 16, so no part is a short tail the BLAS takes another path for."""
+    parts = -(-n // (max(1, most // 16) * 16))
+    return -(-n // (16 * parts)) * 16
+
+
+def _transmission_blocks(substrate: Substrate):
+    """Yield the real (2K, D) transmission [Re T; Im T] as (first row, rows)
+    blocks of at most :data:`TRANSMISSION_BLOCK` doubles: one
+    ``standard_normal`` stream from the seed, each block scaled in place by
+    1/sqrt(2) as numpy divides a complex by a real, so the bytes are those of
+    (re + 1j * im) / sqrt(2) drawn whole. After the last block the generator
+    becomes the drift stream if the substrate has none yet."""
+    rng = np.random.default_rng(substrate.config.seed)
+    rows, d = 2 * substrate.n_nodes, substrate.n_inputs
+    step = _even_split(rows, TRANSMISSION_BLOCK // d)
+    for lo in range(0, rows, step):
+        block = rng.standard_normal((min(step, rows - lo), d))
+        np.multiply(block, 1.0 / np.sqrt(2.0), out=block)
+        yield lo, block
+        del block
+    if substrate._rng is None:
+        substrate._rng = rng
 
 
 def _coupling_matrix(node_mask: np.ndarray, sigma: float) -> np.ndarray:
@@ -169,7 +182,7 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     The field at node j is the transmission row applied to the active input
     pixels; intensity is its squared modulus. The states are the
     :func:`laser_response` to these intensities. Measurement noise is
-    applied later, at detection.
+    applied later, at detection. The first pass positions the drift stream.
     """
     px = np.asarray(batch)
     side = substrate.config.input_side
@@ -186,15 +199,23 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     packed = np.packbits(flat, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    u = flat[first][:, substrate.input_mask.ravel()].astype(float)
-    # node-major fields (real rows, then imaginary): states come out column-major
-    f = substrate.fields @ u.T
-    del u
-    np.square(f, out=f)
-    # a fresh sum, not one written into f[:K]: a view of f would pin all of it
-    p = np.add(*np.split(f, 2)).T
-    del f
-    return laser_response(substrate, p), index
+    lit = flat[first][:, substrate.input_mask.ravel()]
+    # node-major intensities, so states come out column-major: squared real
+    # rows are written into p and squared imaginary rows added onto them.
+    # Each array is dropped before the next of its kind is made
+    k = substrate.n_nodes
+    p = np.empty((k, len(lit)))
+    width = _even_split(len(lit), FRAME_CHUNK)
+    for lo, block in _transmission_blocks(substrate):
+        re = min(max(k - lo, 0), len(block))
+        for c in range(0, len(lit), width):
+            f = block @ lit[c:c + width].astype(float).T
+            np.square(f[:re], out=p[lo:lo + re, c:c + width])
+            # empty unless the block holds imaginary rows
+            p[lo + re - k:lo + len(block) - k, c:c + width] += np.square(f[re:], out=f[re:])
+            del f
+        del block
+    return laser_response(substrate, p.T), index
 
 
 def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
@@ -224,6 +245,10 @@ def advance_drift(substrate: Substrate, steps: int) -> None:
     random walk, clamped to [0.5, 2.0]. Mutates the substrate in place;
     callers interleaving this with detection must serialize."""
     _check_count(steps, "steps", 0)
+    if substrate._rng is None:
+        # no pass has drawn the transmission yet: the stream starts after it
+        for _ in _transmission_blocks(substrate):
+            pass
     g = substrate.gain
     ts = substrate.config.drift_timescale
     amp = substrate.config.drift_amplitude

@@ -1,9 +1,12 @@
 """The block-wise stability protocol: bit-for-bit agreement with the plain
 per-check loop, the row statistics it rests on, and its input checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ternrc import harness
 from ternrc.errors import NumericalError, UsageError
 from ternrc.harness import BatchReadout, ExperimentConfig, consistency, run_stability
 from ternrc.optimizer import nmse
@@ -160,3 +163,34 @@ def test_scalar_drift_is_invisible_without_noise(amplitude):
     assert all(abs(r["consistency"] - 1.0) <= 1e-12 for r in rows)
     e0 = rows[0]["nmse"]
     assert all(abs(r["nmse"] - e0) <= 1e-12 * e0 for r in rows)
+
+
+@pytest.mark.parametrize("side", [16, 64])
+def test_drift_before_the_forward_pass_keeps_the_gains(side, monkeypatch):
+    # a substrate that drifts before its first forward pass draws its stream
+    # through the whole transmission, so its gains are those of the stream a
+    # substrate holding the transmission kept; 64 px draws four row blocks
+    cfg = stability_config(drift_amplitude=0.05)
+    cfg = dataclasses.replace(cfg, substrate=dataclasses.replace(cfg.substrate, grid_side=24,
+                                                                 input_side=side),
+                              task=dataclasses.replace(cfg.task, image_side=side))
+    built = []
+
+    def drifted_first(*args, **kwargs):
+        sub = substrate(*args, **kwargs)
+        advance_drift(sub, 3)
+        built.append(sub.config)
+        return sub
+
+    substrate = harness._substrate
+    monkeypatch.setattr(harness, "_substrate", drifted_first)
+    rows = run_stability(cfg, n_checks=5, drift_steps_per_check=2)
+    held = dataclasses.replace(build_substrate(built[0]),
+                               _rng=reference.transmission(built[0])[1])
+    advance_drift(held, 3)
+    want = []
+    for _ in rows:
+        advance_drift(held, 2)
+        want.append(held.gain.hex())
+    assert [r["gain"].hex() for r in rows] == want
+    assert len(set(want)) == len(want)

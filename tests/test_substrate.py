@@ -9,9 +9,9 @@ from ternrc.errors import ConfigError, UsageError
 from ternrc import harness
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
-from ternrc.substrate import (SubstrateConfig, _coupling_matrix, advance_drift, build_substrate,
-                              circle_mask,
-                              forward_batch, laser_response, states_matrix)
+from ternrc.substrate import (SubstrateConfig, _coupling_matrix, _transmission_blocks,
+                              advance_drift, build_substrate, circle_mask, forward_batch,
+                              laser_response, states_matrix)
 from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
                           make_header_batch, make_onevsall_batch, render_headers)
 
@@ -22,6 +22,11 @@ def make_frames(side=28, seed=0, density=0.3, n=1):
     """(n, side, side) random frames, dark outside the aperture."""
     rng = np.random.default_rng(seed)
     return (rng.random((n, side, side)) < density) & circle_mask(side)
+
+
+def drawn(sub):
+    """The real (2K, D) transmission [Re T; Im T] a forward pass draws, whole."""
+    return np.concatenate([block for _, block in _transmission_blocks(sub)])
 
 
 class TestGeometry:
@@ -53,24 +58,31 @@ class TestBuild:
     def test_same_seed_same_substrate(self):
         cfg = SubstrateConfig(seed=42)
         a, b = build_substrate(cfg), build_substrate(cfg)
-        assert np.array_equal(a.fields, b.fields)
+        assert np.array_equal(drawn(a), drawn(b))
         assert a.gain == b.gain == 1.0
 
     def test_different_seed_different_matrix(self):
         a = build_substrate(SubstrateConfig(seed=1))
         b = build_substrate(SubstrateConfig(seed=2))
-        assert not np.array_equal(a.fields, b.fields)
+        assert not np.array_equal(drawn(a), drawn(b))
 
     def test_unit_variance_entries(self):
         sub = build_substrate(SubstrateConfig(seed=3))
-        re, im = np.split(sub.fields, 2)
+        re, im = np.split(drawn(sub), 2)
         assert abs((re ** 2 + im ** 2).mean() - 1.0) < 0.01
         assert abs(complex(re.mean(), im.mean())) < 0.01
 
     def test_transmission_frozen(self):
+        # the substrate holds no transmission to write to: every pass draws
+        # the same one from the seed, before and after the gain drifts
         sub = build_substrate(SubstrateConfig())
-        with pytest.raises(ValueError):
-            sub.fields[0, 0] = 0
+        assert not any(isinstance(v, np.ndarray) and v.size >= sub.n_nodes * sub.n_inputs
+                       for v in vars(sub).values())
+        frames = make_frames(seed=6, n=3)
+        first = forward_batch(sub, frames)[0].tobytes()
+        advance_drift(sub, 10)
+        assert forward_batch(sub, frames)[0].tobytes() == first
+        assert drawn(sub).tobytes() == drawn(sub).tobytes()
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -126,11 +138,12 @@ class TestForward:
         # a one-hot frame makes every GEMM sum exact
         cfg = SubstrateConfig(input_side=8, vcsel_on=False)
         sub = build_substrate(cfg)
+        t, _ = reference.transmission(cfg)
         rows, cols = np.nonzero(circle_mask(8))
         for k in (0, 7, 20):
             px = np.zeros((1, 8, 8), dtype=bool)
             px[0, rows[k], cols[k]] = True
-            expected = sub.fields[:sub.n_nodes, k] ** 2 + sub.fields[sub.n_nodes:, k] ** 2
+            expected = t.real[:, k] ** 2 + t.imag[:, k] ** 2
             assert np.array_equal(forward(sub, px)[0], expected)
 
     def test_off_mode_ignores_saturation_and_smoothing(self):
@@ -249,25 +262,58 @@ class TestForwardBatch:
 
 
 class TestFieldsOracle:
-    """The real fields and the in-place forward pass hold every byte of the
-    complex transmission and the concatenating pass they replace."""
+    """The transmission drawn in row blocks and the blocked forward pass hold
+    every byte of the complex transmission and the concatenating pass they
+    replace, and the drift stream starts where the whole draw ends."""
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 2 ** 32 - 1])
     @pytest.mark.parametrize("side", [12, 28, 64])
     def test_build_matches_complex_draw(self, side, seed):
         cfg = SubstrateConfig(input_side=side, seed=seed)
-        sub = build_substrate(cfg)
         t, rng = reference.transmission(cfg)
-        assert sub.fields.tobytes() == np.concatenate((t.real, t.imag)).tobytes()
-        assert sub._rng.bit_generator.state == rng.bit_generator.state
+        sub = build_substrate(cfg)
         assert (sub.n_nodes, sub.n_inputs) == t.shape
+        assert drawn(sub).tobytes() == np.concatenate((t.real, t.imag)).tobytes()
+        # a forward pass positions the drift stream, and so does a first
+        # drift on a fresh substrate
+        passed, drifted = build_substrate(cfg), build_substrate(cfg)
+        assert passed._rng is None
+        forward_batch(passed, make_frames(side=side, seed=seed % 7, n=5))
+        advance_drift(drifted, 0)
+        for sub in (passed, drifted):
+            assert sub._rng.bit_generator.state == rng.bit_generator.state
 
     def test_divide_would_move_bytes(self):
         # why the scale is a multiply: a real divide rounds differently
         sub = build_substrate(SubstrateConfig(seed=3))
-        rng = np.random.default_rng(3)
-        drawn = rng.standard_normal(sub.fields.shape)
-        assert (drawn / np.sqrt(2.0)).tobytes() != sub.fields.tobytes()
+        whole = np.random.default_rng(3).standard_normal((2 * sub.n_nodes, sub.n_inputs))
+        assert (whole / np.sqrt(2.0)).tobytes() != drawn(sub).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 150])
+    @pytest.mark.parametrize("side", [28, 32, 64])
+    def test_blocked_forward_matches_one_gemm(self, side, n):
+        # at 64 px the transmission is four row blocks of 224 rows, on either
+        # side of the real/imaginary boundary; one frame is a matrix-vector product
+        cfg = SubstrateConfig(input_side=side, seed=side + n, vcsel_on=n % 2 == 0)
+        sub = build_substrate(cfg)
+        frames = make_frames(side=side, seed=n, n=n)
+        states, index = forward_batch(sub, frames)
+        ref_states, ref_index = reference.forward_batch(sub, frames)
+        assert states.tobytes() == ref_states.tobytes()
+        assert states.flags.f_contiguous == ref_states.flags.f_contiguous
+        assert np.array_equal(index, ref_index)
+
+    @pytest.mark.parametrize("grid,side,n", [(24, 64, 513), (20, 40, 2)])
+    def test_blocked_forward_matches_one_gemm_to_rounding(self, grid, side, n):
+        # the shapes where blocks or frame chunks moved the last bits: 513
+        # distinct 64 px frames in two chunks, and a short last row block
+        cfg = SubstrateConfig(grid_side=grid, input_side=side, seed=n)
+        sub = build_substrate(cfg)
+        frames = make_frames(side=side, seed=n, n=n)
+        states, index = forward_batch(sub, frames)
+        ref_states, ref_index = reference.forward_batch(sub, frames)
+        np.testing.assert_allclose(states, ref_states, rtol=1e-12, atol=0)
+        assert np.array_equal(index, ref_index)
 
     @pytest.mark.parametrize("cfg", [
         SubstrateConfig(), SubstrateConfig(vcsel_on=False), SubstrateConfig(saturation=0.0),
@@ -304,12 +350,13 @@ def traced_peak(fn, *args):
 
 
 class TestPeakMemory:
-    """Each large array is held once: the (2K, D) fields and, in the forward
-    pass, one (2K, U) field block squared in place."""
+    """No transmission is held: the forward pass holds one row block of it
+    and one block of fields of at most FRAME_CHUNK frames at a time, squared
+    in place."""
 
     def test_build_at_side_64(self):
-        # the fields alone are 23.1 MB
-        assert traced_peak(build_substrate, SubstrateConfig(input_side=64)) <= 32e6
+        # the whole transmission would be 23.1 MB
+        assert traced_peak(build_substrate, SubstrateConfig(input_side=64)) <= 8e6
 
     def test_forward_of_thousand_distinct_frames(self):
         sub = build_substrate(SubstrateConfig())
