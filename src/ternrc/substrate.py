@@ -215,18 +215,19 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
             p[lo + re - k:lo + len(block) - k, c:c + width] += np.square(f[re:], out=f[re:])
             del f
         del block
-    return laser_response(substrate, p.T), index
+    return laser_response(substrate, p.T, in_place=True), index
 
 
-def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
+def laser_response(substrate: Substrate, p: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Node states for (U, K) speckle intensities ``p``. With the laser on,
     intensities pass through the saturable map p / (1 + s p) and the
     diffusion coupling; with the laser off they are returned as detected,
     unmodified. Each row is mapped on its own, so the laser-on states of a
-    batch are this response to its laser-off states."""
+    batch are this response to its laser-off states. ``in_place`` writes
+    the saturable map over ``p``, so the caller holds one array less."""
     x = p
     if substrate.config.vcsel_on:
-        x = p / (1.0 + substrate.config.saturation * p)
+        x = np.divide(p, 1.0 + substrate.config.saturation * p, out=p if in_place else None)
         if substrate._coupling is not None:
             x = (substrate._coupling @ x.T).T
     if not np.all(np.isfinite(x)) or np.any(x < 0):
