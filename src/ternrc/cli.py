@@ -122,7 +122,7 @@ def main(argv=None) -> int:
                   f"{np.median([r['consistency'] for r in rows]):.5f}, "
                   f"nmse mean={errs.mean():.4f} std={errs.std():.5f}")
     except (ConfigError, UsageError, NumericalError) as exc:
-        # an unregularised ridge lambda is the only numerical failure a config can reach
+        # a flat rig or an unregularised ridge lambda: the numerical failures a config reaches
         print(f"{'error' if isinstance(exc, UsageError) else 'config error'}: {exc}",
               file=sys.stderr)
         return 2

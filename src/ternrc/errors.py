@@ -50,8 +50,7 @@ def _check_count(value, name: str, low: int, high: int | None = None) -> int:
 
 #: value check per field annotation; a "T | None" field also takes None
 _FIELD_TYPES = {"int": lambda v: _is_number(v, int), "float": _is_real,
-                "bool": lambda v: isinstance(v, bool), "str": lambda v: isinstance(v, str),
-                "tuple[float, float]": lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_real, v)),
+                "str": lambda v: isinstance(v, str),
                 "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(_is_real, v))}
 
 

@@ -96,8 +96,8 @@ class ExperimentConfig:
         a header task's omitted substrate ``input_side`` is its
         ``image_side``; an unknown, malformed, mistyped or too deeply nested
         field, a ``derived_seeds`` record this config does not derive, or a
-        train ``normalize`` other than the one error, ``"zscore"``, raises
-        :class:`ConfigError`. Both keys are checked and dropped."""
+        :data:`RETIRED` key holding any value but its one kept value raises
+        :class:`ConfigError`. These keys are checked and dropped."""
         try:
             top = _section(cls, json.loads(doc) if isinstance(doc, str) else doc, "config",
                            "derived_seeds")
@@ -111,12 +111,8 @@ class ExperimentConfig:
             if isinstance(task, HeaderTask):
                 sub.setdefault("input_side", task.image_side)
             seeds = top.pop("derived_seeds", None)
-            train_doc = _section(TrainConfig, top.pop("train", {}), "train", "normalize")
-            if (normalize := train_doc.pop("normalize", "zscore")) != "zscore":
-                raise ConfigError(f"train normalize {normalize!r} is not the search error: the "
-                                  f"error is always z-scored; delete the normalize key")
-            cfg = cls(substrate=SubstrateConfig(**sub), train=TrainConfig(**train_doc),
-                      task=task, **top)
+            train = TrainConfig(**_section(TrainConfig, top.pop("train", {}), "train"))
+            cfg = cls(substrate=SubstrateConfig(**sub), train=train, task=task, **top)
             if seeds is not None and seeds != cfg.derived_seeds():
                 raise ConfigError(f"derived_seeds {seeds!r} differ from the seeds this "
                                   f"config derives, {cfg.derived_seeds()!r}")
@@ -136,16 +132,29 @@ class ExperimentConfig:
         return {**asdict(self), "derived_seeds": self.derived_seeds()}
 
 
+#: keys of earlier documents, by section: the test of the one value each keeps, and its successor
+RETIRED = {"substrate": {"vcsel_on": (lambda v: v is True, "the laser is always on; a linear "
+                                      "rig is saturation 0 and diffusion_sigma 0")},
+           "train": {"normalize": (lambda v: v == "zscore", "the error is always z-scored"),
+                     "target_levels": (lambda v: v in ([0, 1], (0, 1)) and bool not in map(type, v),
+                                       "the targets are always 1 and 0")}}
+
+
 def _section(cls, doc, name: str, *extra: str) -> dict:
     """One config section as constructor keywords of ``cls`` (plus the
-    ``extra`` keys): unknown fields are rejected by name and JSON arrays
-    become tuples."""
+    ``extra`` keys): unknown fields are rejected by name, JSON arrays become
+    tuples and the section's :data:`RETIRED` keys are checked and dropped."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
-    unknown = set(doc) - set(cls.__dataclass_fields__) - set(extra)
+    retired = RETIRED.get(name, {})
+    unknown = set(doc) - set(cls.__dataclass_fields__) - set(retired) - set(extra)
     if unknown:
         raise ConfigError(f"unknown {name} fields: {sorted(unknown)}")
-    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    for key, (kept, replaced_by) in retired.items():
+        if key in doc and not kept(doc[key]):
+            raise ConfigError(f"{name} {key} {doc[key]!r} is retired: {replaced_by}; "
+                              f"delete the {key} key")
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k not in retired}
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +229,11 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int, partitions,
     its parsed (train, test) ``partitions``. Test batches are disjoint from
     training: headers use an independent seed, digit batches come from the
     test partition if given, else from a disjoint draw of the training one."""
-    levels, t = cfg.train.target_levels, cfg.task
+    t = cfg.task
     if isinstance(t, HeaderTask):
         tr_seed = derive_seed(cfg.train.seed, "batch-train", repeat)
         te_seed = derive_seed(cfg.train.seed, "batch-test", repeat)
-        return make_header_batch(t, tr_seed, levels), make_header_batch(t, te_seed, levels)
+        return make_header_batch(t, tr_seed), make_header_batch(t, te_seed)
     digit = t.digit if digit is None else digit
     train_part, test_part = partitions
     seed = derive_seed(cfg.train.seed, f"batch-d{digit}", repeat)
@@ -232,7 +241,7 @@ def make_task_batches(cfg: ExperimentConfig, repeat: int, partitions,
     test = ((test_part, derive_seed(cfg.train.seed, f"batch-test-d{digit}", repeat), 0)
             if test_part is not None else (train_part, seed, 1))
     return tuple(make_onevsall_batch(part, digit, t.n_samples, part_seed, draw=draw,
-                                     input_side=side, target_levels=levels)
+                                     input_side=side)
                  for part, part_seed, draw in ((train_part, seed, 0), test))
 
 
@@ -307,21 +316,21 @@ def epochs_to_convergence(result: TrainResult) -> int:
 # naming the arm; the detector draws for training, then for the train score,
 # then for the test score, even where only the test score is reported.
 
-def _substrate(cfg: ExperimentConfig, repeat: int, **overrides) -> Substrate:
+def _substrate(cfg: ExperimentConfig, repeat: int) -> Substrate:
     seed = derive_seed(cfg.substrate.seed, "substrate", repeat)
-    return build_substrate(dataclasses.replace(cfg.substrate, seed=seed, **overrides))
+    return build_substrate(dataclasses.replace(cfg.substrate, seed=seed))
 
 
 def _joint_pass(sub: Substrate, batches):
     """One forward pass over the (train, test) frames together, so the
-    transmission is drawn once: the distinct states and each batch's index."""
+    transmission is drawn once: the distinct intensities and each batch's index."""
     states, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
     return states, np.split(index, [len(batches[0].pixels)])
 
 
 def _gathered(states, indices):
-    """(train, test) state matrices of one joint pass, and the training
-    batch's mean all-on power at unit gain."""
+    """(train, test) state matrices of one joint pass's distinct states, and
+    the training batch's mean all-on power at unit gain."""
     s_tr, s_te = (states_matrix(states, index) for index in indices)
     return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
 
@@ -331,7 +340,9 @@ def _acquired(cfg: ExperimentConfig, repeat: int, batch_sets):
     their state matrices and the training batch's mean all-on power."""
     sub = _substrate(cfg, repeat)
     batches = next(batch_sets)
-    states, power = _gathered(*_joint_pass(sub, batches))
+    states, indices = _joint_pass(sub, batches)
+    states = laser_response(sub, states)  # the laser-off states go before the gather
+    states, power = _gathered(states, indices)
     return sub, batches, states, power
 
 
@@ -345,15 +356,25 @@ def _arm(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states, b
     rigs = tuple(BatchReadout(sub, s, det, brightness) for s in states)
     tc = dataclasses.replace(cfg.train, seed=derive_seed(cfg.train.seed, f"train{tag}", repeat),
                              **overrides)
-    return rigs, tc, train(rigs[0], batches[0].targets, tc, n_nodes=rigs[0].n_nodes)
+    result = train(rigs[0], batches[0].targets, tc, n_nodes=rigs[0].n_nodes)
+    if math.isinf(result.final_nmse):
+        raise _flat(tag, tc.mode, repeat)
+    return rigs, tc, result
 
 
-def _scored(rigs, batches, result: TrainResult) -> tuple[Metrics, Metrics]:
+def _scored(rigs, batches, result: TrainResult, tag: str, repeat: int) -> tuple[Metrics, Metrics]:
     """Train and test metrics of the arm's best mask: the test batch is
-    scored at the training threshold."""
+    scored at the training threshold. A flat trace raises, as a flat search does in ``_arm``."""
     m_tr = evaluate(rigs[0], result.best_mask, batches[0].targets, "midpoint")
     m_te = evaluate(rigs[1], result.best_mask, batches[1].targets, m_tr.threshold)
+    if math.inf in (m_tr.nmse, m_te.nmse):
+        raise _flat(tag, result.best_mask.mode, repeat)
     return m_tr, m_te
+
+
+def _flat(tag: str, mode: str, repeat: int) -> NumericalError:
+    """An arm, named by its tag or mode, whose traces are all flat has no error."""
+    return NumericalError(f"arm {tag[1:] or mode} of repeat {repeat}: every trace read flat")
 
 
 def run_comparison(cfg: ExperimentConfig) -> list[dict]:
@@ -370,28 +391,25 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
     out = _OutputSink(cfg)
     batch_sets = _task_batches(cfg, digits)
     for repeat in range(cfg.repeats):
-        sub_on = _substrate(cfg, repeat, vcsel_on=True)
-        # the laser-off view shares the lasing transmission, so one pass
-        # serves both arms: the lasing states are the laser response to the
-        # laser-off intensities. Every rig reads the lasing substrate's gain.
-        sub_off = dataclasses.replace(
-            sub_on, config=dataclasses.replace(sub_on.config, vcsel_on=False))
+        sub = _substrate(cfg, repeat)
         for digit in digits:
             task = "header" if digit is None else f"digit{digit}"
             batches = next(batch_sets)
-            p, indices = _joint_pass(sub_off, batches)
+            # one pass: the laser-off states are gathered before the laser maps them in place
+            p, indices = _joint_pass(sub, batches)
             off, power_off = _gathered(p, indices)
             # detector calibrated once, lasing config
-            on, sbar = _gathered(laser_response(sub_on, p), indices)
+            on, sbar = _gathered(laser_response(sub, p), indices)
             del p
             # laser off: same optics, faint detected signal, same detector calibration
             for arm, mode, states, brightness in (
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),
                     ("ternary_off", "ternary", off, cfg.off_brightness * sbar / power_off)):
                 tag = f"-{arm}" + ("" if digit is None else f"-d{digit}")
-                rigs, _, result = _arm(cfg, repeat, tag, sub_on, states, batches, sbar,
+                rigs, _, result = _arm(cfg, repeat, tag, sub, states, batches, sbar,
                                        brightness, mode=mode)
-                rows.append(_row(task, arm, repeat, result, *_scored(rigs, batches, result)))
+                rows.append(_row(task, arm, repeat, result,
+                                 *_scored(rigs, batches, result, tag, repeat)))
                 out.arm(f"{arm}_{task}_s{repeat}", result, cfg.substrate.grid_side)
             # digital reference: ridge regression on the noiseless lasing states
             (s_tr, s_te), (t_tr, t_te) = on, (b.targets for b in batches)
@@ -426,9 +444,10 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     for repeat in range(cfg.repeats):
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
         for alpha in cfg.alphas:
-            rigs, tc, result = _arm(cfg, repeat, f"-a{alpha}", sub, states, batches, power,
+            tag = f"-a{alpha}"
+            rigs, tc, result = _arm(cfg, repeat, tag, sub, states, batches, power,
                                     alpha=float(alpha))
-            _, m_te = _scored(rigs, batches, result)
+            _, m_te = _scored(rigs, batches, result, tag, repeat)
             rows.append({
                 "alpha": float(alpha), "repeat": repeat,
                 "final_nmse": result.final_nmse, "initial_nmse": result.initial_nmse,
@@ -456,7 +475,7 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
         rigs, _, result = _arm(cfg, repeat, "", sub, states, batches, power)
         rows.append(_row(f"header{cfg.task.n_bits}b", cfg.train.mode, repeat, result,
-                         *_scored(rigs, batches, result)))
+                         *_scored(rigs, batches, result, "", repeat)))
         out.arm(f"header_s{repeat}", result, cfg.substrate.grid_side)
     out.results(rows)
     return rows
@@ -472,7 +491,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     The traces of up to :data:`STABILITY_BLOCK` checks are measured one by
     one into a block, so the work arrays stay bounded whatever ``n_checks``;
     a block's consistencies are taken together, its errors check by check.
-    A non-finite trace raises :class:`NumericalError` naming its check."""
+    A non-finite or flat trace raises :class:`NumericalError` naming its check."""
     if cfg.repeats != 1:
         raise UsageError(f"stability runs one repeat, got repeats={cfg.repeats}")
     _check_count(n_checks, "n_checks", 2)
@@ -497,11 +516,14 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         if not np.isfinite(block).all():
             bad = start + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
             raise NumericalError(f"stability check {bad} measured a non-finite trace")
+        errors = [nmse(trace, t, ct) for trace in block]
+        if math.inf in errors:
+            raise NumericalError(f"flat trace at stability check {start + errors.index(math.inf)}")
         if start == 0:
             reference = block[0].copy()
-        checks = zip(consistency(reference, block).tolist(), block, gains)
-        rows += [{"check": start + i, "consistency": c, "nmse": nmse(trace, t, ct),
-                  "gain": g} for i, (c, trace, g) in enumerate(checks)]
+        checks = zip(consistency(reference, block).tolist(), errors, gains)
+        rows += [{"check": start + i, "consistency": c, "nmse": e, "gain": g}
+                 for i, (c, e, g) in enumerate(checks)]
     out.csv("stability.csv", list(rows[0]), rows, RESULTS_SCHEMA)
     return rows
 

@@ -21,10 +21,6 @@ from .readout import ALPHABETS, MODES, TernaryMask, random_mask
 #: a trace is flat when its spread is at most this times its mean's magnitude
 STD_FLOOR = 1e-12
 
-#: largest target-level magnitude: the square of a level, or of two levels'
-#: difference, stays below 1e301, so the error's sums cannot overflow
-TARGET_LEVEL_BOUND = 1e150
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -35,7 +31,6 @@ class TrainConfig:
     max_epochs: int
     mode: str = "ternary"
     seed: int = 0
-    target_levels: tuple[float, float] = (0.0, 1.0)
     patience: int | None = None
 
     def __post_init__(self):
@@ -46,14 +41,6 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        lo, hi = self.target_levels
-        if not -TARGET_LEVEL_BOUND <= lo < hi <= TARGET_LEVEL_BOUND:
-            raise ConfigError(f"target levels must satisfy -{TARGET_LEVEL_BOUND:g} <= low < high"
-                              f" <= {TARGET_LEVEL_BOUND:g}, got {self.target_levels}")
-        # the two levels stand for the balanced target both batch builders make
-        if _centred(np.array([lo, hi]))[1] == 0.0:
-            raise ConfigError(f"target levels {self.target_levels} give a flat target: their "
-                              f"half-gap must exceed {STD_FLOOR:g} times their midpoint's magnitude")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
         if not 0 <= self.seed < 2 ** 32:

@@ -4,20 +4,20 @@ saturable nonlinearity -> node intensity grid.
 The substrate stands in for the physical hardware at desk scale: a frozen
 random transmission matrix models the multimode-fibre speckle, a static
 saturable map models the laser operated in its steady state, and a gaussian
-coupling over the node grid models carrier diffusion. A linear mode
-(``vcsel_on=False``) bypasses the laser and returns raw detected intensities.
+coupling over the node grid models carrier diffusion. A linear rig, whose
+states are the speckle intensities, is saturation 0 with no diffusion.
 
 Shapes: a batch is an (N, d, d) Boolean frame stack, d = ``input_side``.
 The (K, D) complex transmission T of the K active nodes and the D aperture
 pixels is never held: each forward pass draws its real (2K, D) form
 [Re T; Im T] from the seed in row blocks, and positions the drift stream.
-:func:`forward_batch` returns the (U, K) states of the U distinct frames
-and an (N,) row index into them; :func:`states_matrix` gathers the (N, K)
-batch matrix in column-major order, so each node's column is contiguous
-for the readout. The pass ends in :func:`laser_response`; with the laser
-off that step is the identity, so the laser-off states of a batch are its
-speckle intensities, and the laser-on states of the same transmission are
-the response to them.
+:func:`forward_batch` is the optics: it returns the (U, K) speckle
+intensities of the U distinct frames and an (N,) row index into them.
+:func:`laser_response` is the laser: it maps intensities to node states.
+:func:`states_matrix` gathers the (N, K) batch matrix in column-major order,
+so each node's column is contiguous for the readout. The laser-off states
+of a batch are its intensities, and the laser-on states of the same
+transmission are the response to them.
 
 The fields of the distinct frames come from one real GEMM per block and
 frame chunk, the coupling from another; their blocked sums agree with a
@@ -71,7 +71,6 @@ class SubstrateConfig:
     noise_sigma: float = 0.001
     drift_amplitude: float = 0.002
     drift_timescale: float = 500.0
-    vcsel_on: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -121,7 +120,7 @@ def build_substrate(config: SubstrateConfig) -> Substrate:
     node_mask = circle_mask(config.grid_side)
     input_mask = circle_mask(config.input_side)
     coupling = None
-    if config.vcsel_on and config.diffusion_sigma > 0:
+    if config.diffusion_sigma > 0:
         coupling = _coupling_matrix(node_mask, config.diffusion_sigma)
     return Substrate(n_nodes=int(node_mask.sum()), n_inputs=int(input_mask.sum()),
                      input_mask=input_mask, gain=1.0, config=config, _coupling=coupling)
@@ -171,18 +170,17 @@ def _coupling_matrix(node_mask: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic forward pass of an (N, d, d) Boolean frame stack.
+    """Deterministic optical pass of an (N, d, d) Boolean frame stack.
 
-    Returns ``(states, index)``: ``states`` holds the (U, K) node intensities
-    of the U distinct frames and ``index`` (N,) maps each frame to its row,
-    so repeated frames (header batches draw from a handful of rendered
-    images) are computed once; :func:`states_matrix` gathers the (N, K)
-    batch matrix.
+    Returns ``(p, index)``: ``p`` holds the (U, K) speckle intensities of
+    the U distinct frames, column-major, and ``index`` (N,) maps each frame
+    to its row, so repeated frames (header batches draw from a handful of
+    rendered images) are computed once. :func:`laser_response` maps ``p`` to
+    node states and :func:`states_matrix` gathers the (N, K) batch matrix.
 
     The field at node j is the transmission row applied to the active input
-    pixels; intensity is its squared modulus. The states are the
-    :func:`laser_response` to these intensities. Measurement noise is
-    applied later, at detection. The first pass positions the drift stream.
+    pixels; intensity is its squared modulus. Measurement noise is applied
+    later, at detection. The first pass positions the drift stream.
     """
     px = np.asarray(batch)
     side = substrate.config.input_side
@@ -215,29 +213,25 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
             p[lo + re - k:lo + len(block) - k, c:c + width] += np.square(f[re:], out=f[re:])
             del f
         del block
-    return laser_response(substrate, p.T, in_place=True), index
+    return p.T, index
 
 
-def laser_response(substrate: Substrate, p: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """Node states for (U, K) speckle intensities ``p``. With the laser on,
-    intensities pass through the saturable map p / (1 + s p) and the
-    diffusion coupling; with the laser off they are returned as detected,
-    unmodified. Each row is mapped on its own, so the laser-on states of a
-    batch are this response to its laser-off states. ``in_place`` writes
-    the saturable map over ``p``, so the caller holds one array less."""
-    x = p
-    if substrate.config.vcsel_on:
-        x = np.divide(p, 1.0 + substrate.config.saturation * p, out=p if in_place else None)
-        if substrate._coupling is not None:
-            x = (substrate._coupling @ x.T).T
+def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
+    """Node states for (U, K) speckle intensities ``p``: the saturable map
+    p / (1 + s p), written over ``p``, then the diffusion coupling. Each row
+    is mapped on its own. At saturation 0 with no diffusion the states are
+    ``p`` itself, bit for bit: a linear rig."""
+    x = np.divide(p, 1.0 + substrate.config.saturation * p, out=p)
+    if substrate._coupling is not None:
+        x = (substrate._coupling @ x.T).T
     if not np.all(np.isfinite(x)) or np.any(x < 0):
         raise ConfigError("intensities must be finite and >= 0")
     return x
 
 
 def states_matrix(states: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """The (N, K) batch matrix of :func:`forward_batch`'s distinct states,
-    gathered straight into one column-major (Fortran-order) array."""
+    """The (N, K) batch matrix of (U, K) distinct rows and their (N,)
+    ``index``, gathered straight into one column-major (Fortran-order) array."""
     return np.take(states.T, index, axis=1).T
 
 

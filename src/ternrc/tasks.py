@@ -121,18 +121,16 @@ def render_headers(n_bits: int, side: int, values: np.ndarray) -> np.ndarray:
     return bits[:, sector] & circle_mask(side)
 
 
-def make_header_batch(task: HeaderTask, seed: int,
-                      target_levels: tuple[float, float] = (0.0, 1.0)) -> LabeledBatch:
-    """Balanced one-vs-all header batch: half the target header, half drawn
-    uniformly from the other headers."""
+def make_header_batch(task: HeaderTask, seed: int) -> LabeledBatch:
+    """Balanced one-vs-all header batch: half the target header, target 1,
+    half drawn uniformly from the other headers, target 0."""
     rng = np.random.default_rng(seed)
     half = task.n_samples // 2
     # a uniform index into the other headers in ascending order, the draw
     # rng.choice makes over their list, without building that list
     i = rng.integers(0, 2 ** task.n_bits - 1, size=half)
     values = np.concatenate([np.full(half, task.target_value), i + (i >= task.target_value)])
-    lo, hi = target_levels
-    targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
+    targets = np.concatenate([np.ones(half), np.zeros(half)])
     order = rng.permutation(task.n_samples)
     values, targets = values[order], targets[order]
     return LabeledBatch(pixels=render_headers(task.n_bits, task.image_side, values),
@@ -226,10 +224,9 @@ def _frames(on: np.ndarray, side: int | None = None) -> np.ndarray:
 
 
 def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed: int,
-                        draw: int = 0, input_side: int | None = None,
-                        target_levels: tuple[float, float] = (0.0, 1.0)) -> LabeledBatch:
-    """Balanced one-vs-all digit batch: half images of ``digit``, half drawn
-    uniformly from the other classes, shuffled by seed. A pixel is on iff it
+                        draw: int = 0, input_side: int | None = None) -> LabeledBatch:
+    """Balanced one-vs-all digit batch: half images of ``digit``, target 1,
+    half drawn uniformly from the other classes, target 0, shuffled by seed. A pixel is on iff it
     is brighter than half of full scale (127.5) and lies in the aperture.
 
     ``draw`` indexes consecutive disjoint batches under the same seed: the
@@ -256,8 +253,7 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
     if hi_idx > neg_pool.size:
         raise DataError(f"need {hi_idx} non-{digit} images, dataset has {neg_pool.size}")
     chosen = np.concatenate([pos_pool[lo_idx:hi_idx], neg_pool[lo_idx:hi_idx]])
-    lo, hi = target_levels
-    targets = np.concatenate([np.full(half, hi, dtype=float), np.full(half, lo, dtype=float)])
+    targets = np.concatenate([np.ones(half), np.zeros(half)])
     order = np.random.default_rng(seed + 0x5EED * (draw + 1)).permutation(n_samples)
     chosen, targets = chosen[order], targets[order]
     pixels = _frames(dataset.images[chosen] > 127.5, input_side)

@@ -16,7 +16,7 @@ from ternrc import harness
 from ternrc.errors import UsageError
 from ternrc.optimizer import STD_FLOOR, _positive_class, midpoint_threshold, n_mirrors
 from ternrc.readout import ALPHABETS, DetectorModel, TernaryMask
-from ternrc.substrate import advance_drift, circle_mask, laser_response
+from ternrc.substrate import advance_drift, circle_mask
 from ternrc.tasks import _GLYPH_BLOCK, _GLYPHS, _SIGMA_BUCKETS, _blur_operator
 
 
@@ -34,21 +34,19 @@ def transmission(config):
 
 
 def forward_frame(sub, frame):
-    """Node intensities of one (d, d) frame, one matvec at a time. The
-    forward pass sums the same terms in a GEMM's blocked order, so the two
-    agree to rounding."""
+    """Node states of one (d, d) frame, one matvec at a time. The forward
+    pass sums the same terms in a GEMM's blocked order, so the two agree to
+    rounding."""
     t, _ = transmission(sub.config)
     p = np.abs(t @ frame[sub.input_mask].astype(float)) ** 2
-    if not sub.config.vcsel_on:
-        return p
     s = sub.config.saturation
     x = p / (1.0 + s * p) if s > 0 else p
     return x if sub._coupling is None else sub._coupling @ x
 
 
 def forward_batch(sub, batch):
-    """The forward pass over the complex transmission, concatenating its real
-    and imaginary rows on every call: (distinct states, index)."""
+    """The optical pass over the complex transmission, concatenating its real
+    and imaginary rows on every call: (distinct intensities, index)."""
     t, _ = transmission(sub.config)
     flat = batch.reshape(len(batch), -1)
     packed = np.packbits(flat, axis=1)
@@ -56,8 +54,7 @@ def forward_batch(sub, batch):
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
     u = flat[first][:, sub.input_mask.ravel()].astype(float)
     f = np.concatenate((t.real, t.imag)) @ u.T
-    p = (f[:len(t)] ** 2 + f[len(t):] ** 2).T
-    return laser_response(sub, p), index
+    return (f[:len(t)] ** 2 + f[len(t):] ** 2).T, index
 
 
 def unflushed_coupling(node_mask, sigma):

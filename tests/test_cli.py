@@ -19,7 +19,7 @@ import pytest
 
 from ternrc.cli import _default_doc, _load_config, build_parser, main
 from ternrc.errors import ConfigError, UsageError
-from ternrc.harness import ExperimentConfig, derive_seed
+from ternrc.harness import RETIRED, ExperimentConfig, derive_seed
 from ternrc.optimizer import TrainConfig
 from ternrc.substrate import (DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND, SATURATION_BOUND,
                               SubstrateConfig)
@@ -378,6 +378,28 @@ def test_rerun_from_resolved_config(case, idx_files, tmp_path):
     assert ExperimentConfig.from_json(cfg.to_json_dict()) == cfg
 
 
+#: the retired keys at the values that earlier resolved configs record
+RETIRED_KEPT = {"substrate": {"vcsel_on": True},
+                "train": {"normalize": "zscore", "target_levels": [0.0, 1.0]}}
+
+
+@pytest.mark.parametrize("case", ["header", "compare-header", "stability-zscore"])
+def test_rerun_from_old_resolved_config(case, idx_files, tmp_path):
+    # a resolved config written while the three retired keys were fields
+    # reruns byte for byte, and records the config without them
+    command, out, flags = _golden_run(case, idx_files, tmp_path)
+    record = json.loads((out / "config.resolved.json").read_text())
+    old = {**record, **{name: {**record[name], **keys} for name, keys in RETIRED_KEPT.items()}}
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(old))
+    again = tmp_path / "again"
+    proc = _run_cli(command, "--config", str(config), "--out", str(again), *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert _digests(again) == GOLDEN[case]
+    assert json.loads((again / "config.resolved.json").read_text()) == \
+        {**record, "output_dir": str(again)}
+
+
 def _reference_default(command):
     """The CLI defaults written as dataclass expressions: an independent
     reference for the documents of ``_default_doc``."""
@@ -407,9 +429,10 @@ def test_default_doc_matches_reference(command):
     doc = _default_doc(command)
     cfg = ExperimentConfig.from_json(doc)
     assert cfg == _reference_default(command)
-    # the one search error may still be named, as older documents do
-    assert ExperimentConfig.from_json({**doc, "train": {**doc["train"], "normalize": "zscore"}}) \
-        == cfg
+    # the retired keys may still be named at their kept values, as older
+    # documents do
+    old = {**doc, **{name: {**doc.get(name, {}), **keys} for name, keys in RETIRED_KEPT.items()}}
+    assert ExperimentConfig.from_json(old) == cfg
     assert ExperimentConfig.from_json(cfg.to_json_dict()) == cfg
     assert ExperimentConfig.from_json(json.dumps(cfg.to_json_dict())) == cfg
 
@@ -458,6 +481,14 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
     {"train": {**VALID_TRAIN, "normalize": "first_epoch"}},
     {"train": {**VALID_TRAIN, "normalize": "minmax"}},
     {"train": {**VALID_TRAIN, "normalize": 1}},
+    {"substrate": {"vcsel_on": False}, "train": VALID_TRAIN},
+    {"substrate": {"vcsel_on": 1}, "train": VALID_TRAIN},
+    {"substrate": {"vcsel_on": None}, "train": VALID_TRAIN},
+    {"train": {**VALID_TRAIN, "target_levels": [1.0, 0.0]}},
+    {"train": {**VALID_TRAIN, "target_levels": [-1.0, 1.0]}},
+    {"train": {**VALID_TRAIN, "target_levels": [False, True]}},
+    {"train": {**VALID_TRAIN, "target_levels": [0.0, 1.0, 2.0]}},
+    {"train": {**VALID_TRAIN, "normalize": None}},
 ], ids=["no-train-section", "non-numeric-alpha", "unknown-task-field",
         "non-numeric-repeats", "not-an-object", "non-numeric-alphas-entry", "empty-alphas",
         "non-numeric-ridge-entry", "negative-ridge-lambda", "string-n-samples",
@@ -470,16 +501,20 @@ VALID_TRAIN = {"alpha": 10.0, "max_epochs": 5}
         "target-level-square-overflows", "saturation-overflows", "saturation-past-bound",
         "diffusion-width-squares-to-zero", "diffusion-exponent-overflows",
         "noise-squares-overflow", "flat-target-levels", "normalize-off", "normalize-first-epoch",
-        "normalize-minmax", "normalize-number"])
+        "normalize-minmax", "normalize-number", "vcsel-off", "vcsel-on-number", "vcsel-on-null",
+        "target-levels-reversed", "target-levels-signed", "target-levels-booleans",
+        "target-levels-three", "normalize-null"])
 def test_bad_config_exits_2(doc, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["header", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    if "normalize" in str(doc):
-        # a removed error mode names the key and how to update the document
-        assert "normalize" in err and "delete" in err
+    for key in {k for keys in RETIRED.values() for k in keys}:
+        if key in str(doc):
+            # a retired key names itself, what replaced it and how to update
+            # the document
+            assert f"{key} " in err and "is retired" in err and "delete" in err
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json(doc)
 
@@ -504,16 +539,26 @@ def test_physics_at_its_bound_runs(field, bound, past, normalize, tmp_path, caps
     assert "nmse=inf" not in capsys.readouterr().out
 
 
-def test_tiny_target_levels_give_a_finite_error(tmp_path, capsys):
-    # the z-scored error does not depend on the target's scale: a target
-    # whose levels differ by 1e-13 is not a constant one
+#: a rig whose nodes all saturate at 1 / saturation: every trace reads flat
+FLAT_RIG = {"substrate": {"grid_side": 2, "saturation": 4.4797555896905133e136,
+                          "diffusion_sigma": 0.0, "noise_sigma": 0.0, "drift_amplitude": 0.0,
+                          "seed": 3388570575},
+            "train": {"alpha": 10.0, "max_epochs": 10},
+            "task": {"type": "header", "n_samples": 20, "image_side": 12}}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("header", []), ("alpha-scan", []), ("stability", ["--checks", "70"]), ("compare", [])],
+    ids=["header", "alpha-scan", "stability", "compare"])
+def test_flat_rig_exits_2_naming_the_arm(command, flags, tmp_path, capsys):
+    # no error exists for a rig that reads every input alike: the first arm
+    # stops the run with one line, not an inf or a numpy warning
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "train": {"alpha": 10.0, "max_epochs": 20, "target_levels": [0.0, 1e-13]},
-        "task": {"type": "header", "n_samples": 40, "image_side": 32}}))
-    assert main(["header", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    err = float(capsys.readouterr().out.rsplit("nmse=", 1)[1].split()[0])
-    assert math.isfinite(err)
+    config.write_text(json.dumps(FLAT_RIG))
+    assert main([command, "--config", str(config), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: arm ") and "every trace read flat" in err
 
 
 _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
@@ -526,14 +571,13 @@ _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
     lambda: HeaderTask(n_bits=1),
     lambda: dataclasses.replace(_CHECKED, repeats=0),
     lambda: dataclasses.replace(_CHECKED.train, patience=1.5),
-    lambda: TrainConfig(alpha=1.0, max_epochs=2, target_levels=1.0),
     lambda: ExperimentConfig(substrate={}, train={}, task={}),
     lambda: dataclasses.replace(_CHECKED, task=None),
     lambda: dataclasses.replace(_CHECKED, train=dataclasses.asdict(_CHECKED.train)),
     lambda: HeaderTask(type="mnist"),
     lambda: MnistTask(type="header"),
 ], ids=["grid-side-1", "fractional-grid-side", "zero-max-epochs", "one-bit-header",
-        "replace-zero-repeats", "replace-fractional-patience", "scalar-target-levels",
+        "replace-zero-repeats", "replace-fractional-patience",
         "dict-sections", "no-task", "dict-train", "header-task-typed-mnist",
         "mnist-task-typed-header"])
 def test_config_checked_on_construction(build):
@@ -542,9 +586,7 @@ def test_config_checked_on_construction(build):
 
 
 def test_scalar_for_tuple_field_names_its_type():
-    # a tuple field is checked to be a tuple before its length or items
-    with pytest.raises(ConfigError, match=r"target_levels must be of type tuple\[float, float\]"):
-        TrainConfig(alpha=1.0, max_epochs=2, target_levels=1.0)
+    # a tuple field is checked to be a tuple before its items
     with pytest.raises(ConfigError, match=r"alphas must be of type tuple\[float, \.\.\.\]"):
         ExperimentConfig.from_json({"train": VALID_TRAIN, "alphas": 5})
 

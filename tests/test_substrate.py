@@ -119,12 +119,18 @@ class TestConfigJson:
         doc = self.config(SubstrateConfig()).to_json_dict()
         assert set(doc["substrate"]) == {"grid_side", "input_side", "saturation",
                                          "diffusion_sigma", "noise_sigma", "drift_amplitude",
-                                         "drift_timescale", "vcsel_on", "seed"}
+                                         "drift_timescale", "seed"}
 
 
 def forward(sub, frames):
-    """(N, K) states of an (N, d, d) frame stack."""
-    return states_matrix(*forward_batch(sub, frames))
+    """(N, K) node states of an (N, d, d) frame stack: the laser's response
+    to the optics' intensities."""
+    p, index = forward_batch(sub, frames)
+    return states_matrix(laser_response(sub, p), index)
+
+
+#: the laser-off rig: saturation 0 with no diffusion
+LINEAR = {"saturation": 0.0, "diffusion_sigma": 0.0}
 
 
 class TestForward:
@@ -136,7 +142,7 @@ class TestForward:
     def test_single_pixel_off_mode_selects_column(self):
         # laser off: the state is exactly the squared moduli of one column;
         # a one-hot frame makes every GEMM sum exact
-        cfg = SubstrateConfig(input_side=8, vcsel_on=False)
+        cfg = SubstrateConfig(input_side=8, **LINEAR)
         sub = build_substrate(cfg)
         t, _ = reference.transmission(cfg)
         rows, cols = np.nonzero(circle_mask(8))
@@ -147,33 +153,34 @@ class TestForward:
             assert np.array_equal(forward(sub, px)[0], expected)
 
     def test_off_mode_ignores_saturation_and_smoothing(self):
-        on = build_substrate(SubstrateConfig(seed=5, vcsel_on=True))
-        off = build_substrate(SubstrateConfig(seed=5, vcsel_on=False))
+        # the optics no laser field moves are the linear rig's states
+        on = build_substrate(SubstrateConfig(seed=5))
+        off = build_substrate(SubstrateConfig(seed=5, **LINEAR))
         pat = make_frames(seed=5)
         p = forward(off, pat)
-        x = forward(on, pat)
-        assert not np.allclose(p, x)
+        assert p.tobytes() == forward_batch(on, pat)[0].tobytes()
+        assert not np.allclose(p, forward(on, pat))
 
     def test_saturation_bound_before_smoothing(self):
         s = 0.02
-        cfg = SubstrateConfig(saturation=s, diffusion_sigma=0.0, vcsel_on=True)
+        cfg = SubstrateConfig(saturation=s, diffusion_sigma=0.0)
         sub = build_substrate(cfg)
         for seed in range(5):
             x = forward(sub, make_frames(seed=seed))
             assert np.all(x < 1.0 / s)
 
     def test_saturable_map_values(self):
-        cfg = SubstrateConfig(saturation=0.5, diffusion_sigma=0.0, vcsel_on=True)
+        cfg = SubstrateConfig(saturation=0.5, diffusion_sigma=0.0)
         sub = build_substrate(cfg)
-        off = build_substrate(SubstrateConfig(saturation=0.5, vcsel_on=False))
+        off = build_substrate(SubstrateConfig(**LINEAR))
         pat = make_frames(seed=1)
         p = forward(off, pat)
         x = forward(sub, pat)
         assert np.allclose(x, p / (1 + 0.5 * p), rtol=1e-12)
 
     def test_smoothing_conserves_total_intensity(self):
-        base = SubstrateConfig(saturation=0.01, diffusion_sigma=0.0, vcsel_on=True)
-        smooth = SubstrateConfig(saturation=0.01, diffusion_sigma=2.0, vcsel_on=True)
+        base = SubstrateConfig(saturation=0.01, diffusion_sigma=0.0)
+        smooth = SubstrateConfig(saturation=0.01, diffusion_sigma=2.0)
         pat = make_frames(seed=2)
         a = forward(build_substrate(base), pat)
         b = forward(build_substrate(smooth), pat)
@@ -201,7 +208,7 @@ class TestForwardBatch:
             np.testing.assert_allclose(got, forward(sub, pat[None])[0], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("cfg", [
-        SubstrateConfig(input_side=8), SubstrateConfig(input_side=8, vcsel_on=False),
+        SubstrateConfig(input_side=8), SubstrateConfig(input_side=8, **LINEAR),
         SubstrateConfig(input_side=8, saturation=0.0),
         SubstrateConfig(input_side=8, diffusion_sigma=0.0)],
         ids=["on", "off", "no-saturation", "no-diffusion"])
@@ -216,10 +223,10 @@ class TestForwardBatch:
         pats = make_header_batch(HeaderTask(3, 5, 60, image_side=16), seed=2).pixels
         distinct = {p.tobytes() for p in pats}
         assert len(distinct) < len(pats)
-        states, index = forward_batch(sub, pats)
-        assert states.shape == (len(distinct), sub.n_nodes)
+        p, index = forward_batch(sub, pats)
+        assert p.shape == (len(distinct), sub.n_nodes)
         assert index.shape == (len(pats),)
-        got = states_matrix(states, index)
+        got = states_matrix(laser_response(sub, p), index)
         for state, pat in zip(got, pats):
             # a repeated frame reads its shared row, bit for bit
             assert state.tobytes() == got[(pats == pat).all(axis=(1, 2))][0].tobytes()
@@ -294,7 +301,7 @@ class TestFieldsOracle:
     def test_blocked_forward_matches_one_gemm(self, side, n):
         # at 64 px the transmission is four row blocks of 224 rows, on either
         # side of the real/imaginary boundary; one frame is a matrix-vector product
-        cfg = SubstrateConfig(input_side=side, seed=side + n, vcsel_on=n % 2 == 0)
+        cfg = SubstrateConfig(input_side=side, seed=side + n)
         sub = build_substrate(cfg)
         frames = make_frames(side=side, seed=n, n=n)
         states, index = forward_batch(sub, frames)
@@ -316,7 +323,7 @@ class TestFieldsOracle:
         assert np.array_equal(index, ref_index)
 
     @pytest.mark.parametrize("cfg", [
-        SubstrateConfig(), SubstrateConfig(vcsel_on=False), SubstrateConfig(saturation=0.0),
+        SubstrateConfig(), SubstrateConfig(**LINEAR), SubstrateConfig(saturation=0.0),
         SubstrateConfig(diffusion_sigma=0.0), SubstrateConfig(input_side=64, seed=9)],
         ids=["on", "off", "no-saturation", "no-diffusion", "side-64"])
     def test_forward_matches_concatenating_pass(self, cfg):
@@ -329,14 +336,24 @@ class TestFieldsOracle:
         assert states.flags.f_contiguous == ref_states.flags.f_contiguous
         assert np.array_equal(index, ref_index)
 
-    def test_laser_response_leaves_its_input(self):
-        # the comparison feeds it the laser-off intensities it also reads
-        sub = build_substrate(SubstrateConfig(seed=2))
-        off = build_substrate(SubstrateConfig(seed=2, vcsel_on=False))
-        p, _ = forward_batch(off, make_frames(seed=2, n=40))
+    def test_linear_rig_returns_its_input(self):
+        # saturation 0 with no diffusion is the laser-off rig, bit for bit
+        sub = build_substrate(SubstrateConfig(seed=2, **LINEAR))
+        p, _ = forward_batch(sub, make_frames(seed=2, n=40))
         kept = p.copy()
-        laser_response(sub, p)
+        assert laser_response(sub, p) is p
         assert p.tobytes() == kept.tobytes()
+
+    def test_laser_response_writes_over_its_input(self):
+        # the saturable map takes no second (U, K) array; the coupling's
+        # product is a new one
+        for sigma in (0.0, 0.5):
+            sub = build_substrate(SubstrateConfig(seed=2, saturation=0.5, diffusion_sigma=sigma))
+            p, _ = forward_batch(sub, make_frames(seed=2, n=40))
+            kept = p.copy()
+            x = laser_response(sub, p)
+            assert p.tobytes() == (kept / (1.0 + 0.5 * kept)).tobytes()
+            assert (x is p) == (sigma == 0.0)
 
 
 def traced_peak(fn, *args):
@@ -394,12 +411,12 @@ class TestCouplingFlush:
         p = rng.random((60, sub.n_nodes)) * rng.uniform(1e-3, 1e3, size=(60, 1))
         p[rng.random(p.shape) < 0.2] = 0.0
         p[7] = 0.0
-        assert laser_response(sub, p).tobytes() == laser_response(ref, p).tobytes()
+        assert laser_response(sub, p.copy()).tobytes() == laser_response(ref, p).tobytes()
 
 
 class TestSharedPass:
-    """The laser-on states are the laser response to the laser-off states of
-    the same transmission, so the comparison computes |T u|^2 once."""
+    """The laser-off states are the optics' intensities, which the laser-on
+    states are the response to, so the comparison computes |T u|^2 once."""
 
     @pytest.mark.parametrize("kind", ["header", "digit"])
     def test_response_to_off_states_is_on_forward(self, kind):
@@ -410,14 +427,15 @@ class TestSharedPass:
             side = 28
             frames = make_onevsall_batch(make_glyph_dataset(400, seed=1), 3, 40, seed=0).pixels
         sub_on = build_substrate(SubstrateConfig(input_side=side, seed=4))
-        sub_off = build_substrate(SubstrateConfig(input_side=side, seed=4, vcsel_on=False))
-        off, index_off = forward_batch(sub_off, frames)
-        on, index_on = forward_batch(sub_on, frames)
-        assert np.array_equal(index_off, index_on)
-        assert laser_response(sub_on, off).tobytes() == on.tobytes()
+        sub_off = build_substrate(SubstrateConfig(input_side=side, seed=4, **LINEAR))
+        # the comparison's laser-off arm is a linear rig of the same seed
+        p, index = forward_batch(sub_on, frames)
+        assert forward(sub_off, frames).tobytes() == states_matrix(p, index).tobytes()
+        on = forward(sub_on, frames)
+        assert states_matrix(laser_response(sub_on, p), index).tobytes() == on.tobytes()
 
     def test_comparison_builds_one_substrate_per_repeat(self, monkeypatch):
-        # the laser-off arm is a view of the lasing substrate, not a second draw
+        # both arms read one substrate, not a second draw
         built = []
 
         def counting(config):
@@ -430,7 +448,7 @@ class TestSharedPass:
                                task=HeaderTask(n_samples=20, image_side=16), repeats=2)
         rows = harness.run_comparison(cfg)
         assert len(rows) == 8
-        assert len(built) == 2 and all(c.vcsel_on for c in built)
+        assert len(built) == 2
 
 
 class TestDrift:

@@ -118,8 +118,10 @@ class TestHeaderBatch:
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_target_levels_applied(self):
-        batch = make_header_batch(HeaderTask(4, 5, 100), seed=0, target_levels=(-1.0, 1.0))
-        assert set(np.unique(batch.targets)) == {-1.0, 1.0}
+        # the target header's samples are 1.0, the others' 0.0
+        batch = make_header_batch(HeaderTask(4, 5, 100), seed=0)
+        assert batch.targets.dtype == float
+        assert np.array_equal(batch.targets, (batch.labels == 5).astype(float))
 
     @pytest.mark.parametrize("n_bits", [2, 3, 5, 8])
     def test_negatives_drawn_as_choice_over_others(self, n_bits):
