@@ -490,7 +490,9 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
 
     The traces of up to :data:`STABILITY_BLOCK` checks are measured one by
     one into a block, so the work arrays stay bounded whatever ``n_checks``;
-    a block's consistencies are taken together, its errors check by check.
+    a block's errors are taken check by check, its consistencies together on
+    the traces scaled by one power of two, which moves no bit of a
+    consistency but keeps a tiny rig's squares from underflowing.
     A non-finite or flat trace raises :class:`NumericalError` naming its check."""
     if cfg.repeats != 1:
         raise UsageError(f"stability runs one repeat, got repeats={cfg.repeats}")
@@ -500,7 +502,6 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     out = _OutputSink(cfg)
     sub, batches, states, power = _acquired(cfg, 0, _task_batches(cfg))
     rigs, _, result = _arm(cfg, 0, "", sub, states, batches, power)
-    mask = result.best_mask
 
     t = batches[1].targets
     ct = _centred(t)
@@ -511,7 +512,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         gains = []
         for trace in block:
             advance_drift(sub, drift_steps_per_check)
-            trace[:] = rigs[1].measure(mask)
+            trace[:] = rigs[1].measure(result.best_mask)
             gains.append(sub.gain)
         if not np.isfinite(block).all():
             bad = start + int(np.flatnonzero(~np.isfinite(block).all(axis=1))[0])
@@ -519,8 +520,10 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
         errors = [nmse(trace, t, ct) for trace in block]
         if math.inf in errors:
             raise NumericalError(f"flat trace at stability check {start + errors.index(math.inf)}")
-        if start == 0:
-            reference = block[0].copy()
+        if start == 0:  # a power-of-two scale keeps consistency's bits and its squares in range
+            scale = 2.0 ** -math.frexp(float(np.abs(block[0]).max()))[1]
+            reference = block[0] * scale
+        block *= scale
         checks = zip(consistency(reference, block).tolist(), errors, gains)
         rows += [{"check": start + i, "consistency": c, "nmse": e, "gain": g}
                  for i, (c, e, g) in enumerate(checks)]

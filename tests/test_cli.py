@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -559,6 +560,22 @@ def test_flat_rig_exits_2_naming_the_arm(command, flags, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("config error: arm ") and "every trace read flat" in err
+
+
+def test_stability_of_a_tiny_rig_runs(tmp_path, capsys):
+    # traces near 1 / saturation at its bound: their squared deviations
+    # underflow unless the run scales them before taking the consistency
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "substrate": {"grid_side": 2, "input_side": 11, "saturation": SATURATION_BOUND,
+                      "diffusion_sigma": 0.0, "noise_sigma": 0.0, "drift_amplitude": 1.0,
+                      "drift_timescale": 1.0, "seed": 0},
+        "train": {"alpha": 10.0, "max_epochs": 10},
+        "task": {"type": "header", "n_samples": 20, "image_side": 11}}))
+    assert main(["stability", "--config", str(config), "--checks", "70"]) == 0
+    out, err = capsys.readouterr()
+    values = [float(v) for v in re.findall(r"=([^\s:,]+)", out)]
+    assert err == "" and len(values) == 4 and all(map(math.isfinite, values))
 
 
 _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})

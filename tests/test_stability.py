@@ -84,6 +84,14 @@ class TestRowStatistics:
         assert [v.hex() for v in got.tolist()] == [consistency(ref, r[None].copy())[0].hex()
                                                    for r in rows]
 
+    @pytest.mark.parametrize("k", [-300, -1, 1, 300])
+    def test_power_of_two_scale_keeps_the_bits(self, k):
+        # run_stability scales its traces by one power of two before this
+        ref, rows = self.stack(np.random.default_rng(45), 7, 250)
+        scale = 2.0 ** k
+        assert ([v.hex() for v in consistency(ref * scale, rows * scale).tolist()]
+                == [v.hex() for v in consistency(ref, rows).tolist()])
+
     def test_all_rows_equal_to_a_constant_reference(self):
         # as for two identical vectors, identity wins over the constant check
         ref = np.full(10, 2.0)
