@@ -28,6 +28,13 @@ def _as_matrix(states) -> np.ndarray:
     return x
 
 
+def _regularised(gram: np.ndarray, lam: float) -> np.ndarray:
+    """``gram + lam * np.eye(k)`` as one copy, ``lam`` added to its diagonal."""
+    out = gram.copy()
+    out[np.diag_indices_from(out)] += lam
+    return out
+
+
 def ridge_fit(states, targets, lam: float = 0.0) -> RidgeModel:
     """Closed-form regularized least squares on mean-centered states.
 
@@ -51,7 +58,7 @@ def ridge_fit(states, targets, lam: float = 0.0) -> RidgeModel:
         raise NumericalError(
             "centered states are rank-deficient, the unregularized system is "
             "singular; use lambda > 0")
-    gram = xc.T @ xc + lam * np.eye(k)
+    gram = _regularised(xc.T @ xc, lam)
     rhs = xc.T @ (y - y_mean)
     try:
         w = np.linalg.solve(gram, rhs)
@@ -90,7 +97,7 @@ def lambda_sweep(states, targets, grid, folds: int = RIDGE_FOLDS) -> float:
         raise UsageError(f"lambda grid entries must be finite and >= 0, got {list(grid)}")
     x = _as_matrix(states)
     y = np.asarray(targets, dtype=float)
-    n, k = x.shape
+    n = len(x)
     if y.shape != (n,):
         raise UsageError(f"targets must match the {n} state rows, got shape {y.shape}")
     folds = _check_count(folds, "folds", 2, high=n)
@@ -98,7 +105,6 @@ def lambda_sweep(states, targets, grid, folds: int = RIDGE_FOLDS) -> float:
 
     # one fold's gram/moment matrices at a time, reused for every lambda
     accs = np.empty((len(lams), folds))
-    eye = np.eye(k)
     for f in range(folds):
         tr = fold_of != f
         xt, yt = x[tr], y[tr]
@@ -109,7 +115,7 @@ def lambda_sweep(states, targets, grid, folds: int = RIDGE_FOLDS) -> float:
         xv, yv = x[~tr], y[~tr]
         for i, lam in enumerate(lams):
             try:
-                w = np.linalg.solve(gram + lam * eye, rhs)
+                w = np.linalg.solve(_regularised(gram, lam), rhs)
             except np.linalg.LinAlgError:
                 accs[i, f] = 0.0
                 continue

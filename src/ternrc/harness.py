@@ -398,8 +398,9 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
             # one pass: the laser-off states are gathered before the laser maps them in place
             p, indices = _joint_pass(sub, batches)
             off, power_off = _gathered(p, indices)
-            # detector calibrated once, lasing config
-            on, sbar = _gathered(laser_response(sub, p), indices)
+            # detector calibrated once, lasing config; the intensities go before the gather
+            p = laser_response(sub, p)
+            on, sbar = _gathered(p, indices)
             del p
             # laser off: same optics, faint detected signal, same detector calibration
             for arm, mode, states, brightness in (
@@ -411,7 +412,9 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
                 rows.append(_row(task, arm, repeat, result,
                                  *_scored(rigs, batches, result, tag, repeat)))
                 out.arm(f"{arm}_{task}_s{repeat}", result, cfg.substrate.grid_side)
-            # digital reference: ridge regression on the noiseless lasing states
+            # digital reference: ridge regression on the noiseless lasing states,
+            # the laser-off states and the last arm's rigs gone before the sweep
+            del off, states, rigs
             (s_tr, s_te), (t_tr, t_te) = on, (b.targets for b in batches)
             lam = lambda_sweep(s_tr, t_tr, cfg.ridge_grid, RIDGE_FOLDS)
             model = ridge_fit(s_tr, t_tr, lam)

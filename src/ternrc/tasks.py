@@ -193,7 +193,7 @@ def write_idx_images(images: np.ndarray, path) -> None:
         raise UsageError(f"images must form an (N, rows, cols) stack, got shape {images.shape}")
     with open(path, "wb") as f:
         f.write(struct.pack(">iiii", IDX_IMAGES_MAGIC, *images.shape))
-        f.write(images.tobytes())
+        images.tofile(f)
 
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
@@ -280,7 +280,7 @@ _GLYPHS = {
 _SIGMA_BUCKETS = (0.5, 0.7, 0.9, 1.1)
 
 #: images built at once by make_glyph_dataset
-_GLYPH_BLOCK = 512
+_GLYPH_BLOCK = 128
 
 
 def _blur_operator(side: int, sigma: float) -> np.ndarray:

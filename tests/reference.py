@@ -109,9 +109,13 @@ class Rig(harness.BatchReadout):
 # the error, the z-score map and the search
 
 def flat(y):
-    """Whether a trace is flat: its np.std at most STD_FLOOR times its mean's
-    magnitude, whatever its level or scale."""
-    return float(np.std(y)) <= STD_FLOOR * abs(float(np.mean(y)))
+    """Whether a trace is flat: its spread at most STD_FLOOR times its mean's
+    magnitude, whatever its level or scale. The spread is np.std of the
+    deviations scaled by their peak, times that peak, so their squares
+    neither underflow nor overflow."""
+    d = y - np.mean(y)
+    peak = float(np.max(np.abs(d))) or 1.0
+    return peak * float(np.std(d / peak)) <= STD_FLOOR * abs(float(np.mean(y)))
 
 
 def zscored(y, t):

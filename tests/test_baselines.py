@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ternrc.baselines import RidgeModel, lambda_sweep, ridge_eval, ridge_fit
+from ternrc.baselines import RidgeModel, _regularised, lambda_sweep, ridge_eval, ridge_fit
 from ternrc.errors import NumericalError, UsageError
 from ternrc.optimizer import nmse, score
 
@@ -206,7 +206,24 @@ class TestLambdaSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 16e6
+        assert peak <= 11e6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_regularised_gram_matches_the_identity_sum(seed):
+    # lam on a copy's diagonal is gram + lam * np.eye(k) bit for bit, on each
+    # fold's gram of a random sweep, lam = 0 included; the gram is not touched
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(12, 120)), int(rng.integers(1, 40))
+    x = rng.random((n, k)) * rng.uniform(0.1, 100.0)
+    for f in range(5):
+        xt = x[np.arange(n) % 5 != f]
+        xc = xt - xt.mean(axis=0)
+        gram = xc.T @ xc
+        before = gram.tobytes()
+        for lam in (0.0, 1e-6, 1e-2, 1.0, 100.0, float(rng.uniform(0, 10))):
+            assert _regularised(gram, lam).tobytes() == (gram + lam * np.eye(k)).tobytes()
+        assert gram.tobytes() == before
 
 
 class TestSweepOracle:

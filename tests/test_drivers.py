@@ -1,8 +1,9 @@
 """The experiment drivers' input and output boundaries: each IDX partition is
-parsed once per driver call and freed once the last batches are made, a run
-without an output directory writes nothing and returns the rows of a run with
-one, the output sink records the config when it opens, and the convergence
-epoch is read off the history."""
+parsed once per driver call and freed once the last batches are made, a
+comparison frees each state matrix after its last use, a run without an
+output directory writes nothing and returns the rows of a run with one, the
+output sink records the config when it opens, and the convergence epoch is
+read off the history."""
 
 import dataclasses
 import json
@@ -12,6 +13,7 @@ import weakref
 import pytest
 
 from ternrc import harness
+from ternrc.baselines import lambda_sweep
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import EpochRecord, TrainConfig, TrainResult
 from ternrc.readout import random_mask
@@ -75,6 +77,45 @@ def test_partitions_freed_before_the_last_forward_pass(run, idx_files, monkeypat
 
 
 HEADER = HeaderTask(n_bits=3, target_value=5, n_samples=40, image_side=16)
+
+
+def test_comparison_frees_each_state_matrix_after_its_last_use(monkeypatch):
+    # the pre-laser intensities are dead when the lasing states are gathered,
+    # and the laser-off states and every arm's rigs when the ridge sweep
+    # starts: each is an (N, K) array, about 3.6 MB at the benchmark's size
+    intensities, off, rigs, alive = [], [], [], {}
+    gathered, readout = harness._gathered, harness.BatchReadout
+
+    def forward(sub, pixels):
+        p, index = forward_batch(sub, pixels)
+        intensities.append(weakref.ref(p))
+        return p, index
+
+    def gather(states, indices):
+        if off:
+            alive["intensities"] = intensities[0]() is not None
+        matrices, power = gathered(states, indices)
+        if not off:
+            off.extend(weakref.ref(s) for s in matrices)
+        return matrices, power
+
+    class Readout(readout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rigs.append(weakref.ref(self))
+
+    def sweep(*args):
+        alive["off states"] = [ref() is not None for ref in off]
+        alive["rigs"] = [ref() is not None for ref in rigs]
+        return lambda_sweep(*args)
+
+    monkeypatch.setattr(harness, "forward_batch", forward)
+    monkeypatch.setattr(harness, "_gathered", gather)
+    monkeypatch.setattr(harness, "BatchReadout", Readout)
+    monkeypatch.setattr(harness, "lambda_sweep", sweep)
+    harness.run_comparison(tiny_config(HEADER))
+    assert len(intensities) == 1 and len(off) == 2 and len(rigs) == 6
+    assert alive == {"intensities": False, "off states": [False] * 2, "rigs": [False] * 6}
 
 
 @pytest.mark.parametrize("run", [

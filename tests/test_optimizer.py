@@ -443,6 +443,19 @@ class TestNumpyEquivalences:
         assert (_centred(rows)[1] == 0.0).tolist() == want
         assert True in want and False in want
 
+    @pytest.mark.parametrize("n", [2, 7, 250, 1000])
+    def test_flat_of_a_tiny_trace_where_the_reference_says(self, n):
+        # near 1e-160 the squared deviations underflow unless they are scaled
+        # first: a varying trace there is not flat, a constant one is
+        rng = np.random.default_rng(43)
+        rows = []
+        for level in (0.0, 1e-160, -3e-158, 1e-162):
+            for rel in (0.0, 1e-14, 1e-11, 1e-6, 1e-2, 1.0):
+                rows.append(level + rng.standard_normal(n) * rel * (abs(level) or 1e-160))
+        want = [reference.flat(y) for y in rows]
+        assert [_centred(y)[1] == 0.0 for y in rows] == want
+        assert True in want and False in want
+
     def test_sqrt_of_dot_matches_norm(self):
         rng = np.random.default_rng(19)
         for _ in range(2000):
