@@ -37,6 +37,13 @@ UNDIGESTED = {"config.resolved.json"}
 HEADER_TASK = {"type": "header", "n_bits": 4, "target_value": 5, "n_samples": 40,
                "image_side": 32}
 
+#: the wide header document: at seed 19 its 1200 frames hold 454 distinct
+#: ones, more than one frame chunk, and each 600-row batch repeats frames
+WIDE = {"substrate": {"input_side": 32, "seed": 19},
+        "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary", "seed": 19},
+        "task": {"type": "header", "n_bits": 10, "target_value": 5, "n_samples": 600,
+                 "image_side": 32}}
+
 
 def _mnist_task(idx, digit, test_partition):
     task = {"type": "mnist", "digit": digit, "n_samples": 40,
@@ -82,6 +89,10 @@ def _case(case, idx):
                            "train": {"alpha": 10.0, "max_epochs": 20, "mode": "ternary",
                                      "seed": 16},
                            "task": HEADER_TASK, "repeats": 2}, []
+    if case == "compare-wide":
+        return "compare", WIDE, []
+    if case == "stability-wide":
+        return "stability", WIDE, ["--checks", "70"]
     if case == "compare-all-digits":
         # all ten digits, each test batch a second draw of the training
         # partition; a short ridge grid, since the sweep dominates ten digits
@@ -110,7 +121,10 @@ def _case(case, idx):
 #: error became the z-scored error of the trained arms; only its two error
 #: cells moved. The two ``-64`` cases were pinned on the code that held the
 #: whole transmission in memory; theirs is the one aperture drawn and applied
-#: in more than one row block
+#: in more than one row block. The two ``-wide`` cases were pinned on the code
+#: whose forward pass took 512 distinct frames at a time and whose laser
+#: mapped the distinct intensities before the gather; theirs are the one
+#: document with more distinct frames than one frame chunk
 GOLDEN = {
     "alpha-scan-64": {
         "alpha_summary.csv":
@@ -319,6 +333,26 @@ GOLDEN = {
             "60b438f23cc63c7d05894d206244a11193cf825c92c3e07481fa59145497df80",
         "results.csv":
             "7e69a3f1428a368ea4fe2836fe50e4fd84aa841f907b6a6fb4637fa9b15f294d",
+    },
+    "compare-wide": {
+        "history_boolean_on_header_s0.csv":
+            "e503b3674aba82d8cd3701d40d3916c4b6da85d463d4e84ea7b80c5b50cedaaf",
+        "history_ternary_off_header_s0.csv":
+            "711cd441001cd88392ff8d620144fd209f2be461b133643d69693a05e38ca991",
+        "history_ternary_on_header_s0.csv":
+            "457f404a1330db4ae30a178961b7b7ff86bf732f1b0866373c8c00fd8e61026d",
+        "mask_boolean_on_header_s0.json":
+            "c793657f984b04682e114a0fd55588672f6f0f670875fbb855ffca7871288fca",
+        "mask_ternary_off_header_s0.json":
+            "4957be50215a166ac8ce05ea3408bb111dd60c5e18fc81fb14dfcc4ce84012eb",
+        "mask_ternary_on_header_s0.json":
+            "51c7f82e88c97199b25f52c03c3d5b72b35b5d327a5789af670392c1a361da4f",
+        "results.csv":
+            "415b863b07a878b891fb582936e4b8b291d41ef9b026d514c093a46a3e7024f4",
+    },
+    "stability-wide": {
+        "stability.csv":
+            "abca6573945b41a03ba2fec9d0ca50cc19bdc076815d84a83e6b3e95288c0bac",
     },
     "stability-zscore": {
         "stability.csv":
