@@ -341,8 +341,7 @@ def _acquired(cfg: ExperimentConfig, repeat: int, batch_sets):
     sub = _substrate(cfg, repeat)
     batches = next(batch_sets)
     states, indices = _joint_pass(sub, batches)
-    states = laser_response(sub, states)  # the laser-off states go before the gather
-    states, power = _gathered(states, indices)
+    states, power = _gathered(laser_response(sub, states), indices)
     return sub, batches, states, power
 
 
@@ -395,13 +394,13 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
         for digit in digits:
             task = "header" if digit is None else f"digit{digit}"
             batches = next(batch_sets)
-            # one pass: the laser-off states are gathered before the laser maps them in place
+            # one pass; the intensities go once the laser-off states are gathered. The
+            # laser maps each row on its own: the lasing states are its response to copies
             p, indices = _joint_pass(sub, batches)
             off, power_off = _gathered(p, indices)
-            # detector calibrated once, lasing config; the intensities go before the gather
-            p = laser_response(sub, p)
-            on, sbar = _gathered(p, indices)
             del p
+            on = tuple(laser_response(sub, s.copy("F")) for s in off)
+            sbar = float(on[0].sum(axis=1).mean())  # detector calibrated once, lasing config
             # laser off: same optics, faint detected signal, same detector calibration
             for arm, mode, states, brightness in (
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),

@@ -13,16 +13,17 @@ pixels is never held: each forward pass draws its real (2K, D) form
 [Re T; Im T] from the seed in row blocks, and positions the drift stream.
 :func:`forward_batch` is the optics: it returns the (U, K) speckle
 intensities of the U distinct frames and an (N,) row index into them.
-:func:`laser_response` is the laser: it maps intensities to node states.
-:func:`states_matrix` gathers the (N, K) batch matrix in column-major order,
-so each node's column is contiguous for the readout. The laser-off states
-of a batch are its intensities, and the laser-on states of the same
-transmission are the response to them.
+:func:`laser_response` is the laser: it maps the intensities, which are the
+laser-off states, to the laser-on states in place and row by row, so a
+gathered matrix maps as its distinct rows do. :func:`states_matrix` gathers
+the (N, K) batch matrix column-major, each node's column contiguous for the
+readout.
 
-The fields of the distinct frames come from one real GEMM per block and
-frame chunk, the coupling from another; their blocked sums agree with a
-one-frame matrix-vector reference to rounding (about 1e-15 relative), not
-bit for bit.
+Every work array of the optics and the laser spans at most one
+:data:`FRAME_CHUNK` of frames: the fields come from one real GEMM per row
+block and frame chunk, the coupling from one per chunk. Their blocked sums
+agree with a one-frame matrix-vector reference to rounding (about 1e-15
+relative), not bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import ConfigError, UsageError, _check_count, _check_types
 TRANSMISSION_BLOCK = 3 * 2 ** 18
 
 #: most distinct frames multiplied into a transmission block at a time
-FRAME_CHUNK = 512
+FRAME_CHUNK = 256
 
 #: bounds that keep the laser's s * p, the coupling's 2 * sigma**2 and noise squares normal
 SATURATION_BOUND, DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND = 1e150, 1e-100, 1e100
@@ -217,16 +218,20 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
 
 
 def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
-    """Node states for (U, K) speckle intensities ``p``: the saturable map
-    p / (1 + s p), written over ``p``, then the diffusion coupling. Each row
-    is mapped on its own. At saturation 0 with no diffusion the states are
-    ``p`` itself, bit for bit: a linear rig."""
-    x = np.divide(p, 1.0 + substrate.config.saturation * p, out=p)
-    if substrate._coupling is not None:
-        x = (substrate._coupling @ x.T).T
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise ConfigError("intensities must be finite and >= 0")
-    return x
+    """Node states of (U, K) speckle intensities ``p``, written over ``p`` and
+    returned: the saturable map p / (1 + s p), then the diffusion coupling,
+    one :data:`FRAME_CHUNK` of rows at a time, each row on its own. A linear
+    rig, saturation 0 with no diffusion, returns ``p`` bit for bit."""
+    s, coupling, rows = substrate.config.saturation, substrate._coupling, p.T
+    width = _even_split(len(p), FRAME_CHUNK)
+    for c in range(0, len(p), width):
+        x = rows[:, c:c + width]
+        np.divide(x, 1.0 + s * x, out=x)
+        if coupling is not None:
+            x[...] = coupling @ x
+        if not (x.min() >= 0 and x.max() < math.inf):
+            raise ConfigError("intensities must be finite and >= 0")
+    return p
 
 
 def states_matrix(states: np.ndarray, index: np.ndarray) -> np.ndarray:

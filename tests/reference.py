@@ -57,6 +57,13 @@ def forward_batch(sub, batch):
     return (f[:len(t)] ** 2 + f[len(t):] ** 2).T, index
 
 
+def laser_response(sub, p):
+    """Node states of (U, K) intensities, mapped as one matrix: the saturable
+    map as a new array, then one coupling GEMM over every row."""
+    x = p / (1.0 + sub.config.saturation * p)
+    return x if sub._coupling is None else (sub._coupling @ x.T).T
+
+
 def unflushed_coupling(node_mask, sigma):
     """The coupling matrix as built before its subnormal entries were zeroed."""
     rows, cols = np.nonzero(node_mask)

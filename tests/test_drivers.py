@@ -17,7 +17,7 @@ from ternrc.baselines import lambda_sweep
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import EpochRecord, TrainConfig, TrainResult
 from ternrc.readout import random_mask
-from ternrc.substrate import SubstrateConfig, forward_batch
+from ternrc.substrate import SubstrateConfig, forward_batch, laser_response
 from ternrc.tasks import HeaderTask, load_mnist
 
 
@@ -80,10 +80,11 @@ HEADER = HeaderTask(n_bits=3, target_value=5, n_samples=40, image_side=16)
 
 
 def test_comparison_frees_each_state_matrix_after_its_last_use(monkeypatch):
-    # the pre-laser intensities are dead when the lasing states are gathered,
-    # and the laser-off states and every arm's rigs when the ridge sweep
-    # starts: each is an (N, K) array, about 3.6 MB at the benchmark's size
-    intensities, off, rigs, alive = [], [], [], {}
+    # the distinct intensities are dead before the laser makes each lasing
+    # matrix from a copy of a laser-off one, and the laser-off states and
+    # every arm's rigs when the ridge sweep starts: each is an (N, K) array,
+    # about 3.6 MB at the benchmark's size
+    intensities, off, rigs, alive = [], [], [], {"intensities": []}
     gathered, readout = harness._gathered, harness.BatchReadout
 
     def forward(sub, pixels):
@@ -92,12 +93,14 @@ def test_comparison_frees_each_state_matrix_after_its_last_use(monkeypatch):
         return p, index
 
     def gather(states, indices):
-        if off:
-            alive["intensities"] = intensities[0]() is not None
         matrices, power = gathered(states, indices)
-        if not off:
-            off.extend(weakref.ref(s) for s in matrices)
+        off.extend(weakref.ref(s) for s in matrices)
         return matrices, power
+
+    def laser(sub, p):
+        alive["intensities"].append(intensities[0]() is not None)
+        assert all(ref() is not p for ref in off)
+        return laser_response(sub, p)
 
     class Readout(readout):
         def __init__(self, *args):
@@ -111,11 +114,12 @@ def test_comparison_frees_each_state_matrix_after_its_last_use(monkeypatch):
 
     monkeypatch.setattr(harness, "forward_batch", forward)
     monkeypatch.setattr(harness, "_gathered", gather)
+    monkeypatch.setattr(harness, "laser_response", laser)
     monkeypatch.setattr(harness, "BatchReadout", Readout)
     monkeypatch.setattr(harness, "lambda_sweep", sweep)
     harness.run_comparison(tiny_config(HEADER))
     assert len(intensities) == 1 and len(off) == 2 and len(rigs) == 6
-    assert alive == {"intensities": False, "off states": [False] * 2, "rigs": [False] * 6}
+    assert alive == {"intensities": [False] * 2, "off states": [False] * 2, "rigs": [False] * 6}
 
 
 @pytest.mark.parametrize("run", [

@@ -344,16 +344,16 @@ class TestFieldsOracle:
         assert laser_response(sub, p) is p
         assert p.tobytes() == kept.tobytes()
 
-    def test_laser_response_writes_over_its_input(self):
-        # the saturable map takes no second (U, K) array; the coupling's
-        # product is a new one
+    @pytest.mark.parametrize("n", [40, 600])
+    def test_laser_response_writes_over_its_input(self, n):
+        # the map and the coupling are written over the input one frame chunk
+        # at a time (600 frames are three), with the bytes of the whole-matrix map
         for sigma in (0.0, 0.5):
             sub = build_substrate(SubstrateConfig(seed=2, saturation=0.5, diffusion_sigma=sigma))
-            p, _ = forward_batch(sub, make_frames(seed=2, n=40))
-            kept = p.copy()
-            x = laser_response(sub, p)
-            assert p.tobytes() == (kept / (1.0 + 0.5 * kept)).tobytes()
-            assert (x is p) == (sigma == 0.0)
+            p, _ = forward_batch(sub, make_frames(seed=2, n=n))
+            whole = reference.laser_response(sub, p)
+            assert laser_response(sub, p) is p
+            assert p.tobytes() == whole.tobytes()
 
 
 def traced_peak(fn, *args):
@@ -367,9 +367,10 @@ def traced_peak(fn, *args):
 
 
 class TestPeakMemory:
-    """No transmission is held: the forward pass holds one row block of it
-    and one block of fields of at most FRAME_CHUNK frames at a time, squared
-    in place."""
+    """No transmission is held, and no second (U, K) array: the forward pass
+    holds one row block of the transmission and one block of fields of at
+    most FRAME_CHUNK frames at a time, squared in place, and the laser one
+    chunk's denominator or coupled product."""
 
     def test_build_at_side_64(self):
         # the whole transmission would be 23.1 MB
@@ -379,7 +380,13 @@ class TestPeakMemory:
         sub = build_substrate(SubstrateConfig())
         frames = make_frames(seed=4, n=1000)
         assert len(np.unique(frames.reshape(1000, -1), axis=0)) == 1000
-        assert traced_peak(forward_batch, sub, frames) <= 16e6
+        assert traced_peak(forward_batch, sub, frames) <= 13e6
+
+    def test_laser_response_of_two_thousand_rows(self):
+        # the stock comparison's 1000 + 1000 rows; a whole-matrix map holds 8.1e6
+        sub = build_substrate(SubstrateConfig())
+        p = np.asfortranarray(np.random.default_rng(5).random((2000, sub.n_nodes)))
+        assert traced_peak(laser_response, sub, p) <= 2e6
 
 
 class TestCouplingFlush:
@@ -433,6 +440,20 @@ class TestSharedPass:
         assert forward(sub_off, frames).tobytes() == states_matrix(p, index).tobytes()
         on = forward(sub_on, frames)
         assert states_matrix(laser_response(sub_on, p), index).tobytes() == on.tobytes()
+
+    def test_response_to_gathered_rows_is_the_gathered_response(self, glyph_train):
+        # the stock comparison's 1000 + 1000 digit split: the laser maps copies
+        # of the gathered laser-off matrices, with the bytes of the gathered
+        # response to the distinct intensities
+        batches = [make_onevsall_batch(glyph_train, 3, 1000, seed=5, draw=d) for d in (0, 1)]
+        sub = build_substrate(SubstrateConfig(seed=5))
+        p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
+        off = [states_matrix(p, i) for i in np.split(index, [1000])]
+        on = [laser_response(sub, s.copy("F")) for s in off]
+        laser_response(sub, p)
+        for s, i in zip(on, np.split(index, [1000])):
+            assert s.flags.f_contiguous
+            assert s.tobytes() == states_matrix(p, i).tobytes()
 
     def test_comparison_builds_one_substrate_per_repeat(self, monkeypatch):
         # both arms read one substrate, not a second draw
