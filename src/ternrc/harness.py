@@ -349,7 +349,7 @@ def _arm(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states, b
          noise_scale: float, brightness: float = 1.0, **overrides):
     """Train one arm on (train, test) rigs that share one seeded detector,
     its noise frozen to ``noise_scale``; ``overrides`` replace train config
-    fields. Returns (rigs, train config, result)."""
+    fields. Returns (rigs, result)."""
     det = DetectorModel(cfg.substrate.noise_sigma, noise_scale=noise_scale,
                         seed=derive_seed(cfg.train.seed, f"det{tag}", repeat))
     rigs = tuple(BatchReadout(sub, s, det, brightness) for s in states)
@@ -358,7 +358,7 @@ def _arm(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states, b
     result = train(rigs[0], batches[0].targets, tc, n_nodes=rigs[0].n_nodes)
     if math.isinf(result.final_nmse):
         raise _flat(tag, tc.mode, repeat)
-    return rigs, tc, result
+    return rigs, result
 
 
 def _scored(rigs, batches, result: TrainResult, tag: str, repeat: int) -> tuple[Metrics, Metrics]:
@@ -406,8 +406,8 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),
                     ("ternary_off", "ternary", off, cfg.off_brightness * sbar / power_off)):
                 tag = f"-{arm}" + ("" if digit is None else f"-d{digit}")
-                rigs, _, result = _arm(cfg, repeat, tag, sub, states, batches, sbar,
-                                       brightness, mode=mode)
+                rigs, result = _arm(cfg, repeat, tag, sub, states, batches, sbar,
+                                    brightness, mode=mode)
                 rows.append(_row(task, arm, repeat, result,
                                  *_scored(rigs, batches, result, tag, repeat)))
                 out.arm(f"{arm}_{task}_s{repeat}", result, cfg.substrate.grid_side)
@@ -447,8 +447,8 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
         for alpha in cfg.alphas:
             tag = f"-a{alpha}"
-            rigs, tc, result = _arm(cfg, repeat, tag, sub, states, batches, power,
-                                    alpha=float(alpha))
+            rigs, result = _arm(cfg, repeat, tag, sub, states, batches, power,
+                                alpha=float(alpha))
             _, m_te = _scored(rigs, batches, result, tag, repeat)
             rows.append({
                 "alpha": float(alpha), "repeat": repeat,
@@ -457,8 +457,9 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
                 "test_accuracy": m_te.accuracy, "test_ser": m_te.ser,
                 "mean_n_mirrors": float(np.mean([r.n_mirrors for r in result.history])),
             })
+            seed = derive_seed(cfg.train.seed, f"train{tag}", repeat)  # the search's, as in _arm
             for rec in result.history:
-                curves.append({"alpha": float(alpha), "seed": tc.seed,
+                curves.append({"alpha": float(alpha), "seed": seed,
                                "epoch": rec.epoch, "nmse_best": rec.nmse_best})
     out.csv("curves.csv", list(curves[0]), curves, CURVES_SCHEMA)
     out.csv("alpha_summary.csv", list(rows[0]), rows, RESULTS_SCHEMA)
@@ -475,7 +476,7 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
         sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
-        rigs, _, result = _arm(cfg, repeat, "", sub, states, batches, power)
+        rigs, result = _arm(cfg, repeat, "", sub, states, batches, power)
         rows.append(_row(f"header{cfg.task.n_bits}b", cfg.train.mode, repeat, result,
                          *_scored(rigs, batches, result, "", repeat)))
         out.arm(f"header_s{repeat}", result, cfg.substrate.grid_side)
@@ -503,7 +504,7 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     _check_one_digit(cfg)
     out = _OutputSink(cfg)
     sub, batches, states, power = _acquired(cfg, 0, _task_batches(cfg))
-    rigs, _, result = _arm(cfg, 0, "", sub, states, batches, power)
+    rigs, result = _arm(cfg, 0, "", sub, states, batches, power)
 
     t = batches[1].targets
     ct = _centred(t)
@@ -604,6 +605,4 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, bool):
         return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)

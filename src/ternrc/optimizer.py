@@ -195,9 +195,7 @@ def train(forward_pass: Callable[[TernaryMask], np.ndarray], y_target: np.ndarra
         accepted = e < best
         if accepted:
             mask, best = cand, e
-            since_improve = 0
-        else:
-            since_improve += 1
+        since_improve = 0 if accepted else since_improve + 1
         history.append(EpochRecord(epoch=epoch, nmse_best=best, n_mirrors=n, accepted=accepted))
         if cfg.patience is not None and since_improve >= cfg.patience:
             break

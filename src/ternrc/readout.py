@@ -103,7 +103,6 @@ def readout_batch(power: Callable[[np.ndarray], np.ndarray], mask: TernaryMask,
     construction: no node can be routed to both detector configurations.
     """
     plus = det.detect(power(mask.weights == 1), substrate_gain)
-    if mask.mode == "boolean":
-        return plus
-    plus -= det.detect(power(mask.weights == -1), substrate_gain)
+    if mask.mode != "boolean":
+        plus -= det.detect(power(mask.weights == -1), substrate_gain)
     return plus

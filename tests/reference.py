@@ -181,7 +181,7 @@ def run_stability(cfg, n_checks, drift_steps_per_check):
     """The stability protocol as one measurement and one set of statistics
     per check, on the same trained rig."""
     sub, batches, states, power = harness._acquired(cfg, 0, harness._task_batches(cfg))
-    rigs, _, result = harness._arm(cfg, 0, "", sub, states, batches, power)
+    rigs, result = harness._arm(cfg, 0, "", sub, states, batches, power)
     t = batches[1].targets
     first = None
     rows = []
