@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -313,7 +314,7 @@ class TestFieldsOracle:
     @pytest.mark.parametrize("grid,side,n", [(24, 64, 513), (20, 40, 2)])
     def test_blocked_forward_matches_one_gemm_to_rounding(self, grid, side, n):
         # the shapes where blocks or frame chunks moved the last bits: 513
-        # distinct 64 px frames in two chunks, and a short last row block
+        # distinct 64 px frames in three chunks, and a short last row block
         cfg = SubstrateConfig(grid_side=grid, input_side=side, seed=n)
         sub = build_substrate(cfg)
         frames = make_frames(side=side, seed=n, n=n)
@@ -344,11 +345,11 @@ class TestFieldsOracle:
         assert laser_response(sub, p) is p
         assert p.tobytes() == kept.tobytes()
 
-    @pytest.mark.parametrize("n", [40, 600])
-    def test_laser_response_writes_over_its_input(self, n):
+    def test_laser_response_writes_over_its_input(self):
         # the map and the coupling are written over the input one frame chunk
-        # at a time (600 frames are three), with the bytes of the whole-matrix map
-        for sigma in (0.0, 0.5):
+        # at a time (600 frames are three), with the bytes of the whole-matrix
+        # map: a count that is a multiple of 8 keeps them
+        for sigma, n in itertools.product((0.0, 0.5), (40, 600)):
             sub = build_substrate(SubstrateConfig(seed=2, saturation=0.5, diffusion_sigma=sigma))
             p, _ = forward_batch(sub, make_frames(seed=2, n=n))
             whole = reference.laser_response(sub, p)
@@ -448,6 +449,7 @@ class TestSharedPass:
         batches = [make_onevsall_batch(glyph_train, 3, 1000, seed=5, draw=d) for d in (0, 1)]
         sub = build_substrate(SubstrateConfig(seed=5))
         p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
+        assert len(p) == 2000  # every frame distinct, as in the benchmark
         off = [states_matrix(p, i) for i in np.split(index, [1000])]
         on = [laser_response(sub, s.copy("F")) for s in off]
         laser_response(sub, p)
