@@ -21,9 +21,9 @@ readout.
 
 Every work array of the optics and the laser spans at most one
 :data:`FRAME_CHUNK` of frames: the fields come from one real GEMM per row
-block and frame chunk, the coupling from one per chunk. Their blocked sums
-agree with a one-frame matrix-vector reference to rounding (about 1e-15
-relative), not bit for bit.
+block and frame chunk, the coupling from one per chunk. The fields are exact
+sums (see :data:`GRID`), so the intensities keep their bytes under any block,
+chunk or BLAS; the coupling agrees with a one-row reference to rounding.
 """
 
 from __future__ import annotations
@@ -36,9 +36,14 @@ import numpy as np
 from .errors import ConfigError, UsageError, _check_count, _check_types
 
 
-#: doubles in one row block of the drawn transmission (6 MB): every aperture
-#: up to 32 px on the stock grid is one block, 64 px four blocks of 224 rows
-TRANSMISSION_BLOCK = 3 * 2 ** 18
+#: spacing of the transmission entries: numpy's ziggurat returns no |z| >= 13.8,
+#: so each is below 2**34 grid units, and a field over fewer than 2**19 pixels
+#: is a sum of integers below 2**53 units, exact in any order; 817 px is the
+#: widest such aperture (524,249 pixels)
+GRID, INPUT_SIDE_BOUND = 2.0 ** -30, 817
+
+#: doubles in one row block of the drawn transmission (1 MB): 212 rows at 28 px
+TRANSMISSION_BLOCK = 2 ** 17
 
 #: most distinct frames multiplied into a transmission block at a time
 FRAME_CHUNK = 256
@@ -78,8 +83,8 @@ class SubstrateConfig:
         _check_types(self, "substrate")
         if self.grid_side < 2:
             raise ConfigError(f"grid_side must be >= 2, got {self.grid_side}")
-        if self.input_side < 4:
-            raise ConfigError(f"input_side must be >= 4, got {self.input_side}")
+        if not 4 <= (v := self.input_side) <= INPUT_SIDE_BOUND:
+            raise ConfigError(f"input_side must be in [4, {INPUT_SIDE_BOUND}], got {v}")
         for name, bound in (("saturation", SATURATION_BOUND), ("diffusion_sigma", math.inf),
                             ("noise_sigma", NOISE_SIGMA_BOUND), ("drift_amplitude", math.inf)):
             v = getattr(self, name)
@@ -116,20 +121,19 @@ class Substrate:
 def build_substrate(config: SubstrateConfig) -> Substrate:
     """The aperture geometry and coupling of a config. The transmission each
     forward pass draws from the seed has i.i.d. circular complex gaussian
-    entries of unit variance (speckle statistics of a multimode fibre). The
-    same config always reproduces the same substrate bit for bit."""
+    entries of unit variance (speckle statistics of a multimode fibre) on the
+    :data:`GRID`. The same config always reproduces the same substrate."""
     node_mask = circle_mask(config.grid_side)
     input_mask = circle_mask(config.input_side)
-    coupling = None
-    if config.diffusion_sigma > 0:
-        coupling = _coupling_matrix(node_mask, config.diffusion_sigma)
+    coupling = (_coupling_matrix(node_mask, config.diffusion_sigma)
+                if config.diffusion_sigma > 0 else None)
     return Substrate(n_nodes=int(node_mask.sum()), n_inputs=int(input_mask.sum()),
                      input_mask=input_mask, gain=1.0, config=config, _coupling=coupling)
 
 
 def _even_split(n: int, most: int) -> int:
-    """Width of the fewest even parts of ``n`` of at most ``most``, in whole
-    tiles of 16, so no part is a short tail the BLAS takes another path for."""
+    """Width of the laser's fewest even parts of ``n`` rows of at most ``most``,
+    in tiles of 16: no short tail on another BLAS path rounds the coupling."""
     parts = -(-n // (max(1, most // 16) * 16))
     return -(-n // (16 * parts)) * 16
 
@@ -137,17 +141,18 @@ def _even_split(n: int, most: int) -> int:
 def _transmission_blocks(substrate: Substrate):
     """Yield the real (2K, D) transmission [Re T; Im T] as (first row, rows)
     blocks of at most :data:`TRANSMISSION_BLOCK` doubles: one
-    ``standard_normal`` stream from the seed, each block scaled in place by
-    1/sqrt(2) as numpy divides a complex by a real, so the bytes are those of
-    (re + 1j * im) / sqrt(2) drawn whole. After the last block the generator
-    becomes the drift stream if the substrate has none yet."""
+    ``standard_normal`` stream from the seed, each entry scaled in place by
+    1/sqrt(2) as numpy divides a complex by a real and rounded to the nearest
+    multiple of :data:`GRID` (a scale by 2**30, ``np.rint``, a scale back).
+    After the last block the generator becomes the drift stream if the
+    substrate has none yet."""
     rng = np.random.default_rng(substrate.config.seed)
     rows, d = 2 * substrate.n_nodes, substrate.n_inputs
-    step = _even_split(rows, TRANSMISSION_BLOCK // d)
+    step = max(1, TRANSMISSION_BLOCK // d)
     for lo in range(0, rows, step):
         block = rng.standard_normal((min(step, rows - lo), d))
-        np.multiply(block, 1.0 / np.sqrt(2.0), out=block)
-        yield lo, block
+        np.rint(np.multiply(block, 1.0 / np.sqrt(2.0) / GRID, out=block), out=block)
+        yield lo, np.multiply(block, GRID, out=block)
         del block
     if substrate._rng is None:
         substrate._rng = rng
@@ -179,9 +184,8 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     rendered images) are computed once. :func:`laser_response` maps ``p`` to
     node states and :func:`states_matrix` gathers the (N, K) batch matrix.
 
-    The field at node j is the transmission row applied to the active input
-    pixels; intensity is its squared modulus. Measurement noise is applied
-    later, at detection. The first pass positions the drift stream.
+    The field at node j is the transmission row applied to the lit aperture
+    pixels, its intensity the squared modulus; noise comes at detection.
     """
     px = np.asarray(batch)
     side = substrate.config.input_side
@@ -191,27 +195,25 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
         raise UsageError("forward_batch requires a non-empty batch")
     if px.dtype != bool:
         raise ConfigError(f"frames must be boolean, got {px.dtype}")
-    # each bit-packed row compared as one opaque value: np.unique(axis=0)
-    # compares Boolean columns one by one, ~300x slower on 64 px frames. Rows
-    # in C order: a strided stack packs far slower and cannot be viewed as void
-    flat = np.ascontiguousarray(px).reshape(len(px), -1)
-    packed = np.packbits(flat, axis=1)
+    # each bit-packed row compared as one opaque value: np.unique(axis=0) is ~300x
+    # slower on 64 px frames. Rows packed from a C-order copy of one frame chunk
+    # at a time: a strided stack packs far slower and cannot be viewed as void
+    packed = np.concatenate([np.packbits(np.ascontiguousarray(px[c:c + FRAME_CHUNK]).reshape(
+        -1, side * side), axis=1) for c in range(0, len(px), FRAME_CHUNK)])
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    lit = flat[first][:, substrate.input_mask.ravel()]
-    # node-major intensities, so states come out column-major: squared real
-    # rows are written into p and squared imaginary rows added onto them.
-    # Each array is dropped before the next of its kind is made
+    lit = px[first].reshape(len(first), -1)[:, substrate.input_mask.ravel()]
+    # node-major intensities, so states come out column-major: squared real rows
+    # written into p, squared imaginary rows added; each array dropped before the next
     k = substrate.n_nodes
     p = np.empty((k, len(lit)))
-    width = _even_split(len(lit), FRAME_CHUNK)
     for lo, block in _transmission_blocks(substrate):
         re = min(max(k - lo, 0), len(block))
-        for c in range(0, len(lit), width):
-            f = block @ lit[c:c + width].astype(float).T
-            np.square(f[:re], out=p[lo:lo + re, c:c + width])
+        for c in range(0, len(lit), FRAME_CHUNK):
+            f = block @ lit[c:c + FRAME_CHUNK].astype(float).T
+            np.square(f[:re], out=p[lo:lo + re, c:c + FRAME_CHUNK])
             # empty unless the block holds imaginary rows
-            p[lo + re - k:lo + len(block) - k, c:c + width] += np.square(f[re:], out=f[re:])
+            p[lo + re - k:lo + len(block) - k, c:c + FRAME_CHUNK] += np.square(f[re:], out=f[re:])
             del f
         del block
     return p.T, index
@@ -249,9 +251,7 @@ def advance_drift(substrate: Substrate, steps: int) -> None:
         # no pass has drawn the transmission yet: the stream starts after it
         for _ in _transmission_blocks(substrate):
             pass
-    g = substrate.gain
-    ts = substrate.config.drift_timescale
-    amp = substrate.config.drift_amplitude
+    g, ts, amp = substrate.gain, substrate.config.drift_timescale, substrate.config.drift_amplitude
     for _ in range(steps):
         g = g + (1.0 - g) / ts + amp * substrate._rng.standard_normal()
         g = min(2.0, max(0.5, g))

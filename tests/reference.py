@@ -23,25 +23,33 @@ from ternrc.tasks import _GLYPH_BLOCK, _GLYPHS, _SIGMA_BUCKETS, _blur_operator
 # the substrate
 
 def transmission(config):
-    """The (K, D) complex transmission and the random stream after it, as
-    drawn before the substrate held its real fields: two real draws, their
-    complex sum, scaled by a divide."""
+    """The (K, D) complex transmission and the random stream after it: two
+    real draws, their complex sum, scaled by a divide, then its real and
+    imaginary parts each rounded to the nearest multiple of 2**-30."""
     rng = np.random.default_rng(config.seed)
     shape = (int(circle_mask(config.grid_side).sum()), int(circle_mask(config.input_side).sum()))
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0), rng
+    t = (re + 1j * im) / np.sqrt(2.0)
+    for part in (t.real, t.imag):
+        part[...] = np.rint(part * 2.0 ** 30) / 2.0 ** 30
+    return t, rng
 
 
-def forward_frame(sub, frame):
-    """Node states of one (d, d) frame, one matvec at a time. The forward
-    pass sums the same terms in a GEMM's blocked order, so the two agree to
-    rounding."""
+def forward_frames(sub, frames):
+    """(N, K) node states of an (N, d, d) frame stack on one draw, one frame
+    at a time: a complex matrix-vector product, the squares of its real and
+    imaginary parts, the saturable map and a coupling matrix-vector product.
+    The fields are exact sums, so the intensities have the forward pass's
+    bytes; the coupling rounds otherwise than the laser's GEMM."""
     t, _ = transmission(sub.config)
-    p = np.abs(t @ frame[sub.input_mask].astype(float)) ** 2
-    s = sub.config.saturation
-    x = p / (1.0 + s * p) if s > 0 else p
-    return x if sub._coupling is None else sub._coupling @ x
+    s, states = sub.config.saturation, []
+    for frame in frames:
+        f = t @ frame[sub.input_mask].astype(float)
+        x = f.real ** 2 + f.imag ** 2
+        x = x / (1.0 + s * x)
+        states.append(x if sub._coupling is None else sub._coupling @ x)
+    return np.array(states)
 
 
 def forward_batch(sub, batch):

@@ -127,55 +127,58 @@ def _case(case, idx):
 #: files, the two lasing arms' histories and the results, were re-pinned when
 #: the comparison's laser came to map copies of the gathered laser-off
 #: matrices, 600 rows with repeated frames where it had mapped 454 distinct
-#: ones, so the coupling GEMM groups its columns otherwise; no mask file moved
+#: ones, so the coupling GEMM groups its columns otherwise; no mask file moved.
+#: Every history, results, curves, summary and stability file was re-pinned
+#: when the transmission came to be drawn on a 2**-30 grid, so that each
+#: field is an exact sum; no mask file moved
 GOLDEN = {
     "alpha-scan-64": {
         "alpha_summary.csv":
-            "be2de7c55e4f9c0122a9a8e5a09fd5c1bd80e12cd62813e7279e98e0d8c4e773",
+            "9ffb7792cdee1c0ca5e3f8dc03efe90d22f221284c8e75f9de651b9e28338f8d",
         "curves.csv":
-            "80e7ee5190c607ad4c2a5fe52123c648207674232316c7ea9aab8830730e8522",
+            "02e18dea163c78ae2ad9a1a283265c9d2370a1f656b659d98f6d391a029f114b",
     },
     "header": {
         "history_header_s0.csv":
-            "7f4cc1fdf927095d8874c8b4b5e1fc136eedac1743001f90e087d26e8ce10dc0",
+            "a39be0943c9a451a9f116bc63bdf0b28559bad26c7b8e9ac09972d0cbf114cfd",
         "mask_header_s0.json":
             "6558b11912e80f2ffe0199d18a4062dad65d643e61ee621af3ddf1bff5ce4ab6",
         "results.csv":
-            "fba5ca2f42f170983218426b2574e8c3eaac291a289c9aac682e378f479944cc",
+            "1aae30d84da070a681ab29549b4f1eac4193c400a3667aaa006a3999d136d4f4",
     },
     "header-64": {
         "history_header_s0.csv":
-            "421ae19b23f9abe543c8b6e002e55ebf464aaf13ccec17a70868c2cb949f5384",
+            "6578c5b1cef90e23b308788dfba4b1a0bdb002adb7b8b1ee15f39266cc440107",
         "mask_header_s0.json":
             "dcd9019cc4b6a7d71bd6919da69b4f0d6779d75b06e35c31b75da4166db28026",
         "results.csv":
-            "5a496a92e8f74d199c74bca0b73e46831a55d20c0fc0c9296b23573f2ed547cc",
+            "53f1883db88e272bdd5ec70bcd90c80fcc71d388a271c11b74293cf08ae8d9cd",
     },
     "header-boolean-zscore": {
         "history_header_s0.csv":
-            "88c0267757d73a3df853eb4a699e0b6b1baf46bb862b5931a1d5d02d04a0c597",
+            "d7efdde1fb50477b9284644c60c14772efa917ca66288672f465059996895336",
         "history_header_s1.csv":
-            "f22619d1ffbc956f59578e72d85758b7c3057c5528aff0a653e4b1f36999699b",
+            "aeb2c2e9f8068a40142ef78b11eff4ec54df55fa08521d506b835378397e3ff3",
         "mask_header_s0.json":
             "f93554273e9cbca8d006d95fc61ad699aac4322910b13ac92979019c282342e5",
         "mask_header_s1.json":
             "adfc48eaff379bdc01406f5042034b5e969d04b1126822fd6521ae028fd58185",
         "results.csv":
-            "c119817c409e16850b79aeb11b269e2f765be67a5c102996c554b422b343513b",
+            "497138927bf0c9382b8ecd358a57c101bd349f470d4eaf739ed9fdfffe3a4472",
     },
     "alpha-scan-zscore": {
         "alpha_summary.csv":
-            "4fef41a5714548da056a2ad3d76e4011f4a58e17de139d41d165f3b2fac06cdc",
+            "853dddaaecc678497bb9ec2f9b9990c6479a4aeb3d591c1087e849811dea824e",
         "curves.csv":
-            "f1a395f2cc9b1aa3a1bb75aeabee589313c793c59b30b09be4cc79511b5ff63d",
+            "174b725f8040679f92508e4ff3ccf0959b4a51f893cd748807d25109104e6ccb",
     },
     "compare": {
         "history_boolean_on_digit3_s0.csv":
-            "a5694ff2f72a6b7fcaa01fcd26d3052e5a4567769e07e7b39059d464972f5b56",
+            "e721d07ab190c2ada4cd2f91b749d9825e27b28338fdb1f33caca2a9917c70d8",
         "history_ternary_off_digit3_s0.csv":
-            "54da2ecf0340746902812ade549fd3216546705ea9d4cd80a16d437cdb26bee1",
+            "543add16d6459e3ee6dcd6cbaafcb4893c967950ff6c677ab1c7b1525684fa2d",
         "history_ternary_on_digit3_s0.csv":
-            "6d76268fdf2757589e512fc65bdce49ffb84c63c346362e44f85efdfd4e032a4",
+            "f8741408b1246ff3f9ec3110ef906c87847c72d57a3d2d42386d935c2da58196",
         "mask_boolean_on_digit3_s0.json":
             "e35844025fabcdc188e44467a8cd1bd8656c101fce1eabf65e2230b1f51d1fbc",
         "mask_ternary_off_digit3_s0.json":
@@ -183,69 +186,69 @@ GOLDEN = {
         "mask_ternary_on_digit3_s0.json":
             "319f98d5253322cc674d7d45609ae45982873d26fc709d6a8404875d31403340",
         "results.csv":
-            "2d7e9b9100d2140b2df0fc4aa6550d1eef565f08ef251c66ab9f4599f1ecb961",
+            "a403c68454145d3b51b34385fea73bca95231a3d79cf5c5abe39e0b85becf517",
     },
     "compare-all-digits": {
         "history_boolean_on_digit0_s0.csv":
-            "0e382596b4de278e98ccc2ab244b14dc7336bc88d4e1421a174c41f98b4d7000",
+            "9a14b3974ed35dd5b32ed1cd8fa4e20fef66ea76583b2dadc8eb8068efc47fab",
         "history_boolean_on_digit1_s0.csv":
-            "ca24a969ddd3d4ed47a59ed276d8e0cca92eba37769b098499a3d5d3f0aff0ec",
+            "63eb39fc89aa4b40ac8d854b47b02f6d5b14ee8465d3bfddfcb45cdb8b139b58",
         "history_boolean_on_digit2_s0.csv":
-            "4b6aec388b2acfb976a6642f4458ae563a974e0c75f7f578af637ac09cdc2702",
+            "004063e728a2b44fc8c3456623dbf329e85fddb1f2e41e09d47dbc9af8ecfe54",
         "history_boolean_on_digit3_s0.csv":
-            "bb52044cf66cbbc4164d2d38f4ff6f6a5d6e0d3179369f95a9f21018fba079c1",
+            "51056d6aa4c3cccff8fa9af6bffb59cf7e4b9b34e653c2360173ca49beb62a96",
         "history_boolean_on_digit4_s0.csv":
-            "c242c7b339a78bf4cf8de819ebeaee133120761bfb42eb37daf7b9d4eccfa915",
+            "de9306c934d0ae762b2a25b90c8f43fa8152e7c4499374812dc8c100185fd1d4",
         "history_boolean_on_digit5_s0.csv":
-            "9a7253c03fde86eee0700c64ea9cb72aa3b80a1d7945bea2a635fc308b40a0be",
+            "dc709993c5630c720aa46694b64e511d61ebb925fa649215530aa4fab4e498d2",
         "history_boolean_on_digit6_s0.csv":
-            "85bf593af78c666f15e8e3547067a7da036080a98190a5f6c68f3cc039eeb0cb",
+            "5daa05f4ccf4194e051943c8a28d9094a989f6445398063838a0320b7854b5ff",
         "history_boolean_on_digit7_s0.csv":
-            "f4bb8dd2252e2faba0449759a04c141e06e025600e5502559b7058d7c221c7fc",
+            "b44c43edc1543740ab64ef0bde852cdfc0f13f36380565102fb5fe54ad3601e6",
         "history_boolean_on_digit8_s0.csv":
-            "a1b79f158e4b5bcab9648c25112699f24d084493074ec6ac7304b7bc16fbed89",
+            "7078722e93dda1f259a98df89806b3ba381dcbc276c6f7e84d0b81898857befd",
         "history_boolean_on_digit9_s0.csv":
-            "197ca8b78766cfee8b47df3157590e546ed3c8f9813cb0f0cced4dd8c21bd4d7",
+            "b3931ffdcaddf2eed7168b778c3ad64390ad3715d4c4d143834c1832b22b607a",
         "history_ternary_off_digit0_s0.csv":
-            "b1878a59446c8716a4b9bd2694843b6e2b2247c7240053a78a14bde6d0b3e827",
+            "3c85fb0bcdafe5ea4c3e91a782dfeac9030e1bda7e0c47254ff8458e082aeb8b",
         "history_ternary_off_digit1_s0.csv":
-            "441f36dfbf598dffedf82c08cc94799219eccd62d53477ac4612291cc0885f1e",
+            "a74ffcbcf31cb1cd4e8bef37e52de9adf17be940b17df549bec1a9b5d3c3d731",
         "history_ternary_off_digit2_s0.csv":
-            "4d393dcdfec304301d7cf5923e54893a04804a28374f0daa1537a4a7b2d54f76",
+            "03bded42bd8eb67e2dad2e8a6bd4c911b91351a5fa6e857127e15282a7a2ac5f",
         "history_ternary_off_digit3_s0.csv":
-            "03ebca8bdb23fabb3426a1d9542c0e88bfcf19ad6e60ce528ebfe41139cf6a15",
+            "4f8591b5237faf4468e3f536427d14c9bf54b6a6b0d472b7638b3ac2a14ae4bc",
         "history_ternary_off_digit4_s0.csv":
-            "f13c47eee7ba803a8bdeae3f1f283829c102edb456abfa5177ae94fae93396cc",
+            "422393116ada625dd201cbfaf248dd80dcdeeee7faefceb331b5d06488fa6891",
         "history_ternary_off_digit5_s0.csv":
-            "a51e859511500e18775865cbd0b3f78c0c9f2219ee94c533e9613890826fd5d8",
+            "1cf5f223fbd3eadad9d796f7febd51dc8e6bec2d7f9637df3c857061089bcee0",
         "history_ternary_off_digit6_s0.csv":
-            "93d36bc3ae6d120bcdb6dd62d77311f8810990e3569b9b83ad2376140ddc2ee5",
+            "78a82d54497bc0f4cc5a80057df3e35753c35fb7ec353dc6f69aa4e1146aaf93",
         "history_ternary_off_digit7_s0.csv":
-            "34fa6dafddaa1f2e9a38dd1ea62d75d76f13baea463718363e67a0e0cd28b031",
+            "66520be7cc45fbd4d4a89e0908781c3a932c3e093cd1979f31f9f706fe931e1b",
         "history_ternary_off_digit8_s0.csv":
-            "ddd6868f8d90c01950d3fd52c9f3f0d20bd81351f346e9164ab0ef85864fce35",
+            "df0237b36230071de937c86ea91f32c42b301b339d0961e636096d0b6921186a",
         "history_ternary_off_digit9_s0.csv":
-            "dfb8dfe7d809d19b3029e2b03927dcad6cc6d01abdc71962ddccac925fc71106",
+            "88505ce968a621e08a449019bb7cb094e7d523e4383cabfc1e2700da6b2a7d6e",
         "history_ternary_on_digit0_s0.csv":
-            "b25838946f7e8ace869144bc6f306bd8642f53c2490930a4085fca3f52b7cc97",
+            "3028942e7899eead955186ea8b155617bfb62beaa0e958a4bcf8ce4b57342a36",
         "history_ternary_on_digit1_s0.csv":
-            "0adf64cd7e789f1fdd89ac7a2c59428a0ecb26db1df0eab88bcb9b209d609288",
+            "fb165b9ce474380533b803d3b2e7a3767d98a9e3bfdfd9b4a39539af225c0f06",
         "history_ternary_on_digit2_s0.csv":
-            "957a85854511af986d2f0a9e013e7e5712625cde7f18b1a431accb7a308104ce",
+            "eae0571f3113d381236a51678da666e21a705fdb0e162a4d9e1727c9db05efda",
         "history_ternary_on_digit3_s0.csv":
-            "9261ad144386fe515935a4992a4b8760b60cf5ab40a026d357d66ca63d5a5c03",
+            "a7628b46fd179b28b5a609d9d2628ccdbd53edc3e6b91b134f176d7bfe038bdb",
         "history_ternary_on_digit4_s0.csv":
-            "5c948c9468cc6d52d9b57da356ae1a0ef42379417e7abeb99c2d59f2e25571b6",
+            "9e9c6ed1aa017729341eb6cebc52e5605b6ea72c152fb37c0480a22f1d7ebf79",
         "history_ternary_on_digit5_s0.csv":
-            "bd0a70262c9405d2a2816a388d9060f969fc954d562971e6195c8f4b131afcad",
+            "428a792e862d1bdd87d922cef271bf11058007abff9e0e7b800628f9521d7a17",
         "history_ternary_on_digit6_s0.csv":
-            "97f7392c777a5fc617dd69cc9d03af4378ba18ab2c8ad5331f0e2eeca172b1e1",
+            "8586066ca5e959ecc8fc6f885af8411d83086d086e497045d8196848f998511c",
         "history_ternary_on_digit7_s0.csv":
-            "f0b573b8ce1269353648febafe7e469103934d31b1f4b982f318d5ab94859615",
+            "bd06be68447211e5d4f7038e83d80f2933630662dba84ff96510e3d4dcd18e59",
         "history_ternary_on_digit8_s0.csv":
-            "d6d9bfcfda3aa1d59a6daeeb3b87c58534bc8d2d737e87a892d2fc57a90ce2c9",
+            "e8bd5222cfdc29ff0af1a1ee73125e175e9c3d92c148d0b9998a2b8d742a03a6",
         "history_ternary_on_digit9_s0.csv":
-            "58e00a3a5e631a01dae130386657ed9fdce9a219aee9ff441a75e0ddf2153616",
+            "4eec40fa0adbe09623fe9bd67a776af455d253fa88ad296676ea470047e12ed5",
         "mask_boolean_on_digit0_s0.json":
             "80b3ed2461043061d98e730621ed6463cbcea3b5afd89d1b7bda82988027f558",
         "mask_boolean_on_digit1_s0.json":
@@ -307,21 +310,21 @@ GOLDEN = {
         "mask_ternary_on_digit9_s0.json":
             "0c94d64ac3c2603a5a67c2aba94132151c541989171eaa63ca7e711590f1f286",
         "results.csv":
-            "83d6fd81dc8e0de6562748a68d2096c2d632bc514a782bd3924386fd3e4a74cc",
+            "f832bd931d0aa787c78c84ad2939c38c567800a703cc14c8b495059eec017fb5",
     },
     "compare-header": {
         "history_boolean_on_header_s0.csv":
-            "de18918afdd6abf5f513815c16a9fb3258109717d13faf917c5ea080d549108d",
+            "29ac0ac01a79117a955c9b3d42a1007714b75108e298c937cb1319d4dbcc9a2d",
         "history_boolean_on_header_s1.csv":
-            "6b994ff427ad79182f1e313a52a9d0b7f8dad55056bf0958cfddabc71fbdee61",
+            "adb145a6c7bfa446a741658807add3c7ef77aca92a6ce15ae643d984f60c5d51",
         "history_ternary_off_header_s0.csv":
-            "8cc9a135c2c47e206d8a085c2f1e3b9a6745d8065f0c3126666088acc83612ab",
+            "1bb1963a910d407fd9a7bc833f9c0624e60f645564e4d71a805ccb64a105c60f",
         "history_ternary_off_header_s1.csv":
-            "e8fcfc886fe3d98ccc63f9a59e9ecc23fcf8c0033e5999aca6f4fb8b12c8909f",
+            "ecf6cd2aebcdde8af3469f19932454274030d9f47407f5453826de87aed44109",
         "history_ternary_on_header_s0.csv":
-            "9098940dab7a94472e46c03e28452977f965f4944f82e40cba614cb8f222f8f0",
+            "17cd4b0bf33626bd06dcc6b108c5ea26dfb6d5ae278a38eb872a6a4ca34e4c49",
         "history_ternary_on_header_s1.csv":
-            "a22d67c866c02e6e62a7898713bc21c3dddd40a4f41526165cc2e8e9039f7309",
+            "2de32051616782474324f7a0ce8fee4f386c8aeb70e1734334b2cf7320038ef1",
         "mask_boolean_on_header_s0.json":
             "2db2bc94c4830376c556f00edac08d488880266f34421b5b90c860dccb0ae22e",
         "mask_boolean_on_header_s1.json":
@@ -335,15 +338,15 @@ GOLDEN = {
         "mask_ternary_on_header_s1.json":
             "60b438f23cc63c7d05894d206244a11193cf825c92c3e07481fa59145497df80",
         "results.csv":
-            "7e69a3f1428a368ea4fe2836fe50e4fd84aa841f907b6a6fb4637fa9b15f294d",
+            "b8c837f6e02db62879a47898c88812a18d4cec755569bd85b029a33d2dc6bc66",
     },
     "compare-wide": {
         "history_boolean_on_header_s0.csv":
-            "cff481620614c89381395ec060c14aef042f00ec5db155a14ecfd87f37f1d509",
+            "77555f39a6b2c5e8d9149775d302a8d7c5c4a93702e436dfa068e21904c53801",
         "history_ternary_off_header_s0.csv":
-            "711cd441001cd88392ff8d620144fd209f2be461b133643d69693a05e38ca991",
+            "8f35527ce2418c5f605ab41d87f2f758e030206dfda405f1e9d2f40c1ee89694",
         "history_ternary_on_header_s0.csv":
-            "3220c9928da78a2d72f86c8748483f23800e6c5a18f152291cac76c7bd372129",
+            "1620f82f5acf0e9b9c48affc4813cb205b6ac16c1c25e2b353121eb10b88ac0a",
         "mask_boolean_on_header_s0.json":
             "c793657f984b04682e114a0fd55588672f6f0f670875fbb855ffca7871288fca",
         "mask_ternary_off_header_s0.json":
@@ -351,15 +354,15 @@ GOLDEN = {
         "mask_ternary_on_header_s0.json":
             "51c7f82e88c97199b25f52c03c3d5b72b35b5d327a5789af670392c1a361da4f",
         "results.csv":
-            "d02d393de46053cedf2ddca9b49c6cee5e3457ad5be206002c9d9855260e496e",
+            "150b2bdcdfa4bfb6ed7bf7999e37215195857b1c7c38f0b2ebf525027b526a1e",
     },
     "stability-wide": {
         "stability.csv":
-            "abca6573945b41a03ba2fec9d0ca50cc19bdc076815d84a83e6b3e95288c0bac",
+            "9ef0ceca0ae91dff22179074b5f175c609ae54a9c4ffce3bd4dfae35c3022128",
     },
     "stability-zscore": {
         "stability.csv":
-            "f3aea214fa3f7f03d1e43888fa2751cb3da0fc84b17c279f5f3949f1c6b9d161",
+            "051606307ec32ff64f574a019ee6b39b421a6ba7e076806bf2a8df9ca77f195c",
     },
 }
 
@@ -599,20 +602,49 @@ def test_flat_rig_exits_2_naming_the_arm(command, flags, tmp_path, capsys):
     assert err.startswith("config error: arm ") and "every trace read flat" in err
 
 
+#: a rig whose nodes all sit near 1 / saturation at its bound: every lit
+#: frame reads about 1e-150, and only rounding residue tells two apart
+TINY_RIG = {"substrate": {"grid_side": 2, "input_side": 11, "saturation": SATURATION_BOUND,
+                          "diffusion_sigma": 0.0, "noise_sigma": 0.0, "drift_amplitude": 1.0,
+                          "drift_timescale": 1.0, "seed": 0},
+            "train": {"alpha": 10.0, "max_epochs": 10},
+            "task": {"type": "header", "n_samples": 20, "image_side": 11}}
+
+
 def test_stability_of_a_tiny_rig_runs(tmp_path, capsys):
-    # traces near 1 / saturation at its bound: their squared deviations
-    # underflow unless the run scales them before taking the consistency
+    # the target header is dark, so its frames read 0 against about 1e-150:
+    # the trace carries signal, and the run scales it by one power of two
+    # before taking the consistency
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "substrate": {"grid_side": 2, "input_side": 11, "saturation": SATURATION_BOUND,
-                      "diffusion_sigma": 0.0, "noise_sigma": 0.0, "drift_amplitude": 1.0,
-                      "drift_timescale": 1.0, "seed": 0},
-        "train": {"alpha": 10.0, "max_epochs": 10},
-        "task": {"type": "header", "n_samples": 20, "image_side": 11}}))
+    config.write_text(json.dumps({**TINY_RIG, "task": {**TINY_RIG["task"], "target_value": 0}}))
     assert main(["stability", "--config", str(config), "--checks", "70"]) == 0
     out, err = capsys.readouterr()
     values = [float(v) for v in re.findall(r"=([^\s:,]+)", out)]
     assert err == "" and len(values) == 4 and all(map(math.isfinite, values))
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"])
+def test_stability_of_a_residue_rig_exits_2(coretype, tmp_path, monkeypatch):
+    # every trace is rounding residue of one level; exact fields leave the
+    # same residue under any BLAS kernel, and it reads flat at check 4
+    if coretype:
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY_RIG))
+    proc = _run_cli("stability", "--config", str(config), "--checks", "70")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "config error: flat trace at stability check 4\n"
+
+
+def test_input_side_past_the_aperture_bound_exits_2(tmp_path, capsys):
+    # 818 px is an aperture of 2**19 pixels or more, whose fields need not be exact
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"alpha": 10.0, "max_epochs": 10},
+                                  "task": {"type": "header", "image_side": 818}}))
+    assert main(["header", "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: ") and "input_side" in err
 
 
 _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import tracemalloc
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 from ternrc.errors import ConfigError, UsageError
-from ternrc import harness
+from ternrc import harness, substrate
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import TrainConfig
-from ternrc.substrate import (SubstrateConfig, _coupling_matrix, _transmission_blocks,
-                              advance_drift, build_substrate, circle_mask, forward_batch,
-                              laser_response, states_matrix)
+from ternrc.substrate import (GRID, INPUT_SIDE_BOUND, SubstrateConfig, _coupling_matrix,
+                              _transmission_blocks, advance_drift, build_substrate, circle_mask,
+                              forward_batch, laser_response, states_matrix)
 from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, make_glyph_dataset,
                           make_header_batch, make_onevsall_batch, render_headers)
 
@@ -95,6 +96,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             SubstrateConfig(drift_timescale=0.0)
 
+    def test_input_side_past_the_aperture_bound_rejected(self):
+        assert circle_mask(INPUT_SIDE_BOUND + 1).sum() >= 2 ** 19
+        with pytest.raises(ConfigError, match="input_side"):
+            SubstrateConfig(input_side=INPUT_SIDE_BOUND + 1)
+
 
 class TestConfigJson:
     """The substrate section of the one config path, ExperimentConfig.from_json."""
@@ -141,8 +147,7 @@ class TestForward:
         assert np.all(forward(sub, dark) == 0.0)
 
     def test_single_pixel_off_mode_selects_column(self):
-        # laser off: the state is exactly the squared moduli of one column;
-        # a one-hot frame makes every GEMM sum exact
+        # laser off: the state is exactly the squared moduli of one column
         cfg = SubstrateConfig(input_side=8, **LINEAR)
         sub = build_substrate(cfg)
         t, _ = reference.transmission(cfg)
@@ -201,12 +206,12 @@ class TestForward:
 
 class TestForwardBatch:
     def test_matches_elementwise_forward(self):
+        # one batched call against the reference's frames, one at a time
         sub = build_substrate(SubstrateConfig(input_side=8))
         pats = make_frames(side=8, n=3)
         batch = forward(sub, pats)
-        assert len(batch) == 3
-        for got, pat in zip(batch, pats):
-            np.testing.assert_allclose(got, forward(sub, pat[None])[0], rtol=1e-12, atol=0)
+        assert batch.shape == (3, sub.n_nodes)
+        np.testing.assert_allclose(batch, reference.forward_frames(sub, pats), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("cfg", [
         SubstrateConfig(input_side=8), SubstrateConfig(input_side=8, **LINEAR),
@@ -214,10 +219,14 @@ class TestForwardBatch:
         SubstrateConfig(input_side=8, diffusion_sigma=0.0)],
         ids=["on", "off", "no-saturation", "no-diffusion"])
     def test_matches_one_frame_matvec_to_rounding(self, cfg):
+        # the fields are exact sums: without a coupling to round otherwise
+        # than its matrix-vector product, every byte
         sub = build_substrate(cfg)
         pats = make_frames(side=8, n=20)
-        for got, pat in zip(forward(sub, pats), pats):
-            np.testing.assert_allclose(got, reference.forward_frame(sub, pat), rtol=1e-12, atol=0)
+        got, want = forward(sub, pats), reference.forward_frames(sub, pats)
+        if sub._coupling is None:
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_repeats_computed_once_and_bit_identical(self):
         sub = build_substrate(SubstrateConfig(input_side=16))
@@ -231,7 +240,7 @@ class TestForwardBatch:
         for state, pat in zip(got, pats):
             # a repeated frame reads its shared row, bit for bit
             assert state.tobytes() == got[(pats == pat).all(axis=(1, 2))][0].tobytes()
-            np.testing.assert_allclose(state, forward(sub, pat[None])[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, reference.forward_frames(sub, pats), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     def test_any_memory_layout(self, n):
@@ -272,7 +281,8 @@ class TestForwardBatch:
 class TestFieldsOracle:
     """The transmission drawn in row blocks and the blocked forward pass hold
     every byte of the complex transmission and the concatenating pass they
-    replace, and the drift stream starts where the whole draw ends."""
+    replace, and the drift stream starts where the whole draw ends. Both
+    round each entry to the grid, so the fields are exact sums in any order."""
 
     @pytest.mark.parametrize("seed", [0, 1, 17, 2 ** 32 - 1])
     @pytest.mark.parametrize("side", [12, 28, 64])
@@ -291,36 +301,32 @@ class TestFieldsOracle:
         for sub in (passed, drifted):
             assert sub._rng.bit_generator.state == rng.bit_generator.state
 
-    def test_divide_would_move_bytes(self):
-        # why the scale is a multiply: a real divide rounds differently
+    def test_entries_lie_on_the_grid(self):
+        # each entry is the scaled draw's nearest multiple of the grid, below
+        # 2**4 in magnitude, and the rounding moved the draw
         sub = build_substrate(SubstrateConfig(seed=3))
         whole = np.random.default_rng(3).standard_normal((2 * sub.n_nodes, sub.n_inputs))
-        assert (whole / np.sqrt(2.0)).tobytes() != drawn(sub).tobytes()
+        t = drawn(sub)
+        assert np.array_equal(t / GRID, np.rint(t / GRID))
+        assert np.abs(t).max() < 2 ** 4
+        assert np.abs(t - whole * (1.0 / np.sqrt(2.0))).max() <= GRID / 2
+        assert (whole * (1.0 / np.sqrt(2.0))).tobytes() != t.tobytes()
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 150])
-    @pytest.mark.parametrize("side", [28, 32, 64])
-    def test_blocked_forward_matches_one_gemm(self, side, n):
-        # at 64 px the transmission is four row blocks of 224 rows, on either
-        # side of the real/imaginary boundary; one frame is a matrix-vector product
-        cfg = SubstrateConfig(input_side=side, seed=side + n)
+    @pytest.mark.parametrize("grid,side,n", [
+        *(pytest.param(24, side, n, id=f"{side}-{n}")
+          for side in (28, 32, 64) for n in (1, 2, 3, 8, 16, 150)),
+        (24, 64, 513), (20, 40, 2)])
+    def test_blocked_forward_matches_one_gemm(self, grid, side, n):
+        # at 64 px the transmission is 23 row blocks of at most 40 rows, one
+        # across the real/imaginary boundary; 513 distinct frames are three
+        # chunks, and one frame is a matrix-vector product
+        cfg = SubstrateConfig(grid_side=grid, input_side=side, seed=side + n)
         sub = build_substrate(cfg)
         frames = make_frames(side=side, seed=n, n=n)
         states, index = forward_batch(sub, frames)
         ref_states, ref_index = reference.forward_batch(sub, frames)
         assert states.tobytes() == ref_states.tobytes()
         assert states.flags.f_contiguous == ref_states.flags.f_contiguous
-        assert np.array_equal(index, ref_index)
-
-    @pytest.mark.parametrize("grid,side,n", [(24, 64, 513), (20, 40, 2)])
-    def test_blocked_forward_matches_one_gemm_to_rounding(self, grid, side, n):
-        # the shapes where blocks or frame chunks moved the last bits: 513
-        # distinct 64 px frames in three chunks, and a short last row block
-        cfg = SubstrateConfig(grid_side=grid, input_side=side, seed=n)
-        sub = build_substrate(cfg)
-        frames = make_frames(side=side, seed=n, n=n)
-        states, index = forward_batch(sub, frames)
-        ref_states, ref_index = reference.forward_batch(sub, frames)
-        np.testing.assert_allclose(states, ref_states, rtol=1e-12, atol=0)
         assert np.array_equal(index, ref_index)
 
     @pytest.mark.parametrize("cfg", [
@@ -367,6 +373,53 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+class TestExactForward:
+    """The forward pass's bytes depend on no row block, frame chunk, BLAS
+    thread count or BLAS kernel: each shape's intensities have one pinned
+    digest under every block and chunk size, and under whatever BLAS runs
+    the test."""
+
+    #: sha256 of the (U, K) intensities and their index, per (grid, side, frames)
+    DIGESTS = {
+        (24, 28, 600):
+            "7da2dccc4c9d3e6aed628219c7d645376b14d67e860e249b61acfae6b9e96d15",
+        (24, 32, 513):
+            "fcbc53a21f73593c18b572fb5e8bc3a5175f72990018d0fb56c1e1d182134fd0",
+        (20, 48, 300):
+            "afa1403c96c50fdd94f4f6136048038259511a7768bb0e9ab4a5ed61566478b3",
+        (24, 64, 40):
+            "0bb98b4336aa7e629d227a51ddbe3080ae41a4ea38554388c7667c05cc22f0ad",
+    }
+
+    @pytest.mark.parametrize("shape", sorted(DIGESTS), ids=lambda s: "-".join(map(str, s)))
+    def test_bytes_hold_across_blocks_and_chunks(self, shape, monkeypatch):
+        grid, side, n = shape
+        sub = build_substrate(SubstrateConfig(grid_side=grid, input_side=side, seed=n))
+        frames = make_frames(side=side, seed=side, n=n)
+        for block, chunk in itertools.product((2 ** 15, 2 ** 17, 2 ** 22), (64, 256, 1024)):
+            monkeypatch.setattr(substrate, "TRANSMISSION_BLOCK", block)
+            monkeypatch.setattr(substrate, "FRAME_CHUNK", chunk)
+            p, index = forward_batch(sub, frames)
+            digest = hashlib.sha256(p.tobytes() + index.astype(np.int64).tobytes()).hexdigest()
+            assert digest == self.DIGESTS[shape], (block, chunk)
+
+    def test_fields_at_the_aperture_bound_are_exact_sums(self):
+        # the widest aperture below 2**19 pixels: its fields, here of every
+        # pixel lit and of a random half, are exact sums of the drawn entries'
+        # grid units, added up as integers
+        assert circle_mask(INPUT_SIDE_BOUND).sum() < 2 ** 19
+        sub = build_substrate(SubstrateConfig(grid_side=2, input_side=INPUT_SIDE_BOUND))
+        frames = np.stack([circle_mask(INPUT_SIDE_BOUND),
+                           make_frames(side=INPUT_SIDE_BOUND, density=0.5)[0]])
+        lit = frames.reshape(2, -1)[:, sub.input_mask.ravel()].astype(np.int64)
+        units = np.concatenate([(block / GRID).astype(np.int64) @ lit.T
+                                for _, block in _transmission_blocks(sub)])
+        assert np.abs(units).max() < 2 ** 53
+        re, im = np.split(units.astype(float) * GRID, 2)
+        p, index = forward_batch(sub, frames)
+        assert p[index].tobytes() == (re ** 2 + im ** 2).T.tobytes()
+
+
 class TestPeakMemory:
     """No transmission is held, and no second (U, K) array: the forward pass
     holds one row block of the transmission and one block of fields of at
@@ -381,7 +434,15 @@ class TestPeakMemory:
         sub = build_substrate(SubstrateConfig())
         frames = make_frames(seed=4, n=1000)
         assert len(np.unique(frames.reshape(1000, -1), axis=0)) == 1000
-        assert traced_peak(forward_batch, sub, frames) <= 13e6
+        assert traced_peak(forward_batch, sub, frames) <= 8e6
+
+    def test_forward_of_header_frames_at_side_64(self):
+        # the harness's one stack of a 250 + 250 header split at 64 px, 16
+        # distinct frames: a 6 MB row block held 6.6e6
+        sub = build_substrate(SubstrateConfig(input_side=64))
+        frames = np.concatenate([make_header_batch(HeaderTask(n_samples=250), seed=s).pixels
+                                 for s in (1, 2)])
+        assert traced_peak(forward_batch, sub, frames) <= 2.5e6
 
     def test_laser_response_of_two_thousand_rows(self):
         # the stock comparison's 1000 + 1000 rows; a whole-matrix map holds 8.1e6
