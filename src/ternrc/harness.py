@@ -165,15 +165,17 @@ class BatchReadout:
 
     ``states`` are the batch's noiseless (N, K) node intensities, computed
     once because the forward path is deterministic, and frozen read-only.
-    Up to two base planes keep their full products ``states @ plane``; a
-    base re-reads its own power bit for bit. A plane a few positions from
-    its nearest base reads that power plus the signed sum of the differing
+    Each row is on its frame's grid, so every power below is an exact sum,
+    with the bytes of the full product ``states @ plane``. Up to two base
+    planes keep their full products. A plane a few positions from its
+    nearest base reads that power plus the signed sum of the differing
     columns, as local search evaluates a move. A plane read again after such
     a correction (the search's incumbent), or far from every base, gets a
-    full product that replaces the nearest base, so corrections never chain.
-    Each measurement then applies the live detector-path gain, the arm's
-    brightness and fresh detector noise. Calling it with a mask returns the
-    N-vector of readout outputs: the optimizer's ``forward_pass`` contract.
+    full product that replaces the nearest base, so that its candidates
+    gather only the columns they move. Each measurement then applies the
+    live detector-path gain, the arm's brightness and fresh detector noise.
+    Calling it with a mask returns the N-vector of readout outputs: the
+    optimizer's ``forward_pass`` contract.
     """
 
     def __init__(self, substrate: Substrate, states: np.ndarray, detector: DetectorModel,
@@ -275,9 +277,8 @@ def _check_one_digit(cfg: ExperimentConfig) -> None:
 def consistency(reference, traces) -> np.ndarray:
     """Pearson correlation of each row of a (C, N) stack of output traces
     with the reference trace of the same inputs: (C,) values, a row identical
-    to the reference exactly 1.0. Each row's value is bit for bit that of a
-    one-row stack: the dot products stay one vector product per row, since a
-    matrix-vector product sums in another order."""
+    to the reference exactly 1.0. Its sums are ``np.add.reduce`` over each
+    row, so a row's value is bit for bit that of a one-row stack."""
     a = np.asarray(reference, dtype=float)
     rows = np.asarray(traces, dtype=float)
     if a.ndim != 1 or a.size < 2 or rows.ndim != 2 or rows.shape[1:] != a.shape:
@@ -290,9 +291,9 @@ def consistency(reference, traces) -> np.ndarray:
         ((ac,), (sa,)), (bc, sb) = _centred(a[None]), _centred(rows)
         if sa == 0.0 or (sb[moved] == 0.0).any():
             raise UsageError("consistency is undefined for a constant trace")
-        norm_a = np.sqrt(ac @ ac)
-        for i in moved:
-            r[i] = (ac @ bc[i]) / (norm_a * np.sqrt(bc[i] @ bc[i]))
+        b = bc[moved]
+        r[moved] = np.add.reduce(ac * b, 1) / (np.sqrt(np.add.reduce(ac * ac))
+                                               * np.sqrt(np.add.reduce(b * b, 1)))
     return r
 
 

@@ -21,9 +21,9 @@ readout.
 
 Every work array of the optics and the laser spans at most one
 :data:`FRAME_CHUNK` of frames: the fields come from one real GEMM per row
-block and frame chunk, the coupling from one per chunk. The fields are exact
-sums (see :data:`GRID`), so the intensities keep their bytes under any block,
-chunk or BLAS; the coupling agrees with a one-row reference to rounding.
+block and frame chunk, the coupling from one per chunk. Every sum is exact
+(see :data:`GRID`, :func:`_on_grid` and :data:`WEIGHT_BITS`), so the states
+keep their bytes under any block, chunk, frame set, BLAS kernel or thread.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ TRANSMISSION_BLOCK = 2 ** 17
 
 #: most distinct frames multiplied into a transmission block at a time
 FRAME_CHUNK = 256
+
+#: the coupling's weights are multiples of 2**-WEIGHT_BITS; the laser's map spares as many bits
+WEIGHT_BITS = 18
 
 #: bounds that keep the laser's s * p, the coupling's 2 * sigma**2 and noise squares normal
 SATURATION_BOUND, DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND = 1e150, 1e-100, 1e100
@@ -131,11 +134,13 @@ def build_substrate(config: SubstrateConfig) -> Substrate:
                      input_mask=input_mask, gain=1.0, config=config, _coupling=coupling)
 
 
-def _even_split(n: int, most: int) -> int:
-    """Width of the laser's fewest even parts of ``n`` rows of at most ``most``,
-    in tiles of 16: no short tail on another BLAS path rounds the coupling."""
-    parts = -(-n // (max(1, most // 16) * 16))
-    return -(-n // (16 * parts)) * 16
+def _on_grid(x: np.ndarray, spare: int = 0) -> np.ndarray:
+    """Round each column (one frame) of a node-major (K, U) array in place to
+    multiples of 2**(e - 53 + ceil(log2 K) + ``spare``), 2**e the least power
+    of two above its largest entry: any sum of a column's entries is exact."""
+    e = np.frexp(x.max(axis=0))[1] - 53 + (len(x) - 1).bit_length() + spare
+    np.rint(np.ldexp(x, -e, out=x), out=x)
+    return np.ldexp(x, e, out=x)
 
 
 def _transmission_blocks(substrate: Substrate):
@@ -159,20 +164,16 @@ def _transmission_blocks(substrate: Substrate):
 
 
 def _coupling_matrix(node_mask: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian carrier-diffusion coupling between active nodes.
-
-    Column-normalized so each source node redistributes its intensity
-    without loss: total intensity is conserved exactly. After the
-    normalization every entry below the smallest normal float is set to
-    exactly 0.0: a subnormal operand slows the laser-response GEMM about
-    6x, and at these weights no output or column sum moves a bit.
-    """
+    """Gaussian carrier-diffusion coupling between active nodes, each column
+    normalized so its source node redistributes its intensity without loss:
+    each weight floored to a multiple of 2**-WEIGHT_BITS, the column's
+    remainder put on its diagonal, so every column sums to exactly 1."""
     rows, cols = np.nonzero(node_mask)
     d2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
     w = np.exp(-d2 / (2.0 * sigma * sigma))
-    c = w / w.sum(axis=0, keepdims=True)
-    c[c < np.finfo(float).tiny] = 0.0
-    return c
+    units = np.floor(w / w.sum(axis=0, keepdims=True) * 2.0 ** WEIGHT_BITS)
+    units[np.diag_indices_from(units)] += 2.0 ** WEIGHT_BITS - units.sum(axis=0)
+    return units * 2.0 ** -WEIGHT_BITS
 
 
 def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +186,8 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     node states and :func:`states_matrix` gathers the (N, K) batch matrix.
 
     The field at node j is the transmission row applied to the lit aperture
-    pixels, its intensity the squared modulus; noise comes at detection.
+    pixels, its intensity the squared modulus on the frame's :func:`_on_grid`;
+    noise comes at detection.
     """
     px = np.asarray(batch)
     side = substrate.config.input_side
@@ -216,19 +218,22 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
             p[lo + re - k:lo + len(block) - k, c:c + FRAME_CHUNK] += np.square(f[re:], out=f[re:])
             del f
         del block
-    return p.T, index
+    return _on_grid(p).T, index
 
 
 def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:
     """Node states of (U, K) speckle intensities ``p``, written over ``p`` and
-    returned: the saturable map p / (1 + s p), then the diffusion coupling,
-    one :data:`FRAME_CHUNK` of rows at a time, each row on its own. A linear
-    rig, saturation 0 with no diffusion, returns ``p`` bit for bit."""
+    returned, one :data:`FRAME_CHUNK` of rows at a time, each row on its own:
+    the saturable map p / (1 + s p) on the frame's grid of :data:`WEIGHT_BITS`
+    spare bits, then the diffusion coupling, an exact sum that keeps the
+    frame's total. A linear rig, saturation 0 with no diffusion, returns
+    ``p`` bit for bit."""
     s, coupling, rows = substrate.config.saturation, substrate._coupling, p.T
-    width = _even_split(len(p), FRAME_CHUNK)
-    for c in range(0, len(p), width):
-        x = rows[:, c:c + width]
+    for c in range(0, len(p), FRAME_CHUNK):
+        x = rows[:, c:c + FRAME_CHUNK]
         np.divide(x, 1.0 + s * x, out=x)
+        if s > 0 or coupling is not None:
+            _on_grid(x, WEIGHT_BITS)
         if coupling is not None:
             x[...] = coupling @ x
         if not (x.min() >= 0 and x.max() < math.inf):

@@ -1,7 +1,7 @@
 """The plain model the oracle tests compare against: each rule of the
 package written once, slowly and for reading, the way it stood before a fast
 path replaced it. An oracle holds the fast path to these bytes, or to 1e-12
-where the fast path sums in another order.
+where the fast path takes another formula.
 
 A change that moves the package's last bits re-pins here and ``GOLDEN`` in
 ``test_cli.py``, nowhere else: no test module defines a reference of its
@@ -21,6 +21,13 @@ from ternrc.tasks import _GLYPH_BLOCK, _GLYPHS, _SIGMA_BUCKETS, _blur_operator
 
 
 # the substrate
+#
+# Three grids make every sum of the optics and the laser exact, in any order:
+# - each transmission entry is a multiple of 2**-30;
+# - each frame's intensities, and its states, are multiples of 2**(e - b),
+#   2**e the least power of two above the frame's largest and b = 53 -
+#   ceil(log2 K) bits; the laser's map keeps 18 bits fewer, b - 18;
+# - each coupling weight is a multiple of 2**-18, and each column sums to 1.
 
 def transmission(config):
     """The (K, D) complex transmission and the random stream after it: two
@@ -36,19 +43,52 @@ def transmission(config):
     return t, rng
 
 
+def state_bits(k):
+    """Bits a state of K nodes keeps below its frame's largest."""
+    return 53 - math.ceil(math.log2(k))
+
+
+def on_grid(x, bits):
+    """One frame's values rounded to the nearest multiple of 2**(e - bits),
+    2**e the least power of two above the largest of them."""
+    q = 2.0 ** (math.frexp(float(np.max(x)))[1] - bits)
+    return np.rint(x / q) * q
+
+
+def coupling(config):
+    """The rig's coupling matrix, or None without diffusion: the gaussian
+    weights, each column divided by its sum and floored to a multiple of
+    2**-18, then the column's remainder added on the diagonal."""
+    if config.diffusion_sigma == 0:
+        return None
+    rows, cols = np.nonzero(circle_mask(config.grid_side))
+    d2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
+    w = np.exp(-d2 / (2.0 * config.diffusion_sigma ** 2))
+    c = np.floor(w / w.sum(axis=0) * 2.0 ** 18) / 2.0 ** 18
+    return c + np.diag(1.0 - c.sum(axis=0))
+
+
+def saturated(config, x):
+    """One frame's laser map: x / (1 + s x) on the grid of 18 bits fewer than
+    a state, or x as it is on a linear rig (saturation 0, no diffusion)."""
+    s = config.saturation
+    if s == 0 and config.diffusion_sigma == 0:
+        return x
+    return on_grid(x / (1.0 + s * x), state_bits(len(x)) - 18)
+
+
 def forward_frames(sub, frames):
     """(N, K) node states of an (N, d, d) frame stack on one draw, one frame
     at a time: a complex matrix-vector product, the squares of its real and
-    imaginary parts, the saturable map and a coupling matrix-vector product.
-    The fields are exact sums, so the intensities have the forward pass's
-    bytes; the coupling rounds otherwise than the laser's GEMM."""
+    imaginary parts on the state grid, the laser map and a coupling
+    matrix-vector product. Every sum is exact, so these are the bytes of the
+    package's batched pass."""
     t, _ = transmission(sub.config)
-    s, states = sub.config.saturation, []
+    c, states = coupling(sub.config), []
     for frame in frames:
         f = t @ frame[sub.input_mask].astype(float)
-        x = f.real ** 2 + f.imag ** 2
-        x = x / (1.0 + s * x)
-        states.append(x if sub._coupling is None else sub._coupling @ x)
+        x = saturated(sub.config, on_grid(f.real ** 2 + f.imag ** 2, state_bits(len(t))))
+        states.append(x if c is None else c @ x)
     return np.array(states)
 
 
@@ -62,22 +102,18 @@ def forward_batch(sub, batch):
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
     u = flat[first][:, sub.input_mask.ravel()].astype(float)
     f = np.concatenate((t.real, t.imag)) @ u.T
-    return (f[:len(t)] ** 2 + f[len(t):] ** 2).T, index
+    p = f[:len(t)] ** 2 + f[len(t):] ** 2
+    for column in p.T:
+        column[...] = on_grid(column, state_bits(len(t)))
+    return p.T, index
 
 
 def laser_response(sub, p):
-    """Node states of (U, K) intensities, mapped as one matrix: the saturable
-    map as a new array, then one coupling GEMM over every row."""
-    x = p / (1.0 + sub.config.saturation * p)
-    return x if sub._coupling is None else (sub._coupling @ x.T).T
-
-
-def unflushed_coupling(node_mask, sigma):
-    """The coupling matrix as built before its subnormal entries were zeroed."""
-    rows, cols = np.nonzero(node_mask)
-    d2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
-    return w / w.sum(axis=0, keepdims=True)
+    """Node states of (U, K) intensities, mapped as one matrix: the laser map
+    of each row, then one coupling GEMM over every row."""
+    c = coupling(sub.config)
+    x = np.array([saturated(sub.config, row) for row in p])
+    return x if c is None else (c @ x.T).T
 
 
 # the readout
@@ -176,13 +212,13 @@ def train(rig, t, cfg, k):
 # the stability protocol
 
 def consistency(a, b):
-    """Pearson correlation as written with np.std and np.linalg.norm."""
+    """Pearson correlation as written with np.std, np.sum and np.sqrt."""
     if np.array_equal(a, b):
         return 1.0
     if flat(a) or flat(b):
         raise UsageError("constant trace")
     ac, bc = a - a.mean(), b - b.mean()
-    return float((ac @ bc) / (np.linalg.norm(ac) * np.linalg.norm(bc)))
+    return float(np.sum(ac * bc) / (np.sqrt(np.sum(ac * ac)) * np.sqrt(np.sum(bc * bc))))
 
 
 def run_stability(cfg, n_checks, drift_steps_per_check):

@@ -262,15 +262,18 @@ class TestBatchReadout:
 
 class TestDeltaReadout:
     """:class:`BatchReadout` reads a plane from its nearest base plane, with a
-    correction for the few positions where they differ; its traces match the
-    full-product readout to rounding and its noise stream exactly."""
+    correction for the few positions where they differ. Its states lie on
+    their frames' grids, so its traces have the bytes of the full-product
+    readout, and its noise stream is the same."""
 
     def rig(self, seed=3, grid_side=6, n=20):
         sub = build_substrate(SubstrateConfig(grid_side=grid_side, input_side=8,
                                               drift_amplitude=0.05, seed=seed))
         rng = np.random.default_rng(seed)
-        # gathered like the harness's states: repeated rows, column-major
-        states = states_matrix(rng.random((n, sub.n_nodes)) * 50, rng.permutation(n))
+        # on the grid and gathered like the harness's states: repeated rows, column-major
+        bits = reference.state_bits(sub.n_nodes)
+        rows = np.array([reference.on_grid(x, bits) for x in rng.random((n, sub.n_nodes)) * 50])
+        states = states_matrix(rows, rng.permutation(n))
         det = DetectorModel(noise_sigma=0.01, seed=seed, noise_scale=10.0)
         return BatchReadout(sub, states, det, brightness=0.7)
 
@@ -305,7 +308,7 @@ class TestDeltaReadout:
             advance_drift(rig.substrate, i % 3)  # gain drifts between reads
             got = rig.measure(m)
             want = readout_batch(reference.powers(ref_states), m, rig.substrate.gain * 0.7, ref_det)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert got.tobytes() == want.tobytes()
         # m1's planes become the two bases; m1 again and m2 (a correction of
         # m1's (+1) plane, and m1's own (-1) plane) cost no product. m3's (+1)
         # plane, far from both, replaces the nearer m1 (-1) base; the next m1
@@ -343,7 +346,7 @@ class TestDeltaReadout:
         for m in masks + masks[:5]:
             got = rig(m)
             want = readout_batch(reference.powers(rig.states), m, rig.substrate.gain * 0.7, ref_det)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert got.tobytes() == want.tobytes()
             assert len(rig._bases) <= 2
         assert len(rig._bases) == 2
         with pytest.raises(UsageError):
@@ -359,8 +362,7 @@ class TestDeltaReadout:
         for _ in range(2000):
             cand = propose(mask, int(rng.integers(1, 12)), rng)
             for pl in planes(cand):
-                np.testing.assert_allclose(rig.power(pl), reference.full_product(rig.states, pl),
-                                           rtol=1e-12, atol=0)
+                assert rig.power(pl).tobytes() == reference.full_product(rig.states, pl).tobytes()
             # each base holds its own full product: corrections never chain
             for base, p, *_ in rig._bases:
                 assert p.tobytes() == reference.full_product(rig.states, base).tobytes()
@@ -398,7 +400,7 @@ class TestDeltaReadout:
         again = rig.power(moved)
         assert len(computed) == 3
         assert again.tobytes() == reference.full_product(rig.states, moved).tobytes()
-        np.testing.assert_allclose(first, again, rtol=1e-12, atol=0)
+        assert first.tobytes() == again.tobytes()
         # it replaced the (+1) base, its nearest; the (-1) base stays
         assert rig.power(moved) is again and rig.power(minus) is rig._bases[0][1]
         assert len(computed) == 3
