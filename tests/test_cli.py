@@ -691,9 +691,12 @@ def test_stability_of_a_tiny_rig_runs(tmp_path, capsys):
     assert err == "" and len(values) == 4 and all(map(math.isfinite, values))
 
 
-def test_stability_of_a_residue_rig_exits_2(tmp_path):
+@pytest.mark.parametrize("coretype", [None, "Haswell"])
+def test_stability_of_a_residue_rig_exits_2(coretype, tmp_path, monkeypatch):
     # the lit frames differed only by rounding residue, which the laser's grid
     # leaves out: every trace reads flat in training, under any BLAS kernel
+    if coretype:
+        monkeypatch.setenv("OPENBLAS_CORETYPE", coretype)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(TINY_RIG))
     proc = _run_cli("stability", "--config", str(config), "--checks", "70")

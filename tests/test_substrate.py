@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -456,25 +457,36 @@ class TestPeakMemory:
         assert traced_peak(laser_response, sub, p) <= 2e6
 
 
-class TestCouplingGrid:
-    """The coupling's weights lie on a grid of 2**-18 and each column sums to
-    exactly 1, so the laser conserves each frame's saturated total exactly."""
+class TestCouplingFlush:
+    """The coupling has nothing to flush: its weights lie on a grid of 2**-18,
+    so none is subnormal, and each column sums to exactly 1, so the laser
+    conserves each frame's saturated total exactly."""
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("side", [8, 16, 24, 32])
-    def test_weights_on_the_grid_conserve_each_total(self, side, sigma):
+    def test_no_subnormal_entry_and_column_sums_kept(self, side, sigma):
         c = _coupling_matrix(circle_mask(side), sigma)
         assert (c >= 0).all() and np.array_equal(c * 2 ** 18, np.floor(c * 2 ** 18))
+        assert not ((c != 0.0) & (c < np.finfo(float).tiny)).any()
         assert (c.sum(axis=0) == 1.0).all()
+
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("side", [8, 16, 24, 32])
+    def test_laser_response_bytes_match_unflushed(self, side, sigma):
+        # the reference's matrix is built with no flush step
         cfg = SubstrateConfig(grid_side=side, input_side=4, diffusion_sigma=sigma, seed=side)
         sub = build_substrate(cfg)
-        assert c.tobytes() == sub._coupling.tobytes() == reference.coupling(cfg).tobytes()
+        unflushed = reference.coupling(cfg)
+        assert sub._coupling.tobytes() == unflushed.tobytes()
+        ref = dataclasses.replace(sub, _coupling=unflushed)
         rng = np.random.default_rng(int(side * sigma * 4))
         p = rng.random((60, sub.n_nodes)) * rng.uniform(1e-3, 1e3, size=(60, 1))
         p[rng.random(p.shape) < 0.2] = 0.0
         p[7] = 0.0
         total = [reference.saturated(cfg, x).sum() for x in p]
-        assert laser_response(sub, p).sum(axis=1).tolist() == total
+        x = laser_response(sub, p.copy())
+        assert x.tobytes() == laser_response(ref, p).tobytes()
+        assert x.sum(axis=1).tolist() == total
 
 
 class TestSharedPass:
