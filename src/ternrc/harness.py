@@ -310,9 +310,10 @@ def epochs_to_convergence(result: TrainResult) -> int:
 # ---------------------------------------------------------------------------
 # Experiment drivers
 #
-# Every arm runs the same in-situ sequence: ``_acquired`` gives a frozen
-# substrate's noiseless states, ``_arm`` trains a mask on the training rig of
-# a seeded detector and ``_scored`` scores it on both rigs. ``_arm`` seeds the
+# Every arm runs the same in-situ sequence: ``_acquired``, the one path from
+# (train, test) frames to state matrices, gives a frozen substrate's
+# noiseless states, ``_arm`` trains a mask on the training rig of a seeded
+# detector and ``_scored`` scores it on both rigs. ``_arm`` seeds the
 # detector by the tag ``det{tag}`` and the search by ``train{tag}``, ``tag``
 # naming the arm; the detector draws for training, then for the train score,
 # then for the test score, even where only the test score is reported.
@@ -322,28 +323,27 @@ def _substrate(cfg: ExperimentConfig, repeat: int) -> Substrate:
     return build_substrate(dataclasses.replace(cfg.substrate, seed=seed))
 
 
-def _joint_pass(sub: Substrate, batches):
-    """One forward pass over the (train, test) frames together, so the
-    transmission is drawn once: the distinct intensities and each batch's index."""
-    states, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
-    return states, np.split(index, [len(batches[0].pixels)])
-
-
-def _gathered(states, indices):
-    """(train, test) state matrices of one joint pass's distinct states, and
-    the training batch's mean all-on power at unit gain."""
-    s_tr, s_te = (states_matrix(states, index) for index in indices)
-    return (s_tr, s_te), float(s_tr.sum(axis=1).mean())
-
-
-def _acquired(cfg: ExperimentConfig, repeat: int, batch_sets):
-    """One repeat's substrate, the next (train, test) batches of ``batch_sets``,
-    their state matrices and the training batch's mean all-on power."""
-    sub = _substrate(cfg, repeat)
-    batches = next(batch_sets)
-    states, indices = _joint_pass(sub, batches)
-    states, power = _gathered(laser_response(sub, states), indices)
-    return sub, batches, states, power
+def _acquired(sub: Substrate, batches, laser_off: bool = False):
+    """The lasing (train, test) state matrices of ``batches`` and the training
+    matrix's mean all-on power at unit gain; with ``laser_off``, also the
+    laser-off matrices and their power. One forward pass over both batches
+    draws the transmission once. The laser maps each row on its own grid, so
+    it maps whichever is fewer rows, with the same bytes: the U distinct
+    intensities in place, then gathered, when 2U is at most the N batch rows
+    (header tasks), else the gathered matrices once the intensities are gone,
+    in place or, to keep the laser-off pair, as copies (digit tasks)."""
+    p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
+    indices = np.split(index, [len(batches[0].pixels)])
+    distinct = 2 * len(p) <= len(index)
+    off = tuple(states_matrix(p, i) for i in indices) if laser_off or not distinct else None
+    if distinct:
+        p = laser_response(sub, p)
+        on = tuple(states_matrix(p, i) for i in indices)
+    else:
+        del p
+        on = tuple(laser_response(sub, s.copy("F") if laser_off else s) for s in off)
+    power = lambda s: float(s[0].sum(axis=1).mean())
+    return (on, power(on), off, power(off)) if laser_off else (on, power(on))
 
 
 def _arm(cfg: ExperimentConfig, repeat: int, tag: str, sub: Substrate, states, batches,
@@ -395,13 +395,8 @@ def run_comparison(cfg: ExperimentConfig) -> list[dict]:
         for digit in digits:
             task = "header" if digit is None else f"digit{digit}"
             batches = next(batch_sets)
-            # one pass; the intensities go once the laser-off states are gathered. The
-            # laser maps each row on its own: the lasing states are its response to copies
-            p, indices = _joint_pass(sub, batches)
-            off, power_off = _gathered(p, indices)
-            del p
-            on = tuple(laser_response(sub, s.copy("F")) for s in off)
-            sbar = float(on[0].sum(axis=1).mean())  # detector calibrated once, lasing config
+            # detector calibrated once, lasing config
+            on, sbar, off, power_off = _acquired(sub, batches, laser_off=True)
             # laser off: same optics, faint detected signal, same detector calibration
             for arm, mode, states, brightness in (
                     ("boolean_on", "boolean", on, 1.0), ("ternary_on", "ternary", on, 1.0),
@@ -445,7 +440,8 @@ def run_alpha_scan(cfg: ExperimentConfig) -> list[dict]:
     out = _OutputSink(cfg)
     batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
-        sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
+        sub, batches = _substrate(cfg, repeat), next(batch_sets)
+        states, power = _acquired(sub, batches)
         for alpha in cfg.alphas:
             tag = f"-a{alpha}"
             rigs, result = _arm(cfg, repeat, tag, sub, states, batches, power,
@@ -476,7 +472,8 @@ def run_header_task(cfg: ExperimentConfig) -> list[dict]:
     out = _OutputSink(cfg)
     batch_sets = _task_batches(cfg)
     for repeat in range(cfg.repeats):
-        sub, batches, states, power = _acquired(cfg, repeat, batch_sets)
+        sub, batches = _substrate(cfg, repeat), next(batch_sets)
+        states, power = _acquired(sub, batches)
         rigs, result = _arm(cfg, repeat, "", sub, states, batches, power)
         rows.append(_row(f"header{cfg.task.n_bits}b", cfg.train.mode, repeat, result,
                          *_scored(rigs, batches, result, "", repeat)))
@@ -504,7 +501,8 @@ def run_stability(cfg: ExperimentConfig, n_checks: int = 3600,
     _check_count(drift_steps_per_check, "drift_steps_per_check", 0)
     _check_one_digit(cfg)
     out = _OutputSink(cfg)
-    sub, batches, states, power = _acquired(cfg, 0, _task_batches(cfg))
+    sub, batches = _substrate(cfg, 0), next(_task_batches(cfg))
+    states, power = _acquired(sub, batches)
     rigs, result = _arm(cfg, 0, "", sub, states, batches, power)
 
     t = batches[1].targets

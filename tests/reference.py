@@ -224,7 +224,8 @@ def consistency(a, b):
 def run_stability(cfg, n_checks, drift_steps_per_check):
     """The stability protocol as one measurement and one set of statistics
     per check, on the same trained rig."""
-    sub, batches, states, power = harness._acquired(cfg, 0, harness._task_batches(cfg))
+    sub, batches = harness._substrate(cfg, 0), next(harness._task_batches(cfg))
+    states, power = harness._acquired(sub, batches)
     rigs, result = harness._arm(cfg, 0, "", sub, states, batches, power)
     t = batches[1].targets
     first = None

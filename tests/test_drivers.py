@@ -17,7 +17,7 @@ from ternrc.baselines import lambda_sweep
 from ternrc.harness import ExperimentConfig
 from ternrc.optimizer import EpochRecord, TrainConfig, TrainResult
 from ternrc.readout import random_mask
-from ternrc.substrate import SubstrateConfig, forward_batch, laser_response
+from ternrc.substrate import SubstrateConfig, forward_batch, laser_response, states_matrix
 from ternrc.tasks import HeaderTask, load_mnist
 
 
@@ -79,27 +79,30 @@ def test_partitions_freed_before_the_last_forward_pass(run, idx_files, monkeypat
 HEADER = HeaderTask(n_bits=3, target_value=5, n_samples=40, image_side=16)
 
 
-def test_comparison_frees_each_state_matrix_after_its_last_use(monkeypatch):
-    # the distinct intensities are dead before the laser makes each lasing
-    # matrix from a copy of a laser-off one, and the laser-off states and
-    # every arm's rigs when the ridge sweep starts: each is an (N, K) array,
-    # about 3.6 MB at the benchmark's size
-    intensities, off, rigs, alive = [], [], [], {"intensities": []}
-    gathered, readout = harness._gathered, harness.BatchReadout
+@pytest.mark.parametrize("digit", [False, True], ids=["distinct-rows", "gathered-rows"])
+def test_comparison_frees_each_state_matrix_after_its_last_use(digit, idx_files, monkeypatch):
+    # each (N, K) array is about 3.6 MB at the benchmark's size. The laser maps
+    # the fewer rows: a header task's few distinct intensities themselves,
+    # once, after both laser-off matrices are gathered; a digit task's two
+    # copies of them, the intensities dead by then. The laser-off states and
+    # every arm's rigs are dead when the ridge sweep starts
+    intensities, gathered, lasered, rigs, alive = [], [], [], [], {}
+    readout = harness.BatchReadout
 
     def forward(sub, pixels):
         p, index = forward_batch(sub, pixels)
         intensities.append(weakref.ref(p))
         return p, index
 
-    def gather(states, indices):
-        matrices, power = gathered(states, indices)
-        off.extend(weakref.ref(s) for s in matrices)
-        return matrices, power
+    def gather(rows, index):
+        s = states_matrix(rows, index)
+        gathered.append(weakref.ref(s))
+        return s
 
     def laser(sub, p):
-        alive["intensities"].append(intensities[0]() is not None)
-        assert all(ref() is not p for ref in off)
+        lasered.append({"intensities": p is intensities[0](),
+                        "intensities alive": intensities[0]() is not None,
+                        "gathered": len(gathered), "laser-off": any(r() is p for r in gathered)})
         return laser_response(sub, p)
 
     class Readout(readout):
@@ -108,18 +111,29 @@ def test_comparison_frees_each_state_matrix_after_its_last_use(monkeypatch):
             rigs.append(weakref.ref(self))
 
     def sweep(*args):
-        alive["off states"] = [ref() is not None for ref in off]
+        alive["off states"] = [ref() is not None for ref in gathered[:2]]
         alive["rigs"] = [ref() is not None for ref in rigs]
         return lambda_sweep(*args)
 
     monkeypatch.setattr(harness, "forward_batch", forward)
-    monkeypatch.setattr(harness, "_gathered", gather)
+    monkeypatch.setattr(harness, "states_matrix", gather)
     monkeypatch.setattr(harness, "laser_response", laser)
     monkeypatch.setattr(harness, "BatchReadout", Readout)
     monkeypatch.setattr(harness, "lambda_sweep", sweep)
-    harness.run_comparison(tiny_config(HEADER))
-    assert len(intensities) == 1 and len(off) == 2 and len(rigs) == 6
-    assert alive == {"intensities": [False] * 2, "off states": [False] * 2, "rigs": [False] * 6}
+    if digit:
+        harness.run_comparison(ExperimentConfig.from_json({
+            "substrate": {"grid_side": 12, "input_side": 28, "seed": 47},
+            "train": {"alpha": 10.0, "max_epochs": 4, "seed": 48},
+            "task": {"type": "mnist", "digit": 3, "n_samples": 40, **idx_files}}))
+        maps = [{"intensities": False, "intensities alive": False, "gathered": 2,
+                 "laser-off": False}] * 2
+    else:
+        harness.run_comparison(tiny_config(HEADER))
+        maps = [{"intensities": True, "intensities alive": True, "gathered": 2,
+                 "laser-off": False}]
+    assert len(intensities) == 1 and len(gathered) == 2 + 2 * (not digit) and len(rigs) == 6
+    assert lasered == maps
+    assert alive == {"off states": [False] * 2, "rigs": [False] * 6}
 
 
 @pytest.mark.parametrize("run", [

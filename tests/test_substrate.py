@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ from ternrc.tasks import (DigitDataset, HeaderTask, LabeledBatch, MnistTask, mak
                           make_header_batch, make_onevsall_batch, render_headers)
 
 import reference
+from test_cli import GOLDEN, _case
 
 
 def make_frames(side=28, seed=0, density=0.3, n=1):
@@ -138,6 +140,20 @@ def forward(sub, frames):
 
 #: the laser-off rig: saturation 0 with no diffusion
 LINEAR = {"saturation": 0.0, "diffusion_sigma": 0.0}
+
+
+def golden_substrates():
+    """The substrate config of each repeat of each golden CLI case."""
+    for case in sorted(GOLDEN):
+        cfg = ExperimentConfig.from_json(_case(case, collections.defaultdict(str))[1])
+        for seeds in cfg.derived_seeds().values():
+            yield dataclasses.replace(cfg.substrate, seed=seeds["substrate"])
+
+
+#: the benchmark's substrates: the stock physics (the config defaults) at
+#: each workload seed's repeat-0 seed, at the digit and the header aperture
+STOCK_SUBSTRATES = [SubstrateConfig(input_side=side, seed=harness.derive_seed(s, "substrate", 0))
+                    for s in (*range(5, 15), 7919) for side in (28, 64)]
 
 
 class TestForward:
@@ -303,6 +319,15 @@ class TestFieldsOracle:
         for sub in (passed, drifted):
             assert sub._rng.bit_generator.state == rng.bit_generator.state
 
+    @pytest.mark.parametrize("configs", ["golden", "stock"])
+    def test_drawn_entries_stay_below_2_34_grid_units(self, configs):
+        # the bound on GRID's exact fields rests on numpy's ziggurat returning
+        # no |z| >= 13.8: no golden case's or benchmark workload's draw comes near it
+        for cfg in golden_substrates() if configs == "golden" else STOCK_SUBSTRATES:
+            sub = build_substrate(cfg)
+            units = max(np.abs(block).max() for _, block in _transmission_blocks(sub)) / GRID
+            assert units < 2 ** 34, cfg
+
     def test_entries_lie_on_the_grid(self):
         # each entry is the scaled draw's nearest multiple of the grid, below
         # 2**4 in magnitude, and the rounding moved the draw
@@ -457,6 +482,15 @@ class TestPeakMemory:
         assert traced_peak(laser_response, sub, p) <= 2e6
 
 
+#: the golden and stock (grid side, diffusion sigma), then a seeded sample
+#: of sides 2 to 40 and sigmas about 0.2 to 4
+_sample = np.random.default_rng(2409)
+COUPLING_CASES = sorted({(c.grid_side, c.diffusion_sigma)
+                         for c in [*golden_substrates(), *STOCK_SUBSTRATES]}) + [
+    (side, round(sigma, 3)) for side, sigma in zip(_sample.integers(2, 41, 16).tolist(),
+                                                   np.exp(_sample.uniform(-1.6, 1.4, 16)).tolist())]
+
+
 class TestCouplingFlush:
     """The coupling has nothing to flush: its weights lie on a grid of 2**-18,
     so none is subnormal, and each column sums to exactly 1, so the laser
@@ -469,6 +503,24 @@ class TestCouplingFlush:
         assert (c >= 0).all() and np.array_equal(c * 2 ** 18, np.floor(c * 2 ** 18))
         assert not ((c != 0.0) & (c < np.finfo(float).tiny)).any()
         assert (c.sum(axis=0) == 1.0).all()
+
+    @pytest.mark.parametrize("side,sigma", COUPLING_CASES)
+    def test_floored_units_hold_under_one_ulp_of_the_gaussian(self, side, sigma, monkeypatch):
+        # exp's last bit depends on numpy's SIMD dispatch level; the floor to
+        # 2**-18 absorbs it: every nonzero gaussian value one ulp up, one ulp
+        # down or either at random moves no weight
+        want = _coupling_matrix(circle_mask(side), sigma)
+        exp, rng, moved = np.exp, np.random.default_rng(side), []
+        for toward in (np.inf, 0.0, None):
+            def off_by_one_ulp(x):
+                w = exp(x)
+                moved.append(toward)
+                either = np.where(rng.random(w.shape) < 0.5, np.inf, 0.0)
+                return np.where(w != 0, np.nextafter(w, either if toward is None else toward), w)
+
+            monkeypatch.setattr(np, "exp", off_by_one_ulp)
+            assert _coupling_matrix(circle_mask(side), sigma).tobytes() == want.tobytes(), toward
+        assert moved == [np.inf, 0.0, None]
 
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("side", [8, 16, 24, 32])
@@ -523,6 +575,36 @@ class TestSharedPass:
         for s, i in zip(on, np.split(index, [1000])):
             assert s.flags.f_contiguous
             assert s.tobytes() == states_matrix(p, i).tobytes()
+
+    @pytest.mark.parametrize("laser_off", [False, True], ids=["lasing", "with-laser-off"])
+    @pytest.mark.parametrize("kind", ["header", "glyph", "half-distinct"])
+    def test_acquired_maps_either_row_set_to_the_same_bytes(self, kind, laser_off, glyph_train):
+        # the acquisition maps the distinct rows when 2U <= N (a header batch,
+        # and a hand-built split at exactly 2U == N), else the gathered rows
+        # (glyphs): either way the bytes of the laser's response to copies of
+        # the gathered laser-off matrices
+        side = 28 if kind == "glyph" else 16
+        if kind == "header":
+            batches = [make_header_batch(HeaderTask(3, 5, 60, image_side=side), seed=s)
+                       for s in (1, 2)]
+        elif kind == "glyph":
+            batches = [make_onevsall_batch(glyph_train, 3, 40, seed=5, draw=d) for d in (0, 1)]
+        else:
+            frames, t = make_frames(side=side, seed=3, n=4), np.array([1.0, 0.0, 1.0, 0.0])
+            batches = [LabeledBatch(pixels=frames[order], targets=t, labels=t)
+                       for order in ([0, 1, 2, 3], [3, 2, 1, 0])]
+        sub = build_substrate(SubstrateConfig(input_side=side, seed=6))
+        p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
+        assert (2 * len(p) <= len(index)) == (kind != "glyph")
+        assert (2 * len(p) == len(index)) == (kind == "half-distinct")
+        off = [states_matrix(p, i) for i in np.split(index, [len(batches[0].pixels)])]
+        want = [[laser_response(sub, s.copy("F")) for s in off], off][:1 + laser_off]
+        got = harness._acquired(sub, batches, laser_off=laser_off)
+        assert len(got) == 2 * len(want)
+        for s, power, w in zip(got[::2], got[1::2], want):
+            assert [x.tobytes() for x in s] == [x.tobytes() for x in w]
+            assert all(x.flags.f_contiguous for x in s)
+            assert power == float(s[0].sum(axis=1).mean())
 
     def test_comparison_builds_one_substrate_per_repeat(self, monkeypatch):
         # both arms read one substrate, not a second draw
