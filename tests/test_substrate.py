@@ -578,11 +578,13 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("laser_off", [False, True], ids=["lasing", "with-laser-off"])
     @pytest.mark.parametrize("kind", ["header", "glyph", "half-distinct"])
-    def test_acquired_maps_either_row_set_to_the_same_bytes(self, kind, laser_off, glyph_train):
+    def test_acquired_maps_either_row_set_to_the_same_bytes(self, kind, laser_off, glyph_train,
+                                                             monkeypatch):
         # the acquisition maps the distinct rows when 2U <= N (a header batch,
         # and a hand-built split at exactly 2U == N), else the gathered rows
         # (glyphs): either way the bytes of the laser's response to copies of
-        # the gathered laser-off matrices
+        # the gathered laser-off matrices. It copies only a gathered pair that
+        # must stay laser-off
         side = 28 if kind == "glyph" else 16
         if kind == "header":
             batches = [make_header_batch(HeaderTask(3, 5, 60, image_side=side), seed=s)
@@ -599,8 +601,17 @@ class TestSharedPass:
         assert (2 * len(p) == len(index)) == (kind == "half-distinct")
         off = [states_matrix(p, i) for i in np.split(index, [len(batches[0].pixels)])]
         want = [[laser_response(sub, s.copy("F")) for s in off], off][:1 + laser_off]
+        gathered = []
+
+        def gather(rows, i):
+            gathered.append(states_matrix(rows, i))
+            return gathered[-1]
+
+        monkeypatch.setattr(harness, "states_matrix", gather)
         got = harness._acquired(sub, batches, laser_off=laser_off)
         assert len(got) == 2 * len(want)
+        copies = [s for pair in got[::2] for s in pair if not any(s is g for g in gathered)]
+        assert len(copies) == (2 if laser_off and kind == "glyph" else 0)
         for s, power, w in zip(got[::2], got[1::2], want):
             assert [x.tobytes() for x in s] == [x.tobytes() for x in w]
             assert all(x.flags.f_contiguous for x in s)
