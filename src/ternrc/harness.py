@@ -326,15 +326,16 @@ def _substrate(cfg: ExperimentConfig, repeat: int) -> Substrate:
 def _acquired(sub: Substrate, batches, laser_off: bool = False):
     """The lasing (train, test) state matrices of ``batches`` and the training
     matrix's mean all-on power at unit gain; with ``laser_off``, also the
-    laser-off matrices and their power. One forward pass over both batches
-    draws the transmission once. The laser maps each row on its own grid, so
-    it maps whichever is fewer rows, with the same bytes: the U distinct
-    intensities in place, then gathered, when 2U is at most the N batch rows
-    (header tasks), else the gathered matrices once the intensities are gone,
-    in place or, to keep the laser-off pair, as copies (digit tasks)."""
-    p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
-    indices = np.split(index, [len(batches[0].pixels)])
-    distinct = 2 * len(p) <= len(index)
+    laser-off matrices and their power. One forward pass over both batches'
+    frames draws the transmission once. The laser maps each row on its own
+    grid, so it maps whichever is fewer rows, with the same bytes: the U
+    frames' intensities in place, then gathered, when 2U is at most the N
+    batch rows (header tasks), else the gathered matrices once the
+    intensities are gone, in place or as copies that keep the laser-off pair."""
+    train, test = batches
+    p = forward_batch(sub, np.concatenate((train.frames, test.frames)))
+    indices = (train.index, test.index + len(train.frames))
+    distinct = 2 * len(p) <= len(train.index) + len(test.index)
     off = tuple(states_matrix(p, i) for i in indices) if laser_off or not distinct else None
     if distinct:
         p = laser_response(sub, p)

@@ -7,17 +7,18 @@ saturable map models the laser operated in its steady state, and a gaussian
 coupling over the node grid models carrier diffusion. A linear rig, whose
 states are the speckle intensities, is saturation 0 with no diffusion.
 
-Shapes: a batch is an (N, d, d) Boolean frame stack, d = ``input_side``.
+Shapes: a batch holds its U frames once, as a (U, d, d) Boolean stack,
+d = ``input_side``, and an (N,) index of each sample's frame; a header
+batch renders each drawn header once, so its repeats are never computed.
 The (K, D) complex transmission T of the K active nodes and the D aperture
 pixels is never held: each forward pass draws its real (2K, D) form
 [Re T; Im T] from the seed in row blocks, and positions the drift stream.
 :func:`forward_batch` is the optics: it returns the (U, K) speckle
-intensities of the U distinct frames and an (N,) row index into them.
-:func:`laser_response` is the laser: it maps the intensities, which are the
-laser-off states, to the laser-on states in place and row by row, so a
-gathered matrix maps as its distinct rows do. :func:`states_matrix` gathers
-the (N, K) batch matrix column-major, each node's column contiguous for the
-readout.
+intensities of the frames it is given. :func:`laser_response` is the
+laser: it maps the intensities, which are the laser-off states, to the
+laser-on states in place and row by row, so a gathered matrix maps as its
+distinct rows do. :func:`states_matrix` gathers the (N, K) batch matrix
+column-major, each node's column contiguous for the readout.
 
 Every work array of the optics and the laser spans at most one
 :data:`FRAME_CHUNK` of frames: the fields come from one real GEMM per row
@@ -45,7 +46,7 @@ GRID, INPUT_SIDE_BOUND = 2.0 ** -30, 817
 #: doubles in one row block of the drawn transmission (1 MB): 212 rows at 28 px
 TRANSMISSION_BLOCK = 2 ** 17
 
-#: most distinct frames multiplied into a transmission block at a time
+#: most frames multiplied into a transmission block at a time
 FRAME_CHUNK = 256
 
 #: the coupling's weights are multiples of 2**-WEIGHT_BITS; the laser's map spares as many bits
@@ -167,23 +168,25 @@ def _coupling_matrix(node_mask: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian carrier-diffusion coupling between active nodes, each column
     normalized so its source node redistributes its intensity without loss:
     each weight floored to a multiple of 2**-WEIGHT_BITS, the column's
-    remainder put on its diagonal, so every column sums to exactly 1."""
+    remainder put on its diagonal, so every column sums to exactly 1. Built
+    in place in the (K, K) result but for one array of column offsets."""
     rows, cols = np.nonzero(node_mask)
-    d2 = (rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
-    units = np.floor(w / w.sum(axis=0, keepdims=True) * 2.0 ** WEIGHT_BITS)
-    units[np.diag_indices_from(units)] += 2.0 ** WEIGHT_BITS - units.sum(axis=0)
-    return units * 2.0 ** -WEIGHT_BITS
+    w = np.square(np.subtract.outer(rows, rows, dtype=float))
+    dc = np.subtract.outer(cols, cols, dtype=float)
+    w += np.square(dc, out=dc)
+    np.exp(np.divide(w, -2.0 * sigma * sigma, out=w), out=w)
+    w /= w.sum(axis=0)
+    np.floor(np.multiply(w, 2.0 ** WEIGHT_BITS, out=w), out=w)
+    w[np.diag_indices_from(w)] += 2.0 ** WEIGHT_BITS - w.sum(axis=0)
+    w *= 2.0 ** -WEIGHT_BITS
+    return w
 
 
-def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic optical pass of an (N, d, d) Boolean frame stack.
-
-    Returns ``(p, index)``: ``p`` holds the (U, K) speckle intensities of
-    the U distinct frames, column-major, and ``index`` (N,) maps each frame
-    to its row, so repeated frames (header batches draw from a handful of
-    rendered images) are computed once. :func:`laser_response` maps ``p`` to
-    node states and :func:`states_matrix` gathers the (N, K) batch matrix.
+def forward_batch(substrate: Substrate, batch: np.ndarray) -> np.ndarray:
+    """Deterministic optical pass of a (U, d, d) Boolean frame stack: the
+    (U, K) speckle intensities of its frames, column-major, each frame
+    computed. :func:`laser_response` maps them to node states and
+    :func:`states_matrix` gathers a batch's (N, K) matrix by its index.
 
     The field at node j is the transmission row applied to the lit aperture
     pixels, its intensity the squared modulus on the frame's :func:`_on_grid`;
@@ -192,19 +195,12 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
     px = np.asarray(batch)
     side = substrate.config.input_side
     if px.ndim != 3 or px.shape[1:] != (side, side):
-        raise UsageError(f"batch must be an (N, {side}, {side}) frame stack, got {px.shape}")
+        raise UsageError(f"batch must be a (U, {side}, {side}) frame stack, got {px.shape}")
     if len(px) == 0:
         raise UsageError("forward_batch requires a non-empty batch")
     if px.dtype != bool:
         raise ConfigError(f"frames must be boolean, got {px.dtype}")
-    # each bit-packed row compared as one opaque value: np.unique(axis=0) is ~300x
-    # slower on 64 px frames. Rows packed from a C-order copy of one frame chunk
-    # at a time: a strided stack packs far slower and cannot be viewed as void
-    packed = np.concatenate([np.packbits(np.ascontiguousarray(px[c:c + FRAME_CHUNK]).reshape(
-        -1, side * side), axis=1) for c in range(0, len(px), FRAME_CHUNK)])
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    lit = px[first].reshape(len(first), -1)[:, substrate.input_mask.ravel()]
+    lit = px[:, substrate.input_mask]
     # node-major intensities, so states come out column-major: squared real rows
     # written into p, squared imaginary rows added; each array dropped before the next
     k = substrate.n_nodes
@@ -218,7 +214,7 @@ def forward_batch(substrate: Substrate, batch: np.ndarray) -> tuple[np.ndarray, 
             p[lo + re - k:lo + len(block) - k, c:c + FRAME_CHUNK] += np.square(f[re:], out=f[re:])
             del f
         del block
-    return _on_grid(p).T, index
+    return _on_grid(p).T
 
 
 def laser_response(substrate: Substrate, p: np.ndarray) -> np.ndarray:

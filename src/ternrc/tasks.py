@@ -6,9 +6,9 @@ positive class, half is drawn uniformly from the alternatives, shuffled by
 seed. A deterministic synthetic handwritten-digit generator is included as a
 stand-in when the canonical digit files are not on disk.
 
-Shapes: a batch holds an (N, d, d) Boolean frame stack, dark outside the
-inscribed-circle aperture of side d, with (N,) targets and (N,) labels; a
-digit dataset holds (N, rows, cols) uint8 grayscale images.
+Shapes: a batch holds (U, d, d) Boolean frames, dark outside the aperture
+of side d, an (N,) index of each sample's frame, (N,) targets and (N,)
+labels; a digit dataset holds (N, rows, cols) uint8 grayscale images.
 """
 
 from __future__ import annotations
@@ -33,27 +33,33 @@ MAX_HEADER_BITS = 62
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Boolean (N, d, d) frames for the input mirror array, with regression
-    targets and raw class labels. Pixels outside the inscribed-circle
-    aperture are dark by construction; the constructor rejects frames
-    violating that."""
+    """N samples shown through U Boolean (U, d, d) frames for the input
+    mirror array, sample i through ``frames[index[i]]``, with regression
+    targets and raw class labels. A header batch holds each drawn header
+    once, a digit batch one frame per sample. Pixels outside the aperture
+    are dark by construction; the constructor rejects frames violating that."""
 
-    pixels: np.ndarray
+    frames: np.ndarray
+    index: np.ndarray
     targets: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels)
+        px, i = np.asarray(self.frames), np.asarray(self.index)
         if px.ndim != 3 or px.shape[1] != px.shape[2]:
-            raise UsageError(f"frames must form an (N, d, d) stack, got shape {px.shape}")
+            raise UsageError(f"frames must form a (U, d, d) stack, got shape {px.shape}")
         if px.shape[1] < 4:
             raise ConfigError(f"frame side must be >= 4, got {px.shape[1]}")
         if px.dtype != bool:
             raise ConfigError(f"frames must be boolean, got {px.dtype}")
         if np.any(px & ~circle_mask(px.shape[1])):
             raise ConfigError("pixels outside the aperture must be off")
-        if len(self.targets) != len(px) or len(self.labels) != len(px):
-            raise UsageError("pixels, targets and labels must have equal length")
+        if (i.ndim != 1 or i.dtype.kind not in "iu"
+                or i.size and not 0 <= i.min() <= i.max() < len(px)):
+            raise UsageError(f"index must be an (N,) integer vector in [0, {len(px)}), "
+                             f"got {i.dtype} of shape {i.shape}")
+        if len(self.targets) != len(i) or len(self.labels) != len(i):
+            raise UsageError("index, targets and labels must have equal length")
 
 
 def _check_task(task, kind: str) -> None:
@@ -133,8 +139,9 @@ def make_header_batch(task: HeaderTask, seed: int) -> LabeledBatch:
     targets = np.concatenate([np.ones(half), np.zeros(half)])
     order = rng.permutation(task.n_samples)
     values, targets = values[order], targets[order]
-    return LabeledBatch(pixels=render_headers(task.n_bits, task.image_side, values),
-                        targets=targets, labels=values.astype(int))
+    distinct, index = np.unique(values, return_inverse=True)
+    return LabeledBatch(frames=render_headers(task.n_bits, task.image_side, distinct),
+                        index=index, targets=targets, labels=values.astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +263,8 @@ def make_onevsall_batch(dataset: DigitDataset, digit: int, n_samples: int, seed:
     targets = np.concatenate([np.ones(half), np.zeros(half)])
     order = np.random.default_rng(seed + 0x5EED * (draw + 1)).permutation(n_samples)
     chosen, targets = chosen[order], targets[order]
-    pixels = _frames(dataset.images[chosen] > 127.5, input_side)
-    return LabeledBatch(pixels=pixels, targets=targets,
+    return LabeledBatch(frames=_frames(dataset.images[chosen] > 127.5, input_side),
+                        index=np.arange(n_samples), targets=targets,
                         labels=dataset.labels[chosen].astype(int))
 
 

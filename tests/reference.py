@@ -94,18 +94,14 @@ def forward_frames(sub, frames):
 
 def forward_batch(sub, batch):
     """The optical pass over the complex transmission, concatenating its real
-    and imaginary rows on every call: (distinct intensities, index)."""
+    and imaginary rows on every call: the (U, K) intensities of every frame."""
     t, _ = transmission(sub.config)
-    flat = batch.reshape(len(batch), -1)
-    packed = np.packbits(flat, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    u = flat[first][:, sub.input_mask.ravel()].astype(float)
+    u = batch.reshape(len(batch), -1)[:, sub.input_mask.ravel()].astype(float)
     f = np.concatenate((t.real, t.imag)) @ u.T
     p = f[:len(t)] ** 2 + f[len(t):] ** 2
     for column in p.T:
         column[...] = on_grid(column, state_bits(len(t)))
-    return p.T, index
+    return p.T
 
 
 def laser_response(sub, p):

@@ -63,9 +63,9 @@ def test_partitions_freed_before_the_last_forward_pass(run, idx_files, monkeypat
         parts.append(weakref.ref(part))
         return part
 
-    def forward(sub, pixels):
+    def forward(sub, frames):
         alive.append(sum(ref() is not None for ref in parts))
-        return forward_batch(sub, pixels)
+        return forward_batch(sub, frames)
 
     monkeypatch.setattr(harness, "load_mnist", load)
     monkeypatch.setattr(harness, "forward_batch", forward)
@@ -89,10 +89,10 @@ def test_comparison_frees_each_state_matrix_after_its_last_use(digit, idx_files,
     intensities, gathered, lasered, rigs, alive = [], [], [], [], {}
     readout = harness.BatchReadout
 
-    def forward(sub, pixels):
-        p, index = forward_batch(sub, pixels)
+    def forward(sub, frames):
+        p = forward_batch(sub, frames)
         intensities.append(weakref.ref(p))
-        return p, index
+        return p
 
     def gather(rows, index):
         s = states_matrix(rows, index)

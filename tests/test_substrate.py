@@ -83,9 +83,9 @@ class TestBuild:
         assert not any(isinstance(v, np.ndarray) and v.size >= sub.n_nodes * sub.n_inputs
                        for v in vars(sub).values())
         frames = make_frames(seed=6, n=3)
-        first = forward_batch(sub, frames)[0].tobytes()
+        first = forward_batch(sub, frames).tobytes()
         advance_drift(sub, 10)
-        assert forward_batch(sub, frames)[0].tobytes() == first
+        assert forward_batch(sub, frames).tobytes() == first
         assert drawn(sub).tobytes() == drawn(sub).tobytes()
 
     def test_invalid_config_rejected(self):
@@ -132,10 +132,9 @@ class TestConfigJson:
 
 
 def forward(sub, frames):
-    """(N, K) node states of an (N, d, d) frame stack: the laser's response
+    """(U, K) node states of a (U, d, d) frame stack: the laser's response
     to the optics' intensities."""
-    p, index = forward_batch(sub, frames)
-    return states_matrix(laser_response(sub, p), index)
+    return laser_response(sub, forward_batch(sub, frames))
 
 
 #: the laser-off rig: saturation 0 with no diffusion
@@ -182,7 +181,7 @@ class TestForward:
         off = build_substrate(SubstrateConfig(seed=5, **LINEAR))
         pat = make_frames(seed=5)
         p = forward(off, pat)
-        assert p.tobytes() == forward_batch(on, pat)[0].tobytes()
+        assert p.tobytes() == forward_batch(on, pat).tobytes()
         assert not np.allclose(p, forward(on, pat))
 
     def test_saturation_bound_before_smoothing(self):
@@ -246,14 +245,17 @@ class TestForwardBatch:
         assert forward(sub, pats).tobytes() == reference.forward_frames(sub, pats).tobytes()
 
     def test_repeats_computed_once_and_bit_identical(self):
+        # a header batch renders each drawn value once, and the states
+        # gathered by its index are those of every sample's frame
         sub = build_substrate(SubstrateConfig(input_side=16))
-        pats = make_header_batch(HeaderTask(3, 5, 60, image_side=16), seed=2).pixels
+        b = make_header_batch(HeaderTask(3, 5, 60, image_side=16), seed=2)
+        pats = b.frames[b.index]
         distinct = {p.tobytes() for p in pats}
-        assert len(distinct) < len(pats)
-        p, index = forward_batch(sub, pats)
+        assert len(distinct) == len(b.frames) < len(pats)
+        p = forward_batch(sub, b.frames)
         assert p.shape == (len(distinct), sub.n_nodes)
-        assert index.shape == (len(pats),)
-        got = states_matrix(laser_response(sub, p), index)
+        assert b.index.shape == (len(pats),)
+        got = states_matrix(laser_response(sub, p), b.index)
         for state, pat in zip(got, pats):
             # a repeated frame reads its shared row, bit for bit
             assert state.tobytes() == got[(pats == pat).all(axis=(1, 2))][0].tobytes()
@@ -268,8 +270,7 @@ class TestForwardBatch:
         assert n == 1 or not pats.flags.c_contiguous
         for stack in (pats, np.asfortranarray(pats), pats[::-1], pats[:, ::-1]):
             want = forward_batch(sub, np.ascontiguousarray(stack))
-            got = forward_batch(sub, stack)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert forward_batch(sub, stack).tobytes() == want.tobytes()
 
     def test_thousand_patterns(self):
         sub = build_substrate(SubstrateConfig(grid_side=8, input_side=8))
@@ -350,11 +351,10 @@ class TestFieldsOracle:
         cfg = SubstrateConfig(grid_side=grid, input_side=side, seed=side + n)
         sub = build_substrate(cfg)
         frames = make_frames(side=side, seed=n, n=n)
-        states, index = forward_batch(sub, frames)
-        ref_states, ref_index = reference.forward_batch(sub, frames)
+        states = forward_batch(sub, frames)
+        ref_states = reference.forward_batch(sub, frames)
         assert states.tobytes() == ref_states.tobytes()
         assert states.flags.f_contiguous == ref_states.flags.f_contiguous
-        assert np.array_equal(index, ref_index)
 
     @pytest.mark.parametrize("cfg", [
         SubstrateConfig(), SubstrateConfig(**LINEAR), SubstrateConfig(saturation=0.0),
@@ -364,16 +364,17 @@ class TestFieldsOracle:
         sub = build_substrate(cfg)
         frames = make_frames(side=cfg.input_side, seed=cfg.seed, n=150)
         frames = np.concatenate((frames, frames[::3]))
-        states, index = forward_batch(sub, frames)
-        ref_states, ref_index = reference.forward_batch(sub, frames)
+        states = forward_batch(sub, frames)
+        ref_states = reference.forward_batch(sub, frames)
         assert states.tobytes() == ref_states.tobytes()
         assert states.flags.f_contiguous == ref_states.flags.f_contiguous
-        assert np.array_equal(index, ref_index)
+        # a repeated frame, in another frame chunk, is computed to the same bytes
+        assert states[150:].tobytes() == states[:150:3].tobytes()
 
     def test_linear_rig_returns_its_input(self):
         # saturation 0 with no diffusion is the laser-off rig, bit for bit
         sub = build_substrate(SubstrateConfig(seed=2, **LINEAR))
-        p, _ = forward_batch(sub, make_frames(seed=2, n=40))
+        p = forward_batch(sub, make_frames(seed=2, n=40))
         kept = p.copy()
         assert laser_response(sub, p) is p
         assert p.tobytes() == kept.tobytes()
@@ -384,7 +385,7 @@ class TestFieldsOracle:
         # whole-matrix map whatever the count
         for sigma, n in itertools.product((0.0, 0.5), (40, 600, 601)):
             sub = build_substrate(SubstrateConfig(seed=2, saturation=0.5, diffusion_sigma=sigma))
-            p, _ = forward_batch(sub, make_frames(seed=2, n=n))
+            p = forward_batch(sub, make_frames(seed=2, n=n))
             whole = reference.laser_response(sub, p)
             assert laser_response(sub, p) is p
             assert p.tobytes() == whole.tobytes()
@@ -407,7 +408,8 @@ class TestExactForward:
     whatever BLAS runs the test."""
 
     #: sha256 of the (U, K) intensities, their index and their (U, K) states,
-    #: per (grid, side, frames)
+    #: per (grid, side, frames), the U distinct frames taken in the order of
+    #: their bit-packed bytes
     DIGESTS = {
         (24, 28, 600):
             "245826c569340894ec42fd7861f02dce3f5a1b548c2e0fa43efe8765e097e31c",
@@ -424,10 +426,13 @@ class TestExactForward:
         grid, side, n = shape
         sub = build_substrate(SubstrateConfig(grid_side=grid, input_side=side, seed=n))
         frames = make_frames(side=side, seed=side, n=n)
+        packed = np.packbits(frames.reshape(n, -1), axis=1)
+        _, first, index = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                    return_index=True, return_inverse=True)
         for block, chunk in itertools.product((2 ** 15, 2 ** 17, 2 ** 22), (64, 256, 1024)):
             monkeypatch.setattr(substrate, "TRANSMISSION_BLOCK", block)
             monkeypatch.setattr(substrate, "FRAME_CHUNK", chunk)
-            p, index = forward_batch(sub, frames)
+            p = forward_batch(sub, frames[first])
             states = laser_response(sub, p.copy("F"))
             digest = hashlib.sha256(p.tobytes() + index.astype(np.int64).tobytes()
                                     + states.tobytes()).hexdigest()
@@ -446,16 +451,17 @@ class TestExactForward:
                                 for _, block in _transmission_blocks(sub)])
         assert np.abs(units).max() < 2 ** 53
         re, im = np.split(units.astype(float) * GRID, 2)
-        p, index = forward_batch(sub, frames)
+        p = forward_batch(sub, frames)
         want = [reference.on_grid(x, reference.state_bits(sub.n_nodes)) for x in (re ** 2 + im ** 2).T]
-        assert p[index].tobytes() == np.array(want).tobytes()
+        assert p.tobytes() == np.array(want).tobytes()
 
 
 class TestPeakMemory:
     """No transmission is held, and no second (U, K) array: the forward pass
     holds one row block of the transmission and one block of fields of at
-    most FRAME_CHUNK frames at a time, squared in place, and the laser one
-    chunk's denominator or coupled product."""
+    most FRAME_CHUNK frames at a time, squared in place, the laser one
+    chunk's denominator or coupled product, and the coupling's build its
+    (K, K) weights and one array of column offsets."""
 
     def test_build_at_side_64(self):
         # the whole transmission would be 23.1 MB
@@ -468,12 +474,18 @@ class TestPeakMemory:
         assert traced_peak(forward_batch, sub, frames) <= 8e6
 
     def test_forward_of_header_frames_at_side_64(self):
-        # the harness's one stack of a 250 + 250 header split at 64 px, 16
-        # distinct frames: a 6 MB row block held 6.6e6
+        # the harness's one stack of a 250 + 250 header split at 64 px, each
+        # batch's 16 distinct frames: a 6 MB row block held 6.6e6
         sub = build_substrate(SubstrateConfig(input_side=64))
-        frames = np.concatenate([make_header_batch(HeaderTask(n_samples=250), seed=s).pixels
+        frames = np.concatenate([make_header_batch(HeaderTask(n_samples=250), seed=s).frames
                                  for s in (1, 2)])
+        assert len(frames) == 32
         assert traced_peak(forward_batch, sub, frames) <= 2.5e6
+
+    def test_coupling_at_the_stock_grid(self):
+        # the 448-node weights (1.6 MB) built in place, beside one array of
+        # column offsets; building them through K x K temporaries held 6.4e6
+        assert traced_peak(_coupling_matrix, circle_mask(24), 0.5) <= 4.0e6
 
     def test_laser_response_of_two_thousand_rows(self):
         # the stock comparison's 1000 + 1000 rows; a whole-matrix map holds 8.1e6
@@ -512,11 +524,16 @@ class TestCouplingFlush:
         want = _coupling_matrix(circle_mask(side), sigma)
         exp, rng, moved = np.exp, np.random.default_rng(side), []
         for toward in (np.inf, 0.0, None):
-            def off_by_one_ulp(x):
+            def off_by_one_ulp(x, out=None):
+                # honours out=, so an exp written in place takes the moved values
                 w = exp(x)
                 moved.append(toward)
                 either = np.where(rng.random(w.shape) < 0.5, np.inf, 0.0)
-                return np.where(w != 0, np.nextafter(w, either if toward is None else toward), w)
+                w = np.where(w != 0, np.nextafter(w, either if toward is None else toward), w)
+                if out is None:
+                    return w
+                out[...] = w
+                return out
 
             monkeypatch.setattr(np, "exp", off_by_one_ulp)
             assert _coupling_matrix(circle_mask(side), sigma).tobytes() == want.tobytes(), toward
@@ -549,17 +566,18 @@ class TestSharedPass:
     def test_response_to_off_states_is_on_forward(self, kind):
         if kind == "header":
             side = 16
-            frames = make_header_batch(HeaderTask(3, 5, 60, image_side=side), seed=2).pixels
+            b = make_header_batch(HeaderTask(3, 5, 60, image_side=side), seed=2)
         else:
             side = 28
-            frames = make_onevsall_batch(make_glyph_dataset(400, seed=1), 3, 40, seed=0).pixels
+            b = make_onevsall_batch(make_glyph_dataset(400, seed=1), 3, 40, seed=0)
+        frames = b.frames[b.index]
         sub_on = build_substrate(SubstrateConfig(input_side=side, seed=4))
         sub_off = build_substrate(SubstrateConfig(input_side=side, seed=4, **LINEAR))
         # the comparison's laser-off arm is a linear rig of the same seed
-        p, index = forward_batch(sub_on, frames)
-        assert forward(sub_off, frames).tobytes() == states_matrix(p, index).tobytes()
+        p = forward_batch(sub_on, b.frames)
+        assert forward(sub_off, frames).tobytes() == states_matrix(p, b.index).tobytes()
         on = forward(sub_on, frames)
-        assert states_matrix(laser_response(sub_on, p), index).tobytes() == on.tobytes()
+        assert states_matrix(laser_response(sub_on, p), b.index).tobytes() == on.tobytes()
 
     def test_response_to_gathered_rows_is_the_gathered_response(self, glyph_train):
         # the stock comparison's 1000 + 1000 digit split: the laser maps copies
@@ -567,12 +585,13 @@ class TestSharedPass:
         # response to the distinct intensities
         batches = [make_onevsall_batch(glyph_train, 3, 1000, seed=5, draw=d) for d in (0, 1)]
         sub = build_substrate(SubstrateConfig(seed=5))
-        p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
-        assert len(p) == 2000  # every frame distinct, as in the benchmark
-        off = [states_matrix(p, i) for i in np.split(index, [1000])]
+        p = forward_batch(sub, np.concatenate([b.frames for b in batches]))
+        assert len(p) == 2000  # one frame per sample, as in the benchmark
+        indices = [batches[0].index, batches[1].index + 1000]
+        off = [states_matrix(p, i) for i in indices]
         on = [laser_response(sub, s.copy("F")) for s in off]
         laser_response(sub, p)
-        for s, i in zip(on, np.split(index, [1000])):
+        for s, i in zip(on, indices):
             assert s.flags.f_contiguous
             assert s.tobytes() == states_matrix(p, i).tobytes()
 
@@ -580,7 +599,7 @@ class TestSharedPass:
     @pytest.mark.parametrize("kind", ["header", "glyph", "half-distinct"])
     def test_acquired_maps_either_row_set_to_the_same_bytes(self, kind, laser_off, glyph_train,
                                                              monkeypatch):
-        # the acquisition maps the distinct rows when 2U <= N (a header batch,
+        # the acquisition maps the U frames' rows when 2U <= N (a header batch,
         # and a hand-built split at exactly 2U == N), else the gathered rows
         # (glyphs): either way the bytes of the laser's response to copies of
         # the gathered laser-off matrices. It copies only a gathered pair that
@@ -593,13 +612,15 @@ class TestSharedPass:
             batches = [make_onevsall_batch(glyph_train, 3, 40, seed=5, draw=d) for d in (0, 1)]
         else:
             frames, t = make_frames(side=side, seed=3, n=4), np.array([1.0, 0.0, 1.0, 0.0])
-            batches = [LabeledBatch(pixels=frames[order], targets=t, labels=t)
-                       for order in ([0, 1, 2, 3], [3, 2, 1, 0])]
+            batches = [LabeledBatch(frames=frames[half], index=np.array([0, 1, 1, 0]), targets=t,
+                                    labels=t) for half in (slice(0, 2), slice(2, 4))]
         sub = build_substrate(SubstrateConfig(input_side=side, seed=6))
-        p, index = forward_batch(sub, np.concatenate([b.pixels for b in batches]))
-        assert (2 * len(p) <= len(index)) == (kind != "glyph")
-        assert (2 * len(p) == len(index)) == (kind == "half-distinct")
-        off = [states_matrix(p, i) for i in np.split(index, [len(batches[0].pixels)])]
+        p = forward_batch(sub, np.concatenate([b.frames for b in batches]))
+        indices = [batches[0].index, batches[1].index + len(batches[0].frames)]
+        n = sum(map(len, indices))
+        assert (2 * len(p) <= n) == (kind != "glyph")
+        assert (2 * len(p) == n) == (kind == "half-distinct")
+        off = [states_matrix(p, i) for i in indices]
         want = [[laser_response(sub, s.copy("F")) for s in off], off][:1 + laser_off]
         gathered = []
 
@@ -675,16 +696,18 @@ class TestBatchFrames:
     batch builders."""
 
     @staticmethod
-    def _batch(pixels):
-        n = len(pixels)
-        return LabeledBatch(pixels=pixels, targets=np.zeros(n), labels=np.zeros(n, dtype=int))
+    def _batch(frames, index=None):
+        n = len(frames) if index is None else np.size(index)
+        index = np.arange(n) if index is None else index
+        return LabeledBatch(frames=frames, index=index, targets=np.zeros(n),
+                            labels=np.zeros(n, dtype=int))
 
     @staticmethod
     def _digit_frames(side_in, value=255, side=None):
         """Frames of a two-image one-vs-all batch of uniform grayscale images."""
         data = DigitDataset(images=np.full((2, side_in, side_in), value, dtype=np.uint8),
                             labels=np.array([0, 1], dtype=np.uint8))
-        return make_onevsall_batch(data, 0, 2, seed=0, input_side=side).pixels
+        return make_onevsall_batch(data, 0, 2, seed=0, input_side=side).frames
 
     def test_pixels_outside_aperture_rejected(self):
         px = np.ones((1, 8, 8), dtype=bool)
@@ -707,7 +730,25 @@ class TestBatchFrames:
         with pytest.raises(UsageError):
             self._batch(np.zeros((1, 8, 6), dtype=bool))
         with pytest.raises(UsageError):
-            LabeledBatch(np.zeros((2, 8, 8), dtype=bool), np.zeros(3), np.zeros(2))
+            LabeledBatch(np.zeros((2, 8, 8), dtype=bool), np.arange(2), np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize("index", [
+        np.array([0, 2]), np.array([-1, 0]), np.zeros(2), np.array([True, False]),
+        np.zeros((2, 1), dtype=int), np.zeros((), dtype=int)],
+        ids=["past-the-frames", "negative", "float", "bool", "2-d", "0-d"])
+    def test_bad_index_rejected(self, index):
+        # an index is an (N,) integer vector into the U frames
+        with pytest.raises(UsageError, match="index"):
+            self._batch(np.zeros((2, 8, 8), dtype=bool), index)
+
+    def test_index_length_must_match_targets_and_labels(self):
+        frames, index = np.zeros((2, 8, 8), dtype=bool), np.array([0, 1, 1])
+        with pytest.raises(UsageError, match="equal length"):
+            LabeledBatch(frames, index, np.zeros(2), np.zeros(3))
+        with pytest.raises(UsageError, match="equal length"):
+            LabeledBatch(frames, index, np.zeros(3), np.zeros(2))
+        # any number of samples may share the frames, or leave some unread
+        assert len(self._batch(frames, np.array([1, 1, 1])).index) == 3
 
     def test_center_crop_and_pad(self):
         pat = self._digit_frames(12, side=8)[0]

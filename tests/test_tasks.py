@@ -94,9 +94,18 @@ class TestRenderHeader:
 class TestHeaderBatch:
     def test_balanced_thousand(self):
         batch = make_header_batch(HeaderTask(4, 5, 1000), seed=0)
-        assert len(batch.pixels) == 1000
+        assert len(batch.index) == 1000
         assert (batch.labels == 5).sum() == 500
         assert (batch.targets == 1.0).sum() == 500
+
+    def test_stock_batch_holds_each_drawn_header_once(self):
+        # 1000 samples of the 4-bit header at 64 px read at most 16 frames,
+        # each the rendered header of one drawn value
+        batch = make_header_batch(HeaderTask(), seed=0)
+        values = np.unique(batch.labels)
+        assert len(batch.frames) == len(values) <= 16
+        assert np.array_equal(batch.frames, render_headers(4, 64, values))
+        assert np.array_equal(values[batch.index], batch.labels)
 
     def test_negatives_exclude_target(self):
         batch = make_header_batch(HeaderTask(3, 2, 200), seed=1)
@@ -115,7 +124,7 @@ class TestHeaderBatch:
         a = make_header_batch(HeaderTask(4, 5, 100), seed=3)
         b = make_header_batch(HeaderTask(4, 5, 100), seed=3)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.frames, b.frames) and np.array_equal(a.index, b.index)
 
     def test_target_levels_applied(self):
         # the target header's samples are 1.0, the others' 0.0
@@ -150,10 +159,10 @@ class TestHeaderBatch:
         (62, 1, 20, 3, ("5afceda21a46beb9", "52fa1b9e8a46efe4", "52abda64ea0de8ed")),
     ], ids=["4-bit", "3-bit", "40-bit", "62-bit"])
     def test_batch_bytes_pinned(self, n_bits, target, side, seed, digests):
-        # sha256 prefixes of the pixels, targets and labels of a 40-sample batch
+        # sha256 prefixes of the samples' frames, targets and labels of a 40-sample batch
         batch = make_header_batch(HeaderTask(n_bits, target, 40, image_side=side), seed=seed)
         got = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16]
-                    for a in (batch.pixels, batch.targets, batch.labels))
+                    for a in (batch.frames[batch.index], batch.targets, batch.labels))
         assert got == digests
 
 
@@ -168,7 +177,7 @@ class TestBinarize:
         n = len(images)
         data = DigitDataset(images=np.asarray(images, dtype=np.uint8),
                             labels=np.arange(n, dtype=np.uint8) % 2)
-        return make_onevsall_batch(data, 0, n, seed=seed).pixels
+        return make_onevsall_batch(data, 0, n, seed=seed).frames
 
     def test_zero_image_dark(self):
         assert not self._frames(np.zeros((2, 28, 28))).any()
@@ -411,13 +420,13 @@ class TestOneVsAll:
         a = make_onevsall_batch(glyph_train, 0, 100, seed=4)
         b = make_onevsall_batch(glyph_train, 0, 100, seed=4)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.frames, b.frames)
 
     def test_draws_are_disjoint(self, glyph_train):
         a = make_onevsall_batch(glyph_train, 1, 200, seed=5, draw=0)
         b = make_onevsall_batch(glyph_train, 1, 200, seed=5, draw=1)
-        seen = {p.tobytes() for p in a.pixels}
-        overlap = sum(p.tobytes() in seen for p in b.pixels)
+        seen = {p.tobytes() for p in a.frames}
+        overlap = sum(p.tobytes() in seen for p in b.frames)
         # distinct source images; rare collisions only from binarization
         assert overlap <= 2
 
@@ -432,7 +441,9 @@ class TestOneVsAll:
 
     def test_input_side_fitting(self, glyph_train):
         batch = make_onevsall_batch(glyph_train, 0, 10, seed=0, input_side=32)
-        assert batch.pixels.shape == (10, 32, 32)
+        assert batch.frames.shape == (10, 32, 32)
+        # one frame per sample, in sample order
+        assert np.array_equal(batch.index, np.arange(10))
 
 
 def _onevsall(**kwargs):
@@ -458,6 +469,6 @@ def test_numpy_integer_counts_accepted():
     a = _onevsall(digit=np.int8(3), n_samples=np.int64(10), draw=np.uint8(1),
                   input_side=np.int32(32))
     b = _onevsall(draw=1, input_side=32)
-    assert a.pixels.tobytes() == b.pixels.tobytes() and np.array_equal(a.labels, b.labels)
+    assert a.frames.tobytes() == b.frames.tobytes() and np.array_equal(a.labels, b.labels)
     a, b = random_mask(np.int64(7), "ternary", 2), random_mask(7, "ternary", 2)
     assert a.mode == b.mode and np.array_equal(a.weights, b.weights)
