@@ -1,8 +1,9 @@
-"""Exception types shared across the package, the annotation type check
-every config section runs when it is built, and the number test and count
-check of arguments."""
+"""Exception types shared across the package, the one check of each config
+field's type and declared :func:`domain` (which the property tests draw
+from), and the number test and count check of arguments."""
 
 import dataclasses
+import math
 import numbers
 
 
@@ -54,13 +55,31 @@ _FIELD_TYPES = {"int": lambda v: _is_number(v, int), "float": _is_real,
                 "tuple[float, ...]": lambda v: isinstance(v, tuple) and all(map(_is_real, v))}
 
 
-def _check_types(section, name: str) -> None:
-    """Reject a field of the dataclass ``section`` whose value does not have
-    its annotated type. A field whose annotation has no entry here, such as a
-    nested section, is not checked; a section checks itself when built."""
+def domain(default=dataclasses.MISSING, low=-math.inf, high=math.inf, ends="[)", choices=None):
+    """A dataclass field whose value is one of ``choices``, or else lies from
+    ``low`` to ``high``, each end closed ("[", "]") or open ("(", ")"), an open
+    infinite end meaning finite; a tuple is not empty and each value lies there."""
+    return dataclasses.field(default=default, metadata={"choices": choices} if choices
+                             else {"interval": (low, high, ends)})
+
+
+def _check_fields(section, name: str) -> None:
+    """Reject a field of the dataclass ``section`` whose value lacks its
+    annotated type or lies outside its :func:`domain`. A nested section, whose
+    annotation has no entry here, is not checked: it checks itself when built."""
     for f in dataclasses.fields(section):
         v = getattr(section, f.name)
         kind, _, optional = f.type.partition(" | ")
-        check = _FIELD_TYPES.get(kind)
-        if check and not (optional == "None" and v is None) and not check(v):
+        if optional == "None" and v is None:
+            continue
+        if (check := _FIELD_TYPES.get(kind)) and not check(v):
             raise ConfigError(f"{name} {f.name} must be of type {f.type}, got {v!r}")
+        if (choices := f.metadata.get("choices")) and v not in choices:
+            raise ConfigError(f"{name} {f.name} must be one of {choices}, got {v!r}")
+        low, high, ends = f.metadata.get("interval", (None, None, None))
+        values = v if isinstance(v, tuple) else (v,)
+        if ends and not (values and all(
+                (low < x or low == x and ends[0] == "[")
+                and (x < high or x == high and ends[1] == "]") for x in values)):
+            raise ConfigError(f"{name} {f.name} must be {'non-empty, each ' if values is v else ''}"
+                              f"in {ends[0]}{low}, {high}{ends[1]}, got {v!r}")

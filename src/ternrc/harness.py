@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import RIDGE_FOLDS, lambda_sweep, ridge_eval, ridge_fit
-from .errors import ConfigError, DataError, NumericalError, UsageError, _check_count, _check_types
+from .errors import (ConfigError, DataError, NumericalError, UsageError, _check_count,
+                     _check_fields, domain)
 from .optimizer import Metrics, TrainConfig, TrainResult, _centred, evaluate, nmse, train
 from .readout import DetectorModel, TernaryMask, readout_batch
-from .substrate import (Substrate, SubstrateConfig, build_substrate, advance_drift, circle_mask,
-                        forward_batch, laser_response, states_matrix)
+from .substrate import (MEMORY_BUDGET, Substrate, SubstrateConfig, build_substrate, advance_drift,
+                        circle_mask, forward_batch, laser_response, states_matrix)
 from .tasks import (HeaderTask, LabeledBatch, MnistTask, load_mnist, make_header_batch,
                     make_onevsall_batch)
 
@@ -62,11 +63,11 @@ class ExperimentConfig:
     substrate: SubstrateConfig
     train: TrainConfig
     task: HeaderTask | MnistTask
-    repeats: int = 1
+    repeats: int = domain(1, 1)
     output_dir: str | None = None
-    off_brightness: float = 0.15
-    ridge_grid: tuple[float, ...] = RIDGE_GRID
-    alphas: tuple[float, ...] = (0.0, 5.0, 10.0, 20.0)
+    off_brightness: float = domain(0.15, 0, 1, "(]")
+    ridge_grid: tuple[float, ...] = domain(RIDGE_GRID, 0)
+    alphas: tuple[float, ...] = domain((0.0, 5.0, 10.0, 20.0), 0)
 
     def __post_init__(self):
         # each nested section checked itself when it was built
@@ -74,20 +75,17 @@ class ExperimentConfig:
                            ("task", (HeaderTask, MnistTask))):
             if not isinstance(section := getattr(self, name), kind):
                 raise ConfigError(f"config {name} must be a config section, got {section!r}")
-        _check_types(self, "config")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be an integer >= 1, got {self.repeats!r}")
-        for name in ("alphas", "ridge_grid"):
-            values = getattr(self, name)
-            if not values or not all(math.isfinite(v) and v >= 0 for v in values):
-                raise ConfigError(
-                    f"{name} must be a non-empty list of finite numbers >= 0, got {values!r}")
-        if not 0.0 < self.off_brightness <= 1.0:
-            raise ConfigError(f"off_brightness must be in (0, 1], got {self.off_brightness}")
+        _check_fields(self, "config")
         if isinstance(self.task, HeaderTask) and self.task.image_side != self.substrate.input_side:
             raise ConfigError(
                 f"header image_side {self.task.image_side} != substrate input_side "
                 f"{self.substrate.input_side}")
+        # compare holds four (N, K) state matrices of doubles and two (N, d, d) Boolean frame stacks
+        n, d = self.task.n_samples, self.substrate.input_side
+        need = n * (32 * int(circle_mask(self.substrate.grid_side).sum()) + 2 * d * d)
+        if need > MEMORY_BUDGET:
+            raise ConfigError(f"task n_samples {n} needs {need:,} bytes of states and frames, "
+                              f"past the {MEMORY_BUDGET:,}-byte memory budget")
 
     @classmethod
     def from_json(cls, doc: str | dict) -> "ExperimentConfig":

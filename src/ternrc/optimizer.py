@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, UsageError, _check_types
+from .errors import NumericalError, UsageError, _check_fields, domain
 from .readout import ALPHABETS, MODES, TernaryMask, random_mask
 
 #: a trace is flat when its spread is at most this times its mean's magnitude
@@ -27,24 +27,14 @@ class TrainConfig:
     """Hyperparameters of one optimization run. The config checks itself
     when built."""
 
-    alpha: float
-    max_epochs: int
-    mode: str = "ternary"
-    seed: int = 0
-    patience: int | None = None
+    alpha: float = domain(low=0)
+    max_epochs: int = domain(low=1)
+    mode: str = domain("ternary", choices=MODES)
+    seed: int = domain(0, 0, 2 ** 32)
+    patience: int | None = domain(None, 1)
 
     def __post_init__(self):
-        _check_types(self, "train")
-        if not math.isfinite(self.alpha) or self.alpha < 0:
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1 or None, got {self.patience}")
-        if not 0 <= self.seed < 2 ** 32:
-            raise ConfigError(f"train seed must be in [0, 2**32), got {self.seed}")
+        _check_fields(self, "train")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UsageError, _check_count, _check_types
+from .errors import ConfigError, UsageError, _check_count, _check_fields, domain
 
 
 #: spacing of the transmission entries: numpy's ziggurat returns no |z| >= 13.8,
@@ -55,6 +55,10 @@ WEIGHT_BITS = 18
 #: bounds that keep the laser's s * p, the coupling's 2 * sigma**2 and noise squares normal
 SATURATION_BOUND, DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND = 1e150, 1e-100, 1e100
 
+#: bytes a run's largest arrays may take: the coupling's two (K, K) doubles bound grid_side at
+#: 121 (K = 11,513), and the state matrices and frames bound n_samples (harness.ExperimentConfig)
+MEMORY_BUDGET, GRID_SIDE_BOUND = 2 ** 31, 121
+
 
 def circle_mask(side: int) -> np.ndarray:
     """Inscribed-circle aperture: a cell is active iff its center lies within
@@ -74,32 +78,19 @@ class SubstrateConfig:
     slow gain drift). The config checks itself when built.
     """
 
-    grid_side: int = 24
-    input_side: int = 28
-    saturation: float = 0.005
-    diffusion_sigma: float = 0.5
-    noise_sigma: float = 0.001
-    drift_amplitude: float = 0.002
-    drift_timescale: float = 500.0
-    seed: int = 0
+    grid_side: int = domain(24, 2, GRID_SIDE_BOUND, "[]")
+    input_side: int = domain(28, 4, INPUT_SIDE_BOUND, "[]")
+    saturation: float = domain(0.005, 0, SATURATION_BOUND, "[]")
+    diffusion_sigma: float = domain(0.5, 0)
+    noise_sigma: float = domain(0.001, 0, NOISE_SIGMA_BOUND, "[]")
+    drift_amplitude: float = domain(0.002, 0)
+    drift_timescale: float = domain(500.0, 0, ends="()")
+    seed: int = domain(0, 0, 2 ** 32)
 
     def __post_init__(self):
-        _check_types(self, "substrate")
-        if self.grid_side < 2:
-            raise ConfigError(f"grid_side must be >= 2, got {self.grid_side}")
-        if not 4 <= (v := self.input_side) <= INPUT_SIDE_BOUND:
-            raise ConfigError(f"input_side must be in [4, {INPUT_SIDE_BOUND}], got {v}")
-        for name, bound in (("saturation", SATURATION_BOUND), ("diffusion_sigma", math.inf),
-                            ("noise_sigma", NOISE_SIGMA_BOUND), ("drift_amplitude", math.inf)):
-            v = getattr(self, name)
-            if not math.isfinite(v) or not 0 <= v <= bound:
-                raise ConfigError(f"{name} must be finite and in [0, {bound:g}], got {v}")
+        _check_fields(self, "substrate")
         if 0 < (v := self.diffusion_sigma) < DIFFUSION_SIGMA_FLOOR:
             raise ConfigError(f"diffusion_sigma must be 0 or >= {DIFFUSION_SIGMA_FLOOR:g}, got {v}")
-        if not math.isfinite(self.drift_timescale) or self.drift_timescale <= 0:
-            raise ConfigError(f"drift_timescale must be finite and > 0, got {self.drift_timescale}")
-        if not 0 <= self.seed < 2 ** 32:
-            raise ConfigError(f"substrate seed must be in [0, 2**32), got {self.seed}")
 
 
 @dataclass

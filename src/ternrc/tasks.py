@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, FormatError, UsageError, _check_count, _check_types,
-                     _is_number)
+from .errors import (ConfigError, DataError, FormatError, UsageError, _check_count, _check_fields,
+                     _is_number, domain)
 from .substrate import circle_mask
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -62,35 +62,25 @@ class LabeledBatch:
             raise UsageError("index, targets and labels must have equal length")
 
 
-def _check_task(task, kind: str) -> None:
-    _check_types(task, "task")
-    if task.type != kind:
-        raise ConfigError(f"a {kind} task has type {kind!r}, got {task.type!r}")
-    if task.n_samples < 2 or task.n_samples % 2:
-        raise ConfigError(f"task n_samples must be an even integer >= 2, got {task.n_samples!r}")
-
-
 @dataclass(frozen=True)
 class HeaderTask:
     """Pie-shaped headers: the disk is cut into ``n_bits`` equal sectors and
     sector k of a header lights up iff bit k of its value is set. The task
     tells ``target_value`` from the other headers."""
 
-    n_bits: int = 4
-    target_value: int = 5
-    n_samples: int = 1000
-    image_side: int = 64
-    type: str = "header"
+    n_bits: int = domain(4, 2, MAX_HEADER_BITS, "[]")
+    target_value: int = domain(5, 0, 2 ** MAX_HEADER_BITS)
+    n_samples: int = domain(1000, 2)
+    image_side: int = domain(64, 4)
+    type: str = domain("header", choices=("header",))
 
     def __post_init__(self):
-        _check_task(self, "header")
-        if not 2 <= self.n_bits <= MAX_HEADER_BITS:
-            raise ConfigError(f"n_bits must be in [2, {MAX_HEADER_BITS}], got {self.n_bits}")
-        if self.image_side < 4:
-            raise ConfigError(f"image_side must be >= 4, got {self.image_side}")
-        if not 0 <= self.target_value < 2 ** self.n_bits:
+        _check_fields(self, "task")
+        if self.n_samples % 2:
+            raise ConfigError(f"task n_samples must be even, got {self.n_samples}")
+        if self.target_value >= 2 ** self.n_bits:
             raise ConfigError(
-                f"target_value must be in [0, {2 ** self.n_bits}), got {self.target_value}")
+                f"task target_value must be in [0, {2 ** self.n_bits}), got {self.target_value}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +91,14 @@ class MnistTask:
     labels: str = ""
     test_images: str | None = None
     test_labels: str | None = None
-    digit: int | None = 0
-    n_samples: int = 1000
-    type: str = "mnist"
+    digit: int | None = domain(0, 0, 9, "[]")
+    n_samples: int = domain(1000, 2)
+    type: str = domain("mnist", choices=("mnist",))
 
     def __post_init__(self):
-        _check_task(self, "mnist")
-        if self.digit is not None and not 0 <= self.digit <= 9:
-            raise ConfigError(f"task digit must be an integer 0-9 or null, got {self.digit!r}")
+        _check_fields(self, "task")
+        if self.n_samples % 2:
+            raise ConfigError(f"task n_samples must be even, got {self.n_samples}")
         for a, b in (("images", "labels"), ("test_images", "test_labels")):
             if bool(getattr(self, a)) != bool(getattr(self, b)):
                 raise ConfigError(f"task {b if getattr(self, a) else a} is missing: an IDX "

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ternrc.tasks import make_glyph_dataset, write_idx_images, write_idx_labels
+
+#: draws of each property test that sets no count itself (the config-domain
+#: tests): 150 in tier-1; CI runs those again with --hypothesis-profile=draws-2000
+settings.register_profile("draws-150", max_examples=150, deadline=None)
+settings.register_profile("draws-2000", max_examples=2000, deadline=None)
+settings.load_profile("draws-150")
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ from ternrc.cli import _default_doc, _load_config, build_parser, main
 from ternrc.errors import ConfigError, UsageError
 from ternrc.harness import RETIRED, ExperimentConfig, derive_seed
 from ternrc.optimizer import TrainConfig
-from ternrc.substrate import (DIFFUSION_SIGMA_FLOOR, NOISE_SIGMA_BOUND, SATURATION_BOUND,
-                              SubstrateConfig)
+from ternrc.substrate import (DIFFUSION_SIGMA_FLOOR, GRID_SIDE_BOUND, MEMORY_BUDGET,
+                              NOISE_SIGMA_BOUND, SATURATION_BOUND, SubstrateConfig, circle_mask)
 from ternrc.tasks import HeaderTask, MnistTask, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -715,6 +716,45 @@ def test_input_side_past_the_aperture_bound_exits_2(tmp_path, capsys):
     assert err.startswith("config error: ") and "input_side" in err
 
 
+#: per sample of the stock header document (448 nodes, 64 px): four (N, K)
+#: state matrices of doubles and two (N, d, d) Boolean frame stacks
+_SAMPLE_BYTES = 32 * 448 + 2 * 64 * 64
+#: the first even sample count past the budget at that size
+_N_PAST = (MEMORY_BUDGET // _SAMPLE_BYTES // 2 + 1) * 2
+
+
+def test_size_bounds_are_the_largest_in_the_budget():
+    # the coupling is built as two (K, K) arrays of doubles; both largest
+    # sizes build a config (nothing here runs them)
+    assert 16 * circle_mask(GRID_SIDE_BOUND).sum() ** 2 <= MEMORY_BUDGET
+    assert 16 * circle_mask(GRID_SIDE_BOUND + 1).sum() ** 2 > MEMORY_BUDGET
+    for doc in ({"substrate": {"grid_side": GRID_SIDE_BOUND},
+                 "task": {"type": "header", "n_samples": 2}},
+                {"task": {"type": "header", "n_samples": _N_PAST - 2}}):
+        ExperimentConfig.from_json({"train": VALID_TRAIN, **doc})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"substrate": {"grid_side": GRID_SIDE_BOUND + 1}},
+     f"substrate grid_side must be in [2, {GRID_SIDE_BOUND}], got {GRID_SIDE_BOUND + 1}"),
+    ({"task": {"type": "header", "n_samples": _N_PAST}},
+     f"task n_samples {_N_PAST} needs {_N_PAST * _SAMPLE_BYTES:,} bytes of states and frames, "
+     f"past the {MEMORY_BUDGET:,}-byte memory budget")], ids=["grid-side", "n-samples"])
+def test_size_past_the_memory_budget_exits_2_before_allocating(doc, message, tmp_path, capsys):
+    # the size bounds are checked when the config is built, so no work array
+    # of the oversized run is made: the traced peak stays far below its arrays
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": VALID_TRAIN, **doc}))
+    tracemalloc.start()
+    try:
+        code = main(["header", "--config", str(config)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert code == 2 and peak < 2 ** 22
+
+
 _CHECKED = ExperimentConfig.from_json({"train": VALID_TRAIN})
 
 
@@ -748,7 +788,7 @@ def test_scalar_for_tuple_field_names_its_type():
 def test_seed_outside_uint32_exits_2(capsys):
     # a seed of -1 or 2**32 would otherwise alias 2**32 - 1 or 0
     assert main(["header", "--seed", "-1"]) == 2
-    assert "seed must be in [0, 2**32)" in capsys.readouterr().err
+    assert "seed must be in [0, 4294967296)" in capsys.readouterr().err
 
 
 def test_idx_flags_override_task_paths():
